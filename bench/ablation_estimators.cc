@@ -62,14 +62,15 @@ runDirection(const char *label, Frequency base, Frequency target,
     std::map<std::string, std::vector<double>> errs;
     for (std::size_t w = 0; w < grid.spec.workloads.size(); ++w) {
         const auto &params = grid.spec.workloads[w];
-        const auto &base_cell = grid.at(w, base);
+        const PredictionTable base_table(grid.at(w, base).view(),
+                                         PredictionTable::kEpochRows);
         Tick actual = grid.at(w, target).totalTime;
 
         std::vector<std::string> row = {params.name};
         for (const auto &s : specs) {
             auto p = registry.make("DEP", s);
             double e = Predictor::relativeError(
-                p->predict(base_cell.view(), target), actual);
+                p->predict(base_table, target), actual);
             errs[s.name()].push_back(e);
             row.push_back(exp::Table::pct(e));
         }

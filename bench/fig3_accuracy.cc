@@ -69,7 +69,7 @@ runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid)
     for (std::size_t w = 0; w < grid.spec.workloads.size(); ++w) {
         const auto &params = grid.spec.workloads[w];
 
-        const auto &base_cell = grid.at(w, dir.base);
+        const pred::PredictionTable base(grid.at(w, dir.base).view());
         std::map<std::uint32_t, Tick> actual;
         for (auto t : dir.targets)
             actual[t.toMHz()] = grid.at(w, t).totalTime;
@@ -80,7 +80,7 @@ runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid)
                                             p->name()};
             first = false;
             for (auto t : dir.targets) {
-                Tick est = p->predict(base_cell.view(), t);
+                Tick est = p->predict(base, t);
                 double err =
                     pred::Predictor::relativeError(est, actual[t.toMHz()]);
                 errors[p->name()][t.toMHz()].push_back(err);

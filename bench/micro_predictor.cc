@@ -12,6 +12,7 @@
 
 #include "exp/experiment.hh"
 #include "pred/registry.hh"
+#include "pred/table.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 
@@ -84,6 +85,46 @@ BM_CoopPredict(benchmark::State &state)
         benchmark::DoNotOptimize(p->predict(rec, Frequency::ghz(4.0)));
 }
 BENCHMARK(BM_CoopPredict);
+
+/** Gathering the prediction table (done once per served trace). */
+static void
+BM_PredictionTableBuild(benchmark::State &state)
+{
+    const RunRecord &rec = sampleRecord();
+    for (auto _ : state) {
+        PredictionTable table{RecordView(rec)};
+        benchmark::DoNotOptimize(table.epochRows().data());
+    }
+}
+BENCHMARK(BM_PredictionTableBuild);
+
+/**
+ * The Figure 3 set at N targets from a prepared table: one Predict (1
+ * target), one what-if (4) or a full optimal-V/f scan (25).
+ */
+static void
+BM_Figure3Set(benchmark::State &state)
+{
+    const RunRecord &rec = sampleRecord();
+    const PredictionTable table{RecordView(rec)};
+    const auto zoo = PredictorRegistry::instance().figure3Set();
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    std::vector<Frequency> targets;
+    for (std::uint32_t i = 0; i < n; ++i)
+        targets.push_back(
+            Frequency::mhz(n == 1 ? 4000 : 1000 + 3000 * i / (n - 1)));
+    std::vector<Tick> out(n);
+    for (auto _ : state) {
+        for (const auto &p : zoo) {
+            p->predict(table, targets, out);
+            benchmark::DoNotOptimize(out.data());
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(zoo.size() * n));
+}
+BENCHMARK(BM_Figure3Set)->Arg(1)->Arg(4)->Arg(25);
 
 /** The energy manager's inner loop: one quantum, all 25 points. */
 static void

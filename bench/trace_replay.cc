@@ -75,7 +75,7 @@ runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid,
         auto cells = engine.evaluate(base_cell.view(), targets);
 
         // Rows are predictor-major like fig3; cells are target-major.
-        const auto names = engine.predictorNames();
+        const auto &names = engine.predictorNames();
         bool first = true;
         for (std::size_t p = 0; p < names.size(); ++p) {
             std::vector<std::string> row = {
@@ -92,7 +92,7 @@ runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid,
         table.addSeparator();
     }
 
-    for (const auto &name : trace::ReplayEngine().predictorNames()) {
+    for (const auto &name : engine.predictorNames()) {
         std::vector<std::string> row = {"avg |err|", name};
         for (auto t : dir.targets)
             row.push_back(

@@ -5,8 +5,9 @@ Compares freshly measured dvfs-sweep-bench-v1, dvfs-trace-bench-v1 and
 dvfs-serve-bench-v1 records — from any emitting bench: sweep_bench,
 micro_simulator, the trace record/replay tools, and the dvfsd_load
 serving soak — against the last committed record for the same
-configuration (bench + run + cells, preferring rows from a machine
-with the same hardware_threads) and emits a GitHub Actions
+configuration (bench + run + cells, from a machine with the same
+hardware_threads; with none, it prints "no comparable baseline") and
+emits a GitHub Actions
 ::warning:: annotation when throughput (cells_per_sec, or
 throughput_rps for serve rows) dropped by more than the threshold. Sampled rows carrying mean_abs_slowdown_err_pct also get an
 accuracy soft-gate: a warning fires when the error worsens by more
@@ -75,15 +76,14 @@ def config_key(rec):
 
 
 def latest_baseline(baseline, rec):
-    """Last committed record for rec's configuration, preferring rows
-    measured on a machine with the same hardware_threads (cross-machine
-    throughput is not comparable)."""
-    matches = [b for b in baseline if config_key(b) == config_key(rec)]
-    same_hw = [
-        b for b in matches
-        if b.get("hardware_threads") == rec.get("hardware_threads")
+    """Last committed record for rec's configuration measured with the
+    same hardware_threads, or None: throughput from a machine with a
+    different thread count is not comparable, so it is never used."""
+    pool = [
+        b for b in baseline
+        if config_key(b) == config_key(rec)
+        and b.get("hardware_threads") == rec.get("hardware_threads")
     ]
-    pool = same_hw or matches
     return pool[-1] if pool else None
 
 

@@ -12,7 +12,7 @@
  *  - canonical run harnesses (exp::runFixed / exp::runManaged /
  *    exp::RunOptions) and the sweep engine with trace-backed grids
  *  - the observation surface (pred::RunView) with both backends,
- *    predictors and the PredictorRegistry
+ *    prediction tables, predictors and the PredictorRegistry
  *  - trace record/replay I/O (trace::writeTraceFile,
  *    trace::readTraceFile, trace::ReplayEngine)
  *  - report helpers (exp::Table) and criticality analysis
@@ -42,6 +42,7 @@
 #include "pred/predictors.hh"
 #include "pred/registry.hh"
 #include "pred/run_view.hh"
+#include "pred/table.hh"
 
 // Trace record/replay.
 #include "trace/format.hh"

@@ -132,7 +132,18 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
     // Per-predictor envelopes: predict from the sampled base record,
     // score against the slowdown the exact runs exhibit. The
     // exact-fed envelope isolates the predictor's inherent model
-    // error from what sampling adds on top.
+    // error from what sampling adds on top. Each base record is
+    // prepared once into a table every predictor reads.
+    std::vector<pred::PredictionTable> smTables, exTables;
+    for (std::size_t w = 0; w < ws.size(); ++w) {
+        for (std::size_t s = 0; s < ss.size(); ++s) {
+            const auto &exBase = exact.at(w, std::size_t{0}, s);
+            const auto &smBase = sampled.at(w, std::size_t{0}, s);
+            smTables.emplace_back(
+                pred::SampledView(smBase.record, smBase.sampling));
+            exTables.emplace_back(pred::RecordView(exBase.record));
+        }
+    }
     auto zoo = pred::PredictorRegistry::instance().figure3Set();
     for (const auto &p : zoo) {
         PredictorErrorBound b;
@@ -141,22 +152,22 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
             for (std::size_t s = 0; s < ss.size(); ++s) {
                 const auto &exBase = exact.at(w, std::size_t{0}, s);
                 const auto &smBase = sampled.at(w, std::size_t{0}, s);
-                pred::SampledView view(smBase.record, smBase.sampling);
-                pred::RecordView exView(exBase.record);
+                const auto &smTable = smTables[w * ss.size() + s];
+                const auto &exTable = exTables[w * ss.size() + s];
                 for (std::size_t f = 1; f < fs.size(); ++f) {
                     const auto &exTgt = exact.at(w, f, s);
                     const double actual =
                         static_cast<double>(exTgt.totalTime) /
                         static_cast<double>(exBase.totalTime);
                     const double predicted =
-                        static_cast<double>(p->predict(view, fs[f])) /
+                        static_cast<double>(p->predict(smTable, fs[f])) /
                         static_cast<double>(smBase.totalTime);
                     const double err =
                         std::fabs(predicted - actual) / actual * 100.0;
                     b.meanAbsPct += err;
                     b.maxAbsPct = std::max(b.maxAbsPct, err);
                     const double exPredicted =
-                        static_cast<double>(p->predict(exView, fs[f])) /
+                        static_cast<double>(p->predict(exTable, fs[f])) /
                         static_cast<double>(exBase.totalTime);
                     const double exErr =
                         std::fabs(exPredicted - actual) / actual * 100.0;

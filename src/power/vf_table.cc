@@ -23,10 +23,13 @@ VfTable::haswell(std::uint32_t step_mhz)
     if (step_mhz == 0)
         fatal("V/f table step must be positive");
     std::vector<OperatingPoint> pts;
-    for (std::uint32_t mhz = 1000; mhz <= 4000; mhz += step_mhz) {
-        double ghz = mhz / 1000.0;
-        pts.push_back(OperatingPoint{Frequency::mhz(mhz),
-                                     0.65 + 0.15 * ghz});
+    // 64-bit so a step near 2^32 (a dvfsd client's OptimalVf stepMHz)
+    // cannot wrap the frequency back below 4 GHz.
+    for (std::uint64_t mhz = 1000; mhz <= 4000; mhz += step_mhz) {
+        double ghz = static_cast<double>(mhz) / 1000.0;
+        pts.push_back(OperatingPoint{
+            Frequency::mhz(static_cast<std::uint32_t>(mhz)),
+            0.65 + 0.15 * ghz});
     }
     if (pts.back().freq.toMHz() != 4000) {
         pts.push_back(OperatingPoint{Frequency::mhz(4000),

@@ -1,7 +1,6 @@
 #include "pred/predictors.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/log.hh"
 
@@ -30,14 +29,265 @@ ModelSpec::name() const
 
 namespace {
 
-double
-freqRatio(Frequency base, Frequency target)
+constexpr std::size_t kChunk = Predictor::kTargetChunk;
+
+/**
+ * Sum, over groups of rows, of each group's slowest predicted row:
+ * COOP's phases, or M+CRIT as one group. @p ends holds each group's
+ * end offset into @p rows.
+ */
+void
+slowestPerGroup(const std::vector<SpanRow> &rows,
+                std::span<const std::uint32_t> ends, const ModelSpec &spec,
+                const double *ratio, std::size_t n, Tick *out)
 {
-    return static_cast<double>(base.toMHz()) /
-           static_cast<double>(target.toMHz());
+    Tick total[kChunk] = {};
+    std::size_t r = 0;
+    for (std::uint32_t end : ends) {
+        Tick slowest[kChunk] = {};
+        for (; r < end; ++r) {
+            const SpanSplit sp = rows[r].split(spec);
+            for (std::size_t k = 0; k < n; ++k)
+                slowest[k] = std::max(slowest[k], sp.at(ratio[k]));
+        }
+        for (std::size_t k = 0; k < n; ++k)
+            total[k] += slowest[k];
+    }
+    std::copy(total, total + n, out);
+}
+
+/** The epochs of a PredictionTable, as the DEP walk reads them. */
+class TableEpochs
+{
+  public:
+    explicit TableEpochs(const PredictionTable &t)
+        : _epochs(t.epochs()), _rows(t.epochRows()),
+          _slots(t.threadSlots()), _widest(t.widestEpoch())
+    {
+    }
+
+    std::size_t size() const { return _epochs.size(); }
+    std::size_t slots() const { return _slots; }
+    std::size_t widest() const { return _widest; }
+    Tick idle(std::size_t i) const { return _epochs[i].idle; }
+    std::uint32_t stall(std::size_t i) const { return _epochs[i].stall; }
+
+    std::size_t
+    rows(std::size_t i) const
+    {
+        return _epochs[i].rowEnd - _epochs[i].rowBegin;
+    }
+
+    const SpanRow &
+    row(std::size_t i, std::size_t r) const
+    {
+        return _rows[_epochs[i].rowBegin + r];
+    }
+
+    std::uint32_t
+    slot(std::size_t i, std::size_t r) const
+    {
+        return row(i, r).tid;
+    }
+
+    SpanSplit
+    split(std::size_t i, std::size_t r, const ModelSpec &spec) const
+    {
+        return row(i, r).split(spec);
+    }
+
+  private:
+    const std::vector<PredictionTable::EpochEntry> &_epochs;
+    const std::vector<SpanRow> &_rows;
+    std::size_t _slots;
+    std::size_t _widest;
+};
+
+/**
+ * Live epochs [first, last), read in place: the slots are the
+ * ThreadIds themselves (small and dense in a live run).
+ */
+class LiveEpochs
+{
+  public:
+    LiveEpochs(const std::vector<Epoch> &epochs, std::size_t first,
+               std::size_t last)
+        : _epochs(epochs), _first(first),
+          _last(std::max(first, std::min(last, epochs.size())))
+    {
+        for (std::size_t i = _first; i < _last; ++i) {
+            for (const EpochThread &et : epochs[i].active)
+                _slots = std::max<std::size_t>(_slots,
+                                               std::size_t{et.tid} + 1);
+            _widest = std::max(_widest, epochs[i].active.size());
+        }
+    }
+
+    std::size_t size() const { return _last - _first; }
+    std::size_t slots() const { return _slots; }
+    std::size_t widest() const { return _widest; }
+    Tick idle(std::size_t i) const { return epoch(i).duration(); }
+    std::size_t rows(std::size_t i) const { return epoch(i).active.size(); }
+
+    std::uint32_t
+    stall(std::size_t i) const
+    {
+        // A stall thread that never ran in the range has no delta
+        // anyone reads.
+        const os::ThreadId tid = epoch(i).stallTid;
+        return tid < _slots ? tid : PredictionTable::kNoSlot;
+    }
+
+    std::uint32_t
+    slot(std::size_t i, std::size_t r) const
+    {
+        return epoch(i).active[r].tid;
+    }
+
+    SpanSplit
+    split(std::size_t i, std::size_t r, const ModelSpec &spec) const
+    {
+        const uarch::PerfCounters &c = epoch(i).active[r].delta;
+        return SpanSplit(c.busyTime, nonscalingTime(c, spec));
+    }
+
+  private:
+    const Epoch &epoch(std::size_t i) const { return _epochs[_first + i]; }
+
+    const std::vector<Epoch> &_epochs;
+    std::size_t _first;
+    std::size_t _last;
+    std::size_t _slots = 0;
+    std::size_t _widest = 0;
+};
+
+/**
+ * DEP over a sequence of epochs at N targets, @p ratio[0..N): per-epoch
+ * CTP, or across-epoch CTP (Algorithm 1 of the paper). N is a
+ * compile-time lane count so the per-target loops unroll.
+ */
+template <std::size_t N, class Epochs>
+void
+depLanes(const Epochs &src, const ModelSpec &spec, bool across_epochs,
+         const double *ratio, Tick *out)
+{
+    double total[N] = {};
+
+    // Algorithm 1's delta counters (accumulated slack), N per thread
+    // slot, then the current epoch's N estimates per row.
+    thread_local std::vector<double> scratch;
+    double *delta = nullptr;
+    double *est = nullptr;
+    if (across_epochs) {
+        scratch.assign((src.slots() + src.widest()) * N, 0.0);
+        delta = scratch.data();
+        est = delta + src.slots() * N;
+    }
+
+    for (std::size_t i = 0; i < src.size(); ++i) {
+        const std::size_t rows = src.rows(i);
+        if (rows == 0) {
+            // Nothing was scheduled: the gap does not scale.
+            const double idle = static_cast<double>(src.idle(i));
+            for (std::size_t k = 0; k < N; ++k)
+                total[k] += idle;
+            continue;
+        }
+
+        if (!across_epochs) {
+            // Per-epoch CTP: the epoch lasts as long as its slowest
+            // active thread, with no memory of earlier epochs.
+            Tick crit[N] = {};
+            for (std::size_t r = 0; r < rows; ++r) {
+                const SpanSplit sp = src.split(i, r, spec);
+                for (std::size_t k = 0; k < N; ++k)
+                    crit[k] = std::max(crit[k], sp.at(ratio[k]));
+            }
+            for (std::size_t k = 0; k < N; ++k)
+                total[k] += static_cast<double>(crit[k]);
+            continue;
+        }
+
+        // Across-epoch CTP: the epoch lasts as long as the thread with
+        // the least banked slack needs; every other thread banks the
+        // difference, and the thread that went to sleep loses its bank.
+        double epoch_pred[N] = {};
+        for (std::size_t r = 0; r < rows; ++r) {
+            const SpanSplit sp = src.split(i, r, spec);
+            const double *d = delta + src.slot(i, r) * N;
+            double *a = est + r * N;
+            for (std::size_t k = 0; k < N; ++k) {
+                a[k] = static_cast<double>(sp.at(ratio[k]));
+                epoch_pred[k] = std::max(epoch_pred[k], a[k] - d[k]);
+            }
+        }
+        for (std::size_t k = 0; k < N; ++k)
+            epoch_pred[k] = std::max(epoch_pred[k], 0.0);
+        for (std::size_t r = 0; r < rows; ++r) {
+            double *d = delta + src.slot(i, r) * N;
+            const double *a = est + r * N;
+            for (std::size_t k = 0; k < N; ++k)
+                d[k] += epoch_pred[k] - a[k];
+        }
+        const std::uint32_t stall = src.stall(i);
+        if (stall != PredictionTable::kNoSlot)
+            std::fill_n(delta + stall * N, N, 0.0);
+        for (std::size_t k = 0; k < N; ++k)
+            total[k] += epoch_pred[k];
+    }
+    for (std::size_t k = 0; k < N; ++k)
+        out[k] = roundHalfAway(total[k]);
+}
+
+/**
+ * DEP at @p ratio[0..n), n <= kChunk, on 1, 2, 4 or 8 lanes: lanes
+ * past n repeat the last target and are dropped (targets never
+ * interact, so padding changes no real lane).
+ */
+template <class Epochs>
+void
+depWalk(const Epochs &src, const ModelSpec &spec, bool across_epochs,
+        const double *ratio, std::size_t n, Tick *out)
+{
+    if (n == 1) {
+        depLanes<1>(src, spec, across_epochs, ratio, out);
+        return;
+    }
+    double padded[kChunk] = {};
+    Tick lanes[kChunk] = {};
+    const std::size_t width = n <= 2 ? 2 : n <= 4 ? 4 : kChunk;
+    std::copy(ratio, ratio + n, padded);
+    std::fill(padded + n, padded + width, ratio[n - 1]);
+    if (width == 2)
+        depLanes<2>(src, spec, across_epochs, padded, lanes);
+    else if (width == 4)
+        depLanes<4>(src, spec, across_epochs, padded, lanes);
+    else
+        depLanes<kChunk>(src, spec, across_epochs, padded, lanes);
+    std::copy(lanes, lanes + n, out);
 }
 
 } // namespace
+
+void
+Predictor::predict(const PredictionTable &table,
+                   std::span<const Frequency> targets,
+                   std::span<Tick> out) const
+{
+    DVFS_ASSERT(out.size() == targets.size(),
+                "one output per prediction target");
+    DVFS_ASSERT(table.holds(tableRows()),
+                "the table lacks the rows this predictor reads");
+    const double base = static_cast<double>(table.baseFreq().toMHz());
+    double ratio[kChunk] = {};
+    for (std::size_t first = 0; first < targets.size(); first += kChunk) {
+        const std::size_t n = std::min(kChunk, targets.size() - first);
+        for (std::size_t k = 0; k < n; ++k)
+            ratio[k] =
+                base / static_cast<double>(targets[first + k].toMHz());
+        predictChunk(table, ratio, n, out.data() + first);
+    }
+}
 
 // ---------------------------------------------------------------- M+CRIT
 
@@ -47,30 +297,13 @@ MCritPredictor::name() const
     return "M+" + _spec.name();
 }
 
-Tick
-MCritPredictor::predict(const RunView &run, Frequency target) const
+void
+MCritPredictor::predictChunk(const PredictionTable &table,
+                             const double *ratio, std::size_t n,
+                             Tick *out) const
 {
-    const double ratio = freqRatio(run.baseFreq(), target);
-    Tick best = 0;
-    for (const ThreadSummary &t : run.threads()) {
-        // A thread's "execution time" is its lifetime span: without
-        // epoch decomposition, futex wait time is indistinguishable
-        // from running time and lands in the scaling component — the
-        // naive predictor's central flaw (Section II-C). Threads whose
-        // CPU time is a negligible share of their lifetime (the
-        // harness driver parked in join, GC workers parked between
-        // collections) are pure coordinators; any practical
-        // implementation skips them, or the max would degenerate to
-        // ratio * total for every application.
-        Tick span = t.exitTick - t.spawnTick;
-        if (span == 0 ||
-            static_cast<double>(t.totals.busyTime) <
-                0.1 * static_cast<double>(span)) {
-            continue;
-        }
-        best = std::max(best, predictSpan(span, t.totals, _spec, ratio));
-    }
-    return best;
+    const auto end = static_cast<std::uint32_t>(table.mcritRows().size());
+    slowestPerGroup(table.mcritRows(), {&end, 1}, _spec, ratio, n, out);
 }
 
 // ------------------------------------------------------------------ COOP
@@ -81,70 +314,13 @@ CoopPredictor::name() const
     return "COOP(" + _spec.name() + ")";
 }
 
-Tick
-CoopPredictor::predict(const RunView &run, Frequency target) const
+void
+CoopPredictor::predictChunk(const PredictionTable &table,
+                            const double *ratio, std::size_t n,
+                            Tick *out) const
 {
-    const double ratio = freqRatio(run.baseFreq(), target);
-    const std::vector<Epoch> &epochs = run.epochs();
-    const std::vector<ThreadSummary> &threads = run.threads();
-
-    // Phase boundaries: 0, each GC mark, end of run.
-    std::vector<Tick> cuts;
-    cuts.push_back(0);
-    for (const GcPhaseMark &m : run.gcMarks())
-        cuts.push_back(m.tick);
-    cuts.push_back(run.totalTime());
-
-    // Per phase, aggregate per-thread counter deltas from the epochs
-    // inside the phase, then apply M+CRIT within the phase.
-    Tick total = 0;
-    std::size_t ei = 0;
-    const std::size_t nthreads = threads.size();
-    std::vector<Tick> busy(nthreads);
-    std::vector<uarch::PerfCounters> acc(nthreads);
-
-    for (std::size_t p = 0; p + 1 < cuts.size(); ++p) {
-        const Tick a = cuts[p];
-        const Tick b = cuts[p + 1];
-        if (b <= a)
-            continue;
-
-        std::fill(busy.begin(), busy.end(), 0);
-        std::fill(acc.begin(), acc.end(), uarch::PerfCounters{});
-        while (ei < epochs.size() && epochs[ei].end <= b) {
-            const Epoch &ep = epochs[ei];
-            if (ep.start >= a) {
-                for (const EpochThread &et : ep.active) {
-                    busy[et.tid] += et.delta.busyTime;
-                    acc[et.tid] += et.delta;
-                }
-            }
-            ++ei;
-        }
-
-        // M+CRIT within the phase: a participating thread's execution
-        // time is its overlap with the phase (waits included — COOP
-        // fixes only the application/collector alternation, not
-        // fine-grained waits). Coordinator threads (negligible CPU
-        // share of the phase) are skipped as in MCritPredictor.
-        const Tick phase_len = b - a;
-        Tick phase_pred = 0;
-        for (std::size_t t = 0; t < nthreads; ++t) {
-            if (busy[t] == 0)
-                continue;
-            Tick span = std::min(threads[t].exitTick, b) -
-                        std::max(threads[t].spawnTick, a);
-            span = std::min(span, phase_len);
-            if (static_cast<double>(busy[t]) <
-                0.1 * static_cast<double>(span)) {
-                continue;
-            }
-            phase_pred = std::max(
-                phase_pred, predictSpan(span, acc[t], _spec, ratio));
-        }
-        total += phase_pred;
-    }
-    return total;
+    slowestPerGroup(table.coopRows(), table.coopPhaseEnds(), _spec, ratio,
+                    n, out);
 }
 
 // ------------------------------------------------------------------- DEP
@@ -162,70 +338,22 @@ DepPredictor::name() const
     return n;
 }
 
+void
+DepPredictor::predictChunk(const PredictionTable &table, const double *ratio,
+                           std::size_t n, Tick *out) const
+{
+    depWalk(TableEpochs(table), _spec, _acrossEpochs, ratio, n, out);
+}
+
 Tick
 DepPredictor::predictEpochRange(const std::vector<Epoch> &epochs,
                                 std::size_t first, std::size_t last,
                                 double ratio) const
 {
-    // Delta counters (Algorithm 1): accumulated slack per thread.
-    // Keyed sparsely: thread ids are small and dense in practice.
-    std::vector<double> delta;
-    auto delta_of = [&delta](os::ThreadId tid) -> double & {
-        if (tid >= delta.size())
-            delta.resize(tid + 1, 0.0);
-        return delta[tid];
-    };
-
-    double total = 0.0;
-    for (std::size_t i = first; i < last && i < epochs.size(); ++i) {
-        const Epoch &ep = epochs[i];
-
-        if (ep.active.empty()) {
-            // Nothing was scheduled (e.g. everyone asleep around a
-            // wake chain): the gap does not scale with frequency.
-            total += static_cast<double>(ep.duration());
-            continue;
-        }
-
-        if (!_acrossEpochs) {
-            // Per-epoch CTP: the epoch lasts as long as its slowest
-            // active thread, with no memory of earlier epochs.
-            Tick crit = 0;
-            for (const EpochThread &et : ep.active) {
-                crit = std::max(crit, predictSpan(et.delta.busyTime,
-                                                  et.delta, _spec, ratio));
-            }
-            total += static_cast<double>(crit);
-            continue;
-        }
-
-        // Across-epoch CTP, Algorithm 1 of the paper.
-        double epoch_pred = 0.0;
-        for (const EpochThread &et : ep.active) {
-            double a_t = static_cast<double>(
-                predictSpan(et.delta.busyTime, et.delta, _spec, ratio));
-            double e_t = a_t - delta_of(et.tid);
-            epoch_pred = std::max(epoch_pred, e_t);
-        }
-        epoch_pred = std::max(epoch_pred, 0.0);
-        for (const EpochThread &et : ep.active) {
-            double a_t = static_cast<double>(
-                predictSpan(et.delta.busyTime, et.delta, _spec, ratio));
-            delta_of(et.tid) += epoch_pred - a_t;
-        }
-        if (ep.stallTid != os::kNoThread)
-            delta_of(ep.stallTid) = 0.0;
-        total += epoch_pred;
-    }
-    return static_cast<Tick>(std::llround(total));
-}
-
-Tick
-DepPredictor::predict(const RunView &run, Frequency target) const
-{
-    const double ratio = freqRatio(run.baseFreq(), target);
-    const std::vector<Epoch> &epochs = run.epochs();
-    return predictEpochRange(epochs, 0, epochs.size(), ratio);
+    Tick out = 0;
+    depWalk(LiveEpochs(epochs, first, last), _spec, _acrossEpochs, &ratio,
+            1, &out);
+    return out;
 }
 
 } // namespace dvfs::pred

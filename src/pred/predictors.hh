@@ -21,18 +21,25 @@
  * Each takes a ModelSpec, so every combination the paper evaluates
  * (M+CRIT, COOP, DEP, each with and without BURST, and DEP+BURST with
  * per-epoch vs across-epoch CTP) is one constructor call.
+ *
+ * Each family has one walk, over a PredictionTable (table.hh), that
+ * evaluates up to kTargetChunk targets in a single pass: the targets
+ * are the inner loop, so a row's split is computed once per pass
+ * rather than once per target.
  */
 
 #ifndef DVFS_PRED_PREDICTORS_HH
 #define DVFS_PRED_PREDICTORS_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "pred/record.hh"
 #include "pred/run_view.hh"
 #include "pred/scaling.hh"
+#include "pred/table.hh"
 #include "sim/time.hh"
 
 namespace dvfs::pred {
@@ -41,19 +48,45 @@ namespace dvfs::pred {
  * Interface of a whole-run execution-time predictor.
  *
  * Predictors observe a run exclusively through the RunView interface
- * (run_view.hh), so the same instance predicts from a live RunRecord
- * or from a loaded .dvfstrace with bit-identical results.
+ * (run_view.hh), prepared once into a PredictionTable, so the same
+ * instance predicts from a live RunRecord or from a loaded .dvfstrace
+ * with bit-identical results.
  */
 class Predictor
 {
   public:
+    /** Targets one walk of a table evaluates; longer lists take more. */
+    static constexpr std::size_t kTargetChunk = 8;
+
     virtual ~Predictor() = default;
 
     /** Human-readable name, e.g. "DEP+BURST". */
     virtual std::string name() const = 0;
 
+    /**
+     * Estimate total execution time at every target: @p out[i] is the
+     * estimate at @p targets[i] (the spans have equal sizes). Walks
+     * the table once per kTargetChunk targets.
+     */
+    void predict(const PredictionTable &table,
+                 std::span<const Frequency> targets,
+                 std::span<Tick> out) const;
+
     /** Estimate total execution time at @p target. */
-    virtual Tick predict(const RunView &run, Frequency target) const = 0;
+    Tick
+    predict(const PredictionTable &table, Frequency target) const
+    {
+        Tick out = 0;
+        predict(table, {&target, 1}, {&out, 1});
+        return out;
+    }
+
+    /** One-off estimate from a view (prepares the rows it reads). */
+    Tick
+    predict(const RunView &run, Frequency target) const
+    {
+        return predict(PredictionTable(run, tableRows()), target);
+    }
 
     /** Convenience overload for the live in-memory backend. */
     Tick
@@ -70,6 +103,18 @@ class Predictor
                    static_cast<double>(actual) -
                1.0;
     }
+
+  protected:
+    /** The row sets predictChunk() reads (PredictionTable::k*Rows). */
+    virtual unsigned tableRows() const = 0;
+
+    /**
+     * The family's walk: estimates at @p ratio[0..n) (f_base/f_target,
+     * n <= kTargetChunk) into @p out[0..n).
+     */
+    virtual void predictChunk(const PredictionTable &table,
+                              const double *ratio, std::size_t n,
+                              Tick *out) const = 0;
 };
 
 /**
@@ -80,9 +125,17 @@ class MCritPredictor : public Predictor
   public:
     explicit MCritPredictor(ModelSpec spec) : _spec(spec) {}
 
-    using Predictor::predict;
     std::string name() const override;
-    Tick predict(const RunView &run, Frequency target) const override;
+
+  protected:
+    unsigned
+    tableRows() const override
+    {
+        return PredictionTable::kMCritRows;
+    }
+
+    void predictChunk(const PredictionTable &table, const double *ratio,
+                      std::size_t n, Tick *out) const override;
 
   private:
     ModelSpec _spec;
@@ -97,9 +150,17 @@ class CoopPredictor : public Predictor
   public:
     explicit CoopPredictor(ModelSpec spec) : _spec(spec) {}
 
-    using Predictor::predict;
     std::string name() const override;
-    Tick predict(const RunView &run, Frequency target) const override;
+
+  protected:
+    unsigned
+    tableRows() const override
+    {
+        return PredictionTable::kCoopRows;
+    }
+
+    void predictChunk(const PredictionTable &table, const double *ratio,
+                      std::size_t n, Tick *out) const override;
 
   private:
     ModelSpec _spec;
@@ -123,14 +184,12 @@ class DepPredictor : public Predictor
     {
     }
 
-    using Predictor::predict;
     std::string name() const override;
-    Tick predict(const RunView &run, Frequency target) const override;
 
     /**
-     * Predict the duration of a contiguous span of epochs — the
-     * building block shared by predict() and the energy manager's
-     * per-quantum estimation.
+     * Predict the duration of a contiguous span of live epochs — the
+     * energy manager's per-quantum estimation. Runs the same walk as
+     * predict(), reading the epochs in place instead of a table.
      *
      * @param epochs Epoch sequence (begin/end iterator-style indices).
      * @param ratio  f_base / f_target.
@@ -138,6 +197,16 @@ class DepPredictor : public Predictor
     Tick predictEpochRange(const std::vector<Epoch> &epochs,
                            std::size_t first, std::size_t last,
                            double ratio) const;
+
+  protected:
+    unsigned
+    tableRows() const override
+    {
+        return PredictionTable::kEpochRows;
+    }
+
+    void predictChunk(const PredictionTable &table, const double *ratio,
+                      std::size_t n, Tick *out) const override;
 
   private:
     ModelSpec _spec;

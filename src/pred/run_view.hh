@@ -18,8 +18,10 @@
  *
  * The accessors return references to vectors rather than iterator
  * abstractions on purpose: every backend materialises the epoch list
- * anyway, and the energy manager's hot loop (predictEpochRange) indexes
- * it directly.
+ * anyway, and a PredictionTable (table.hh) is gathered from them in one
+ * pass. The energy manager's per-quantum path
+ * (DepPredictor::predictEpochRange) reads the RunRecorder's live epoch
+ * vector, not a RunView.
  */
 
 #ifndef DVFS_PRED_RUN_VIEW_HH

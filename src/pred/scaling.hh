@@ -18,6 +18,7 @@
 #define DVFS_PRED_SCALING_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "sim/time.hh"
@@ -69,6 +70,47 @@ nonscalingTime(const uarch::PerfCounters &c, const ModelSpec &spec)
 }
 
 /**
+ * Round a non-negative double to the nearest integer, halves away from
+ * zero: equal to std::llround on [0, 2^63), without the libm call.
+ *
+ * Truncation is exact, and so is the remainder x - trunc(x): below
+ * 2^52 it is a multiple of ulp(x) smaller than 1, hence representable,
+ * and from 2^52 up every double is an integer, so it is 0.
+ */
+inline Tick
+roundHalfAway(double x)
+{
+    const auto t = static_cast<std::int64_t>(x);
+    // Added, not branched on: the remainder's side of 0.5 is a coin
+    // flip the branch predictor cannot learn.
+    return static_cast<Tick>(t) +
+           static_cast<Tick>(x - static_cast<double>(t) >= 0.5);
+}
+
+/**
+ * An interval's split under one ModelSpec: the non-scaling part, which
+ * is clamped to the interval, and the scaling rest.
+ */
+struct SpanSplit {
+    Tick nonscaling;
+    Tick scaling;
+
+    SpanSplit(Tick span, Tick nonscaling_raw)
+        : nonscaling(std::min(nonscaling_raw, span)),
+          scaling(span - nonscaling)
+    {
+    }
+
+    /** The interval's predicted duration at @p ratio = f_base/f_target. */
+    Tick
+    at(double ratio) const
+    {
+        return roundHalfAway(static_cast<double>(scaling) * ratio) +
+               nonscaling;
+    }
+};
+
+/**
  * Predict the duration of an interval measured as @p span at the base
  * frequency, given the counters accumulated within it.
  *
@@ -81,10 +123,7 @@ inline Tick
 predictSpan(Tick span, const uarch::PerfCounters &c, const ModelSpec &spec,
             double ratio)
 {
-    Tick n = std::min(nonscalingTime(c, spec), span);
-    Tick s = span - n;
-    return static_cast<Tick>(
-               std::llround(static_cast<double>(s) * ratio)) + n;
+    return SpanSplit(span, nonscalingTime(c, spec)).at(ratio);
 }
 
 } // namespace dvfs::pred

@@ -1,5 +1,7 @@
 #include "serve/service.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "power/vf_table.hh"
@@ -18,6 +20,14 @@ errorBody(net::ErrorCode code, std::uint64_t offset,
     e.offset = offset;
     e.message = message;
     return e;
+}
+
+net::ErrorResp
+unknownTrace()
+{
+    return errorBody(net::ErrorCode::UnknownTrace, 0,
+                     "no cached trace with the given digest; "
+                     "UploadTrace it first");
 }
 
 constexpr const char *kDefaultOptimalPredictor = "DEP+BURST";
@@ -101,79 +111,69 @@ Service::handleUpload(const net::UploadTraceReq &req)
     // by the caller's catch — offset included, so a client can see
     // where its upload went wrong.
     TraceStore::PutResult put = _store.put(req.image);
+    const trace::LoadedTrace &t = put.entry->trace;
 
     net::UploadTraceResp resp;
     resp.traceDigest = put.digest;
     resp.alreadyCached = put.alreadyCached ? 1 : 0;
-    resp.baseMHz = put.trace->baseFreq().toMHz();
-    resp.totalTime = put.trace->totalTime();
-    resp.epochs = put.trace->epochs().size();
-    resp.threads = put.trace->threads().size();
+    resp.baseMHz = t.baseFreq().toMHz();
+    resp.totalTime = t.totalTime();
+    resp.epochs = t.epochs().size();
+    resp.threads = t.threads().size();
     return resp;
 }
 
 net::Body
 Service::handlePredict(const net::PredictReq &req)
 {
-    auto trace = _store.get(req.traceDigest);
-    if (!trace) {
-        return errorBody(net::ErrorCode::UnknownTrace, 0,
-                         "no cached trace with the given digest; "
-                         "UploadTrace it first");
-    }
+    auto cached = _store.get(req.traceDigest);
+    if (!cached)
+        return unknownTrace();
 
-    auto cells = _engine.evaluate(
-        *trace, {{Frequency::mhz(req.targetMHz), 0}});
+    const Frequency target = Frequency::mhz(req.targetMHz);
+    std::vector<Tick> predicted(_engine.predictors().size());
+    _engine.predictGrid(cached->table, {&target, 1}, predicted);
 
     net::PredictResp resp;
-    resp.baseTotalTime = trace->totalTime();
-    resp.cells.reserve(cells.size());
-    for (const trace::ReplayCell &c : cells)
-        resp.cells.push_back({c.predictor, c.predicted});
+    resp.baseTotalTime = cached->table.totalTime();
+    resp.cells.reserve(predicted.size());
+    for (std::size_t p = 0; p < predicted.size(); ++p)
+        resp.cells.push_back({_engine.predictorNames()[p], predicted[p]});
     return resp;
 }
 
 net::Body
 Service::handleWhatIf(const net::WhatIfGridReq &req)
 {
-    auto trace = _store.get(req.traceDigest);
-    if (!trace) {
-        return errorBody(net::ErrorCode::UnknownTrace, 0,
-                         "no cached trace with the given digest; "
-                         "UploadTrace it first");
-    }
+    auto cached = _store.get(req.traceDigest);
+    if (!cached)
+        return unknownTrace();
     if (req.targetsMHz.empty()) {
         return errorBody(net::ErrorCode::BadRequest, 0,
                          "whatIfGrid needs at least one target");
     }
 
-    std::vector<trace::ReplayTarget> targets;
+    std::vector<Frequency> targets;
     targets.reserve(req.targetsMHz.size());
     for (std::uint32_t mhz : req.targetsMHz)
-        targets.push_back({Frequency::mhz(mhz), 0});
-
-    auto cells = _engine.evaluate(*trace, targets);
+        targets.push_back(Frequency::mhz(mhz));
 
     net::WhatIfGridResp resp;
     resp.predictors = _engine.predictorNames();
     resp.targetsMHz = req.targetsMHz;
-    resp.predicted.reserve(cells.size());
-    // evaluate() is target-major, predictor-minor — exactly the
+    // predictGrid() is target-major, predictor-minor — exactly the
     // response's cell order.
-    for (const trace::ReplayCell &c : cells)
-        resp.predicted.push_back(c.predicted);
+    resp.predicted.resize(targets.size() * resp.predictors.size());
+    _engine.predictGrid(cached->table, targets, resp.predicted);
     return resp;
 }
 
 net::Body
 Service::handleOptimalVf(const net::OptimalVfReq &req)
 {
-    auto trace = _store.get(req.traceDigest);
-    if (!trace) {
-        return errorBody(net::ErrorCode::UnknownTrace, 0,
-                         "no cached trace with the given digest; "
-                         "UploadTrace it first");
-    }
+    auto cached = _store.get(req.traceDigest);
+    if (!cached)
+        return unknownTrace();
 
     const std::string name =
         req.predictor.empty() ? kDefaultOptimalPredictor : req.predictor;
@@ -191,7 +191,8 @@ Service::handleOptimalVf(const net::OptimalVfReq &req)
     // decision is a pure function of the trace (the manager's static
     // query). On the monotone V(f) curve the lowest admissible
     // frequency is the minimum-energy point.
-    const Tick at_highest = p->predict(*trace, table.highest());
+    const pred::PredictionTable &pt = cached->table;
+    const Tick at_highest = p->predict(pt, table.highest());
     const double limit =
         static_cast<double>(at_highest) *
         (1.0 + static_cast<double>(req.slowdownPermille) / 1000.0);
@@ -200,12 +201,27 @@ Service::handleOptimalVf(const net::OptimalVfReq &req)
     resp.chosenMHz = table.highest().toMHz();
     resp.predictedAtChosen = at_highest;
     resp.predictedAtHighest = at_highest;
-    for (const power::OperatingPoint &point : table.points()) {
-        const Tick predicted = p->predict(*trace, point.freq);
-        if (static_cast<double>(predicted) <= limit) {
-            resp.chosenMHz = point.freq.toMHz();
-            resp.predictedAtChosen = predicted;
-            break;  // points ascend; the first admissible is lowest
+
+    // Points ascend, so the first admissible one is the lowest: walk
+    // them one chunk (one pass over the table) at a time and stop
+    // after the first chunk that holds one.
+    constexpr std::size_t kChunk = pred::Predictor::kTargetChunk;
+    const auto &points = table.points();
+    std::array<Frequency, kChunk> freqs{};
+    std::array<Tick, kChunk> predicted{};
+    bool found = false;
+    for (std::size_t first = 0; first < points.size() && !found;
+         first += kChunk) {
+        const std::size_t n = std::min(kChunk, points.size() - first);
+        for (std::size_t i = 0; i < n; ++i)
+            freqs[i] = points[first + i].freq;
+        p->predict(pt, {freqs.data(), n}, {predicted.data(), n});
+        for (std::size_t i = 0; i < n && !found; ++i) {
+            if (static_cast<double>(predicted[i]) <= limit) {
+                resp.chosenMHz = freqs[i].toMHz();
+                resp.predictedAtChosen = predicted[i];
+                found = true;
+            }
         }
     }
     resp.microvolts = static_cast<std::uint64_t>(

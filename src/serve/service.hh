@@ -7,7 +7,8 @@
  * daemon serves is also the code path unit tests and
  * `dvfsd_load --verify-live` exercise directly. handle() is safe to
  * call concurrently: the store is internally locked, predictors are
- * stateless pure functions, and counters are atomic.
+ * stateless pure functions over the store's immutable prediction
+ * tables (their scratch is per thread), and counters are atomic.
  *
  * Every reply to request id R carries id R; failures become
  * Error{code, offset, message} replies rather than dropped

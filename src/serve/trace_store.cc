@@ -5,10 +5,10 @@
 namespace dvfs::serve {
 
 std::size_t
-TraceStore::footprint(const trace::LoadedTrace &t)
+TraceStore::footprint(const CachedTrace &c)
 {
-    const pred::RunRecord &rec = t.record();
-    std::size_t bytes = sizeof(trace::LoadedTrace);
+    const pred::RunRecord &rec = c.trace.record();
+    std::size_t bytes = sizeof(trace::LoadedTrace) + c.table.bytes();
     bytes += rec.threads.size() * sizeof(pred::ThreadSummary);
     bytes += rec.gcMarks.size() * sizeof(pred::GcPhaseMark);
     bytes += rec.events.size() * sizeof(rec.events[0]);
@@ -32,15 +32,15 @@ TraceStore::put(const std::vector<std::uint8_t> &image)
         if (it != _index.end()) {
             _lru.splice(_lru.begin(), _lru, it->second);
             ++_stats.reuses;
-            return {digest, true, it->second->trace};
+            return {digest, true, it->second->cached};
         }
     }
 
-    // Strict decode outside the lock: uploads of distinct traces
-    // never serialize behind each other's parsing.
-    auto loaded = std::make_shared<const trace::LoadedTrace>(
-        trace::decodeTrace(image));
-    const std::size_t bytes = footprint(*loaded);
+    // Strict decode and table build outside the lock: uploads of
+    // distinct traces never serialize behind each other's parsing.
+    auto cached =
+        std::make_shared<const CachedTrace>(trace::decodeTrace(image));
+    const std::size_t bytes = footprint(*cached);
 
     std::lock_guard<std::mutex> lock(_mtx);
     auto it = _index.find(digest);
@@ -48,17 +48,17 @@ TraceStore::put(const std::vector<std::uint8_t> &image)
         // Raced with another upload of the same bytes; keep theirs.
         _lru.splice(_lru.begin(), _lru, it->second);
         ++_stats.reuses;
-        return {digest, true, it->second->trace};
+        return {digest, true, it->second->cached};
     }
-    _lru.push_front(Entry{digest, bytes, loaded});
+    _lru.push_front(Entry{digest, bytes, cached});
     _index[digest] = _lru.begin();
     _bytes += bytes;
     ++_stats.insertions;
     evictOverBudgetLocked();
-    return {digest, false, std::move(loaded)};
+    return {digest, false, std::move(cached)};
 }
 
-std::shared_ptr<const trace::LoadedTrace>
+std::shared_ptr<const CachedTrace>
 TraceStore::get(std::uint64_t digest)
 {
     std::lock_guard<std::mutex> lock(_mtx);
@@ -69,7 +69,7 @@ TraceStore::get(std::uint64_t digest)
     }
     _lru.splice(_lru.begin(), _lru, it->second);
     ++_stats.hits;
-    return it->second->trace;
+    return it->second->cached;
 }
 
 void

@@ -9,10 +9,13 @@
  * re-uploads idempotent — the bytes vouch for themselves, so two
  * clients uploading the same trace share one entry.
  *
- * Capacity is bounded by decoded payload bytes; inserting past the
- * bound evicts least-recently-used entries (entries currently shared
- * with in-flight queries stay alive through their shared_ptr until
- * the last query drops them). All operations are thread-safe.
+ * Each entry also holds the trace's PredictionTable, built once at
+ * insert, so queries walk prepared rows and never the decoded record.
+ *
+ * Capacity is bounded by decoded payload plus table bytes; inserting
+ * past the bound evicts least-recently-used entries (entries currently
+ * shared with in-flight queries stay alive through their shared_ptr
+ * until the last query drops them). All operations are thread-safe.
  */
 
 #ifndef DVFS_SERVE_TRACE_STORE_HH
@@ -25,9 +28,21 @@
 #include <unordered_map>
 #include <vector>
 
+#include "pred/table.hh"
 #include "trace/reader.hh"
 
 namespace dvfs::serve {
+
+/** A decoded trace and its prediction table. */
+struct CachedTrace {
+    explicit CachedTrace(trace::LoadedTrace loaded)
+        : trace(std::move(loaded)), table(trace)
+    {
+    }
+
+    trace::LoadedTrace trace;
+    pred::PredictionTable table;
+};
 
 /** Cumulative cache counters (monotone; snapshot under the lock). */
 struct TraceStoreStats {
@@ -50,21 +65,22 @@ class TraceStore
     }
 
     /**
-     * Decode @p image and cache it under its payload digest.
+     * Decode @p image, build its table and cache both under the
+     * payload digest.
      *
-     * Returns the cached (or pre-existing) trace and whether it was
+     * Returns the cached (or pre-existing) entry and whether it was
      * already present. The decode is strict — any malformed image
      * throws trace::TraceError and caches nothing.
      */
     struct PutResult {
         std::uint64_t digest = 0;
         bool alreadyCached = false;
-        std::shared_ptr<const trace::LoadedTrace> trace;
+        std::shared_ptr<const CachedTrace> entry;
     };
     PutResult put(const std::vector<std::uint8_t> &image);
 
     /** Look up @p digest, promoting the entry to most-recently-used. */
-    std::shared_ptr<const trace::LoadedTrace> get(std::uint64_t digest);
+    std::shared_ptr<const CachedTrace> get(std::uint64_t digest);
 
     TraceStoreStats stats() const;
 
@@ -72,11 +88,11 @@ class TraceStore
     struct Entry {
         std::uint64_t digest;
         std::size_t bytes;
-        std::shared_ptr<const trace::LoadedTrace> trace;
+        std::shared_ptr<const CachedTrace> cached;
     };
 
-    /** Approximate decoded footprint of a loaded trace. */
-    static std::size_t footprint(const trace::LoadedTrace &t);
+    /** Approximate footprint of a decoded trace and its table. */
+    static std::size_t footprint(const CachedTrace &c);
 
     void evictOverBudgetLocked();
 

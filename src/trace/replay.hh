@@ -60,7 +60,7 @@ class ReplayEngine
         std::vector<std::unique_ptr<pred::Predictor>> predictors);
 
     /** Names of the predictors evaluated, in evaluation order. */
-    std::vector<std::string> predictorNames() const;
+    const std::vector<std::string> &predictorNames() const { return _names; }
 
     /** The predictor set itself (borrowed; lives as long as *this). */
     const std::vector<std::unique_ptr<pred::Predictor>> &
@@ -70,7 +70,8 @@ class ReplayEngine
     }
 
     /**
-     * Evaluate every predictor at every target from @p base.
+     * Evaluate every predictor at every target from @p base (prepared
+     * into one PredictionTable for the whole grid).
      *
      * Cells are ordered target-major, predictor-minor: all predictors
      * at targets[0], then all at targets[1], ...
@@ -79,8 +80,18 @@ class ReplayEngine
     evaluate(const pred::RunView &base,
              const std::vector<ReplayTarget> &targets) const;
 
+    /**
+     * Predicted times of every predictor at every target, in the
+     * cells' order: @p out[t * predictors().size() + p] is predictor p
+     * at @p targets[t].
+     */
+    void predictGrid(const pred::PredictionTable &base,
+                     std::span<const Frequency> targets,
+                     std::span<Tick> out) const;
+
   private:
     std::vector<std::unique_ptr<pred::Predictor>> _predictors;
+    std::vector<std::string> _names;
 };
 
 } // namespace dvfs::trace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "pred/scaling.hh"
+#include "sim/rng.hh"
 
 using namespace dvfs;
 using namespace dvfs::pred;
@@ -113,3 +116,37 @@ TEST_P(ScalingMonotone, MoreSlowdownMoreTime)
 
 INSTANTIATE_TEST_SUITE_P(Ratios, ScalingMonotone,
                          ::testing::Values(0.25, 0.5, 1.0, 1.5, 2.0));
+
+TEST(Scaling, RoundHalfAwayMatchesLlround)
+{
+    auto llround = [](double x) { return static_cast<Tick>(std::llround(x)); };
+    const double two52 = std::ldexp(1.0, 52);
+    const double two53 = std::ldexp(1.0, 53);
+    for (double x : {0.0, 0.5, 0.49999999999999994, 1.5, 2.5, two52 - 1,
+                     two52 - 0.5, two52, two52 + 1, two53 - 1, two53,
+                     two53 + 2}) {
+        EXPECT_EQ(roundHalfAway(x), llround(x)) << x;
+    }
+
+    // Seeded sweep: every magnitude up to 2^62, exact halves, and the
+    // neighbouring doubles on either side of a half.
+    sim::Rng rng(0x5eed2026);
+    std::uint64_t mismatches = 0;
+    double first_bad = 0.0;
+    for (int i = 0; i < 10'000'000; ++i) {
+        const std::uint64_t bits = rng.next();
+        const double half = static_cast<double>(bits >> 13) + 0.5;
+        double x = 0.0;
+        switch (i % 4) {
+          case 0:
+            x = std::ldexp(rng.nextDouble(), static_cast<int>(bits % 63));
+            break;
+          case 1: x = half; break;
+          case 2: x = std::nextafter(half, 0.0); break;
+          case 3: x = std::nextafter(half, two53); break;
+        }
+        if (roundHalfAway(x) != llround(x) && mismatches++ == 0)
+            first_bad = x;
+    }
+    EXPECT_EQ(mismatches, 0u) << "first mismatch at " << first_bad;
+}

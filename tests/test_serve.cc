@@ -33,6 +33,8 @@
 #include "serve/service.hh"
 #include "serve/trace_store.hh"
 #include "power/vf_table.hh"
+#include "pred/registry.hh"
+#include "reference_predictors.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
 #include "wl/suite.hh"
@@ -116,13 +118,15 @@ TEST(TraceStore, PutIsIdempotentByDigest)
     auto first = store.put(image);
     EXPECT_FALSE(first.alreadyCached);
     EXPECT_EQ(first.digest, trace::tracePayloadDigest(image));
-    ASSERT_NE(first.trace, nullptr);
-    EXPECT_EQ(first.trace->meta().seed, 7u);
+    ASSERT_NE(first.entry, nullptr);
+    EXPECT_EQ(first.entry->trace.meta().seed, 7u);
+    EXPECT_EQ(first.entry->table.totalTime(),
+              first.entry->trace.totalTime());
 
     auto again = store.put(image);
     EXPECT_TRUE(again.alreadyCached);
     EXPECT_EQ(again.digest, first.digest);
-    EXPECT_EQ(again.trace.get(), first.trace.get());
+    EXPECT_EQ(again.entry.get(), first.entry.get());
 
     auto stats = store.stats();
     EXPECT_EQ(stats.insertions, 1u);
@@ -243,31 +247,87 @@ TEST(ServeService, OptimalVfHonorsBoundAndTable)
     const auto *upr = std::get_if<net::UploadTraceResp>(&upReply.body);
     ASSERT_NE(upr, nullptr);
 
+    const auto loaded = trace::decodeTrace(image);
+
     net::OptimalVfReq oq;
     oq.traceDigest = upr->traceDigest;
+    std::uint64_t id = 2;
+    auto ask = [&] {
+        Frame reply = service.handle(Frame::request(id++, oq));
+        const auto *resp = std::get_if<net::OptimalVfResp>(&reply.body);
+        EXPECT_NE(resp, nullptr);
+        return resp ? *resp : net::OptimalVfResp{};
+    };
+
+    // Every Figure 3 predictor, bound and table step against a direct
+    // per-point scan with the reference walk.
+    for (const char *family : {"M+CRIT", "COOP", "DEP"}) {
+        for (bool burst : {false, true}) {
+            const pred::ModelSpec spec{pred::BaseEstimator::Crit, burst};
+            oq.predictor =
+                pred::PredictorRegistry::instance().make(family, spec)
+                    ->name();
+            std::uint32_t prev_chosen = ~0u;
+            for (std::uint32_t permille : {0u, 50u, 100u, 1000u}) {
+                for (std::uint32_t step : {0u, 1u, 250u, 5000u, ~0u}) {
+                    SCOPED_TRACE(oq.predictor + ", bound " +
+                                 std::to_string(permille) +
+                                 " permille, step " +
+                                 std::to_string(step) + " MHz");
+                    oq.slowdownPermille = permille;
+                    oq.stepMHz = step;
+                    const net::OptimalVfResp resp = ask();
+
+                    const auto table =
+                        power::VfTable::haswell(step == 0 ? 125 : step);
+                    auto ref = [&](Frequency f) {
+                        return test::reference::predict(family, spec,
+                                                        loaded, f);
+                    };
+                    const Tick at_highest = ref(table.highest());
+                    const double limit =
+                        static_cast<double>(at_highest) *
+                        (1.0 + static_cast<double>(permille) / 1000.0);
+                    std::uint32_t chosen = table.highest().toMHz();
+                    Tick at_chosen = at_highest;
+                    for (const auto &point : table.points()) {
+                        const Tick t = ref(point.freq);
+                        if (static_cast<double>(t) <= limit) {
+                            chosen = point.freq.toMHz();
+                            at_chosen = t;
+                            break;
+                        }
+                    }
+                    EXPECT_EQ(resp.chosenMHz, chosen);
+                    EXPECT_EQ(resp.predictedAtChosen, at_chosen);
+                    EXPECT_EQ(resp.predictedAtHighest, at_highest);
+                    EXPECT_EQ(resp.microvolts,
+                              static_cast<std::uint64_t>(std::llround(
+                                  table.voltageAt(Frequency::mhz(chosen)) *
+                                  1e6)));
+                    // The admissibility bound the handler promises.
+                    EXPECT_LE(static_cast<double>(resp.predictedAtChosen),
+                              limit);
+                    if (step == 0) {
+                        // A wider bound can only lower (or keep) the
+                        // chosen frequency.
+                        EXPECT_LE(resp.chosenMHz, prev_chosen);
+                        prev_chosen = resp.chosenMHz;
+                    }
+                }
+            }
+        }
+    }
+
+    // No predictor named: DEP+BURST.
     oq.slowdownPermille = 100;
-    Frame reply = service.handle(Frame::request(2, oq));
-    const auto *resp = std::get_if<net::OptimalVfResp>(&reply.body);
-    ASSERT_NE(resp, nullptr);
-
-    const auto table = power::VfTable::haswell(125);
-    EXPECT_GE(resp->chosenMHz, table.lowest().toMHz());
-    EXPECT_LE(resp->chosenMHz, table.highest().toMHz());
-    // The admissibility bound the handler promises.
-    EXPECT_LE(static_cast<double>(resp->predictedAtChosen),
-              static_cast<double>(resp->predictedAtHighest) * 1.1);
-    EXPECT_EQ(resp->microvolts,
-              static_cast<std::uint64_t>(std::llround(
-                  table.voltageAt(Frequency::mhz(resp->chosenMHz)) *
-                  1e6)));
-
-    // A wider bound can only lower (or keep) the chosen frequency: the
-    // admissible set grows monotonically with the allowance.
-    oq.slowdownPermille = 1000;
-    Frame wideReply = service.handle(Frame::request(3, oq));
-    const auto *wide = std::get_if<net::OptimalVfResp>(&wideReply.body);
-    ASSERT_NE(wide, nullptr);
-    EXPECT_LE(wide->chosenMHz, resp->chosenMHz);
+    oq.stepMHz = 0;
+    oq.predictor = "DEP+BURST";
+    const net::OptimalVfResp named = ask();
+    oq.predictor.clear();
+    const net::OptimalVfResp fallback = ask();
+    EXPECT_EQ(fallback.chosenMHz, named.chosenMHz);
+    EXPECT_EQ(fallback.predictedAtChosen, named.predictedAtChosen);
 }
 
 TEST(ServeService, EveryFailureIsAStructuredErrorReply)
@@ -296,9 +356,9 @@ TEST(ServeService, EveryFailureIsAStructuredErrorReply)
     net::UploadTraceReq bad;
     bad.image = makeImage(8);
     bad.image[bad.image.size() / 2] ^= 0x01;
-    const auto &err = requireError(
-        service.handle(Frame::request(3, std::move(bad))),
-        net::ErrorCode::BadRequest);
+    const Frame badReply =
+        service.handle(Frame::request(3, std::move(bad)));
+    const auto &err = requireError(badReply, net::ErrorCode::BadRequest);
     EXPECT_FALSE(err.message.empty());
 
     // Unknown predictor name.
