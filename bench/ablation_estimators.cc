@@ -93,7 +93,17 @@ runDirection(const char *label, Frequency base, Frequency target,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("ablation_estimators",
+                        "DEP's per-thread estimator ladder, with and "
+                        "without BURST");
+    args.add("dir", "up|down|both",
+             "prediction direction(s) to print (default both)")
+        .add("only", "NAME", "run a single DaCapo benchmark")
+        .addTraceDir("replay recorded .dvfstrace files from DIR "
+                     "(recording them first if absent)")
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr");
+    args.parse(argc, argv);
     const std::string dir = args.get("dir", "both");
     const std::string only = args.get("only");
     const std::string trace_dir = args.get("trace-dir");

@@ -9,9 +9,6 @@
  * canned addWorkers()/addMode()/addSampling()/addRepeat()/addJson()
  * declarations keep the flags every harness shares spelled — and
  * documented — identically across binaries.
- *
- * The worker/mode/sampling helpers are templates over any args-like
- * type (FlagSet or the legacy Args) exposing get/has/getInt.
  */
 
 #ifndef DVFS_BENCH_BENCH_UTIL_HH
@@ -31,73 +28,6 @@
 #include "wl/suite.hh"
 
 namespace dvfs::bench {
-
-/** Minimal flag parser: --key=value and boolean --key. */
-class Args
-{
-  public:
-    Args(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i)
-            _args.emplace_back(argv[i]);
-    }
-
-    std::string
-    get(const std::string &key, const std::string &def = "") const
-    {
-        const std::string prefix = "--" + key + "=";
-        for (const auto &a : _args) {
-            if (a.rfind(prefix, 0) == 0)
-                return a.substr(prefix.size());
-        }
-        return def;
-    }
-
-    bool
-    has(const std::string &key) const
-    {
-        const std::string flag = "--" + key;
-        const std::string prefix = flag + "=";
-        for (const auto &a : _args) {
-            if (a == flag || a.rfind(prefix, 0) == 0)
-                return true;
-        }
-        return false;
-    }
-
-    double
-    getDouble(const std::string &key, double def) const
-    {
-        std::string v = get(key);
-        if (v.empty())
-            return def;
-        char *end = nullptr;
-        double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected a number, got '%s'", key.c_str(),
-                  v.c_str());
-        }
-        return parsed;
-    }
-
-    long
-    getInt(const std::string &key, long def) const
-    {
-        std::string v = get(key);
-        if (v.empty())
-            return def;
-        char *end = nullptr;
-        long parsed = std::strtol(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected an integer, got '%s'", key.c_str(),
-                  v.c_str());
-        }
-        return parsed;
-    }
-
-  private:
-    std::vector<std::string> _args;
-};
 
 /**
  * Declared-flags CLI parser with a generated --help.
@@ -396,9 +326,8 @@ struct WorkerChoice {
     bool isExplicit;     ///< came from --workers or DVFS_SWEEP_WORKERS
 };
 
-template <typename ArgsT>
 inline WorkerChoice
-chooseWorkers(const ArgsT &args)
+chooseWorkers(const FlagSet &args)
 {
     long v = args.getInt("workers", 0);
     if (v >= 1) {
@@ -434,9 +363,8 @@ clampWorkers(unsigned w, bool is_explicit)
  * Sweep pool width for a harness binary: --workers=N if given, else
  * DVFS_SWEEP_WORKERS / hardware_concurrency via defaultWorkers().
  */
-template <typename ArgsT>
 inline unsigned
-sweepWorkers(const ArgsT &args)
+sweepWorkers(const FlagSet &args)
 {
     return chooseWorkers(args).effective;
 }
@@ -445,9 +373,8 @@ sweepWorkers(const ArgsT &args)
  * Simulation mode from --mode=exact|sampled (default exact).
  * fatal()s on any other value, naming the flag.
  */
-template <typename ArgsT>
 inline exp::SimMode
-modeFromArgs(const ArgsT &args)
+modeFromArgs(const FlagSet &args)
 {
     return exp::parseSimMode(args.get("mode", "exact"), "--mode");
 }
@@ -457,9 +384,8 @@ modeFromArgs(const ArgsT &args)
  * --gap-us, defaulting to the library's measured sweet spot
  * (sim::SamplingConfig). Only meaningful with --mode=sampled.
  */
-template <typename ArgsT>
 inline sim::SamplingConfig
-samplingFromArgs(const ArgsT &args)
+samplingFromArgs(const FlagSet &args)
 {
     sim::SamplingConfig cfg;
     cfg.startupDetail = static_cast<Tick>(args.getInt(

@@ -38,15 +38,12 @@
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_json.hh"
-#include "bench_util.hh"
-#include "exp/sweep/differential.hh"
 #include "exp/table.hh"
+#include "mode_comparison.hh"
 
 using namespace dvfs;
 
@@ -94,9 +91,6 @@ main(int argc, char **argv)
     const unsigned workers = bench::sweepWorkers(args);
     const auto repeat =
         static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
-    const double fail_err = args.getDouble("fail-err-pct", 0.0);
-    const double fail_speedup = args.getDouble("fail-speedup", 0.0);
-    const std::string expect_fp = args.get("expect-managed-fingerprint");
 
     const sim::SamplingConfig cfg = bench::samplingFromArgs(args);
 
@@ -119,32 +113,20 @@ main(int argc, char **argv)
               << "us, workers=" << workers << ", repeat=" << repeat
               << "\n\n";
 
-    exp::sweep::ManagedComparison best;
     bool repeats_ok = true;
-    for (unsigned r = 0; r < repeat; ++r) {
-        auto cmp = exp::sweep::compareManagedModes(workloads, mc,
-                                                   table_vf, cfg, seeds,
-                                                   workers);
-        if (r == 0) {
-            best = std::move(cmp);
-            continue;
-        }
-        if (cmp.exactDigest != best.exactDigest ||
-            cmp.sampledDigest != best.sampledDigest) {
-            std::cerr << "fig10_managed_sampling: digest drift across "
-                         "repeats\n";
-            repeats_ok = false;
-        }
-        best.exactWallSec = std::min(best.exactWallSec, cmp.exactWallSec);
-        best.sampledWallSec =
-            std::min(best.sampledWallSec, cmp.sampledWallSec);
-    }
+    const exp::sweep::ModeComparison best = bench::bestOfRepeats(
+        "fig10_managed_sampling", "", repeat,
+        [&] {
+            return exp::sweep::compareManagedModes(workloads, mc, table_vf,
+                                                   cfg, seeds, workers);
+        },
+        repeats_ok);
 
-    const double cov = best.sampleTotals.coverage() * 100.0;
     exp::Table table({"cells", "cov %", "speedup", "time err %",
                       "slowdown err %", "transitions", "forced"});
     table.addRow(
-        {std::to_string(best.cells), exp::Table::fmt(cov, 1),
+        {std::to_string(best.cells),
+         exp::Table::fmt(best.sampleTotals.coverage() * 100.0, 1),
          exp::Table::fmt(best.speedup(), 1),
          exp::Table::fmt(best.meanAbsTimeErrPct, 2) + " / " +
              exp::Table::fmt(best.maxAbsTimeErrPct, 2),
@@ -156,89 +138,19 @@ main(int argc, char **argv)
 
     std::cout << "\ngap-stretch histogram (gaps entered at 1x,2x,...):"
               << " " << gapStretchJson(best.sampleTotals) << "\n";
-
-    char fps[80];
-    std::snprintf(fps, sizeof(fps),
-                  "fingerprints: exact=0x%016llx sampled=0x%016llx\n",
-                  static_cast<unsigned long long>(best.exactDigest),
-                  static_cast<unsigned long long>(best.sampledDigest));
-    std::cout << fps;
+    bench::printFingerprints(best);
 
     bench::SweepJsonRecord rec(
         "fig10_managed_sampling",
         "gap=" + std::to_string(cfg.gapWindow / kTicksPerUs) +
             "us max-gap=" +
             std::to_string(cfg.maxGapWindow / kTicksPerUs) + "us");
-    rec.add("mode", "sampled")
-        .add("grid", "managed")
-        .add("workers", static_cast<std::uint64_t>(workers))
-        .add("cells", static_cast<std::uint64_t>(best.cells))
-        .add("repeat", static_cast<std::uint64_t>(repeat))
-        .add("startup_us",
-             static_cast<std::uint64_t>(cfg.startupDetail / kTicksPerUs))
-        .add("detail_us",
-             static_cast<std::uint64_t>(cfg.detailWindow / kTicksPerUs))
-        .add("gap_us",
-             static_cast<std::uint64_t>(cfg.gapWindow / kTicksPerUs))
-        .add("max_gap_us",
-             static_cast<std::uint64_t>(cfg.maxGapWindow / kTicksPerUs))
-        .add("drift_permille",
-             static_cast<std::uint64_t>(cfg.driftThresholdPermille))
-        .add("detail_coverage_pct", cov)
-        .add("exact_wall_ms", best.exactWallSec * 1000.0)
-        .add("sampled_wall_ms", best.sampledWallSec * 1000.0)
-        .add("cells_per_sec",
-             best.sampledWallSec > 0.0
-                 ? static_cast<double>(best.cells) / best.sampledWallSec
-                 : 0.0)
-        .add("speedup_vs_exact", best.speedup())
-        .add("mean_abs_time_err_pct", best.meanAbsTimeErrPct)
-        .add("max_abs_time_err_pct", best.maxAbsTimeErrPct)
-        .add("mean_abs_slowdown_err_pct", best.meanAbsSlowdownErrPct)
-        .add("max_abs_slowdown_err_pct", best.maxAbsSlowdownErrPct)
-        .add("slowdown_samples",
-             static_cast<std::uint64_t>(best.slowdownSamples))
-        .add("transitions", best.transitions)
-        .add("forced_detail_windows", best.sampleTotals.forcedWindows)
-        .add("ff_actions", best.sampleTotals.ffActions)
-        .add("detail_actions", best.sampleTotals.detailActions)
-        .add("ff_fallbacks", best.sampleTotals.ffFallbacks)
-        .addHex("exact_fingerprint", best.exactDigest)
-        .addHex("sampled_fingerprint", best.sampledDigest)
-        .addRaw("gap_stretch", gapStretchJson(best.sampleTotals));
+    bench::addComparisonFields(rec, best, workers, repeat, true);
+    rec.addRaw("gap_stretch", gapStretchJson(best.sampleTotals));
     rec.appendTo(json_path);
     std::cout << "appended 1 record to " << json_path << "\n";
 
-    bool failed = !repeats_ok;
-    if (fail_err > 0.0 && best.meanAbsSlowdownErrPct > fail_err) {
-        std::cerr << "fig10_managed_sampling: mean |achieved-slowdown "
-                     "err| " << best.meanAbsSlowdownErrPct
-                  << "% exceeds the --fail-err-pct=" << fail_err
-                  << " bound\n";
-        failed = true;
-    }
-    if (fail_speedup > 0.0 && best.speedup() < fail_speedup) {
-        std::cerr << "fig10_managed_sampling: speedup " << best.speedup()
-                  << "x below the --fail-speedup=" << fail_speedup
-                  << " bound\n";
-        failed = true;
-    }
-    if (!expect_fp.empty()) {
-        const std::uint64_t want = std::stoull(expect_fp, nullptr, 16);
-        if (best.sampledDigest != want) {
-            std::cerr << "fig10_managed_sampling: sampled managed "
-                         "fingerprint "
-                      << std::hex << best.sampledDigest
-                      << " does not match expected " << want << std::dec
-                      << " — the managed sampled path drifted\n";
-            failed = true;
-        } else {
-            std::cout << "sampled managed fingerprint matches "
-                         "--expect-managed-fingerprint\n";
-        }
-    }
-    if (failed)
-        return 1;
-    std::cout << "all gates passed\n";
-    return 0;
+    return bench::checkGates("fig10_managed_sampling", args, {best}, {""},
+                             repeats_ok, "expect-managed-fingerprint",
+                             "sampled managed");
 }

@@ -24,7 +24,12 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig1_motivation",
+                        "M+CRIT vs DEP+BURST from a 1 GHz base "
+                        "(Figure 1)");
+    args.add("targets", "MHZ,...",
+             "target frequencies in MHz (default 2000,3000,4000)");
+    args.parse(argc, argv);
     std::vector<Frequency> targets;
     {
         std::stringstream ss(args.get("targets", "2000,3000,4000"));

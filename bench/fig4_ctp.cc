@@ -62,7 +62,11 @@ runDirection(const char *label, Frequency base, Frequency target,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig4_ctp",
+                        "across-epoch vs per-epoch critical thread "
+                        "prediction (Figure 4)");
+    args.add("only", "NAME", "run a single DaCapo benchmark");
+    args.parse(argc, argv);
     const std::string only = args.get("only");
     runDirection("low-to-high", Frequency::ghz(1.0), Frequency::ghz(4.0),
                  only);

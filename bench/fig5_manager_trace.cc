@@ -27,7 +27,15 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig5_manager_trace",
+                        "the energy manager's decision timeline "
+                        "(Figure 5)");
+    args.add("bench", "NAME", "benchmark to run (default xalan)")
+        .add("threshold", "X", "Tolerable-Slowdown (default 0.05)")
+        .add("max-rows", "N", "decisions to print (default 24)")
+        .add("holdoff", "N", "manager Hold-Off in quanta (default 2)")
+        .add("csv", "PATH", "write the full decision timeline as CSV");
+    args.parse(argc, argv);
     const std::string name = args.get("bench", "xalan");
     const double threshold = args.getDouble("threshold", 0.05);
     const auto max_rows =

@@ -42,7 +42,18 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig6_energy_manager",
+                        "energy savings under the DEP+BURST manager "
+                        "(Figure 6)");
+    args.add("only", "NAME", "run a single DaCapo benchmark")
+        .add("quantum-us", "N", "manager quantum in us (default 50)")
+        .add("thresholds", "CSV",
+             "Tolerable-Slowdown values (default 0.05,0.10)")
+        .addMode()
+        .addSampling()
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr");
+    args.parse(argc, argv);
     const std::string only = args.get("only");
     const Tick quantum = static_cast<Tick>(args.getInt("quantum-us", 50)) *
                          kTicksPerUs;

@@ -40,7 +40,17 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig7_static_optimal",
+                        "energy manager vs the static-optimal oracle "
+                        "(Figure 7)");
+    args.add("threshold", "X", "Tolerable-Slowdown (default 0.10)")
+        .add("step-mhz", "N", "oracle operating-point step (default 250)")
+        .add("only", "NAME", "run a single DaCapo benchmark")
+        .addMode()
+        .addSampling()
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr");
+    args.parse(argc, argv);
     const std::string only = args.get("only");
     const double threshold = args.getDouble("threshold", 0.10);
     const auto step =

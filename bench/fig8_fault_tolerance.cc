@@ -129,7 +129,16 @@ watchdogDemo(const power::VfTable &table, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("fig8_fault_tolerance",
+                        "fault tolerance of the hardened energy manager "
+                        "(Figure 8)");
+    args.add("seed", "N", "fault and machine seed (default 1445)")
+        .add("threshold", "X", "Tolerable-Slowdown (default 0.05)")
+        .add("epsilon", "X", "slack over the threshold (default 0.05)")
+        .add("threads", "N", "synthetic worker threads (default 4)")
+        .add("items", "N", "work items per run (default 600)")
+        .add("quantum-us", "N", "manager quantum in us (default 50)");
+    args.parse(argc, argv);
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1445));
     const double threshold = args.getDouble("threshold", 0.05);
     const double epsilon = args.getDouble("epsilon", 0.05);
@@ -165,23 +174,23 @@ main(int argc, char **argv)
 
     bool all_ok = true;
     for (fault::FaultClass cls : kClasses) {
-        exp::HardenedRunOptions opts;
+        exp::RunOptions opts;
         opts.faults = fault::FaultConfig::only(cls, seed);
         opts.seed = seed;
-        opts.mgrCfg.quantum = quantum;
-        opts.mgrCfg.tolerableSlowdown = threshold;
+        mgr::ManagerConfig mc;
+        mc.quantum = quantum;
+        mc.tolerableSlowdown = threshold;
 
         // Faulted baseline: same disturbances, pinned at the highest
         // point. The manager's guarantee is relative to this.
-        exp::HardenedRunOptions base_opts = opts;
-        base_opts.managed = false;
-        auto base = exp::runHardened(params, table_vf, base_opts);
-
-        auto m1 = exp::runHardened(params, table_vf, opts);
-        auto m2 = exp::runHardened(params, table_vf, opts);
+        auto base = exp::runFixed(params, table_vf.highest(), opts);
+        auto m1 = exp::runManaged(params, mc, table_vf, opts);
+        auto m2 = exp::runManaged(params, mc, table_vf, opts);
+        const exp::AuditReport &ab = *base.audit;
+        const exp::AuditReport &a1 = *m1.audit;
 
         const bool replay_ok =
-            m1.faultFingerprint == m2.faultFingerprint &&
+            a1.faultFingerprint == m2.audit->faultFingerprint &&
             m1.totalTime == m2.totalTime &&
             m1.decisions.size() == m2.decisions.size();
         const double slowdown =
@@ -189,18 +198,18 @@ main(int argc, char **argv)
                 static_cast<double>(base.totalTime) -
             1.0;
         const bool bound_ok = slowdown <= threshold + epsilon;
-        const bool clean = m1.violations.empty() &&
-                           base.violations.empty() && m1.finished &&
-                           base.finished;
+        const bool clean = a1.violations.empty() &&
+                           ab.violations.empty() && a1.finished &&
+                           ab.finished;
         all_ok = all_ok && replay_ok && bound_ok && clean;
 
         table.addRow({faultClassName(cls),
-                      std::to_string(m1.faultsInjected),
+                      std::to_string(a1.faultsInjected),
                       exp::Table::pct(slowdown),
                       bound_ok ? "ok" : "VIOLATED",
                       replay_ok ? "bit-identical" : "DIVERGED",
-                      std::to_string(m1.violations.size() +
-                                     base.violations.size()),
+                      std::to_string(a1.violations.size() +
+                                     ab.violations.size()),
                       std::to_string(m1.fallbacks)});
     }
     table.print(std::cout);

@@ -38,15 +38,12 @@
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_json.hh"
-#include "bench_util.hh"
-#include "exp/sweep/differential.hh"
 #include "exp/table.hh"
+#include "mode_comparison.hh"
 
 using namespace dvfs;
 
@@ -120,9 +117,6 @@ main(int argc, char **argv)
     const unsigned workers = bench::sweepWorkers(args);
     const auto repeat =
         static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
-    const double fail_err = args.getDouble("fail-err-pct", 0.0);
-    const double fail_speedup = args.getDouble("fail-speedup", 0.0);
-    const std::string expect_fp = args.get("expect-sampled-fingerprint");
 
     const sim::SamplingConfig base = bench::samplingFromArgs(args);
     const std::vector<long> gaps_us = parseGapList(args.get("gaps", "980"));
@@ -141,36 +135,30 @@ main(int argc, char **argv)
     exp::Table table({"gap us", "cov %", "speedup", "time err %",
                       "slowdown err %", "pred err %", "exact-fed %"});
     std::vector<exp::sweep::ModeComparison> results;
+    std::vector<std::string> labels;
     bool repeats_ok = true;
 
     for (long gap_us : gaps_us) {
         sim::SamplingConfig cfg = base;
         cfg.gapWindow = static_cast<Tick>(gap_us) * kTicksPerUs;
+        const std::string gap = "gap=" + std::to_string(gap_us) + "us";
 
-        exp::sweep::ModeComparison best;
-        for (unsigned r = 0; r < repeat; ++r) {
-            auto cmp =
-                exp::sweep::compareModes(spec, cfg, workers, progress);
-            if (r == 0) {
-                best = std::move(cmp);
-                continue;
-            }
-            if (cmp.exactDigest != best.exactDigest ||
-                cmp.sampledDigest != best.sampledDigest) {
-                std::cerr << "fig9_sampling_accuracy: digest drift "
-                             "across repeats at gap=" << gap_us
-                          << "us\n";
-                repeats_ok = false;
-            }
-            best.exactWallSec =
-                std::min(best.exactWallSec, cmp.exactWallSec);
-            best.sampledWallSec =
-                std::min(best.sampledWallSec, cmp.sampledWallSec);
-        }
+        exp::sweep::ModeComparison best = bench::bestOfRepeats(
+            "fig9_sampling_accuracy", " at " + gap, repeat,
+            [&] {
+                return exp::sweep::compareModes(spec, cfg, workers,
+                                                progress);
+            },
+            repeats_ok);
 
-        const double cov = best.sampleTotals.coverage() * 100.0;
+        double exact_fed = 0.0;
+        for (const auto &p : best.predictors)
+            exact_fed += p.meanAbsPctExactFed;
+        if (!best.predictors.empty())
+            exact_fed /= static_cast<double>(best.predictors.size());
         table.addRow(
-            {std::to_string(gap_us), exp::Table::fmt(cov, 1),
+            {std::to_string(gap_us),
+             exp::Table::fmt(best.sampleTotals.coverage() * 100.0, 1),
              exp::Table::fmt(best.speedup(), 1),
              exp::Table::fmt(best.meanAbsTimeErrPct, 2) + " / " +
                  exp::Table::fmt(best.maxAbsTimeErrPct, 2),
@@ -178,60 +166,18 @@ main(int argc, char **argv)
                  exp::Table::fmt(best.maxAbsSlowdownErrPct, 2),
              exp::Table::fmt(best.meanPredictorErrPct(), 2) + " / " +
                  exp::Table::fmt(best.maxPredictorErrPct(), 2),
-             exp::Table::fmt(
-                 best.predictors.empty()
-                     ? 0.0
-                     : [&] {
-                           double s = 0.0;
-                           for (const auto &p : best.predictors)
-                               s += p.meanAbsPctExactFed;
-                           return s / static_cast<double>(
-                                          best.predictors.size());
-                       }(),
-                 2)});
+             exp::Table::fmt(exact_fed, 2)});
 
         bench::SweepJsonRecord rec(
             "fig9_sampling_accuracy",
-            "gap=" + std::to_string(gap_us) + "us detail=" +
+            gap + " detail=" +
                 std::to_string(base.detailWindow / kTicksPerUs) + "us");
-        rec.add("mode", "sampled")
-            .add("workers", static_cast<std::uint64_t>(workers))
-            .add("cells", static_cast<std::uint64_t>(spec.cellCount()))
-            .add("repeat", static_cast<std::uint64_t>(repeat))
-            .add("startup_us",
-                 static_cast<std::uint64_t>(cfg.startupDetail /
-                                            kTicksPerUs))
-            .add("detail_us",
-                 static_cast<std::uint64_t>(cfg.detailWindow /
-                                            kTicksPerUs))
-            .add("gap_us",
-                 static_cast<std::uint64_t>(cfg.gapWindow / kTicksPerUs))
-            .add("detail_coverage_pct", cov)
-            .add("exact_wall_ms", best.exactWallSec * 1000.0)
-            .add("sampled_wall_ms", best.sampledWallSec * 1000.0)
-            .add("cells_per_sec",
-                 best.sampledWallSec > 0.0
-                     ? static_cast<double>(spec.cellCount()) /
-                           best.sampledWallSec
-                     : 0.0)
-            .add("speedup_vs_exact", best.speedup())
-            .add("mean_abs_time_err_pct", best.meanAbsTimeErrPct)
-            .add("max_abs_time_err_pct", best.maxAbsTimeErrPct)
-            .add("mean_abs_slowdown_err_pct", best.meanAbsSlowdownErrPct)
-            .add("max_abs_slowdown_err_pct", best.maxAbsSlowdownErrPct)
-            .add("slowdown_samples",
-                 static_cast<std::uint64_t>(best.slowdownSamples))
-            .add("mean_predictor_err_pct", best.meanPredictorErrPct())
-            .add("max_predictor_err_pct", best.maxPredictorErrPct())
-            .add("ff_actions", best.sampleTotals.ffActions)
-            .add("detail_actions", best.sampleTotals.detailActions)
-            .add("ff_fallbacks", best.sampleTotals.ffFallbacks)
-            .addHex("exact_fingerprint", best.exactDigest)
-            .addHex("sampled_fingerprint", best.sampledDigest)
-            .addRaw("predictors", predictorsJson(best));
+        bench::addComparisonFields(rec, best, workers, repeat, false);
+        rec.addRaw("predictors", predictorsJson(best));
         rec.appendTo(json_path);
 
         results.push_back(std::move(best));
+        labels.push_back(" " + gap);
     }
 
     table.print(std::cout);
@@ -254,48 +200,9 @@ main(int argc, char **argv)
                      std::to_string(p.samples)});
     ptab.print(std::cout);
 
-    char fps[80];
-    std::snprintf(fps, sizeof(fps),
-                  "\nfingerprints: exact=0x%016llx sampled=0x%016llx\n",
-                  static_cast<unsigned long long>(head.exactDigest),
-                  static_cast<unsigned long long>(head.sampledDigest));
-    std::cout << fps;
-
-    bool failed = !repeats_ok;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &cmp = results[i];
-        if (fail_err > 0.0 && cmp.meanAbsSlowdownErrPct > fail_err) {
-            std::cerr << "fig9_sampling_accuracy: gap="
-                      << gaps_us[i] << "us mean |slowdown err| "
-                      << cmp.meanAbsSlowdownErrPct
-                      << "% exceeds the --fail-err-pct=" << fail_err
-                      << " bound\n";
-            failed = true;
-        }
-        if (fail_speedup > 0.0 && cmp.speedup() < fail_speedup) {
-            std::cerr << "fig9_sampling_accuracy: gap=" << gaps_us[i]
-                      << "us speedup " << cmp.speedup()
-                      << "x below the --fail-speedup=" << fail_speedup
-                      << " bound\n";
-            failed = true;
-        }
-    }
-    if (!expect_fp.empty()) {
-        const std::uint64_t want = std::stoull(expect_fp, nullptr, 16);
-        if (head.sampledDigest != want) {
-            std::cerr << "fig9_sampling_accuracy: sampled fingerprint "
-                      << std::hex << head.sampledDigest
-                      << " does not match expected " << want << std::dec
-                      << " — the sampled fast path drifted\n";
-            failed = true;
-        } else {
-            std::cout <<
-                "sampled fingerprint matches "
-                "--expect-sampled-fingerprint\n";
-        }
-    }
-    if (failed)
-        return 1;
-    std::cout << "all gates passed\n";
-    return 0;
+    std::cout << "\n";
+    bench::printFingerprints(head);
+    return bench::checkGates("fig9_sampling_accuracy", args, results,
+                             labels, repeats_ok,
+                             "expect-sampled-fingerprint", "sampled");
 }

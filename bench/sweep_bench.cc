@@ -144,7 +144,7 @@ measureManaged(const std::vector<wl::WorkloadParams> &workloads,
         auto t1 = std::chrono::steady_clock::now();
         double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();
-        std::uint64_t digest = exp::sweep::managedGridDigest(cells);
+        std::uint64_t digest = exp::sweep::gridDigest(cells);
 
         if (r == 0) {
             m.wallMs = ms;
@@ -179,7 +179,7 @@ measure(const exp::sweep::SweepSpec &spec, unsigned workers,
         auto t1 = std::chrono::steady_clock::now();
         double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();
-        std::uint64_t digest = exp::sweep::gridDigest(res);
+        std::uint64_t digest = exp::sweep::gridDigest(res.cells);
 
         if (r == 0) {
             m.wallMs = ms;

@@ -61,7 +61,11 @@ paperGc(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("table1_benchmarks",
+                        "benchmark characterisation (Table I)");
+    args.add("only", "NAME", "run a single DaCapo benchmark")
+        .add("freq-mhz", "N", "run frequency in MHz (default 1000)");
+    args.parse(argc, argv);
     const std::string only = args.get("only");
     const auto freq =
         Frequency::mhz(static_cast<std::uint32_t>(

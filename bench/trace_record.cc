@@ -32,7 +32,18 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("trace_record",
+                        "record the fig3 ground-truth grid to "
+                        ".dvfstrace files");
+    args.add("out", "DIR", "trace directory to write (required)")
+        .add("benchmarks", "N",
+             "first N DaCapo benchmarks (default 0 = all)")
+        .add("only", "NAME", "record a single DaCapo benchmark")
+        .add("seed", "N", "machine seed (default 42)")
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr")
+        .addJson();
+    args.parse(argc, argv);
     const std::string out = args.get("out");
     if (out.empty()) {
         std::cerr << "trace_record: --out=DIR is required\n";

@@ -148,7 +148,23 @@ diffErrors(const ErrorGrid &a, const ErrorGrid &b)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bench::FlagSet args("trace_replay",
+                        "replay recorded traces through the predictor "
+                        "zoo");
+    args.add("traces", "DIR", "trace directory to read (required)")
+        .add("benchmarks", "N",
+             "first N DaCapo benchmarks (default 0 = all)")
+        .add("only", "NAME", "replay a single DaCapo benchmark")
+        .add("seed", "N", "machine seed the traces used (default 42)")
+        .add("dir", "up|down|both",
+             "prediction direction(s) to print (default both)")
+        .addBool("verify-live",
+                 "re-simulate and fail unless every error is "
+                 "bit-identical")
+        .addWorkers()
+        .addBool("progress", "progress/ETA lines on stderr")
+        .addJson();
+    args.parse(argc, argv);
     const std::string traces = args.get("traces");
     if (traces.empty()) {
         std::cerr << "trace_replay: --traces=DIR is required\n";

@@ -2,7 +2,7 @@
 
 #include <cctype>
 #include <cmath>
-#include <memory>
+#include <optional>
 
 #include "fault/injector.hh"
 #include "sim/log.hh"
@@ -36,44 +36,124 @@ parseSimMode(const std::string &name, const std::string &flag)
           flag.c_str(), name.c_str());
 }
 
+namespace {
+
+wl::BenchInstance
+buildSeeded(const wl::WorkloadParams &params, Frequency freq,
+            std::uint64_t seed)
+{
+    os::SystemConfig sys_cfg = wl::defaultSystemConfig(freq);
+    sys_cfg.seed = seed;
+    return wl::buildBenchmark(params, sys_cfg);
+}
+
+/**
+ * The one machine wiring behind runFixed and runManaged: build, seed,
+ * sampling, recorder, meter, then faults and the auditor when
+ * requested, then the manager when governed (@p mgr_cfg non-null).
+ * Listeners run in attach order, so this order is part of every
+ * fingerprint. @p table must outlive the run.
+ */
+struct WiredRun {
+    WiredRun(const wl::WorkloadParams &params, Frequency freq,
+             const power::VfTable &table, const RunOptions &opts,
+             const mgr::ManagerConfig *mgr_cfg)
+        : inst(buildSeeded(params, freq, opts.seed)),
+          rec(*inst.sys, opts.keepEvents), meter(*inst.sys, table),
+          mode(opts.mode)
+    {
+        if (mode == SimMode::Sampled) {
+            // A manager's decision epochs are always observed: GC
+            // boundaries force detail windows (DVFS transitions force
+            // them unconditionally inside System::setFrequency).
+            sim::SamplingConfig sc = opts.sampling;
+            if (mgr_cfg)
+                sc.forceDetailAtGc = true;
+            inst.sys->enableSampling(sc);
+        }
+        inst.sys->addListener(&rec);
+        meter.attach();
+        if (opts.faults) {
+            plan.emplace(*opts.faults);
+            fault::installFaults(*inst.sys, *plan, inst.runtime.get());
+            auditor.emplace(*inst.sys);
+            auditor->observeEpochs(&rec);
+            auditor->attach();
+        }
+        if (mgr_cfg) {
+            manager.emplace(*inst.sys, rec, table, *mgr_cfg);
+            manager->attach();
+        }
+    }
+
+    /**
+     * Run to completion. A run that does not finish is fatal, with
+     * @p unfinished as the message, unless it is audited: then the
+     * watchdog's abort is reported instead.
+     */
+    void
+    run(const std::string &unfinished)
+    {
+        res = inst.sys->run();
+        if (!res.finished && !auditor)
+            fatal("%s", unfinished.c_str());
+        meter.finish();
+    }
+
+    /** Fill the fields every run output shares. */
+    template <typename Out>
+    void
+    report(Out &out) const
+    {
+        out.totalTime = res.totalTime;
+        out.energy = meter.energy();
+        out.collections = inst.runtime->collections();
+        out.mode = mode;
+        if (const sim::SamplingController *sc = inst.sys->sampling())
+            out.sampling = sc->finalStats();
+        if (auditor) {
+            AuditReport &a = out.audit.emplace();
+            a.finished = res.finished;
+            a.aborted = res.aborted;
+            a.abortReason = res.abortReason;
+            a.faultTrace = plan->trace();
+            a.faultFingerprint = plan->fingerprint();
+            a.faultsInjected = plan->totalInjected();
+            a.violations = auditor->violations();
+            a.watchdog = auditor->watchdog();
+            a.audits = auditor->audits();
+        }
+    }
+
+    wl::BenchInstance inst;
+    pred::RunRecorder rec;
+    power::EnergyMeter meter;
+    SimMode mode;
+    std::optional<fault::FaultPlan> plan;
+    std::optional<fault::InvariantAuditor> auditor;
+    std::optional<mgr::EnergyManager> manager;
+    os::RunResult res;
+};
+
+} // namespace
+
 FixedRunOutput
 runFixed(const wl::WorkloadParams &params, Frequency freq,
          const RunOptions &opts)
 {
-    os::SystemConfig sys_cfg = wl::defaultSystemConfig(freq);
-    sys_cfg.seed = opts.seed;
-    wl::BenchInstance inst = wl::buildBenchmark(params, sys_cfg);
-    if (opts.mode == SimMode::Sampled)
-        inst.sys->enableSampling(opts.sampling);
-
-    pred::RunRecorder rec(*inst.sys, opts.keepEvents);
-    inst.sys->addListener(&rec);
-
-    power::VfTable table = power::VfTable::haswell();
-    power::EnergyMeter meter(*inst.sys, table);
-    if (opts.measureEnergy)
-        meter.attach();
-
-    os::RunResult res = inst.sys->run();
-    if (!res.finished)
-        fatal("benchmark '%s' did not finish at %s", params.name.c_str(),
-              freq.toString().c_str());
-    if (opts.measureEnergy)
-        meter.finish();
+    const power::VfTable table = power::VfTable::haswell();
+    WiredRun w(params, freq, table, opts, nullptr);
+    w.run("benchmark '" + params.name + "' did not finish at " +
+          freq.toString());
 
     FixedRunOutput out;
+    w.report(out);
     out.freq = freq;
-    out.totalTime = res.totalTime;
-    out.record = rec.finalize();
-    out.energy = meter.energy();
-    out.collections = inst.runtime->collections();
-    out.gcTime = inst.runtime->gcTime();
-    out.allocatedBytes = inst.runtime->heap().totalAllocated();
-    out.totals = inst.sys->totalCounters();
-    out.events = res.events;
-    out.mode = opts.mode;
-    if (const sim::SamplingController *sc = inst.sys->sampling())
-        out.sampling = sc->finalStats();
+    out.record = w.rec.finalize();
+    out.gcTime = w.inst.runtime->gcTime();
+    out.allocatedBytes = w.inst.runtime->heap().totalAllocated();
+    out.totals = w.inst.sys->totalCounters();
+    out.events = w.res.events;
     return out;
 }
 
@@ -82,90 +162,15 @@ runManaged(const wl::WorkloadParams &params,
            const mgr::ManagerConfig &mgr_cfg, const power::VfTable &table,
            const RunOptions &opts)
 {
-    os::SystemConfig sys_cfg = wl::defaultSystemConfig(table.highest());
-    sys_cfg.seed = opts.seed;
-    wl::BenchInstance inst = wl::buildBenchmark(params, sys_cfg);
-    if (opts.mode == SimMode::Sampled) {
-        // The manager's decision epochs are always observed: GC
-        // boundaries force detail windows (DVFS transitions force
-        // them unconditionally inside System::setFrequency).
-        sim::SamplingConfig sc = opts.sampling;
-        sc.forceDetailAtGc = true;
-        inst.sys->enableSampling(sc);
-    }
-
-    pred::RunRecorder rec(*inst.sys, opts.keepEvents);
-    inst.sys->addListener(&rec);
-
-    power::EnergyMeter meter(*inst.sys, table);
-    if (opts.measureEnergy)
-        meter.attach();
-
-    mgr::EnergyManager manager(*inst.sys, rec, table, mgr_cfg);
-    manager.attach();
-
-    os::RunResult res = inst.sys->run();
-    if (!res.finished)
-        fatal("managed run of '%s' did not finish", params.name.c_str());
-    if (opts.measureEnergy)
-        meter.finish();
+    WiredRun w(params, table.highest(), table, opts, &mgr_cfg);
+    w.run("managed run of '" + params.name + "' did not finish");
 
     ManagedRunOutput out;
-    out.totalTime = res.totalTime;
-    out.energy = meter.energy();
-    out.decisions = manager.decisions();
-    out.collections = inst.runtime->collections();
-    out.averageGHz = inst.sys->coreDomain().averageGHz(0, res.totalTime);
-    out.transitions = inst.sys->coreDomain().transitions();
-    out.mode = opts.mode;
-    if (const sim::SamplingController *sc = inst.sys->sampling())
-        out.sampling = sc->finalStats();
-    return out;
-}
-
-HardenedRunOutput
-runHardened(const wl::WorkloadParams &params, const power::VfTable &table,
-            const HardenedRunOptions &opts)
-{
-    os::SystemConfig sys_cfg = wl::defaultSystemConfig(table.highest());
-    sys_cfg.seed = opts.seed;
-    wl::BenchInstance inst = wl::buildBenchmark(params, sys_cfg);
-
-    pred::RunRecorder rec(*inst.sys);
-    inst.sys->addListener(&rec);
-
-    fault::FaultPlan plan(opts.faults);
-    fault::installFaults(*inst.sys, plan, inst.runtime.get());
-
-    fault::InvariantAuditor auditor(*inst.sys, opts.auditor);
-    auditor.observeEpochs(&rec);
-    auditor.attach();
-
-    std::unique_ptr<mgr::EnergyManager> manager;
-    if (opts.managed) {
-        manager = std::make_unique<mgr::EnergyManager>(*inst.sys, rec,
-                                                       table, opts.mgrCfg);
-        manager->attach();
-    }
-
-    os::RunResult res = inst.sys->run();
-
-    HardenedRunOutput out;
-    out.totalTime = res.totalTime;
-    out.finished = res.finished;
-    out.aborted = res.aborted;
-    out.abortReason = res.abortReason;
-    if (manager) {
-        out.decisions = manager->decisions();
-        out.fallbacks = manager->fallbacks();
-    }
-    out.averageGHz = inst.sys->coreDomain().averageGHz(0, res.totalTime);
-    out.faultTrace = plan.trace();
-    out.faultFingerprint = plan.fingerprint();
-    out.faultsInjected = plan.totalInjected();
-    out.violations = auditor.violations();
-    out.watchdog = auditor.watchdog();
-    out.audits = auditor.audits();
+    w.report(out);
+    out.decisions = w.manager->decisions();
+    out.fallbacks = w.manager->fallbacks();
+    out.averageGHz = w.inst.sys->coreDomain().averageGHz(0, w.res.totalTime);
+    out.transitions = w.inst.sys->coreDomain().transitions();
     return out;
 }
 

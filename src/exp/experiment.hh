@@ -7,6 +7,7 @@
 #ifndef DVFS_EXP_EXPERIMENT_HH
 #define DVFS_EXP_EXPERIMENT_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,24 @@ const char *simModeName(SimMode m);
 SimMode parseSimMode(const std::string &name,
                      const std::string &flag = "--mode");
 
+/**
+ * What an audited run observed. Present on a run's output exactly when
+ * RunOptions::faults was set; never part of its fingerprint.
+ */
+struct AuditReport {
+    bool finished = false;
+    bool aborted = false;     ///< the watchdog stopped the run
+    std::string abortReason;
+
+    std::vector<fault::FaultEvent> faultTrace;
+    std::uint64_t faultFingerprint = 0;
+    std::uint64_t faultsInjected = 0;
+
+    std::vector<fault::Violation> violations;
+    fault::WatchdogReport watchdog;
+    std::uint64_t audits = 0;
+};
+
 /** Everything collected from one fixed-frequency ground-truth run. */
 struct FixedRunOutput {
     Frequency freq;
@@ -56,6 +75,9 @@ struct FixedRunOutput {
 
     /** Sampling provenance; all-zero for exact runs. */
     sim::SampleStats sampling;
+
+    /** Fault and invariant report of an audited run. */
+    std::optional<AuditReport> audit;
 };
 
 /**
@@ -67,7 +89,6 @@ struct FixedRunOutput {
  */
 struct RunOptions {
     bool keepEvents = false;     ///< retain the raw sync-event trace
-    bool measureEnergy = true;   ///< attach the energy meter
     std::uint64_t seed = 42;     ///< machine seed (workload determinism)
 
     /**
@@ -80,6 +101,14 @@ struct RunOptions {
 
     /** Window placement when mode == Sampled; ignored otherwise. */
     sim::SamplingConfig sampling;
+
+    /**
+     * Faults to inject. When set, the run also carries the invariant
+     * auditor and its watchdog, and reports both in the output's
+     * audit field; a run that does not finish is then a result, not
+     * a fatal(). FaultConfig::none() audits without injecting.
+     */
+    std::optional<fault::FaultConfig> faults;
 };
 
 /**
@@ -106,6 +135,12 @@ struct ManagedRunOutput {
      */
     SimMode mode = SimMode::Exact;
     sim::SampleStats sampling;
+
+    /** Quanta that fell back to the highest point (degraded mode). */
+    std::uint64_t fallbacks = 0;
+
+    /** Fault and invariant report of an audited run. */
+    std::optional<AuditReport> audit;
 };
 
 /**
@@ -116,47 +151,6 @@ ManagedRunOutput runManaged(const wl::WorkloadParams &params,
                             const mgr::ManagerConfig &mgr_cfg,
                             const power::VfTable &table,
                             const RunOptions &opts = RunOptions());
-
-/** Options for runHardened. */
-struct HardenedRunOptions {
-    fault::FaultConfig faults = fault::FaultConfig::none();
-    fault::AuditorConfig auditor;
-    bool managed = true;            ///< energy manager vs fixed-at-highest
-    mgr::ManagerConfig mgrCfg;      ///< manager parameters when managed
-    std::uint64_t seed = 42;        ///< machine seed
-};
-
-/**
- * Everything collected from one fault-injected, audited run. Unlike
- * runFixed/runManaged this never fatals on a non-finishing run: a
- * watchdog abort is a *result* here, reported in watchdog/aborted.
- */
-struct HardenedRunOutput {
-    Tick totalTime = 0;
-    bool finished = false;
-    bool aborted = false;
-    std::string abortReason;
-
-    std::vector<mgr::EnergyManager::Decision> decisions;
-    std::uint64_t fallbacks = 0;
-    double averageGHz = 0.0;
-
-    std::vector<fault::FaultEvent> faultTrace;
-    std::uint64_t faultFingerprint = 0;
-    std::uint64_t faultsInjected = 0;
-
-    std::vector<fault::Violation> violations;
-    fault::WatchdogReport watchdog;
-    std::uint64_t audits = 0;
-};
-
-/**
- * Run @p params on the default Table II machine with @p opts.faults
- * injected and the invariant auditor attached throughout.
- */
-HardenedRunOutput runHardened(const wl::WorkloadParams &params,
-                              const power::VfTable &table,
-                              const HardenedRunOptions &opts);
 
 /** Mean of absolute values. */
 double meanAbs(const std::vector<double> &xs);

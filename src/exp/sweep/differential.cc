@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "exp/sweep/fingerprint.hh"
 #include "pred/registry.hh"
 #include "pred/run_view.hh"
 #include "sim/log.hh"
@@ -30,17 +29,74 @@ ModeComparison::maxPredictorErrPct() const
     return m;
 }
 
-std::uint64_t
-gridDigest(const SweepResult &res)
-{
-    Fnv1a h;
-    for (const auto &cell : res.cells)
-        h.mix(fingerprintRun(cell));
-    return h.digest();
-}
-
 namespace {
 
+/** Run @p fn, storing the wall-clock seconds it took in @p wallSec. */
+template <typename Fn>
+auto
+timed(Fn &&fn, double &wallSec)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    auto res = fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    wallSec = std::chrono::duration<double>(t1 - t0).count();
+    return res;
+}
+
+/**
+ * The per-cell half of every comparison: both grid digests, signed
+ * total-time error, and the sampled side's summed provenance.
+ */
+template <typename Out>
+void
+compareCells(const std::vector<Out> &exact, const std::vector<Out> &sampled,
+             ModeComparison &cmp)
+{
+    cmp.cells = exact.size();
+    cmp.exactDigest = gridDigest(exact);
+    cmp.sampledDigest = gridDigest(sampled);
+    cmp.cellTimeErrPct.reserve(cmp.cells);
+    for (std::size_t i = 0; i < cmp.cells; ++i) {
+        const double et = static_cast<double>(exact[i].totalTime);
+        const double st = static_cast<double>(sampled[i].totalTime);
+        const double err = et > 0.0 ? (st - et) / et * 100.0 : 0.0;
+        cmp.cellTimeErrPct.push_back(err);
+        cmp.meanAbsTimeErrPct += std::fabs(err);
+        cmp.maxAbsTimeErrPct = std::max(cmp.maxAbsTimeErrPct,
+                                        std::fabs(err));
+        cmp.sampleTotals.accumulate(sampled[i].sampling);
+    }
+    if (cmp.cells > 0)
+        cmp.meanAbsTimeErrPct /= static_cast<double>(cmp.cells);
+}
+
+/** |predicted - actual| / actual, percent. */
+double
+absErrPct(double predicted, double actual)
+{
+    return std::fabs(predicted - actual) / actual * 100.0;
+}
+
+/** Fold one slowdown-error sample into the headline gate. */
+void
+addSlowdownSample(ModeComparison &cmp, double predicted, double actual)
+{
+    const double err = absErrPct(predicted, actual);
+    cmp.meanAbsSlowdownErrPct += err;
+    cmp.maxAbsSlowdownErrPct = std::max(cmp.maxAbsSlowdownErrPct, err);
+    cmp.slowdownSamples += 1;
+}
+
+/** Turn the summed slowdown errors into their mean. */
+void
+finishSlowdown(ModeComparison &cmp)
+{
+    if (cmp.slowdownSamples > 0)
+        cmp.meanAbsSlowdownErrPct /=
+            static_cast<double>(cmp.slowdownSamples);
+}
+
+/** One fixed-frequency grid on the sweep pool, timed. */
 SweepResult
 runGrid(SweepSpec spec, unsigned workers, bool progress,
         const std::string &label, double &wallSec)
@@ -49,11 +105,26 @@ runGrid(SweepSpec spec, unsigned workers, bool progress,
     ro.workers = workers;
     ro.progress = progress;
     ro.label = label;
-    const auto t0 = std::chrono::steady_clock::now();
-    SweepResult res = SweepRunner(std::move(spec), ro).run();
-    const auto t1 = std::chrono::steady_clock::now();
-    wallSec = std::chrono::duration<double>(t1 - t0).count();
-    return res;
+    return timed([&] { return SweepRunner(std::move(spec), ro).run(); },
+                 wallSec);
+}
+
+/**
+ * One (workload x seed) grid, flattened seed-innermost: @p run on
+ * each cell's workload with @p opts at the cell's seed.
+ */
+template <typename Out, typename Run>
+std::vector<Out>
+runCells(const std::vector<wl::WorkloadParams> &workloads,
+         const std::vector<std::uint64_t> &seeds, const RunOptions &opts,
+         unsigned workers, Run &&run)
+{
+    return sweepMap<Out>(
+        workloads.size() * seeds.size(), workers, [&](std::size_t i) {
+            RunOptions ro = opts;
+            ro.seed = seeds[i % seeds.size()];
+            return run(workloads[i / seeds.size()], ro);
+        });
 }
 
 } // namespace
@@ -63,7 +134,6 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
              unsigned workers, bool progress)
 {
     ModeComparison cmp;
-    cmp.spec = spec;
     cmp.sampling = sampling;
 
     SweepSpec exactSpec = spec;
@@ -78,25 +148,7 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
                                 "exact", cmp.exactWallSec);
     SweepResult sampled = runGrid(std::move(sampledSpec), workers,
                                   progress, "sampled", cmp.sampledWallSec);
-
-    cmp.exactDigest = gridDigest(exact);
-    cmp.sampledDigest = gridDigest(sampled);
-
-    // Per-cell total-time error, and summed sampling provenance.
-    const std::size_t n = exact.cells.size();
-    cmp.cellTimeErrPct.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double et = static_cast<double>(exact.cells[i].totalTime);
-        const double st = static_cast<double>(sampled.cells[i].totalTime);
-        const double err = et > 0.0 ? (st - et) / et * 100.0 : 0.0;
-        cmp.cellTimeErrPct.push_back(err);
-        cmp.meanAbsTimeErrPct += std::fabs(err);
-        cmp.maxAbsTimeErrPct = std::max(cmp.maxAbsTimeErrPct,
-                                        std::fabs(err));
-        cmp.sampleTotals.accumulate(sampled.cells[i].sampling);
-    }
-    if (n > 0)
-        cmp.meanAbsTimeErrPct /= static_cast<double>(n);
+    compareCells(exact.cells, sampled.cells, cmp);
 
     const auto &ws = spec.workloads;
     const auto &fs = spec.frequencies;
@@ -116,18 +168,11 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
                 const double predicted =
                     static_cast<double>(sampled.at(w, f, s).totalTime) /
                     static_cast<double>(smBase.totalTime);
-                const double err =
-                    std::fabs(predicted - actual) / actual * 100.0;
-                cmp.meanAbsSlowdownErrPct += err;
-                cmp.maxAbsSlowdownErrPct =
-                    std::max(cmp.maxAbsSlowdownErrPct, err);
-                cmp.slowdownSamples += 1;
+                addSlowdownSample(cmp, predicted, actual);
             }
         }
     }
-    if (cmp.slowdownSamples > 0)
-        cmp.meanAbsSlowdownErrPct /=
-            static_cast<double>(cmp.slowdownSamples);
+    finishSlowdown(cmp);
 
     // Per-predictor envelopes: predict from the sampled base record,
     // score against the slowdown the exact runs exhibit. The
@@ -162,15 +207,13 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
                     const double predicted =
                         static_cast<double>(p->predict(smTable, fs[f])) /
                         static_cast<double>(smBase.totalTime);
-                    const double err =
-                        std::fabs(predicted - actual) / actual * 100.0;
+                    const double err = absErrPct(predicted, actual);
                     b.meanAbsPct += err;
                     b.maxAbsPct = std::max(b.maxAbsPct, err);
                     const double exPredicted =
                         static_cast<double>(p->predict(exTable, fs[f])) /
                         static_cast<double>(exBase.totalTime);
-                    const double exErr =
-                        std::fabs(exPredicted - actual) / actual * 100.0;
+                    const double exErr = absErrPct(exPredicted, actual);
                     b.meanAbsPctExactFed += exErr;
                     b.maxAbsPctExactFed =
                         std::max(b.maxAbsPctExactFed, exErr);
@@ -187,71 +230,19 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
     return cmp;
 }
 
-std::uint64_t
-managedGridDigest(const std::vector<ManagedRunOutput> &cells)
-{
-    Fnv1a h;
-    for (const auto &cell : cells)
-        h.mix(fingerprintRun(cell));
-    return h.digest();
-}
-
-namespace {
-
-/** One managed grid: (workload x seed) cells in flattened order. */
-std::vector<ManagedRunOutput>
-runManagedGrid(const std::vector<wl::WorkloadParams> &workloads,
-               const std::vector<std::uint64_t> &seeds,
-               const mgr::ManagerConfig &mgrCfg,
-               const power::VfTable &table, const RunOptions &opts,
-               unsigned workers, double &wallSec)
-{
-    const std::size_t n = workloads.size() * seeds.size();
-    const auto t0 = std::chrono::steady_clock::now();
-    auto cells = sweepMap<ManagedRunOutput>(
-        n, workers, [&](std::size_t i) {
-            RunOptions ro = opts;
-            ro.seed = seeds[i % seeds.size()];
-            return runManaged(workloads[i / seeds.size()], mgrCfg, table,
-                              ro);
-        });
-    const auto t1 = std::chrono::steady_clock::now();
-    wallSec = std::chrono::duration<double>(t1 - t0).count();
-    return cells;
-}
-
-/** Fixed-at-highest baselines for the same cells, one per (w, s). */
-std::vector<FixedRunOutput>
-runBaselineGrid(const std::vector<wl::WorkloadParams> &workloads,
-                const std::vector<std::uint64_t> &seeds,
-                const power::VfTable &table, const RunOptions &opts,
-                unsigned workers)
-{
-    const std::size_t n = workloads.size() * seeds.size();
-    return sweepMap<FixedRunOutput>(n, workers, [&](std::size_t i) {
-        RunOptions ro = opts;
-        ro.seed = seeds[i % seeds.size()];
-        return runFixed(workloads[i / seeds.size()], table.highest(), ro);
-    });
-}
-
-} // namespace
-
-ManagedComparison
+ModeComparison
 compareManagedModes(const std::vector<wl::WorkloadParams> &workloads,
                     const mgr::ManagerConfig &mgrCfg,
                     const power::VfTable &table,
                     const sim::SamplingConfig &sampling,
                     const std::vector<std::uint64_t> &seeds,
-                    unsigned workers, bool progress)
+                    unsigned workers)
 {
     if (workloads.empty() || seeds.empty())
         fatal("compareManagedModes: empty workload or seed dimension");
-    (void)progress;
 
-    ManagedComparison cmp;
+    ModeComparison cmp;
     cmp.sampling = sampling;
-    cmp.cells = workloads.size() * seeds.size();
 
     RunOptions exactOpts;
     exactOpts.mode = SimMode::Exact;
@@ -259,49 +250,45 @@ compareManagedModes(const std::vector<wl::WorkloadParams> &workloads,
     sampledOpts.mode = SimMode::Sampled;
     sampledOpts.sampling = sampling;
 
-    auto exact = runManagedGrid(workloads, seeds, mgrCfg, table,
-                                exactOpts, workers, cmp.exactWallSec);
-    auto sampled = runManagedGrid(workloads, seeds, mgrCfg, table,
-                                  sampledOpts, workers,
-                                  cmp.sampledWallSec);
-    auto exactBase =
-        runBaselineGrid(workloads, seeds, table, exactOpts, workers);
-    auto sampledBase =
-        runBaselineGrid(workloads, seeds, table, sampledOpts, workers);
+    auto managed = [&](const wl::WorkloadParams &w, const RunOptions &ro) {
+        return runManaged(w, mgrCfg, table, ro);
+    };
+    auto highest = [&](const wl::WorkloadParams &w, const RunOptions &ro) {
+        return runFixed(w, table.highest(), ro);
+    };
+    auto exact = timed(
+        [&] {
+            return runCells<ManagedRunOutput>(workloads, seeds, exactOpts,
+                                              workers, managed);
+        },
+        cmp.exactWallSec);
+    auto sampled = timed(
+        [&] {
+            return runCells<ManagedRunOutput>(workloads, seeds,
+                                              sampledOpts, workers,
+                                              managed);
+        },
+        cmp.sampledWallSec);
+    auto exactBase = runCells<FixedRunOutput>(workloads, seeds, exactOpts,
+                                              workers, highest);
+    auto sampledBase = runCells<FixedRunOutput>(
+        workloads, seeds, sampledOpts, workers, highest);
+    compareCells(exact, sampled, cmp);
 
-    cmp.exactDigest = managedGridDigest(exact);
-    cmp.sampledDigest = managedGridDigest(sampled);
-
-    cmp.cellTimeErrPct.reserve(cmp.cells);
+    // Achieved slowdown, normalized within-mode so the sampled path's
+    // systematic time bias cancels (the same ratio trick compareModes
+    // uses).
     for (std::size_t i = 0; i < cmp.cells; ++i) {
-        const double et = static_cast<double>(exact[i].totalTime);
-        const double st = static_cast<double>(sampled[i].totalTime);
-        const double err = et > 0.0 ? (st - et) / et * 100.0 : 0.0;
-        cmp.cellTimeErrPct.push_back(err);
-        cmp.meanAbsTimeErrPct += std::fabs(err);
-        cmp.maxAbsTimeErrPct =
-            std::max(cmp.maxAbsTimeErrPct, std::fabs(err));
-
-        // Achieved slowdown, normalized within-mode so the sampled
-        // path's systematic time bias cancels (the same ratio trick
-        // compareModes uses).
         const double exactS =
             static_cast<double>(exact[i].totalTime) /
             static_cast<double>(exactBase[i].totalTime);
         const double sampledS =
             static_cast<double>(sampled[i].totalTime) /
             static_cast<double>(sampledBase[i].totalTime);
-        const double sErr = std::fabs(sampledS - exactS) / exactS * 100.0;
-        cmp.meanAbsSlowdownErrPct += sErr;
-        cmp.maxAbsSlowdownErrPct =
-            std::max(cmp.maxAbsSlowdownErrPct, sErr);
-        cmp.slowdownSamples += 1;
-
-        cmp.sampleTotals.accumulate(sampled[i].sampling);
+        addSlowdownSample(cmp, sampledS, exactS);
         cmp.transitions += sampled[i].transitions;
     }
-    cmp.meanAbsTimeErrPct /= static_cast<double>(cmp.cells);
-    cmp.meanAbsSlowdownErrPct /= static_cast<double>(cmp.cells);
+    finishSlowdown(cmp);
     return cmp;
 }
 

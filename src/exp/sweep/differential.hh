@@ -4,7 +4,9 @@
  *
  * A sampled run (exp::SimMode::Sampled) is only useful if its error
  * against the cycle-accurate oracle is *measured*, not assumed. This
- * module runs the same sweep grid in both modes and reports
+ * module runs the same grid in both modes — fixed-frequency sweeps
+ * (compareModes) or energy-managed cells (compareManagedModes) — and
+ * reports one ModeComparison:
  *
  *  - per-cell total-time error (the direct fidelity of the fast path),
  *  - per-predictor slowdown-prediction error envelopes: each registry
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/sweep.hh"
 #include "sim/sampling.hh"
 
@@ -45,13 +48,16 @@ struct PredictorErrorBound {
     double maxAbsPctExactFed = 0.0;
 };
 
-/** Everything one exact-vs-sampled differential run measured. */
+/**
+ * Everything one exact-vs-sampled differential run measured, for a
+ * fixed-frequency grid or a managed one.
+ */
 struct ModeComparison {
-    /** The grid both modes executed (mode fields overridden). */
-    SweepSpec spec;
-
     /** Window placement the sampled side ran with. */
     sim::SamplingConfig sampling;
+
+    /** Cells per mode (managed baselines excluded). */
+    std::size_t cells = 0;
 
     /** Per-cell signed total-time error, percent, flattened order. */
     std::vector<double> cellTimeErrPct;
@@ -59,18 +65,20 @@ struct ModeComparison {
     double maxAbsTimeErrPct = 0.0;
 
     /**
-     * Slowdown-prediction error of the sampled simulation itself: for
-     * every (workload, seed, target frequency), how far the sampled
-     * slowdown T_s(f)/T_s(f0) lands from the exact T_e(f)/T_e(f0).
-     * This is the headline fidelity gate — systematic per-cell time
-     * bias cancels in the ratio, exactly as it does for the paper's
-     * use case (predicting relative performance across DVFS states).
+     * Slowdown error of the sampled simulation itself, the headline
+     * fidelity gate. On a fixed grid: for every (workload, seed,
+     * target frequency), how far the sampled T_s(f)/T_s(f0) lands
+     * from the exact T_e(f)/T_e(f0). On a managed grid: how far the
+     * sampled achieved slowdown T_managed/T_fixedHighest lands from
+     * the exact one. Either way the ratio is taken within a mode, so
+     * systematic per-cell time bias cancels, exactly as it does for
+     * the paper's use case (relative performance across DVFS states).
      */
     double meanAbsSlowdownErrPct = 0.0;
     double maxAbsSlowdownErrPct = 0.0;
     std::size_t slowdownSamples = 0;
 
-    /** Slowdown-prediction envelopes, registry order. */
+    /** Slowdown-prediction envelopes, registry order (fixed grids). */
     std::vector<PredictorErrorBound> predictors;
 
     /** Grid digests (gridDigest over each mode's cells). */
@@ -83,6 +91,9 @@ struct ModeComparison {
 
     /** Sampling stats summed over all sampled cells. */
     sim::SampleStats sampleTotals;
+
+    /** DVFS transitions summed over the sampled cells (managed grids). */
+    std::uint64_t transitions = 0;
 
     /** Grid-level wall-clock speedup of sampled over exact. */
     double
@@ -98,9 +109,6 @@ struct ModeComparison {
     double maxPredictorErrPct() const;
 };
 
-/** FNV-1a digest over a whole grid, cell fingerprints in order. */
-std::uint64_t gridDigest(const SweepResult &res);
-
 /**
  * Run @p spec in both modes and measure the error bounds.
  *
@@ -114,70 +122,20 @@ ModeComparison compareModes(const SweepSpec &spec,
                             unsigned workers = 1, bool progress = false);
 
 /**
- * Everything one exact-vs-sampled *managed* differential measured.
- *
- * The managed analogue of ModeComparison: each (workload, seed) cell
- * runs under the energy manager in both modes, plus a fixed-at-highest
- * baseline per mode so the headline error is on the *achieved
- * slowdown* S = T_managed / T_fixedHighest computed within-mode —
- * exactly the quantity fig6 reports, with systematic per-cell time
- * bias cancelling in the ratio as it does for compareModes.
- */
-struct ManagedComparison {
-    /** Window placement the sampled side ran with. */
-    sim::SamplingConfig sampling;
-
-    /** (workload, seed) cells per mode, flattened seed-innermost. */
-    std::size_t cells = 0;
-
-    /** Per-cell signed managed total-time error, percent. */
-    std::vector<double> cellTimeErrPct;
-    double meanAbsTimeErrPct = 0.0;
-    double maxAbsTimeErrPct = 0.0;
-
-    /** Achieved-slowdown error (the headline fidelity gate). */
-    double meanAbsSlowdownErrPct = 0.0;
-    double maxAbsSlowdownErrPct = 0.0;
-    std::size_t slowdownSamples = 0;
-
-    /** Managed grid digests (managedGridDigest over each mode). */
-    std::uint64_t exactDigest = 0;
-    std::uint64_t sampledDigest = 0;
-
-    /** Wall-clock seconds of each managed grid (baselines excluded). */
-    double exactWallSec = 0.0;
-    double sampledWallSec = 0.0;
-
-    /** Sampling stats summed over all sampled managed cells. */
-    sim::SampleStats sampleTotals;
-
-    /** DVFS transitions summed over the sampled managed cells. */
-    std::uint64_t transitions = 0;
-
-    /** Grid-level wall-clock speedup of sampled over exact managed. */
-    double
-    speedup() const
-    {
-        return sampledWallSec > 0.0 ? exactWallSec / sampledWallSec : 0.0;
-    }
-};
-
-/** FNV-1a digest over a managed grid, cell fingerprints in order. */
-std::uint64_t managedGridDigest(const std::vector<ManagedRunOutput> &cells);
-
-/**
  * Run every (workload, seed) cell under the energy manager in both
  * modes (plus fixed-at-highest baselines per mode) and measure the
  * sampled side's error and speedup. @p sampling applies to the
- * sampled side's managed cells and baseline alike.
+ * sampled side's managed cells and baseline alike. Cells flatten
+ * seed-innermost; walls time the managed grids only. Predictor
+ * envelopes stay empty: nothing is predicted from a managed run.
  */
-ManagedComparison
+ModeComparison
 compareManagedModes(const std::vector<wl::WorkloadParams> &workloads,
                     const mgr::ManagerConfig &mgrCfg,
                     const power::VfTable &table,
                     const sim::SamplingConfig &sampling,
                     const std::vector<std::uint64_t> &seeds = {42},
-                    unsigned workers = 1, bool progress = false);
+                    unsigned workers = 1);
 
 } // namespace dvfs::exp::sweep
 

@@ -4,19 +4,20 @@
  *
  * A fingerprint digests everything a sweep cell observably produced
  * (total time, epoch decomposition, per-thread counters, energy, GC
- * activity) into one 64-bit value, the same scheme fault::FaultPlan
- * uses for its trace. Two runs with equal fingerprints produced
- * bit-identical records, so the golden-trace tests can assert that a
- * parallel sweep is indistinguishable from the serial one with a
- * single comparison per cell.
+ * activity) into one 64-bit value with sim::Fnv1a, the same hasher
+ * fault::FaultPlan uses for its trace. Two runs with equal
+ * fingerprints produced bit-identical records, so the golden-trace
+ * tests can assert that a parallel sweep is indistinguishable from the
+ * serial one with a single comparison per cell.
  */
 
 #ifndef DVFS_EXP_SWEEP_FINGERPRINT_HH
 #define DVFS_EXP_SWEEP_FINGERPRINT_HH
 
 #include <cstdint>
-#include <cstring>
-#include <string>
+#include <vector>
+
+#include "sim/fnv.hh"
 
 namespace dvfs::exp {
 struct FixedRunOutput;
@@ -25,52 +26,26 @@ struct ManagedRunOutput;
 
 namespace dvfs::exp::sweep {
 
-/** Incremental FNV-1a hasher over 64-bit words. */
-class Fnv1a
-{
-  public:
-    /** Fold a 64-bit word into the digest, byte by byte. */
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            _h ^= (v >> (i * 8)) & 0xff;
-            _h *= 0x100000001b3ULL;
-        }
-    }
-
-    /** Fold a double via its bit pattern (exact, not rounded). */
-    void
-    mixDouble(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    }
-
-    /** Fold a string (length then bytes). */
-    void
-    mixString(const std::string &s)
-    {
-        mix(s.size());
-        for (unsigned char c : s) {
-            _h ^= c;
-            _h *= 0x100000001b3ULL;
-        }
-    }
-
-    std::uint64_t digest() const { return _h; }
-
-  private:
-    std::uint64_t _h = 0xcbf29ce484222325ULL;
-};
+/** The tree's one FNV-1a hasher, under the name sweep code spells. */
+using sim::Fnv1a;
 
 /** Digest of one fixed-frequency ground-truth run. */
 std::uint64_t fingerprintRun(const FixedRunOutput &out);
 
 /** Digest of one energy-manager-governed run. */
 std::uint64_t fingerprintRun(const ManagedRunOutput &out);
+
+/** Digest of a whole grid of either run type: cell fingerprints in
+ *  flattened order. */
+template <typename RunOutput>
+std::uint64_t
+gridDigest(const std::vector<RunOutput> &cells)
+{
+    Fnv1a h;
+    for (const RunOutput &cell : cells)
+        h.mix(fingerprintRun(cell));
+    return h.digest();
+}
 
 } // namespace dvfs::exp::sweep
 

@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "sim/fnv.hh"
 #include "sim/log.hh"
 
 namespace dvfs::fault {
@@ -194,20 +195,13 @@ FaultPlan::totalInjected() const
 std::uint64_t
 FaultPlan::fingerprint() const
 {
-    // FNV-1a over the trace fields; stable across platforms.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    sim::Fnv1a h;
     for (const FaultEvent &ev : _trace) {
-        mix(ev.tick);
-        mix(static_cast<std::uint64_t>(ev.cls));
-        mix(ev.magnitude);
+        h.mix(ev.tick);
+        h.mix(static_cast<std::uint64_t>(ev.cls));
+        h.mix(ev.magnitude);
     }
-    return h;
+    return h.digest();
 }
 
 void

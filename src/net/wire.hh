@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/fnv.hh"
+
 namespace dvfs::net {
 
 /** Append-only little-endian byte sink. */
@@ -208,12 +210,9 @@ class BasicCursor
 inline std::uint64_t
 fnv1aBytes(const std::uint8_t *data, std::size_t size)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    sim::Fnv1a h;
+    h.mixBytes(data, size);
+    return h.digest();
 }
 
 } // namespace dvfs::net

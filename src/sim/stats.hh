@@ -2,19 +2,14 @@
  * @file
  * Lightweight statistics primitives.
  *
- * Components own Counter/Accumulator/Histogram members and register
- * them with a StatRegistry for uniform dumping. Stats never affect
- * simulated behaviour; they exist purely for reporting and tests.
+ * Components own Counter members for reporting and tests. Stats never
+ * affect simulated behaviour.
  */
 
 #ifndef DVFS_SIM_STATS_HH
 #define DVFS_SIM_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
-#include <vector>
 
 namespace dvfs::sim {
 
@@ -30,97 +25,6 @@ class Counter
 
   private:
     std::uint64_t _value;
-};
-
-/** Accumulates a double-valued quantity with min/max/mean tracking. */
-class Accumulator
-{
-  public:
-    Accumulator() { reset(); }
-
-    void add(double v);
-    void reset();
-
-    std::uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-    double min() const { return _min; }
-    double max() const { return _max; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-
-  private:
-    std::uint64_t _count;
-    double _sum;
-    double _min;
-    double _max;
-};
-
-/**
- * A fixed-bucket histogram over [0, limit) with an overflow bucket.
- *
- * Bucket boundaries are linear; good enough for latency distributions
- * in reports and tests.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param buckets Number of linear buckets.
-     * @param limit   Upper edge of the last linear bucket.
-     */
-    Histogram(std::size_t buckets = 32, double limit = 1.0);
-
-    void add(double v);
-    void reset();
-
-    std::uint64_t count() const { return _count; }
-    std::uint64_t bucket(std::size_t i) const { return _counts.at(i); }
-    std::uint64_t overflow() const { return _overflow; }
-    std::size_t buckets() const { return _counts.size(); }
-    double bucketWidth() const;
-
-    /** Value below which the given fraction of samples fall. */
-    double percentile(double p) const;
-
-  private:
-    double _limit;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _overflow;
-    std::uint64_t _count;
-};
-
-/**
- * A named collection of scalar statistics for dumping.
- *
- * Values are captured at dump time through registered getter
- * functions, so the registry never dangles across resets.
- */
-class StatRegistry
-{
-  public:
-    using Getter = double (*)(const void *);
-
-    /** Register a named uint64 counter by reference. */
-    void addCounter(const std::string &name, const Counter &c);
-
-    /** Register a named double-returning accumulator sum. */
-    void addAccumulator(const std::string &name, const Accumulator &a);
-
-    /** Register an arbitrary scalar via object pointer + getter. */
-    void addScalar(const std::string &name, const void *obj, Getter get);
-
-    /** Snapshot of all registered values, sorted by name. */
-    std::map<std::string, double> snapshot() const;
-
-    /** Write "name value" lines to @p os, sorted by name. */
-    void dump(std::ostream &os) const;
-
-  private:
-    struct Item {
-        std::string name;
-        const void *obj;
-        Getter get;
-    };
-    std::vector<Item> _items;
 };
 
 } // namespace dvfs::sim

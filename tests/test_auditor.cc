@@ -1,12 +1,14 @@
 /**
  * @file
  * InvariantAuditor: a healthy machine audits clean, a deadlocked one
- * produces a structured watchdog diagnostic instead of hanging, and
- * the fault-injected paths stay invariant-clean too.
+ * produces a structured watchdog diagnostic instead of hanging, the
+ * fault-injected paths stay invariant-clean too, and auditing a
+ * canonical run (exact or sampled, fixed or managed) changes nothing.
  */
 
 #include <gtest/gtest.h>
 
+#include "exp/experiment.hh"
 #include "fault/auditor.hh"
 #include "fault/fault_plan.hh"
 #include "fault/injector.hh"
@@ -159,4 +161,67 @@ TEST(AuditorDeathTest, DoubleAttachIsFatal)
     fault::InvariantAuditor auditor(sys);
     auditor.attach();
     EXPECT_EXIT(auditor.attach(), ::testing::ExitedWithCode(1), "twice");
+}
+
+namespace {
+
+/** An audited run that injected nothing and found nothing. */
+void
+expectCleanAudit(const std::optional<exp::AuditReport> &audit,
+                 const std::string &what)
+{
+    ASSERT_TRUE(audit.has_value()) << what;
+    EXPECT_TRUE(audit->finished) << what;
+    EXPECT_FALSE(audit->aborted) << what;
+    EXPECT_GT(audit->audits, 0u) << what;
+    EXPECT_EQ(audit->faultsInjected, 0u) << what;
+    EXPECT_TRUE(audit->violations.empty())
+        << what << ": " << audit->violations.front().message;
+}
+
+} // namespace
+
+TEST(Auditor, AuditedRunsChangeNothing)
+{
+    // RunOptions::faults = none() attaches the auditor without
+    // injecting: it must watch the fast paths and leave their timing
+    // and the manager's decisions exactly as an unaudited run has them.
+    const wl::WorkloadParams params = wl::benchmarkByName("pmd.scale");
+
+    for (exp::SimMode mode : {exp::SimMode::Exact, exp::SimMode::Sampled}) {
+        exp::RunOptions plain;
+        plain.mode = mode;
+        exp::RunOptions audited = plain;
+        audited.faults = fault::FaultConfig::none();
+
+        const auto p = exp::runFixed(params, Frequency::ghz(1.0), plain);
+        const auto a = exp::runFixed(params, Frequency::ghz(1.0), audited);
+        const std::string what =
+            std::string("fixed ") + exp::simModeName(mode);
+        EXPECT_FALSE(p.audit.has_value()) << what;
+        expectCleanAudit(a.audit, what);
+        EXPECT_EQ(a.totalTime, p.totalTime) << what;
+    }
+
+    // The fig10 managed-sampling recipe.
+    exp::RunOptions plain;
+    plain.mode = exp::SimMode::Sampled;
+    plain.sampling.detailWindow = 10 * kTicksPerUs;
+    plain.sampling.maxGapWindow = 7840 * kTicksPerUs;
+    plain.sampling.driftThresholdPermille = 200;
+    exp::RunOptions audited = plain;
+    audited.faults = fault::FaultConfig::none();
+
+    const power::VfTable table = power::VfTable::haswell();
+    const mgr::ManagerConfig mc;
+    const auto p = exp::runManaged(params, mc, table, plain);
+    const auto a = exp::runManaged(params, mc, table, audited);
+    expectCleanAudit(a.audit, "managed sampled");
+    EXPECT_EQ(a.totalTime, p.totalTime);
+    ASSERT_EQ(a.decisions.size(), p.decisions.size());
+    for (std::size_t i = 0; i < p.decisions.size(); ++i) {
+        EXPECT_EQ(a.decisions[i].tick, p.decisions[i].tick) << i;
+        EXPECT_EQ(a.decisions[i].chosen, p.decisions[i].chosen) << i;
+    }
+    EXPECT_EQ(a.transitions, p.transitions);
 }

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/reference_event_queue.hh"
+#include "reference_event_queue.hh"
 #include "sim/rng.hh"
 
 using namespace dvfs;

@@ -80,12 +80,3 @@ TEST(RunFixed, OutputIsCoherent)
     // Epochs tile the run exactly.
     EXPECT_EQ(out.record.epochs.back().end, out.totalTime);
 }
-
-TEST(RunFixed, EnergyCanBeDisabled)
-{
-    exp::RunOptions opts;
-    opts.measureEnergy = false;
-    auto out = exp::runFixed(wl::syntheticSmall(2, 20),
-                             Frequency::ghz(1.0), opts);
-    EXPECT_DOUBLE_EQ(out.energy.total(), 0.0);
-}

@@ -264,12 +264,4 @@ TEST(ReplayGrid, RunOptionsSurface)
     auto managed_default = exp::runManaged(params, mc, table);
     EXPECT_EQ(managed.totalTime, managed_default.totalTime);
     EXPECT_EQ(managed.decisions.size(), managed_default.decisions.size());
-
-    // measureEnergy=false must not change timing, only metering.
-    exp::RunOptions noenergy;
-    noenergy.seed = 7;
-    noenergy.measureEnergy = false;
-    auto cold = exp::runFixed(params, Frequency::ghz(2.0), noenergy);
-    EXPECT_EQ(cold.totalTime, fixed.totalTime);
-    EXPECT_EQ(cold.energy.total(), 0.0);
 }

@@ -71,7 +71,7 @@ runDigest(const exp::sweep::SweepSpec &spec, unsigned workers)
     exp::sweep::SweepRunner::Options ro;
     ro.workers = workers;
     auto res = exp::sweep::SweepRunner(spec, ro).run();
-    return exp::sweep::gridDigest(res);
+    return exp::sweep::gridDigest(res.cells);
 }
 
 } // namespace
@@ -128,6 +128,7 @@ TEST(SampledDifferential, ErrorBoundsOnSmallGridAreDeterministic)
     exp::sweep::SweepSpec spec = smallGrid();
     auto cmp = exp::sweep::compareModes(spec, tinyWindows(), 2);
 
+    EXPECT_EQ(cmp.cells, spec.cellCount());
     EXPECT_EQ(cmp.cellTimeErrPct.size(), spec.cellCount());
     EXPECT_GT(cmp.sampleTotals.ffActions, 0u);
     // workloads x seeds x non-base frequencies slowdown samples.
@@ -190,8 +191,9 @@ managedRecipe()
     return cfg;
 }
 
+/** Digest of the fig10 managed grid, run in @p mode. */
 std::uint64_t
-managedSampledDigest(unsigned workers)
+managedDigest(exp::SimMode mode, unsigned workers)
 {
     std::vector<wl::WorkloadParams> wls;
     for (const auto &params : wl::dacapoSuite()) {
@@ -204,13 +206,13 @@ managedSampledDigest(unsigned workers)
         wls.size(), workers, [&](std::size_t i) {
             mgr::ManagerConfig mc;
             exp::RunOptions ro;
-            ro.mode = exp::SimMode::Sampled;
+            ro.mode = mode;
             ro.sampling = managedRecipe();
             ro.seed = seeds[0];
             return exp::runManaged(wls[i], mc, power::VfTable::haswell(),
                                    ro);
         });
-    return exp::sweep::managedGridDigest(cells);
+    return exp::sweep::gridDigest(cells);
 }
 
 } // namespace
@@ -227,7 +229,22 @@ TEST(SampledSweepGolden, ManagedGridFingerprintPinnedAcrossWorkers)
 {
     constexpr std::uint64_t kManagedSampledGolden = 0x71702eac03704a14ULL;
     for (unsigned workers : {1u, 2u, 8u})
-        EXPECT_EQ(managedSampledDigest(workers), kManagedSampledGolden)
+        EXPECT_EQ(managedDigest(exp::SimMode::Sampled, workers),
+                  kManagedSampledGolden)
+            << "workers=" << workers;
+}
+
+/**
+ * The exact managed fingerprint, pinned: the oracle fig10 measures
+ * the managed fast path against. Trips on any drift in the energy
+ * manager, its predictor, or the exact machine under DVFS.
+ */
+TEST(SampledSweepGolden, ManagedExactGridFingerprintPinnedAcrossWorkers)
+{
+    constexpr std::uint64_t kManagedExactGolden = 0xe5f7e8e70f6ffd94ULL;
+    for (unsigned workers : {1u, 2u})
+        EXPECT_EQ(managedDigest(exp::SimMode::Exact, workers),
+                  kManagedExactGolden)
             << "workers=" << workers;
 }
 

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/stats.hh"
 
 using namespace dvfs::sim;
@@ -20,81 +18,4 @@ TEST(Counter, IncrementAndReset)
     EXPECT_EQ(c.value(), 42u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Accumulator, TracksMoments)
-{
-    Accumulator a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.add(1.0);
-    a.add(3.0);
-    a.add(-2.0);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.sum(), 2.0);
-    EXPECT_DOUBLE_EQ(a.min(), -2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 3.0);
-    EXPECT_NEAR(a.mean(), 2.0 / 3.0, 1e-12);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10, 100.0);  // buckets of width 10
-    h.add(5.0);
-    h.add(15.0);
-    h.add(15.5);
-    h.add(250.0);  // overflow
-    h.add(-1.0);   // clamped into bucket 0
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_DOUBLE_EQ(h.bucketWidth(), 10.0);
-}
-
-TEST(Histogram, PercentileMonotone)
-{
-    Histogram h(100, 1000.0);
-    for (int i = 0; i < 1000; ++i)
-        h.add(static_cast<double>(i));
-    double p50 = h.percentile(0.5);
-    double p90 = h.percentile(0.9);
-    double p99 = h.percentile(0.99);
-    EXPECT_LE(p50, p90);
-    EXPECT_LE(p90, p99);
-    EXPECT_NEAR(p50, 500.0, 20.0);
-    EXPECT_NEAR(p90, 900.0, 20.0);
-}
-
-TEST(HistogramDeathTest, RejectsBadGeometry)
-{
-    EXPECT_EXIT(Histogram(0, 1.0), ::testing::ExitedWithCode(1), "bucket");
-    EXPECT_EXIT(Histogram(4, 0.0), ::testing::ExitedWithCode(1), "bucket");
-}
-
-TEST(StatRegistry, SnapshotAndDump)
-{
-    Counter c;
-    Accumulator a;
-    c.inc(7);
-    a.add(2.5);
-    a.add(2.5);
-
-    StatRegistry reg;
-    reg.addCounter("events", c);
-    reg.addAccumulator("latency", a);
-
-    auto snap = reg.snapshot();
-    EXPECT_DOUBLE_EQ(snap.at("events"), 7.0);
-    EXPECT_DOUBLE_EQ(snap.at("latency"), 5.0);
-
-    // Live: the snapshot reflects later mutations.
-    c.inc(3);
-    EXPECT_DOUBLE_EQ(reg.snapshot().at("events"), 10.0);
-
-    std::ostringstream os;
-    reg.dump(os);
-    EXPECT_NE(os.str().find("events 10"), std::string::npos);
 }
