@@ -5,20 +5,21 @@
  * FlagSet is the one CLI parser every harness uses: flags are declared
  * once (key, value hint, help line), --help output is generated from
  * the declarations, an unknown flag is fatal() naming the flag, and a
- * malformed value is fatal() naming the flag it was passed to. The
- * canned addWorkers()/addMode()/addSampling()/addRepeat()/addJson()
- * declarations keep the flags every harness shares spelled — and
- * documented — identically across binaries.
+ * malformed or out-of-range value is fatal() naming the flag it was
+ * passed to. The canned addWorkers()/addMode()/addSampling()/
+ * addRepeat() declarations keep the flags every harness shares
+ * spelled — and documented — identically across binaries.
  */
 
 #ifndef DVFS_BENCH_BENCH_UTIL_HH
 #define DVFS_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/sweep/pool.hh"
@@ -34,11 +35,7 @@ namespace dvfs::bench {
  *
  * Declare every flag up front, then parse(). --help prints the
  * generated listing and exits 0; any flag that was not declared is
- * fatal(), naming the flag. parseKnown() is the cooperative variant
- * for binaries that share argv with another parser (google-benchmark):
- * it consumes only declared flags, leaves the rest in place, and on
- * --help prints our listing but leaves the flag for the other parser
- * to document its own.
+ * fatal(), naming the flag.
  */
 class FlagSet
 {
@@ -118,13 +115,6 @@ class FlagSet
     }
 
     FlagSet &
-    addJson(const std::string &def = "BENCH_sweep.json")
-    {
-        return add("json", "PATH",
-                   "perf-trajectory JSONL file (default " + def + ")");
-    }
-
-    FlagSet &
     addTraceDir(const std::string &help)
     {
         return add("trace-dir", "DIR", help);
@@ -152,31 +142,6 @@ class FlagSet
             }
             record(*f, arg);
         }
-    }
-
-    /**
-     * Parse only declared flags, compacting argv so another parser
-     * sees the remainder. --help prints our listing and is left in
-     * argv for the other parser. Returns the new argc.
-     */
-    int
-    parseKnown(int argc, char **argv)
-    {
-        int kept = 1;
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--help" || arg == "-h") {
-                std::cout << help() << "\n";
-                argv[kept++] = argv[i];
-                continue;
-            }
-            if (const Flag *f = match(arg))
-                record(*f, arg);
-            else
-                argv[kept++] = argv[i];
-        }
-        argv[kept] = nullptr;
-        return kept;
     }
 
     /** The generated --help text. */
@@ -218,17 +183,30 @@ class FlagSet
         return false;
     }
 
+    /**
+     * Integer value of --key, @p def if absent. A value outside the
+     * inclusive range [@p lo, @p hi] is fatal(), naming the flag:
+     * counts and widths bound it to what their unsigned type holds
+     * instead of letting a negative value wrap.
+     */
     long
-    getInt(const std::string &key, long def) const
+    getInt(const std::string &key, long def,
+           long lo = std::numeric_limits<long>::min(),
+           long hi = std::numeric_limits<long>::max()) const
     {
         std::string v = get(key);
         if (v.empty())
             return def;
         char *end = nullptr;
+        errno = 0;
         long parsed = std::strtol(v.c_str(), &end, 10);
         if (end == v.c_str() || *end != '\0') {
             fatal("--%s: expected an integer, got '%s'", key.c_str(),
                   v.c_str());
+        }
+        if (errno == ERANGE || parsed < lo || parsed > hi) {
+            fatal("--%s: %s is out of range [%ld, %ld]", key.c_str(),
+                  v.c_str(), lo, hi);
         }
         return parsed;
     }
@@ -300,65 +278,6 @@ class FlagSet
     std::vector<std::pair<std::string, std::string>> _values;
 };
 
-/** Hardware thread count, never zero. */
-inline unsigned
-hardwareWidth()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-/**
- * A harness binary's sweep pool width, with provenance.
- *
- * An explicit --workers=N flag or DVFS_SWEEP_WORKERS env var is
- * honored verbatim (oversubscription on purpose stays possible);
- * otherwise the default is the hardware width — i.e. defaults are
- * clamped to hardware_concurrency(), since oversubscribing a sweep of
- * CPU-bound cells only adds scheduling noise (BENCH_sweep.json shows
- * workers=8 at 0.86x serial on a single-thread host). Both the
- * requested and the effective width go into the JSONL record so the
- * perf trajectory stays interpretable across hosts.
- */
-struct WorkerChoice {
-    unsigned requested;  ///< what flag/env/default asked for
-    unsigned effective;  ///< what the pool will actually use
-    bool isExplicit;     ///< came from --workers or DVFS_SWEEP_WORKERS
-};
-
-inline WorkerChoice
-chooseWorkers(const FlagSet &args)
-{
-    long v = args.getInt("workers", 0);
-    if (v >= 1) {
-        auto w = static_cast<unsigned>(v);
-        return {w, w, true};
-    }
-    if (const char *env = std::getenv("DVFS_SWEEP_WORKERS")) {
-        char *end = nullptr;
-        long ev = std::strtol(env, &end, 10);
-        if (end != env && ev >= 1) {
-            auto w = static_cast<unsigned>(ev);
-            return {w, w, true};
-        }
-    }
-    unsigned hw = hardwareWidth();
-    return {hw, hw, false};
-}
-
-/**
- * Clamp a default (non-explicit) worker count to the hardware width.
- * Explicit choices pass through untouched.
- */
-inline unsigned
-clampWorkers(unsigned w, bool is_explicit)
-{
-    if (is_explicit)
-        return w;
-    unsigned hw = hardwareWidth();
-    return w < hw ? w : hw;
-}
-
 /**
  * Sweep pool width for a harness binary: --workers=N if given, else
  * DVFS_SWEEP_WORKERS / hardware_concurrency via defaultWorkers().
@@ -366,7 +285,17 @@ clampWorkers(unsigned w, bool is_explicit)
 inline unsigned
 sweepWorkers(const FlagSet &args)
 {
-    return chooseWorkers(args).effective;
+    const long w = args.getInt("workers", 0, 1,
+                               std::numeric_limits<unsigned>::max());
+    return w ? static_cast<unsigned>(w) : exp::sweep::defaultWorkers();
+}
+
+/** Repeats per configuration from --repeat=N (default 1, N >= 1). */
+inline unsigned
+repeatFromArgs(const FlagSet &args)
+{
+    return static_cast<unsigned>(args.getInt(
+        "repeat", 1, 1, std::numeric_limits<unsigned>::max()));
 }
 
 /**

@@ -18,6 +18,7 @@
 
 #include <csignal>
 #include <iostream>
+#include <limits>
 
 #include "bench_util.hh"
 #include "serve/server.hh"
@@ -55,13 +56,18 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     serve::ServerConfig cfg;
-    cfg.tcpPort = static_cast<std::uint16_t>(args.getInt("port", 0));
+    cfg.tcpPort =
+        static_cast<std::uint16_t>(args.getInt("port", 0, 0, 65535));
     cfg.unixPath = args.get("unix");
-    cfg.workers = bench::chooseWorkers(args).effective;
-    cfg.cacheBytes =
-        static_cast<std::size_t>(args.getInt("cache-mb", 256)) << 20;
+    cfg.workers = bench::sweepWorkers(args);
+    // Bounded so the MB -> bytes shift cannot overflow.
+    const long max_cache_mb =
+        static_cast<long>(std::numeric_limits<std::size_t>::max() >> 20);
+    cfg.cacheBytes = static_cast<std::size_t>(args.getInt(
+                         "cache-mb", 256, 1, max_cache_mb))
+                     << 20;
     cfg.maxInFlight =
-        static_cast<std::size_t>(args.getInt("max-in-flight", 64));
+        static_cast<std::size_t>(args.getInt("max-in-flight", 64, 1));
 
     serve::Server server(cfg);
     g_server = &server;

@@ -12,9 +12,10 @@
  * throttling the offered load (no coordinated omission). Latency is
  * measured from the scheduled arrival to the reply.
  *
- * Each run appends one dvfs-serve-bench-v1 record (p50/p99/p999,
- * throughput, cache hit rate, shed count) to BENCH_serve.json — see
- * EXPERIMENTS.md.
+ * Each run prints latency percentiles, throughput, the reply
+ * accounting, the realized query mix and the server's cache and
+ * batching counters. The serving knee on one host, compared parent
+ * to change, is perfbench's serve.max_rps (perfbench/README.md).
  *
  * --verify-live replays every prediction query against an in-process
  * Service over the same traces and fails (exit 1) unless the served
@@ -26,7 +27,6 @@
  * Usage: dvfsd_load --trace-dir=DIR (--port=N | --unix=PATH)
  *                   [--rate=200] [--duration-s=5] [--connections=4]
  *                   [--seed=42] [--verify-live] [--fail-p99-ms=X]
- *                   [--json=BENCH_serve.json]
  */
 
 #include <algorithm>
@@ -41,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/table.hh"
 #include "net/client.hh"
@@ -196,14 +195,13 @@ main(int argc, char **argv)
                  "fail unless every served prediction is bit-identical "
                  "to a direct in-process ReplayEngine call")
         .add("fail-p99-ms", "X",
-             "exit 1 if overall p99 latency exceeds X ms (0 = no gate)")
-        .addJson("BENCH_serve.json");
+             "exit 1 if overall p99 latency exceeds X ms (0 = no gate)");
     args.parse(argc, argv);
 
     const std::string trace_dir = args.get("trace-dir");
     if (trace_dir.empty())
         fatal("dvfsd_load: --trace-dir is required");
-    const long port = args.getInt("port", 0);
+    const long port = args.getInt("port", 0, 0, 65535);
     const std::string unix_path = args.get("unix");
     if (port == 0 && unix_path.empty())
         fatal("dvfsd_load: one of --port or --unix is required");
@@ -211,13 +209,12 @@ main(int argc, char **argv)
     if (rate <= 0.0)
         fatal("--rate: must be positive");
     const double duration = args.getDouble("duration-s", 5.0);
-    const auto conns = static_cast<std::size_t>(
-        std::max(1L, args.getInt("connections", 4)));
+    const auto conns =
+        static_cast<std::size_t>(args.getInt("connections", 4, 1));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 42));
     const bool verify = args.has("verify-live");
     const double fail_p99 = args.getDouble("fail-p99-ms", 0.0);
-    const std::string json_path = args.get("json", "BENCH_serve.json");
 
     auto connect = [&]() {
         return unix_path.empty()
@@ -389,7 +386,7 @@ main(int argc, char **argv)
 
     // ---- Aggregate. ----
     std::vector<double> lat;
-    std::size_t ok = 0, errors = 0, shed = 0;
+    std::size_t errors = 0, shed = 0;
     std::vector<std::size_t> byKind(5, 0);
     for (const auto &w : work) {
         for (const Sample &s : w->samples) {
@@ -399,8 +396,6 @@ main(int argc, char **argv)
                 shed++;
             else if (s.isError)
                 errors++;
-            else
-                ok++;
         }
     }
     std::sort(lat.begin(), lat.end());
@@ -454,49 +449,22 @@ main(int argc, char **argv)
     table.addRow({"p99.9 ms", exp::Table::fmt(p999, 3)});
     table.addRow({"errors", std::to_string(errors)});
     table.addRow({"shed (overload)", std::to_string(shed)});
+    for (std::size_t k = 0; k < byKind.size(); ++k) {
+        table.addRow({std::string(kindName(static_cast<QueryKind>(k))) +
+                          " requests",
+                      std::to_string(byKind[k])});
+    }
+    table.addRow({"cache hits", std::to_string(hits)});
+    table.addRow({"cache misses", std::to_string(misses)});
     table.addRow({"cache hit rate", exp::Table::fmt(hit_rate, 4)});
+    table.addRow({"batches", std::to_string(batches)});
+    table.addRow({"max batch", std::to_string(max_batch)});
     if (verify) {
         table.addRow({"verified bit-identical",
                       std::to_string(verified)});
         table.addRow({"verify mismatches", std::to_string(mismatches)});
     }
     table.print(std::cout);
-
-    bench::SweepJsonRecord rec(
-        "dvfsd_load",
-        "rate=" + std::to_string(static_cast<long>(rate)) +
-            " conns=" + std::to_string(conns),
-        "dvfs-serve-bench-v1");
-    rec.add("transport", unix_path.empty() ? "tcp" : "unix")
-        .add("rate_rps", rate)
-        .add("duration_s", duration)
-        .add("connections", static_cast<std::uint64_t>(conns))
-        .add("traces", static_cast<std::uint64_t>(digests.size()))
-        .add("requests", static_cast<std::uint64_t>(lat.size()))
-        .add("ok", static_cast<std::uint64_t>(ok))
-        .add("errors", static_cast<std::uint64_t>(errors))
-        .add("shed", static_cast<std::uint64_t>(shed))
-        .add("throughput_rps", throughput)
-        .add("p50_ms", p50)
-        .add("p99_ms", p99)
-        .add("p999_ms", p999)
-        .add("cache_hits", hits)
-        .add("cache_misses", misses)
-        .add("cache_hit_rate", hit_rate)
-        .add("batches", batches)
-        .add("max_batch", max_batch)
-        .add("verify_live",
-             static_cast<std::uint64_t>(verify ? 1 : 0))
-        .add("verified", static_cast<std::uint64_t>(verified))
-        .add("verify_mismatches",
-             static_cast<std::uint64_t>(mismatches));
-    for (std::size_t k = 0; k < byKind.size(); ++k) {
-        rec.add(std::string("n_") +
-                    kindName(static_cast<QueryKind>(k)),
-                static_cast<std::uint64_t>(byKind[k]));
-    }
-    rec.appendTo(json_path);
-    std::cout << "\nappended 1 record to " << json_path << "\n";
 
     if (verify && mismatches > 0) {
         std::cerr << "dvfsd_load: VERIFY FAILED: " << mismatches

@@ -18,15 +18,14 @@
  *  - sampling provenance: DVFS transitions observed, forced detail
  *    windows, and the adaptive gap-stretch histogram.
  *
- * Every measured configuration appends one dvfs-sweep-bench-v1 record
- * (mode="sampled", grid="managed") to BENCH_sweep.json. Error metrics
- * are deterministic — repeats reproduce them bit-for-bit; only wall
- * times move — so CI gates hard on them.
+ * A provenance table adds both walls, sampled action counts and the
+ * sampled digest. Error metrics are deterministic — repeats reproduce
+ * them bit-for-bit; only wall times move — so CI gates hard on them.
  *
  * Usage: fig10_managed_sampling [--benchmarks=4] [--seeds=1]
  *          [--startup-us=60] [--detail-us=30] [--gap-us=980]
  *          [--max-gap-us=0] [--drift-permille=50]
- *          [--workers=N] [--repeat=1] [--json=BENCH_sweep.json]
+ *          [--workers=N] [--repeat=1]
  *          [--fail-err-pct=X] [--fail-speedup=X]
  *          [--expect-managed-fingerprint=0x...]
  *
@@ -39,6 +38,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,9 +49,9 @@ using namespace dvfs;
 
 namespace {
 
-/** Gap-stretch histogram as a JSON array for the trajectory row. */
+/** Gap-stretch histogram as a bracketed list, "[n1,n2,...]". */
 std::string
-gapStretchJson(const sim::SampleStats &s)
+gapStretchList(const sim::SampleStats &s)
 {
     std::ostringstream os;
     os << "[";
@@ -75,7 +75,6 @@ main(int argc, char **argv)
         .addWorkers()
         .addSampling()
         .addRepeat()
-        .addJson()
         .add("fail-err-pct", "X",
              "fail if mean |achieved-slowdown err| exceeds X percent")
         .add("fail-speedup", "X",
@@ -85,12 +84,11 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     const auto n_bench =
-        static_cast<std::size_t>(args.getInt("benchmarks", 4));
-    const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
-    const std::string json_path = args.get("json", "BENCH_sweep.json");
+        static_cast<std::size_t>(args.getInt("benchmarks", 4, 1));
+    const auto n_seeds =
+        static_cast<std::size_t>(args.getInt("seeds", 1, 1));
     const unsigned workers = bench::sweepWorkers(args);
-    const auto repeat =
-        static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
+    const unsigned repeat = bench::repeatFromArgs(args);
 
     const sim::SamplingConfig cfg = bench::samplingFromArgs(args);
 
@@ -136,21 +134,18 @@ main(int argc, char **argv)
          std::to_string(best.sampleTotals.forcedWindows)});
     table.print(std::cout);
 
+    const std::string label =
+        "gap=" + std::to_string(cfg.gapWindow / kTicksPerUs) +
+        "us max-gap=" + std::to_string(cfg.maxGapWindow / kTicksPerUs) +
+        "us";
+    bench::printProvenance({best}, {label});
+
     std::cout << "\ngap-stretch histogram (gaps entered at 1x,2x,...):"
-              << " " << gapStretchJson(best.sampleTotals) << "\n";
+              << " " << gapStretchList(best.sampleTotals) << "\n";
     bench::printFingerprints(best);
 
-    bench::SweepJsonRecord rec(
-        "fig10_managed_sampling",
-        "gap=" + std::to_string(cfg.gapWindow / kTicksPerUs) +
-            "us max-gap=" +
-            std::to_string(cfg.maxGapWindow / kTicksPerUs) + "us");
-    bench::addComparisonFields(rec, best, workers, repeat, true);
-    rec.addRaw("gap_stretch", gapStretchJson(best.sampleTotals));
-    rec.appendTo(json_path);
-    std::cout << "appended 1 record to " << json_path << "\n";
-
-    return bench::checkGates("fig10_managed_sampling", args, {best}, {""},
-                             repeats_ok, "expect-managed-fingerprint",
+    return bench::checkGates("fig10_managed_sampling", args, {best},
+                             {label}, repeats_ok,
+                             "expect-managed-fingerprint",
                              "sampled managed");
 }

@@ -39,7 +39,7 @@ main(int argc, char **argv)
     const std::string name = args.get("bench", "xalan");
     const double threshold = args.getDouble("threshold", 0.05);
     const auto max_rows =
-        static_cast<std::size_t>(args.getInt("max-rows", 24));
+        static_cast<std::size_t>(args.getInt("max-rows", 24, 0));
 
     auto vf = power::VfTable::haswell();
     mgr::ManagerConfig mc;

@@ -25,6 +25,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -142,9 +143,10 @@ main(int argc, char **argv)
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1445));
     const double threshold = args.getDouble("threshold", 0.05);
     const double epsilon = args.getDouble("epsilon", 0.05);
-    const auto threads =
-        static_cast<std::uint32_t>(args.getInt("threads", 4));
-    const auto items = static_cast<std::uint64_t>(args.getInt("items", 600));
+    const auto threads = static_cast<std::uint32_t>(args.getInt(
+        "threads", 4, 1, std::numeric_limits<std::uint32_t>::max()));
+    const auto items =
+        static_cast<std::uint64_t>(args.getInt("items", 600, 1));
     const Tick quantum =
         static_cast<Tick>(args.getInt("quantum-us", 50)) * kTicksPerUs;
 

@@ -16,14 +16,14 @@
  *    so the error *sampling adds* is separated from the predictors'
  *    inherent model error.
  *
- * Every measured configuration appends one dvfs-sweep-bench-v1 record
- * (mode="sampled") to BENCH_sweep.json. Error metrics are
- * deterministic — repeats reproduce them bit-for-bit; only wall times
- * move — so CI can gate hard on them.
+ * A provenance table adds each configuration's walls, sampled action
+ * counts and sampled digest. Error metrics are deterministic —
+ * repeats reproduce them bit-for-bit; only wall times move — so CI
+ * can gate hard on them.
  *
  * Usage: fig9_sampling_accuracy [--benchmarks=4] [--seeds=1]
  *          [--gaps=980] [--detail-us=30] [--startup-us=60]
- *          [--workers=N] [--repeat=1] [--json=BENCH_sweep.json]
+ *          [--workers=N] [--repeat=1]
  *          [--fail-err-pct=X] [--fail-speedup=X]
  *          [--expect-sampled-fingerprint=0x...] [--progress]
  *
@@ -65,25 +65,6 @@ parseGapList(const std::string &csv)
     return us;
 }
 
-/** Per-predictor envelopes as a JSON array for the trajectory row. */
-std::string
-predictorsJson(const exp::sweep::ModeComparison &cmp)
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < cmp.predictors.size(); ++i) {
-        const auto &p = cmp.predictors[i];
-        os << (i ? "," : "") << "{\"predictor\":\"" << p.predictor
-           << "\",\"mean_abs_pct\":" << p.meanAbsPct
-           << ",\"max_abs_pct\":" << p.maxAbsPct
-           << ",\"mean_abs_pct_exact_fed\":" << p.meanAbsPctExactFed
-           << ",\"max_abs_pct_exact_fed\":" << p.maxAbsPctExactFed
-           << ",\"samples\":" << p.samples << "}";
-    }
-    os << "]";
-    return os.str();
-}
-
 } // namespace
 
 int
@@ -99,7 +80,6 @@ main(int argc, char **argv)
         .addWorkers()
         .addSampling()
         .addRepeat()
-        .addJson()
         .add("fail-err-pct", "X",
              "fail if mean |slowdown err| exceeds X percent")
         .add("fail-speedup", "X",
@@ -110,13 +90,12 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     const auto n_bench =
-        static_cast<std::size_t>(args.getInt("benchmarks", 4));
-    const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
-    const std::string json_path = args.get("json", "BENCH_sweep.json");
+        static_cast<std::size_t>(args.getInt("benchmarks", 4, 1));
+    const auto n_seeds =
+        static_cast<std::size_t>(args.getInt("seeds", 1, 1));
     const bool progress = args.has("progress");
     const unsigned workers = bench::sweepWorkers(args);
-    const auto repeat =
-        static_cast<unsigned>(std::max(1L, args.getInt("repeat", 1)));
+    const unsigned repeat = bench::repeatFromArgs(args);
 
     const sim::SamplingConfig base = bench::samplingFromArgs(args);
     const std::vector<long> gaps_us = parseGapList(args.get("gaps", "980"));
@@ -168,40 +147,33 @@ main(int argc, char **argv)
                  exp::Table::fmt(best.maxPredictorErrPct(), 2),
              exp::Table::fmt(exact_fed, 2)});
 
-        bench::SweepJsonRecord rec(
-            "fig9_sampling_accuracy",
-            gap + " detail=" +
-                std::to_string(base.detailWindow / kTicksPerUs) + "us");
-        bench::addComparisonFields(rec, best, workers, repeat, false);
-        rec.addRaw("predictors", predictorsJson(best));
-        rec.appendTo(json_path);
-
         results.push_back(std::move(best));
-        labels.push_back(" " + gap);
+        labels.push_back(gap);
     }
 
     table.print(std::cout);
-    std::cout << "\nappended " << results.size() << " records to "
-              << json_path << "\n";
+    bench::printProvenance(results, labels);
 
-    // Per-predictor envelopes for the first (default) configuration:
-    // the sampled-fed column is the end-to-end error bound, the
-    // exact-fed column the predictor's inherent error on this grid.
-    const exp::sweep::ModeComparison &head = results.front();
-    std::cout << "\npredictor slowdown-error envelopes (gap="
-              << gaps_us.front() << "us):\n";
-    exp::Table ptab({"predictor", "sampled mean %", "sampled max %",
-                     "exact-fed mean %", "exact-fed max %", "samples"});
-    for (const auto &p : head.predictors)
-        ptab.addRow({p.predictor, exp::Table::fmt(p.meanAbsPct, 2),
-                     exp::Table::fmt(p.maxAbsPct, 2),
-                     exp::Table::fmt(p.meanAbsPctExactFed, 2),
-                     exp::Table::fmt(p.maxAbsPctExactFed, 2),
-                     std::to_string(p.samples)});
-    ptab.print(std::cout);
+    // Per-predictor envelopes, one table per configuration: the
+    // sampled-fed column is the end-to-end error bound, the exact-fed
+    // column the predictor's inherent error on this grid.
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        std::cout << "\npredictor slowdown-error envelopes (gap="
+                  << gaps_us[i] << "us):\n";
+        exp::Table ptab({"predictor", "sampled mean %", "sampled max %",
+                         "exact-fed mean %", "exact-fed max %",
+                         "samples"});
+        for (const auto &p : results[i].predictors)
+            ptab.addRow({p.predictor, exp::Table::fmt(p.meanAbsPct, 2),
+                         exp::Table::fmt(p.maxAbsPct, 2),
+                         exp::Table::fmt(p.meanAbsPctExactFed, 2),
+                         exp::Table::fmt(p.maxAbsPctExactFed, 2),
+                         std::to_string(p.samples)});
+        ptab.print(std::cout);
+    }
 
     std::cout << "\n";
-    bench::printFingerprints(head);
+    bench::printFingerprints(results.front());
     return bench::checkGates("fig9_sampling_accuracy", args, results,
                              labels, repeats_ok,
                              "expect-sampled-fingerprint", "sampled");

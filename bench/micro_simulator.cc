@@ -3,29 +3,21 @@
  * Microbenchmarks (google-benchmark) for the simulator substrate:
  * event-queue throughput, DRAM/cache model cost, and whole-benchmark
  * simulation rate (the "ablation" data for DESIGN.md's atomic-cluster
- * issue decision: how much wall time one simulated run costs).
+ * issue decision: how much wall time one simulated run costs), and
+ * sweep-engine overhead at 1/2/8 workers. The synthetic sweep grid's
+ * digest is pinned by
+ * SweepGolden.CommittedDigestsReproduceAcrossWorkerCounts.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "bench_json.hh"
-#include "bench_util.hh"
 #include "exp/experiment.hh"
-#include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/sweep.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "uarch/cache.hh"
 #include "uarch/dram.hh"
+#include "wl/suite.hh"
 
 using namespace dvfs;
 
@@ -155,170 +147,4 @@ BM_SweepSynthetic(benchmark::State &state)
 BENCHMARK(BM_SweepSynthetic)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-namespace {
-
-/**
- * Direct wall-clock measurement of the synthetic sweep grid at one
- * worker count, appended to BENCH_sweep.json after the
- * google-benchmark run (google-benchmark's console/JSON reporters are
- * either/or; the trajectory file needs append semantics).
- */
-void
-appendSweepRecord(exp::SimMode mode, unsigned requested,
-                  unsigned effective, unsigned repeat, double serial_ms,
-                  double wall_ms, std::uint64_t digest, std::size_t cells,
-                  const std::string &json_path)
-{
-    dvfs::bench::SweepJsonRecord rec(
-        "micro_simulator",
-        "synthetic workers=" + std::to_string(effective));
-    rec.add("mode", exp::simModeName(mode))
-        .add("workers", static_cast<std::uint64_t>(effective))
-        .add("requested_workers", static_cast<std::uint64_t>(requested))
-        .add("effective_workers", static_cast<std::uint64_t>(effective))
-        .add("cells", static_cast<std::uint64_t>(cells))
-        .add("repeat", static_cast<std::uint64_t>(repeat))
-        .add("wall_ms", wall_ms)
-        .add("cells_per_sec",
-             static_cast<double>(cells) / (wall_ms / 1000.0))
-        .add("speedup_vs_serial", serial_ms / wall_ms)
-        .addHex("fingerprint", digest);
-    rec.appendTo(json_path);
-}
-
-/** A trajectory configuration: what was asked vs what will run. */
-struct WorkerCfg {
-    unsigned requested;
-    unsigned effective;
-};
-
-/**
- * Worker counts for the appended trajectory. The default {1, 2, 8}
- * ladder is clamped to the hardware width — oversubscribed sweeps
- * only measure scheduler noise — and configurations that collapse to
- * an already-present width are dropped. An explicit --workers=N is
- * honored verbatim (alongside the serial reference).
- */
-std::vector<WorkerCfg>
-trajectoryWorkers(long explicit_workers)
-{
-    std::vector<WorkerCfg> cfgs;
-    if (explicit_workers >= 1) {
-        auto w = static_cast<unsigned>(explicit_workers);
-        cfgs.push_back({1, 1});
-        if (w != 1)
-            cfgs.push_back({w, w});
-        return cfgs;
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    for (unsigned w : {1u, 2u, 8u}) {
-        const unsigned eff = std::min(w, hw);
-        bool dup = false;
-        for (const auto &c : cfgs)
-            dup = dup || c.effective == eff;
-        if (dup) {
-            std::fprintf(stderr,
-                         "micro_simulator: workers=%u clamped to hardware "
-                         "width %u (already measured), skipping\n", w, hw);
-            continue;
-        }
-        cfgs.push_back({w, eff});
-    }
-    return cfgs;
-}
-
-/**
- * @return true if every repeat of every configuration reproduced the
- *         same fingerprint.
- */
-bool
-emitSweepTrajectory(exp::SimMode mode, unsigned repeat,
-                    long explicit_workers, const std::string &json_path)
-{
-    exp::sweep::SweepSpec spec;
-    spec.workloads = {wl::syntheticSmall(2, 40)};
-    spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(2.0),
-                        Frequency::ghz(3.0), Frequency::ghz(4.0)};
-    spec.seeds = exp::sweep::SweepSpec::replicateSeeds(42, 4);
-    spec.runOptions.mode = mode;
-    const std::size_t cells = spec.cellCount();
-
-    bool consistent = true;
-    double serial_ms = 0.0;
-    for (const WorkerCfg &cfg : trajectoryWorkers(explicit_workers)) {
-        double best_ms = 0.0;
-        std::uint64_t digest = 0;
-        for (unsigned r = 0; r < repeat; ++r) {
-            exp::sweep::SweepRunner::Options ro;
-            ro.workers = cfg.effective;
-            auto t0 = std::chrono::steady_clock::now();
-            auto res = exp::sweep::SweepRunner(spec, ro).run();
-            auto t1 = std::chrono::steady_clock::now();
-            double ms =
-                std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-            exp::sweep::Fnv1a h;
-            for (const auto &cell : res.cells)
-                h.mix(exp::sweep::fingerprintRun(cell));
-            if (r == 0) {
-                best_ms = ms;
-                digest = h.digest();
-            } else {
-                best_ms = std::min(best_ms, ms);
-                consistent = consistent && h.digest() == digest;
-            }
-        }
-        if (serial_ms == 0.0)
-            serial_ms = best_ms;  // first config is the serial reference
-        appendSweepRecord(mode, cfg.requested, cfg.effective, repeat,
-                          serial_ms, best_ms, digest, cells, json_path);
-    }
-    return consistent;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    // --repeat/--workers/--json/--mode are ours, not
-    // google-benchmark's: they shape the appended sweep trajectory
-    // records. parseKnown() consumes only our declared flags before
-    // benchmark::Initialize rejects them as unrecognized; --help
-    // prints our flags and then falls through so google-benchmark
-    // documents its own.
-    bench::FlagSet flags("micro_simulator",
-                         "sweep-trajectory flags (the rest go to "
-                         "google-benchmark)");
-    flags.addMode()
-        .add("repeat", "N",
-             "repeats per worker count, min wall recorded")
-        .add("workers", "N",
-             "measure only this pool width (default ladder 1,2,8)")
-        .add("json", "PATH",
-             "trajectory file (default BENCH_sweep.json)");
-    argc = flags.parseKnown(argc, argv);
-
-    const auto repeat = static_cast<unsigned>(
-        std::max(1L, flags.getInt("repeat", 1)));
-    // 0: default ladder, clamped to hardware width
-    const long workers = flags.getInt("workers", 0);
-    const std::string json_path =
-        flags.get("json", "BENCH_sweep.json");
-    const exp::SimMode mode = bench::modeFromArgs(flags);
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (!emitSweepTrajectory(mode, repeat, workers, json_path)) {
-        std::fprintf(stderr,
-                     "micro_simulator: FINGERPRINT MISMATCH across "
-                     "repeats — runs are not deterministic\n");
-        return 1;
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

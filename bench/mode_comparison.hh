@@ -4,10 +4,10 @@
  *
  * Both figures repeat one exp::sweep::ModeComparison per
  * configuration, keep the minimum walls, fail on digest drift across
- * repeats, append a dvfs-sweep-bench-v1 row, print the grid digests,
- * and gate on mean slowdown error, speedup and a pinned sampled
- * fingerprint. Only the grid (fixed or managed) and a few row fields
- * differ.
+ * repeats, print the sampling provenance and the grid digests, and
+ * gate on mean slowdown error, speedup and a pinned sampled
+ * fingerprint. Only the grid (fixed or managed) and the headline
+ * table differ.
  */
 
 #ifndef DVFS_BENCH_MODE_COMPARISON_HH
@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/sweep/differential.hh"
+#include "exp/table.hh"
 
 namespace dvfs::bench {
 
@@ -52,62 +52,33 @@ bestOfRepeats(const std::string &prog, const std::string &where,
 }
 
 /**
- * Append the row fields every comparison reports, in the order both
- * figures have always written them. @p managed adds the managed grid's
- * fields (window-stretch settings, transitions, forced windows) in
- * place of the fixed grid's predictor means.
+ * Print the numbers the headline tables leave out, one row per
+ * configuration (@p labels name them): each mode's min wall, the
+ * sampled runs' analytically charged and detailed action counts,
+ * cold-model fallbacks, the slowdown samples behind the error means,
+ * and the sampled digest.
  */
 inline void
-addComparisonFields(SweepJsonRecord &rec,
-                    const exp::sweep::ModeComparison &c,
-                    unsigned workers, unsigned repeat, bool managed)
+printProvenance(const std::vector<exp::sweep::ModeComparison> &results,
+                const std::vector<std::string> &labels)
 {
-    const sim::SamplingConfig &cfg = c.sampling;
-    rec.add("mode", "sampled");
-    if (managed)
-        rec.add("grid", "managed");
-    rec.add("workers", static_cast<std::uint64_t>(workers))
-        .add("cells", static_cast<std::uint64_t>(c.cells))
-        .add("repeat", static_cast<std::uint64_t>(repeat))
-        .add("startup_us",
-             static_cast<std::uint64_t>(cfg.startupDetail / kTicksPerUs))
-        .add("detail_us",
-             static_cast<std::uint64_t>(cfg.detailWindow / kTicksPerUs))
-        .add("gap_us",
-             static_cast<std::uint64_t>(cfg.gapWindow / kTicksPerUs));
-    if (managed) {
-        rec.add("max_gap_us",
-                static_cast<std::uint64_t>(cfg.maxGapWindow /
-                                           kTicksPerUs))
-            .add("drift_permille",
-                 static_cast<std::uint64_t>(cfg.driftThresholdPermille));
+    exp::Table t({"config", "exact ms", "sampled ms", "ff actions",
+                  "detail actions", "ff fallbacks", "slowdown samples",
+                  "sampled fingerprint"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const exp::sweep::ModeComparison &c = results[i];
+        char fp[24];
+        std::snprintf(fp, sizeof(fp), "0x%016llx",
+                      static_cast<unsigned long long>(c.sampledDigest));
+        t.addRow({labels[i], exp::Table::fmt(c.exactWallSec * 1000.0, 1),
+                  exp::Table::fmt(c.sampledWallSec * 1000.0, 1),
+                  std::to_string(c.sampleTotals.ffActions),
+                  std::to_string(c.sampleTotals.detailActions),
+                  std::to_string(c.sampleTotals.ffFallbacks),
+                  std::to_string(c.slowdownSamples), fp});
     }
-    rec.add("detail_coverage_pct", c.sampleTotals.coverage() * 100.0)
-        .add("exact_wall_ms", c.exactWallSec * 1000.0)
-        .add("sampled_wall_ms", c.sampledWallSec * 1000.0)
-        .add("cells_per_sec",
-             c.sampledWallSec > 0.0
-                 ? static_cast<double>(c.cells) / c.sampledWallSec
-                 : 0.0)
-        .add("speedup_vs_exact", c.speedup())
-        .add("mean_abs_time_err_pct", c.meanAbsTimeErrPct)
-        .add("max_abs_time_err_pct", c.maxAbsTimeErrPct)
-        .add("mean_abs_slowdown_err_pct", c.meanAbsSlowdownErrPct)
-        .add("max_abs_slowdown_err_pct", c.maxAbsSlowdownErrPct)
-        .add("slowdown_samples",
-             static_cast<std::uint64_t>(c.slowdownSamples));
-    if (managed) {
-        rec.add("transitions", c.transitions)
-            .add("forced_detail_windows", c.sampleTotals.forcedWindows);
-    } else {
-        rec.add("mean_predictor_err_pct", c.meanPredictorErrPct())
-            .add("max_predictor_err_pct", c.maxPredictorErrPct());
-    }
-    rec.add("ff_actions", c.sampleTotals.ffActions)
-        .add("detail_actions", c.sampleTotals.detailActions)
-        .add("ff_fallbacks", c.sampleTotals.ffFallbacks)
-        .addHex("exact_fingerprint", c.exactDigest)
-        .addHex("sampled_fingerprint", c.sampledDigest);
+    std::cout << "\nsampling provenance:\n";
+    t.print(std::cout);
 }
 
 /** Print "fingerprints: exact=0x... sampled=0x..." on its own line. */
@@ -143,7 +114,7 @@ checkGates(const std::string &prog, const FlagSet &args,
     for (std::size_t i = 0; i < results.size(); ++i) {
         const exp::sweep::ModeComparison &c = results[i];
         if (fail_err > 0.0 && c.meanAbsSlowdownErrPct > fail_err) {
-            std::cerr << prog << ":" << labels[i]
+            std::cerr << prog << ": " << labels[i]
                       << " mean |slowdown err| "
                       << c.meanAbsSlowdownErrPct
                       << "% exceeds the --fail-err-pct=" << fail_err
@@ -151,7 +122,7 @@ checkGates(const std::string &prog, const FlagSet &args,
             failed = true;
         }
         if (fail_speedup > 0.0 && c.speedup() < fail_speedup) {
-            std::cerr << prog << ":" << labels[i] << " speedup "
+            std::cerr << prog << ": " << labels[i] << " speedup "
                       << c.speedup() << "x below the --fail-speedup="
                       << fail_speedup << " bound\n";
             failed = true;

@@ -5,10 +5,9 @@
  * Runs one fig3-style ground-truth grid (benchmarks x operating
  * points x seeds) serially and then at several worker counts, checks
  * that every configuration produces bit-identical per-cell
- * fingerprints, and reports wall time, throughput and speedup. Each
- * measured configuration appends one dvfs-sweep-bench-v1 record to
- * BENCH_sweep.json (see EXPERIMENTS.md), building a perf trajectory
- * across commits.
+ * fingerprints, and reports wall time, throughput and speedup.
+ * Like-for-like speed comparisons across commits are perfbench's job
+ * (perfbench/README.md); this binary measures one build's scaling.
  *
  * Exit status is nonzero if any parallel run's fingerprint deviates
  * from the serial reference — this binary doubles as a cheap
@@ -18,7 +17,7 @@
  *                    [--mode=exact|sampled] [--startup-us=60]
  *                    [--detail-us=30] [--gap-us=980] [--max-gap-us=0]
  *                    [--drift-permille=50] [--managed]
- *                    [--repeat=N] [--json=BENCH_sweep.json] [--progress]
+ *                    [--repeat=N] [--progress]
  *                    [--profile] [--expect-fingerprint=0x...]
  *
  * --managed swaps the fixed-frequency grid for an energy-manager-
@@ -35,16 +34,14 @@
  * --mode=sampled runs the grid under interval sampling (detail
  * windows + analytically fast-forwarded gaps, DESIGN.md section 11);
  * the window placement flags are ignored in exact mode. Sampled
- * fingerprints are stable but intentionally distinct from exact ones,
- * and each JSONL record carries a "mode" field so the perf-trajectory
- * tooling (scripts/perf_guard.py) only ever compares like with like.
+ * fingerprints are stable but intentionally distinct from exact ones.
  *
  * --profile reports the hot-path profiler's per-subsystem wall-time
- * breakdown for each configuration and embeds it in the JSONL record;
- * it needs a DVFS_PROFILE=ON build (otherwise a warning is printed
- * and the run proceeds unprofiled). --expect-fingerprint fails the
- * run unless the serial digest matches the given value — CI uses it
- * to prove the profiled build is bit-identical to the plain one.
+ * breakdown for each configuration; it needs a DVFS_PROFILE=ON build
+ * (otherwise a warning is printed and the run proceeds unprofiled).
+ * --expect-fingerprint fails the run unless the serial digest matches
+ * the given value — CI uses it to prove the profiled build is
+ * bit-identical to the plain one.
  */
 
 #include <algorithm>
@@ -55,7 +52,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/sweep/differential.hh"
 #include "exp/sweep/fingerprint.hh"
@@ -74,27 +70,6 @@ struct Measurement {
     bool repeatsConsistent = true;
     sim::prof::Snapshot profile;  ///< all-zero unless profiling
 };
-
-/** Serialize a profiler snapshot as a JSON object. */
-std::string
-profileJson(const sim::prof::Snapshot &snap)
-{
-    const double total = static_cast<double>(snap.totalNs());
-    std::ostringstream os;
-    os << "{\"total_ns\":" << snap.totalNs();
-    for (unsigned i = 0; i < sim::prof::kSubsystemCount; ++i) {
-        const auto &e = snap.bySubsystem[i];
-        os << ",\"" << sim::prof::subsystemName(
-                           static_cast<sim::prof::Subsystem>(i))
-           << "\":{\"self_ns\":" << e.selfNs << ",\"enters\":" << e.enters
-           << ",\"pct\":"
-           << (total > 0.0 ? 100.0 * static_cast<double>(e.selfNs) / total
-                           : 0.0)
-           << "}";
-    }
-    os << "}";
-    return os.str();
-}
 
 void
 printProfile(const sim::prof::Snapshot &snap, unsigned workers)
@@ -207,15 +182,14 @@ main(int argc, char **argv)
              "workloads from the DaCapo suite (default 4)")
         .add("seeds", "N", "replicate seeds per workload (default 1)")
         .add("workers", "N",
-             "measure only this pool width (default: 1,2,4,... up to "
-             "hardware)")
+             "also measure this pool width beside the 1,2,4,... "
+             "hardware ladder (default: DVFS_SWEEP_WORKERS)")
         .addMode()
         .addSampling()
         .addBool("managed",
                  "energy-manager-governed grid (benchmarks x seeds) "
                  "instead of fixed frequencies")
         .addRepeat()
-        .addJson()
         .addBool("progress", "progress/ETA lines on stderr")
         .addBool("profile",
                  "per-subsystem wall breakdown (DVFS_PROFILE=ON "
@@ -224,13 +198,12 @@ main(int argc, char **argv)
              "fail unless the serial digest matches");
     args.parse(argc, argv);
     const auto n_bench =
-        static_cast<std::size_t>(args.getInt("benchmarks", 4));
-    const auto n_seeds = static_cast<std::size_t>(args.getInt("seeds", 1));
-    const std::string json_path = args.get("json", "BENCH_sweep.json");
+        static_cast<std::size_t>(args.getInt("benchmarks", 4, 1));
+    const auto n_seeds =
+        static_cast<std::size_t>(args.getInt("seeds", 1, 1));
     const bool progress = args.has("progress");
-    const bench::WorkerChoice choice = bench::chooseWorkers(args);
-    const auto repeat = static_cast<unsigned>(
-        std::max(1L, args.getInt("repeat", 1)));
+    const unsigned workers = bench::sweepWorkers(args);
+    const unsigned repeat = bench::repeatFromArgs(args);
 
     bool profiling = args.has("profile");
     if (profiling && !sim::prof::kEnabled) {
@@ -259,7 +232,7 @@ main(int argc, char **argv)
                                   ? spec.workloads.size() *
                                         spec.seeds.size()
                                   : spec.cellCount();
-    const unsigned hw = bench::hardwareWidth();
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
     if (managed) {
         std::cout << "sweep_bench: " << spec.workloads.size()
@@ -285,10 +258,8 @@ main(int argc, char **argv)
         counts.push_back(w);
     if (hw > 1 && counts.back() != hw)
         counts.push_back(hw);
-    if (choice.isExplicit && choice.requested > 1 &&
-        std::find(counts.begin(), counts.end(), choice.requested) ==
-            counts.end())
-        counts.push_back(choice.requested);
+    if (std::find(counts.begin(), counts.end(), workers) == counts.end())
+        counts.push_back(workers);
 
     exp::RunOptions managed_opts;
     managed_opts.mode = mode;
@@ -322,31 +293,9 @@ main(int argc, char **argv)
                       exp::Table::fmt(m.wallMs, 1),
                       exp::Table::fmt(cells_s, 2),
                       exp::Table::fmt(serial.wallMs / m.wallMs, 2), fp});
-
-        bench::SweepJsonRecord rec(
-            "sweep_bench",
-            std::string(managed ? "managed workers=" : "workers=") +
-                std::to_string(m.workers));
-        rec.add("mode", exp::simModeName(mode))
-            .add("grid", managed ? "managed" : "fixed")
-            .add("workers", static_cast<std::uint64_t>(m.workers))
-            .add("requested_workers", static_cast<std::uint64_t>(m.workers))
-            .add("effective_workers", static_cast<std::uint64_t>(m.workers))
-            .add("cells", static_cast<std::uint64_t>(cells))
-            .add("repeat", static_cast<std::uint64_t>(repeat))
-            .add("wall_ms", m.wallMs)
-            .add("cells_per_sec", cells_s)
-            .add("speedup_vs_serial", serial.wallMs / m.wallMs)
-            .addHex("fingerprint", m.digest)
-            .add("fingerprint_matches_serial",
-                 static_cast<std::uint64_t>(ok ? 1 : 0));
-        if (profiling)
-            rec.addRaw("profile", profileJson(m.profile));
-        rec.appendTo(json_path);
     }
     table.print(std::cout);
-    std::cout << "\nappended " << runs.size() << " records to "
-              << json_path << "\n\n";
+    std::cout << "\n";
 
     if (profiling) {
         for (const auto &m : runs)

@@ -8,20 +8,16 @@
  * marks) to --out. A directory produced here feeds trace_replay,
  * fig3_accuracy --trace-dir and ablation_estimators --trace-dir: the
  * expensive simulation happens once, every later predictor evaluation
- * replays from disk.
- *
- * Appends one dvfs-trace-bench-v1 record (phase=record) per run to
- * the JSONL trajectory (see EXPERIMENTS.md).
+ * replays from disk. The printed grid digest ties the traces to the
+ * simulation that produced them.
  *
  * Usage: trace_record --out=DIR [--benchmarks=N] [--only=<name>]
  *                     [--seed=42] [--workers=N] [--progress]
- *                     [--json=BENCH_sweep.json]
  */
 
 #include <chrono>
 #include <iostream>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/trace_cache.hh"
@@ -41,8 +37,7 @@ main(int argc, char **argv)
         .add("only", "NAME", "record a single DaCapo benchmark")
         .add("seed", "N", "machine seed (default 42)")
         .addWorkers()
-        .addBool("progress", "progress/ETA lines on stderr")
-        .addJson();
+        .addBool("progress", "progress/ETA lines on stderr");
     args.parse(argc, argv);
     const std::string out = args.get("out");
     if (out.empty()) {
@@ -51,7 +46,7 @@ main(int argc, char **argv)
     }
 
     exp::sweep::SweepSpec spec = bench::fig3GridSpec(
-        static_cast<std::size_t>(args.getInt("benchmarks", 0)),
+        static_cast<std::size_t>(args.getInt("benchmarks", 0, 0)),
         args.get("only"));
     if (spec.workloads.empty()) {
         std::cerr << "no benchmark matches --only=" << args.get("only")
@@ -77,29 +72,12 @@ main(int argc, char **argv)
     const double wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
 
-    // Grid digest over the live cells: lets replay tools prove the
-    // recorded traces came from this exact simulation.
-    exp::sweep::Fnv1a h;
-    for (const auto &cell : grid.live->cells)
-        h.mix(exp::sweep::fingerprintRun(cell));
-
     const double cells_s =
         static_cast<double>(cells) / (wall_ms / 1000.0);
     std::cout << "recorded " << cells << " cells in "
               << exp::Table::fmt(wall_ms, 1) << " ms ("
               << exp::Table::fmt(cells_s, 2) << " cells/s), digest 0x"
-              << std::hex << h.digest() << std::dec << "\n";
-
-    bench::SweepJsonRecord rec(
-        "trace_record",
-        "benchmarks=" + std::to_string(spec.workloads.size()),
-        "dvfs-trace-bench-v1");
-    rec.add("phase", "record")
-        .add("workers", static_cast<std::uint64_t>(opts.workers))
-        .add("cells", static_cast<std::uint64_t>(cells))
-        .add("wall_ms", wall_ms)
-        .add("cells_per_sec", cells_s)
-        .addHex("grid_digest", h.digest());
-    rec.appendTo(args.get("json", "BENCH_sweep.json"));
+              << std::hex << exp::sweep::gridDigest(grid.live->cells)
+              << std::dec << "\n";
     return 0;
 }

@@ -10,15 +10,11 @@
  *
  * --verify-live re-simulates the grid and fails (exit 1) unless every
  * replayed predictor error is bit-identical to the live path — the CI
- * trace-roundtrip gate. The measured record (live) vs replay speedup
- * goes into the JSONL record.
- *
- * Appends one dvfs-trace-bench-v1 record (phase=replay) per run to
- * the JSONL trajectory (see EXPERIMENTS.md).
+ * trace-roundtrip gate — and prints the live vs replay speedup.
  *
  * Usage: trace_replay --traces=DIR [--benchmarks=N] [--only=<name>]
  *                     [--seed=42] [--dir=up|down|both] [--verify-live]
- *                     [--workers=N] [--json=BENCH_sweep.json]
+ *                     [--workers=N]
  */
 
 #include <chrono>
@@ -27,7 +23,6 @@
 #include <map>
 #include <vector>
 
-#include "bench_json.hh"
 #include "bench_util.hh"
 #include "exp/sweep/trace_cache.hh"
 #include "exp/table.hh"
@@ -162,8 +157,7 @@ main(int argc, char **argv)
                  "re-simulate and fail unless every error is "
                  "bit-identical")
         .addWorkers()
-        .addBool("progress", "progress/ETA lines on stderr")
-        .addJson();
+        .addBool("progress", "progress/ETA lines on stderr");
     args.parse(argc, argv);
     const std::string traces = args.get("traces");
     if (traces.empty()) {
@@ -173,7 +167,7 @@ main(int argc, char **argv)
     const std::string dir = args.get("dir", "both");
 
     exp::sweep::SweepSpec spec = bench::fig3GridSpec(
-        static_cast<std::size_t>(args.getInt("benchmarks", 0)),
+        static_cast<std::size_t>(args.getInt("benchmarks", 0, 0)),
         args.get("only"));
     if (spec.workloads.empty()) {
         std::cerr << "no benchmark matches --only=" << args.get("only")
@@ -221,15 +215,6 @@ main(int argc, char **argv)
               << exp::Table::fmt(replay_ms, 1) << " ms ("
               << exp::Table::fmt(replay_cells_s, 2) << " cells/s)\n";
 
-    bench::SweepJsonRecord rec(
-        "trace_replay",
-        "benchmarks=" + std::to_string(spec.workloads.size()),
-        "dvfs-trace-bench-v1");
-    rec.add("phase", "replay")
-        .add("cells", static_cast<std::uint64_t>(cells))
-        .add("wall_ms", replay_ms)
-        .add("cells_per_sec", replay_cells_s);
-
     int status = 0;
     if (args.has("verify-live")) {
         exp::sweep::SweepRunner::Options opts;
@@ -250,11 +235,6 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < dirs.size(); ++i)
             diverged += diffErrors(live_errors[i], replayed[i]);
 
-        rec.add("live_ms", live_ms)
-            .add("replay_speedup_vs_live", live_ms / replay_ms)
-            .add("diverged_cells",
-                 static_cast<std::uint64_t>(diverged));
-
         if (diverged != 0) {
             std::cerr << "trace_replay: DIVERGENCE — " << diverged
                       << " replayed predictor errors differ from the "
@@ -271,7 +251,5 @@ main(int argc, char **argv)
                       << "x)\n";
         }
     }
-
-    rec.appendTo(args.get("json", "BENCH_sweep.json"));
     return status;
 }

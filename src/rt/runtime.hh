@@ -111,7 +111,6 @@ class Runtime : public os::ActionInterceptor, public os::SyncListener
     std::uint32_t collections() const { return _collections; }
     /** Total stop-the-world time. */
     Tick gcTime() const { return _gcTime; }
-    bool gcActive() const { return _phase == GcPhase::Active; }
     const RuntimeConfig &config() const { return _cfg; }
 
     /**

@@ -58,9 +58,8 @@ class Service
      */
     net::Frame handle(const net::Frame &request);
 
-    /** Frames handled so far (requests / ok replies / error replies). */
+    /** Requests handled so far. */
     std::uint64_t requestsServed() const { return _requests.load(); }
-    std::uint64_t errorsServed() const { return _errors.load(); }
 
   private:
     net::Frame serve(const net::Frame &request);

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 namespace dvfs::sim {
 
@@ -49,15 +48,6 @@ class Fnv1a
         static_assert(sizeof(bits) == sizeof(v));
         std::memcpy(&bits, &v, sizeof(bits));
         mix(bits);
-    }
-
-    /** Fold a string (length then bytes). */
-    void
-    mixString(const std::string &s)
-    {
-        mix(s.size());
-        mixBytes(reinterpret_cast<const std::uint8_t *>(s.data()),
-                 s.size());
     }
 
     std::uint64_t digest() const { return _h; }

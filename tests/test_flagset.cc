@@ -3,11 +3,10 @@
  * bench::FlagSet: the declared-flags CLI parser the harnesses share.
  *
  * The consolidation contract: flags are declared once, --help is
- * generated from the declarations, an unknown flag or malformed value
- * is fatal() *naming the offending flag*, and querying a key that was
- * never declared is a programming error (panic). parseKnown() must
- * consume only declared flags so google-benchmark binaries can share
- * argv.
+ * generated from the declarations, an unknown flag or a malformed or
+ * out-of-range value is fatal() *naming the offending flag*, and
+ * querying a key that was never declared is a programming error
+ * (panic).
  */
 
 #include <gtest/gtest.h>
@@ -68,24 +67,6 @@ TEST(FlagSet, ParsesDeclaredFlagsWithTypedAccess)
     EXPECT_EQ(flags.getInt("workers", 0), 0);
 }
 
-TEST(FlagSet, ParseKnownLeavesForeignFlagsInPlace)
-{
-    auto flags = sampleFlags();
-    Argv argv({"--benchmark_filter=epoch", "--count=3",
-               "--benchmark_min_time=1", "--verbose"});
-    const int rest = flags.parseKnown(argv.argc(), argv.argv());
-
-    // Ours were consumed...
-    EXPECT_EQ(flags.getInt("count", 1), 3);
-    EXPECT_TRUE(flags.has("verbose"));
-    // ...and exactly the foreign flags remain, order preserved, for
-    // the other parser (google-benchmark) to see.
-    ASSERT_EQ(rest, 3);
-    EXPECT_STREQ(argv.argv()[1], "--benchmark_filter=epoch");
-    EXPECT_STREQ(argv.argv()[2], "--benchmark_min_time=1");
-    EXPECT_EQ(argv.argv()[rest], nullptr);
-}
-
 TEST(FlagSet, HelpListsEveryDeclaredFlag)
 {
     const std::string help = sampleFlags().help();
@@ -120,6 +101,47 @@ TEST(FlagSetDeathTest, MalformedValueIsFatalNamingTheFlag)
     EXPECT_EXIT((void)flags.getDouble("ratio", 1.0),
                 testing::ExitedWithCode(1),
                 "--ratio: expected a number, got 'x2'");
+}
+
+TEST(FlagSetDeathTest, NegativeCountIsFatalNamingTheFlag)
+{
+    // A count bounded below by 1: unchecked, --seeds=-1 reaches
+    // vector::reserve as SIZE_MAX and dies on std::length_error.
+    auto flags = sampleFlags();
+    Argv argv({"--count=-1"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getInt("count", 1, 1),
+                testing::ExitedWithCode(1),
+                "--count: -1 is out of range \\[1, ");
+    // In range, and absent (the default is not range-checked).
+    Argv ok({"--count=7"});
+    auto in_range = sampleFlags();
+    in_range.parse(ok.argc(), ok.argv());
+    EXPECT_EQ(in_range.getInt("count", 1, 1, 7), 7);
+    EXPECT_EQ(sampleFlags().getInt("count", 0, 1), 0);
+}
+
+TEST(FlagSetDeathTest, PortAbove65535IsFatalNamingTheFlag)
+{
+    // Unchecked, dvfsd --port=70000 wraps through uint16_t to 4464.
+    FlagSet flags("prog", "test fixture");
+    flags.add("port", "N", "TCP port");
+    Argv argv({"--port=70000"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getInt("port", 0, 0, 65535),
+                testing::ExitedWithCode(1),
+                "--port: 70000 is out of range \\[0, 65535\\]");
+}
+
+TEST(FlagSetDeathTest, OverflowingIntegerIsFatalNamingTheFlag)
+{
+    // strtol saturates at LONG_MAX, which would pass an open range.
+    auto flags = sampleFlags();
+    Argv argv({"--count=99999999999999999999"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getInt("count", 1),
+                testing::ExitedWithCode(1),
+                "--count: 99999999999999999999 is out of range");
 }
 
 TEST(FlagSetDeathTest, HelpPrintsListingAndExitsCleanly)

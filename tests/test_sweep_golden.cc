@@ -147,12 +147,12 @@ TEST(SweepGolden, FingerprintIsInputSensitive)
 
 TEST(SweepGolden, CommittedDigestsReproduceAcrossWorkerCounts)
 {
-    // The exact grid digests committed in BENCH_sweep.json. Any bit
-    // of divergence in the simulator — event ordering, cache
-    // replacement, energy accounting — lands here first. If a change
-    // is *intended* to alter simulated behaviour, re-derive both
-    // constants (sweep_bench and micro_simulator print them) and
-    // update the committed trajectory in the same commit.
+    // The pinned exact grid digests. Any bit of divergence in the
+    // simulator — event ordering, cache replacement, energy
+    // accounting — lands here first. If a change is *intended* to
+    // alter simulated behaviour, re-derive both constants (sweep_bench
+    // prints the first; this test's failure message prints both) and
+    // re-pin them in the same commit, saying why.
     struct GoldenGrid {
         const char *name;
         SweepSpec spec;
@@ -177,7 +177,7 @@ TEST(SweepGolden, CommittedDigestsReproduceAcrossWorkerCounts)
         grids.push_back(std::move(g));
     }
     {
-        // micro_simulator's synthetic trajectory grid.
+        // micro_simulator's synthetic sweep grid (BM_SweepSynthetic).
         GoldenGrid g;
         g.name = "micro synthetic";
         g.spec.workloads = {wl::syntheticSmall(2, 40)};
