@@ -15,11 +15,15 @@
 #define DVFS_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/sweep/pool.hh"
@@ -194,21 +198,55 @@ class FlagSet
            long lo = std::numeric_limits<long>::min(),
            long hi = std::numeric_limits<long>::max()) const
     {
-        std::string v = get(key);
+        const std::string v = get(key);
+        return v.empty() ? def : parseInt(key, v, lo, hi);
+    }
+
+    /**
+     * Comma-separated integers of --key, @p def if absent. Every
+     * element is checked like getInt(): malformed or outside
+     * [@p lo, @p hi] is fatal(), naming the flag.
+     */
+    std::vector<long>
+    getIntList(const std::string &key, std::vector<long> def, long lo,
+               long hi) const
+    {
+        const std::string v = get(key);
         if (v.empty())
             return def;
-        char *end = nullptr;
-        errno = 0;
-        long parsed = std::strtol(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected an integer, got '%s'", key.c_str(),
-                  v.c_str());
+        std::vector<long> out;
+        std::size_t pos = 0;
+        for (;;) {
+            const std::size_t comma = std::min(v.find(',', pos), v.size());
+            out.push_back(parseInt(key, v.substr(pos, comma - pos), lo, hi));
+            if (comma == v.size())
+                return out;
+            pos = comma + 1;
         }
-        if (errno == ERANGE || parsed < lo || parsed > hi) {
-            fatal("--%s: %s is out of range [%ld, %ld]", key.c_str(),
-                  v.c_str(), lo, hi);
+    }
+
+    /**
+     * 64-bit hex value of --key (1-16 hex digits, optional 0x),
+     * nullopt if absent. Anything else is fatal(), naming the flag.
+     */
+    std::optional<std::uint64_t>
+    getHex64(const std::string &key) const
+    {
+        if (!has(key))
+            return std::nullopt;
+        const std::string v = get(key);
+        std::string_view digits = v;
+        if (digits.starts_with("0x") || digits.starts_with("0X"))
+            digits.remove_prefix(2);
+        const bool ok =
+            !digits.empty() && digits.size() <= 16 &&
+            std::all_of(digits.begin(), digits.end(),
+                        [](unsigned char c) { return std::isxdigit(c); });
+        if (!ok) {
+            fatal("--%s: expected a 64-bit hex value, got '%s'",
+                  key.c_str(), v.c_str());
         }
-        return parsed;
+        return std::stoull(std::string(digits), nullptr, 16);
     }
 
     double
@@ -232,6 +270,24 @@ class FlagSet
         std::string hint;  ///< value hint; empty for boolean flags
         std::string help;
     };
+
+    static long
+    parseInt(const std::string &key, const std::string &v, long lo,
+             long hi)
+    {
+        char *end = nullptr;
+        errno = 0;
+        const long parsed = std::strtol(v.c_str(), &end, 10);
+        if (end == v.c_str() || *end != '\0') {
+            fatal("--%s: expected an integer, got '%s'", key.c_str(),
+                  v.c_str());
+        }
+        if (errno == ERANGE || parsed < lo || parsed > hi) {
+            fatal("--%s: %s is out of range [%ld, %ld]", key.c_str(),
+                  v.c_str(), lo, hi);
+        }
+        return parsed;
+    }
 
     std::string
     spelling(const Flag &f) const
@@ -309,6 +365,12 @@ modeFromArgs(const FlagSet &args)
 }
 
 /**
+ * Upper bound of every microsecond flag: 1000 s of simulated time,
+ * far beyond any run and far from wrapping us * kTicksPerUs.
+ */
+inline constexpr long kMaxSimUs = 1'000'000'000;
+
+/**
  * Sampling window placement from --startup-us / --detail-us /
  * --gap-us, defaulting to the library's measured sweet spot
  * (sim::SamplingConfig). Only meaningful with --mode=sampled.
@@ -317,30 +379,21 @@ inline sim::SamplingConfig
 samplingFromArgs(const FlagSet &args)
 {
     sim::SamplingConfig cfg;
-    cfg.startupDetail = static_cast<Tick>(args.getInt(
-                            "startup-us",
-                            static_cast<long>(cfg.startupDetail /
-                                              kTicksPerUs))) *
-                        kTicksPerUs;
-    cfg.detailWindow = static_cast<Tick>(args.getInt(
-                           "detail-us",
-                           static_cast<long>(cfg.detailWindow /
-                                             kTicksPerUs))) *
-                       kTicksPerUs;
-    cfg.gapWindow = static_cast<Tick>(args.getInt(
-                        "gap-us",
-                        static_cast<long>(cfg.gapWindow / kTicksPerUs))) *
-                    kTicksPerUs;
+    const auto us = [&](const char *key, Tick def, long lo) {
+        return static_cast<Tick>(args.getInt(
+                   key, static_cast<long>(def / kTicksPerUs), lo,
+                   kMaxSimUs)) *
+               kTicksPerUs;
+    };
+    cfg.startupDetail = us("startup-us", cfg.startupDetail, 0);
+    cfg.detailWindow = us("detail-us", cfg.detailWindow, 1);
+    cfg.gapWindow = us("gap-us", cfg.gapWindow, 0);
     // Adaptive placement: --max-gap-us caps the stretched gap (0 =
     // fixed cadence), --drift-permille sets the steadiness threshold.
-    cfg.maxGapWindow =
-        static_cast<Tick>(args.getInt(
-            "max-gap-us",
-            static_cast<long>(cfg.maxGapWindow / kTicksPerUs))) *
-        kTicksPerUs;
+    cfg.maxGapWindow = us("max-gap-us", cfg.maxGapWindow, 0);
     cfg.driftThresholdPermille = static_cast<std::uint32_t>(args.getInt(
-        "drift-permille",
-        static_cast<long>(cfg.driftThresholdPermille)));
+        "drift-permille", static_cast<long>(cfg.driftThresholdPermille),
+        0, std::numeric_limits<std::uint32_t>::max()));
     return cfg;
 }
 

@@ -6,8 +6,8 @@
  * (127.0.0.1) or a Unix-domain socket: clients upload .dvfstrace
  * images once, then issue Predict / WhatIfGrid / OptimalVf / Stats
  * queries against the cached trace by digest. Queries from all
- * connections are batched onto the sweep work-stealing pool, so
- * concurrent clients share the machine the way offline sweeps do.
+ * connections are batched onto the sweep pool, so concurrent clients
+ * share the machine the way offline sweeps do.
  *
  * SIGTERM/SIGINT starts a graceful drain: stop accepting, answer
  * everything already queued, flush, exit 0.

@@ -11,7 +11,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_util.hh"
@@ -31,13 +30,9 @@ main(int argc, char **argv)
              "target frequencies in MHz (default 2000,3000,4000)");
     args.parse(argc, argv);
     std::vector<Frequency> targets;
-    {
-        std::stringstream ss(args.get("targets", "2000,3000,4000"));
-        std::string item;
-        while (std::getline(ss, item, ','))
-            targets.push_back(Frequency::mhz(
-                static_cast<std::uint32_t>(std::stoul(item))));
-    }
+    for (long mhz : args.getIntList("targets", {2000, 3000, 4000}, 1,
+                                    100'000))
+        targets.push_back(Frequency::mhz(static_cast<std::uint32_t>(mhz)));
     const Frequency base = Frequency::ghz(1.0);
 
     pred::MCritPredictor mcrit({pred::BaseEstimator::Crit, false});

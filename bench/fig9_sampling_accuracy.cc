@@ -47,26 +47,6 @@
 
 using namespace dvfs;
 
-namespace {
-
-/** Parse a comma-separated list of microsecond values. */
-std::vector<long>
-parseGapList(const std::string &csv)
-{
-    std::vector<long> us;
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        us.push_back(std::stol(csv.substr(pos, comma - pos)));
-        pos = comma + 1;
-    }
-    return us;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -98,7 +78,10 @@ main(int argc, char **argv)
     const unsigned repeat = bench::repeatFromArgs(args);
 
     const sim::SamplingConfig base = bench::samplingFromArgs(args);
-    const std::vector<long> gaps_us = parseGapList(args.get("gaps", "980"));
+    const std::vector<long> gaps_us =
+        args.getIntList("gaps", {980}, 0, bench::kMaxSimUs);
+    const bench::Gates gates =
+        bench::gatesFromArgs(args, "expect-sampled-fingerprint");
 
     exp::sweep::SweepSpec spec = bench::fig3GridSpec(n_bench);
     spec.seeds = exp::sweep::SweepSpec::replicateSeeds(42, n_seeds);
@@ -174,7 +157,6 @@ main(int argc, char **argv)
 
     std::cout << "\n";
     bench::printFingerprints(results.front());
-    return bench::checkGates("fig9_sampling_accuracy", args, results,
-                             labels, repeats_ok,
-                             "expect-sampled-fingerprint", "sampled");
+    return bench::checkGates("fig9_sampling_accuracy", gates, results,
+                             labels, repeats_ok, "sampled");
 }

@@ -14,8 +14,10 @@
 #define DVFS_BENCH_MODE_COMPARISON_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,23 +95,39 @@ printFingerprints(const exp::sweep::ModeComparison &c)
     std::cout << fps;
 }
 
+/** The hard gates, parsed before any simulation runs. */
+struct Gates {
+    double failErrPct = 0.0;     ///< --fail-err-pct (0 = off)
+    double failSpeedup = 0.0;    ///< --fail-speedup (0 = off)
+    std::string fpFlag;          ///< flag pinning the sampled digest
+    std::optional<std::uint64_t> expectFp;  ///< its value, if given
+};
+
+/** Parse --fail-err-pct, --fail-speedup and --@p fp_flag. */
+inline Gates
+gatesFromArgs(const FlagSet &args, const std::string &fp_flag)
+{
+    return {args.getDouble("fail-err-pct", 0.0),
+            args.getDouble("fail-speedup", 0.0), fp_flag,
+            args.getHex64(fp_flag)};
+}
+
 /**
- * The hard gates: --fail-err-pct bounds every configuration's mean
- * |slowdown error|, --fail-speedup its speedup, and --@p fp_flag pins
- * the first configuration's sampled digest (@p fp_noun names it in
- * the output). @p labels name the configurations in failure messages.
- * Prints "all gates passed" and returns 0, or returns 1.
+ * Apply @p gates: the error gate bounds every configuration's mean
+ * |slowdown error|, the speedup gate its speedup, and the pinned
+ * fingerprint the first configuration's sampled digest (@p fp_noun
+ * names it in the output). @p labels name the configurations in
+ * failure messages. Prints "all gates passed" and returns 0, or
+ * returns 1.
  */
 inline int
-checkGates(const std::string &prog, const FlagSet &args,
+checkGates(const std::string &prog, const Gates &gates,
            const std::vector<exp::sweep::ModeComparison> &results,
            const std::vector<std::string> &labels, bool repeats_ok,
-           const std::string &fp_flag, const std::string &fp_noun)
+           const std::string &fp_noun)
 {
-    const double fail_err = args.getDouble("fail-err-pct", 0.0);
-    const double fail_speedup = args.getDouble("fail-speedup", 0.0);
-    const std::string expect_fp = args.get(fp_flag);
-
+    const double fail_err = gates.failErrPct;
+    const double fail_speedup = gates.failSpeedup;
     bool failed = !repeats_ok;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const exp::sweep::ModeComparison &c = results[i];
@@ -128,8 +146,8 @@ checkGates(const std::string &prog, const FlagSet &args,
             failed = true;
         }
     }
-    if (!expect_fp.empty()) {
-        const std::uint64_t want = std::stoull(expect_fp, nullptr, 16);
+    if (gates.expectFp) {
+        const std::uint64_t want = *gates.expectFp;
         const std::uint64_t got = results.front().sampledDigest;
         if (got != want) {
             std::cerr << prog << ": " << fp_noun << " fingerprint "
@@ -138,8 +156,8 @@ checkGates(const std::string &prog, const FlagSet &args,
                       << "drifted\n";
             failed = true;
         } else {
-            std::cout << fp_noun << " fingerprint matches --" << fp_flag
-                      << "\n";
+            std::cout << fp_noun << " fingerprint matches --"
+                      << gates.fpFlag << "\n";
         }
     }
     if (failed)

@@ -36,12 +36,11 @@
  * the window placement flags are ignored in exact mode. Sampled
  * fingerprints are stable but intentionally distinct from exact ones.
  *
- * --profile reports the hot-path profiler's per-subsystem wall-time
- * breakdown for each configuration; it needs a DVFS_PROFILE=ON build
- * (otherwise a warning is printed and the run proceeds unprofiled).
+ * --profile samples the hot-path profiler (sim/profile.hh) over each
+ * configuration and prints its per-subsystem CPU-sample split.
  * --expect-fingerprint fails the run unless the serial digest matches
- * the given value — CI uses it to prove the profiled build is
- * bit-identical to the plain one.
+ * the given value — CI uses it to prove a profiled run is
+ * bit-identical to the pinned golden grid.
  */
 
 #include <algorithm>
@@ -49,6 +48,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -74,52 +74,43 @@ struct Measurement {
 void
 printProfile(const sim::prof::Snapshot &snap, unsigned workers)
 {
-    const double total = static_cast<double>(snap.totalNs());
+    const double total = static_cast<double>(snap.total());
     std::cout << "profile (workers=" << workers << "):\n";
-    exp::Table t({"subsystem", "self ms", "%", "enters"});
+    exp::Table t({"subsystem", "samples", "%"});
     for (unsigned i = 0; i < sim::prof::kSubsystemCount; ++i) {
-        const auto &e = snap.bySubsystem[i];
+        const std::uint64_t n = snap.samples[i];
         t.addRow({sim::prof::subsystemName(
                       static_cast<sim::prof::Subsystem>(i)),
-                  exp::Table::fmt(static_cast<double>(e.selfNs) / 1e6, 1),
+                  std::to_string(n),
                   exp::Table::fmt(total > 0.0
-                                      ? 100.0 *
-                                            static_cast<double>(e.selfNs) /
+                                      ? 100.0 * static_cast<double>(n) /
                                             total
                                       : 0.0,
-                                  1),
-                  std::to_string(e.enters)});
+                                  1)});
     }
     t.print(std::cout);
     std::cout << "\n";
 }
 
-/** One managed grid measurement: (workload x seed) cells, by index. */
+/**
+ * Time @p repeat runs of @p grid (which runs the grid once and
+ * returns its digest): min wall, and whether every repeat reproduced
+ * the first digest.
+ */
+template <typename Grid>
 Measurement
-measureManaged(const std::vector<wl::WorkloadParams> &workloads,
-               const std::vector<std::uint64_t> &seeds,
-               const power::VfTable &table_vf, const exp::RunOptions &opts,
-               unsigned workers, unsigned repeat, bool profiling)
+measure(unsigned workers, unsigned repeat, bool profiling, Grid grid)
 {
     Measurement m;
     m.workers = workers;
     if (profiling)
-        sim::prof::reset();
-    const std::size_t n = workloads.size() * seeds.size();
+        sim::prof::start();
     for (unsigned r = 0; r < repeat; ++r) {
         auto t0 = std::chrono::steady_clock::now();
-        auto cells = exp::sweep::sweepMap<exp::ManagedRunOutput>(
-            n, workers, [&](std::size_t i) {
-                mgr::ManagerConfig mc;
-                exp::RunOptions ro = opts;
-                ro.seed = seeds[i % seeds.size()];
-                return exp::runManaged(workloads[i / seeds.size()], mc,
-                                       table_vf, ro);
-            });
+        const std::uint64_t digest = grid();
         auto t1 = std::chrono::steady_clock::now();
         double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();
-        std::uint64_t digest = exp::sweep::gridDigest(cells);
 
         if (r == 0) {
             m.wallMs = ms;
@@ -131,42 +122,7 @@ measureManaged(const std::vector<wl::WorkloadParams> &workloads,
         }
     }
     if (profiling)
-        m.profile = sim::prof::snapshot();
-    return m;
-}
-
-Measurement
-measure(const exp::sweep::SweepSpec &spec, unsigned workers,
-        unsigned repeat, bool progress, bool profiling)
-{
-    Measurement m;
-    m.workers = workers;
-    if (profiling)
-        sim::prof::reset();
-    for (unsigned r = 0; r < repeat; ++r) {
-        exp::sweep::SweepRunner::Options ro;
-        ro.workers = workers;
-        ro.progress = progress;
-        ro.label = "sweep_bench w=" + std::to_string(workers);
-
-        auto t0 = std::chrono::steady_clock::now();
-        auto res = exp::sweep::SweepRunner(spec, ro).run();
-        auto t1 = std::chrono::steady_clock::now();
-        double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        std::uint64_t digest = exp::sweep::gridDigest(res.cells);
-
-        if (r == 0) {
-            m.wallMs = ms;
-            m.digest = digest;
-        } else {
-            m.wallMs = std::min(m.wallMs, ms);
-            if (digest != m.digest)
-                m.repeatsConsistent = false;
-        }
-    }
-    if (profiling)
-        m.profile = sim::prof::snapshot();
+        m.profile = sim::prof::stop();
     return m;
 }
 
@@ -191,9 +147,7 @@ main(int argc, char **argv)
                  "instead of fixed frequencies")
         .addRepeat()
         .addBool("progress", "progress/ETA lines on stderr")
-        .addBool("profile",
-                 "per-subsystem wall breakdown (DVFS_PROFILE=ON "
-                 "builds)")
+        .addBool("profile", "per-subsystem CPU-sample split")
         .add("expect-fingerprint", "0x...",
              "fail unless the serial digest matches");
     args.parse(argc, argv);
@@ -205,13 +159,9 @@ main(int argc, char **argv)
     const unsigned workers = bench::sweepWorkers(args);
     const unsigned repeat = bench::repeatFromArgs(args);
 
-    bool profiling = args.has("profile");
-    if (profiling && !sim::prof::kEnabled) {
-        std::cerr << "sweep_bench: --profile ignored: profiler not "
-                     "compiled in (configure with -DDVFS_PROFILE=ON)\n";
-        profiling = false;
-    }
-    const std::string expect_fp = args.get("expect-fingerprint");
+    const bool profiling = args.has("profile");
+    const std::optional<std::uint64_t> expect_fp =
+        args.getHex64("expect-fingerprint");
     const exp::SimMode mode = bench::modeFromArgs(args);
     const sim::SamplingConfig sampling = bench::samplingFromArgs(args);
     const bool managed = args.has("managed");
@@ -268,12 +218,26 @@ main(int argc, char **argv)
 
     std::vector<Measurement> runs;
     for (unsigned w : counts) {
-        runs.push_back(managed
-                           ? measureManaged(spec.workloads, spec.seeds,
-                                            table_vf, managed_opts, w,
-                                            repeat, profiling)
-                           : measure(spec, w, repeat, progress,
-                                     profiling));
+        runs.push_back(measure(w, repeat, profiling, [&] {
+            if (managed) {
+                const std::size_t n_seeds = spec.seeds.size();
+                return exp::sweep::gridDigest(
+                    exp::sweep::sweepMap<exp::ManagedRunOutput>(
+                        cells, w, [&](std::size_t i) {
+                            exp::RunOptions ro = managed_opts;
+                            ro.seed = spec.seeds[i % n_seeds];
+                            return exp::runManaged(
+                                spec.workloads[i / n_seeds],
+                                mgr::ManagerConfig{}, table_vf, ro);
+                        }));
+            }
+            exp::sweep::SweepRunner::Options ro;
+            ro.workers = w;
+            ro.progress = progress;
+            ro.label = "sweep_bench w=" + std::to_string(w);
+            return exp::sweep::gridDigest(
+                exp::sweep::SweepRunner(spec, ro).run().cells);
+        }));
     }
     const Measurement &serial = runs.front();
 
@@ -309,14 +273,12 @@ main(int argc, char **argv)
     }
     std::cout << "all fingerprints match the serial reference\n";
 
-    if (!expect_fp.empty()) {
-        const std::uint64_t want =
-            std::stoull(expect_fp, nullptr, 16);
-        if (serial.digest != want) {
+    if (expect_fp) {
+        if (serial.digest != *expect_fp) {
             std::cerr << "sweep_bench: fingerprint "
                       << std::hex << serial.digest
-                      << " does not match expected " << want << std::dec
-                      << "\n";
+                      << " does not match expected " << *expect_fp
+                      << std::dec << "\n";
             return 1;
         }
         std::cout << "fingerprint matches --expect-fingerprint\n";

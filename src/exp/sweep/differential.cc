@@ -184,8 +184,7 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
         for (std::size_t s = 0; s < ss.size(); ++s) {
             const auto &exBase = exact.at(w, std::size_t{0}, s);
             const auto &smBase = sampled.at(w, std::size_t{0}, s);
-            smTables.emplace_back(
-                pred::SampledView(smBase.record, smBase.sampling));
+            smTables.emplace_back(pred::RecordView(smBase.record));
             exTables.emplace_back(pred::RecordView(exBase.record));
         }
     }

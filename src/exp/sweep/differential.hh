@@ -11,7 +11,7 @@
  *  - per-cell total-time error (the direct fidelity of the fast path),
  *  - per-predictor slowdown-prediction error envelopes: each registry
  *    predictor consumes the *sampled* base-frequency record through
- *    SampledView and predicts the slowdown at every other grid
+ *    RecordView and predicts the slowdown at every other grid
  *    frequency; the envelope compares that against the slowdown the
  *    *exact* runs actually exhibit — the end-to-end number the paper's
  *    use case (DVFS performance prediction) cares about,

@@ -1,10 +1,12 @@
 #include "exp/sweep/pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "sim/log.hh"
 
@@ -24,97 +26,6 @@ defaultWorkers()
     return hw ? hw : 1;
 }
 
-namespace {
-
-/** One worker's cell queue. Owner pops the front, thieves the back. */
-struct WorkDeque {
-    std::mutex mtx;
-    std::deque<std::size_t> cells;
-};
-
-/** Shared sweep state: cancellation, first failure, progress. */
-struct SweepState {
-    std::atomic<bool> cancelled{false};
-    std::atomic<std::size_t> done{0};
-
-    std::mutex failMtx;
-    bool failed = false;
-    std::size_t failCell = 0;
-    std::string failWhat;
-
-    std::mutex progressMtx;
-
-    void
-    recordFailure(std::size_t cell, const std::string &what)
-    {
-        {
-            std::lock_guard<std::mutex> lock(failMtx);
-            if (!failed) {
-                failed = true;
-                failCell = cell;
-                failWhat = what;
-            }
-        }
-        cancelled.store(true, std::memory_order_release);
-    }
-};
-
-void
-workerLoop(unsigned wid, unsigned workers, std::size_t total,
-           std::vector<WorkDeque> &deques, SweepState &state,
-           const std::function<void(std::size_t)> &fn,
-           const ProgressFn &on_progress)
-{
-    for (;;) {
-        if (state.cancelled.load(std::memory_order_acquire))
-            return;
-
-        std::size_t idx = 0;
-        bool got = false;
-        {
-            WorkDeque &own = deques[wid];
-            std::lock_guard<std::mutex> lock(own.mtx);
-            if (!own.cells.empty()) {
-                idx = own.cells.front();
-                own.cells.pop_front();
-                got = true;
-            }
-        }
-        // Own deque drained: steal from the back of a victim's.
-        for (unsigned k = 1; k < workers && !got; ++k) {
-            WorkDeque &victim = deques[(wid + k) % workers];
-            std::lock_guard<std::mutex> lock(victim.mtx);
-            if (!victim.cells.empty()) {
-                idx = victim.cells.back();
-                victim.cells.pop_back();
-                got = true;
-            }
-        }
-        // Cells never spawn cells, so all-empty means the sweep is
-        // complete (cells still in flight belong to other workers).
-        if (!got)
-            return;
-
-        try {
-            fn(idx);
-        } catch (const std::exception &e) {
-            state.recordFailure(idx, e.what());
-            return;
-        } catch (...) {
-            state.recordFailure(idx, "unknown exception");
-            return;
-        }
-
-        std::size_t d = state.done.fetch_add(1) + 1;
-        if (on_progress) {
-            std::lock_guard<std::mutex> lock(state.progressMtx);
-            on_progress(d, total);
-        }
-    }
-}
-
-} // namespace
-
 void
 runIndexed(std::size_t n, unsigned workers,
            const std::function<void(std::size_t)> &fn,
@@ -123,40 +34,50 @@ runIndexed(std::size_t n, unsigned workers,
     if (workers == 0)
         fatal("sweep: worker count must be at least 1 (got 0)");
 
-    if (workers == 1) {
-        // Serial baseline: the calling thread walks cells in index
-        // order, with the same failure contract as the pool.
-        for (std::size_t i = 0; i < n; ++i) {
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> cancelled{false};
+    std::size_t done = 0;  // guarded by mtx
+    std::mutex mtx;
+    std::optional<SweepError> failure;  // guarded by mtx
+
+    // Every thread claims the next unclaimed index until the cursor
+    // runs off the end or a failure cancels the rest.
+    auto loop = [&] {
+        while (!cancelled.load(std::memory_order_acquire)) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= n)
+                return;
+            std::optional<std::string> what;
             try {
                 fn(i);
             } catch (const std::exception &e) {
-                throw SweepError(i, e.what());
+                what = e.what();
             } catch (...) {
-                throw SweepError(i, "unknown exception");
+                what = "unknown exception";
             }
-            if (on_progress)
-                on_progress(i + 1, n);
+            if (what) {
+                std::lock_guard<std::mutex> lock(mtx);
+                if (!failure)
+                    failure.emplace(i, *what);
+                cancelled.store(true, std::memory_order_release);
+                return;
+            }
+            if (on_progress) {
+                std::lock_guard<std::mutex> lock(mtx);
+                on_progress(++done, n);
+            }
         }
-        return;
-    }
+    };
 
-    std::vector<WorkDeque> deques(workers);
-    for (std::size_t i = 0; i < n; ++i)
-        deques[i % workers].cells.push_back(i);
-
-    SweepState state;
     std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-            workerLoop(w, workers, n, deques, state, fn, on_progress);
-        });
-    }
+    for (std::size_t t = 1; t < std::min<std::size_t>(workers, n); ++t)
+        threads.emplace_back(loop);
+    loop();
     for (auto &t : threads)
         t.join();
 
-    if (state.failed)
-        throw SweepError(state.failCell, state.failWhat);
+    if (failure)
+        throw *failure;
 }
 
 } // namespace dvfs::exp::sweep

@@ -1,15 +1,16 @@
 /**
  * @file
- * Work-stealing thread pool for embarrassingly parallel sweeps.
+ * Shared-cursor thread pool for embarrassingly parallel sweeps.
  *
  * The evaluation pipeline is dominated by independent simulation runs
  * (benchmark x frequency x seed grids). Each cell builds its own
  * System, so cells share no mutable state and the only engine problems
  * are load balance, deterministic aggregation, and failure handling:
  *
- *  - Cells are distributed round-robin over per-worker deques; an idle
- *    worker steals from the opposite end of a victim's deque, so a
- *    straggler benchmark never serializes the tail of a sweep.
+ *  - Every thread (the caller included) claims the next unclaimed cell
+ *    from one atomic cursor, so an idle thread always picks up the
+ *    next cell and a straggler benchmark never serializes the tail of
+ *    a sweep.
  *  - Results are keyed by cell index (the caller writes out[i]), so
  *    aggregated output is bit-identical to the serial order no matter
  *    how cells were scheduled.
@@ -60,10 +61,10 @@ unsigned defaultWorkers();
 /**
  * Execute @p fn(i) for every i in [0, n) on @p workers threads.
  *
- * @p workers == 1 runs inline on the calling thread in index order
- * (the serial baseline); @p workers == 0 is a configuration error and
- * fatal()s. More workers than cells is fine — the extra workers find
- * their deques empty, fail to steal, and exit.
+ * The calling thread works too: min(@p workers, @p n) - 1 threads are
+ * spawned beside it, so @p workers == 1 runs inline in index order
+ * (the serial baseline). @p workers == 0 is a configuration error and
+ * fatal()s.
  *
  * @p fn must only touch per-cell state (it runs concurrently).
  * @p on_progress, if set, is invoked under a lock after each completed

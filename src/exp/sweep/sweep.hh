@@ -5,7 +5,7 @@
  *
  * Every figure bench boils down to a grid of independent ground-truth
  * simulations. A SweepSpec names that grid once; SweepRunner executes
- * its cells on the work-stealing pool, each cell in its own isolated
+ * its cells on the shared-cursor pool, each cell in its own isolated
  * System (the cell seed is a pure function of the cell's coordinates,
  * never of its position or schedule), and collects results keyed by
  * cell index. The determinism contract — parallel output bit-identical
@@ -90,7 +90,7 @@ struct SweepResult {
 };
 
 /**
- * Executes a SweepSpec on the work-stealing pool.
+ * Executes a SweepSpec on the shared-cursor pool (pool.hh).
  */
 class SweepRunner
 {

@@ -138,13 +138,8 @@ EnergyManager::onQuantum()
             }
         }
 
-        if (fallback) {
+        if (fallback)
             ++_fallbacks;
-            debugLog("quantum %llu: implausible slowdown prediction, "
-                     "falling back to %u MHz",
-                     static_cast<unsigned long long>(_quanta),
-                     f_max.toMHz());
-        }
         if (chosen != f_cur) {
             // A->B->A flips mean the quantum signal straddles the
             // decision boundary: back off exponentially so the

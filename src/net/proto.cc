@@ -417,34 +417,6 @@ rawTypeOf(const Body &body, bool &is_response)
 } // namespace
 
 const char *
-msgTypeName(std::uint32_t raw)
-{
-    switch (static_cast<MsgType>(raw)) {
-      case MsgType::UploadTrace: return "UploadTrace";
-      case MsgType::Predict: return "Predict";
-      case MsgType::WhatIfGrid: return "WhatIfGrid";
-      case MsgType::OptimalVf: return "OptimalVf";
-      case MsgType::Stats: return "Stats";
-      case MsgType::Error: return "Error";
-    }
-    return "?";
-}
-
-const char *
-errorCodeName(std::uint32_t raw)
-{
-    switch (static_cast<ErrorCode>(raw)) {
-      case ErrorCode::BadRequest: return "BadRequest";
-      case ErrorCode::UnknownTrace: return "UnknownTrace";
-      case ErrorCode::UnknownMessage: return "UnknownMessage";
-      case ErrorCode::Overloaded: return "Overloaded";
-      case ErrorCode::ShuttingDown: return "ShuttingDown";
-      case ErrorCode::Internal: return "Internal";
-    }
-    return "?";
-}
-
-const char *
 ProtoError::kindName(Kind kind)
 {
     switch (kind) {

@@ -79,9 +79,6 @@ enum class MsgType : std::uint32_t {
     Error = 6,        ///< structured failure reply (response only)
 };
 
-/** Printable name of a message type ("?" when unknown). */
-const char *msgTypeName(std::uint32_t raw);
-
 /**
  * Structured failure of frame encoding/decoding.
  *
@@ -130,9 +127,6 @@ enum class ErrorCode : std::uint32_t {
     ShuttingDown = 5,    ///< server is draining; no new work accepted
     Internal = 6,        ///< unexpected server-side failure
 };
-
-/** Printable name of an error code ("?" when unknown). */
-const char *errorCodeName(std::uint32_t raw);
 
 // --- message bodies ----------------------------------------------------
 

@@ -198,11 +198,8 @@ System::setFrequency(Frequency f)
     if (_faultPlan) {
         // The PCU may drop the request entirely, or take longer than
         // the documented transition latency.
-        if (_faultPlan->dvfsReject(_eq.now())) {
-            debugLog("dvfs transition to %s rejected (injected fault)",
-                     f.toString().c_str());
+        if (_faultPlan->dvfsReject(_eq.now()))
             return;
-        }
         stall += _faultPlan->dvfsExtraDelay(_eq.now());
     }
     if (_sampler) {

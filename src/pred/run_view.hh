@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "pred/record.hh"
-#include "sim/sampling.hh"
 #include "sim/time.hh"
 
 namespace dvfs::pred {
@@ -99,64 +98,6 @@ class RecordView final : public RunView
 
   private:
     const RunRecord *_rec;
-};
-
-/**
- * The sampled backend: a RunView over a record produced by an
- * interval-sampled run (exp::SimMode::Sampled).
- *
- * Sampled runs keep the observation surface well-formed — epochs
- * tile the run, counters are charged from the online model, GC marks
- * come from real (exactly executed) phase transitions — so predictors
- * consume a sampled record through the unchanged RunView contract.
- * This adapter additionally carries the sampling provenance so
- * analysis code (error-bound reports, JSONL exporters) can tell how
- * much of the observed run was fast-forwarded; predictors themselves
- * must not (and cannot, through RunView) depend on it.
- *
- * Non-owning, like RecordView.
- */
-class SampledView final : public RunView
-{
-  public:
-    SampledView(const RunRecord &rec, const sim::SampleStats &stats)
-        : _rec(&rec), _stats(stats)
-    {
-    }
-
-    Frequency baseFreq() const override { return _rec->baseFreq; }
-    Tick totalTime() const override { return _rec->totalTime; }
-
-    const std::vector<Epoch> &
-    epochs() const override
-    {
-        return _rec->epochs;
-    }
-
-    const std::vector<ThreadSummary> &
-    threads() const override
-    {
-        return _rec->threads;
-    }
-
-    const std::vector<GcPhaseMark> &
-    gcMarks() const override
-    {
-        return _rec->gcMarks;
-    }
-
-    /** The underlying record. */
-    const RunRecord &record() const { return *_rec; }
-
-    /** Sampling provenance of the run that produced the record. */
-    const sim::SampleStats &sampleStats() const { return _stats; }
-
-    /** Fraction of simulated time spent in detailed windows. */
-    double coverage() const { return _stats.coverage(); }
-
-  private:
-    const RunRecord *_rec;
-    sim::SampleStats _stats;
 };
 
 } // namespace dvfs::pred

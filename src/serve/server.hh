@@ -5,9 +5,9 @@
  * One poll()-driven loop owns every connection. Complete frames pulled
  * off the sockets queue per connection; each loop iteration then drains
  * every queued request across all connections into one batch and runs
- * it on the sweep work-stealing pool (`exp::sweep::runIndexed`) — so
- * concurrent clients' replays share the same worker set the offline
- * sweeps use, and a single slow replay never serializes the others.
+ * it on the sweep pool (`exp::sweep::runIndexed`) — so concurrent
+ * clients' replays share the same worker set the offline sweeps use,
+ * and a single slow replay never serializes the others.
  *
  * Flow control and failure policy:
  *  - Per-connection backpressure: at most `maxInFlight` queued requests

@@ -8,8 +8,6 @@ namespace dvfs {
 
 namespace {
 
-LogLevel g_level = LogLevel::Warn;
-
 /** Format a va_list into a std::string. */
 std::string
 vstrprintf(const char *fmt, va_list ap)
@@ -35,18 +33,6 @@ emit(const char *prefix, const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list ap;
@@ -69,33 +55,9 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (g_level < LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("warn: ", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Info)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("info: ", fmt, ap);
-    va_end(ap);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("debug: ", fmt, ap);
     va_end(ap);
 }
 

@@ -4,9 +4,9 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (simulator bugs), fatal() is for user errors (bad
- * configuration); warn() and inform() report conditions without
- * stopping the simulation. Log output goes to stderr so harness
- * table output on stdout stays machine-readable.
+ * configuration); warn() reports a condition without stopping the
+ * simulation. Log output goes to stderr so harness table output on
+ * stdout stays machine-readable.
  */
 
 #ifndef DVFS_SIM_LOG_HH
@@ -16,20 +16,6 @@
 #include <string>
 
 namespace dvfs {
-
-/** Verbosity levels for runtime logging. */
-enum class LogLevel {
-    Quiet = 0,  ///< errors only
-    Warn = 1,   ///< warnings
-    Info = 2,   ///< informational messages
-    Debug = 3,  ///< detailed tracing
-};
-
-/** Set the global log verbosity. Default is Warn. */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an internal simulator bug and abort.
@@ -48,14 +34,8 @@ LogLevel logLevel();
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Emit a warning (if verbosity >= Warn). */
+/** Emit a warning on stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit an informational message (if verbosity >= Info). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug-level trace message (if verbosity >= Debug). */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)

@@ -1,6 +1,42 @@
 #include "sim/profile.hh"
 
+#include <csignal>
+#include <sys/time.h>
+
+#include "sim/log.hh"
+
 namespace dvfs::sim::prof {
+
+namespace {
+
+/** CPU time between samples. The kernel rounds it up to its tick. */
+constexpr suseconds_t kIntervalUs = 1000;
+
+std::atomic<std::uint64_t> counts[kSubsystemCount];
+std::atomic<bool> running{false};
+
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
+static_assert(std::atomic<Subsystem>::is_always_lock_free);
+
+void
+onSigprof(int)
+{
+    const auto s = static_cast<unsigned>(
+        detail::tag.load(std::memory_order_relaxed));
+    counts[s].fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+armTimer(suseconds_t us)
+{
+    itimerval it{};
+    it.it_interval.tv_usec = us;
+    it.it_value.tv_usec = us;
+    if (setitimer(ITIMER_PROF, &it, nullptr) != 0)
+        fatal("profiler: setitimer(ITIMER_PROF) failed");
+}
+
+} // namespace
 
 const char *
 subsystemName(Subsystem s)
@@ -17,79 +53,34 @@ subsystemName(Subsystem s)
     return "?";
 }
 
-} // namespace dvfs::sim::prof
-
-#ifdef DVFS_PROFILE
-
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-namespace dvfs::sim::prof {
-namespace detail {
-namespace {
-
-// Blocks are owned here, not by the threads: a sweep worker that
-// exits before snapshot() leaves its totals behind intact.
-std::mutex registryMutex;
-std::vector<std::unique_ptr<ThreadBlock>> registry;
-
-} // namespace
-
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-ThreadBlock &
-threadBlock()
-{
-    thread_local ThreadBlock *block = [] {
-        auto owned = std::make_unique<ThreadBlock>();
-        ThreadBlock *raw = owned.get();
-        raw->lastStamp = nowNs();
-        std::lock_guard<std::mutex> lock(registryMutex);
-        registry.push_back(std::move(owned));
-        return raw;
-    }();
-    return *block;
-}
-
-} // namespace detail
-
 void
-reset()
+start()
 {
-    std::lock_guard<std::mutex> lock(detail::registryMutex);
-    const std::uint64_t t = detail::nowNs();
-    for (auto &b : detail::registry) {
-        for (unsigned i = 0; i < kSubsystemCount; ++i) {
-            b->selfNs[i] = 0;
-            b->enters[i] = 0;
-        }
-        b->lastStamp = t;
-    }
+    if (running.exchange(true))
+        fatal("profiler: start() while already started");
+    for (auto &c : counts)
+        c.store(0, std::memory_order_relaxed);
+    // The handler stays installed after stop(): a SIGPROF already in
+    // flight when the timer is disarmed must not take the default
+    // (terminating) action.
+    struct sigaction sa{};
+    sa.sa_handler = onSigprof;
+    sa.sa_flags = SA_RESTART;
+    sigemptyset(&sa.sa_mask);
+    if (sigaction(SIGPROF, &sa, nullptr) != 0)
+        fatal("profiler: sigaction(SIGPROF) failed");
+    armTimer(kIntervalUs);
 }
 
 Snapshot
-snapshot()
+stop()
 {
+    armTimer(0);
     Snapshot snap;
-    std::lock_guard<std::mutex> lock(detail::registryMutex);
-    for (const auto &b : detail::registry) {
-        for (unsigned i = 0; i < kSubsystemCount; ++i) {
-            snap.bySubsystem[i].selfNs += b->selfNs[i];
-            snap.bySubsystem[i].enters += b->enters[i];
-        }
-    }
+    for (unsigned i = 0; i < kSubsystemCount; ++i)
+        snap.samples[i] = counts[i].load(std::memory_order_relaxed);
+    running.store(false);
     return snap;
 }
 
 } // namespace dvfs::sim::prof
-
-#endif // DVFS_PROFILE

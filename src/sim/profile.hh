@@ -1,39 +1,34 @@
 /**
  * @file
- * Zero-cost-when-off hot-path wall-time profiler.
+ * Always-built sampling profiler for the simulator's hot path.
  *
- * Scoped RAII markers (DVFS_PROFILE_SCOPE) attribute host wall time to
- * coarse simulator subsystems — event kernel, core model, cache
- * hierarchy, DRAM, OS layer — using *self-time* accounting: entering a
- * nested scope charges the elapsed time since the last boundary to the
- * subsystem being left, so a storeLine that spends most of its time in
- * Dram::write shows up mostly as Dram, not Cache.
+ * Scoped RAII markers (DVFS_PROFILE_SCOPE) tag the calling thread with
+ * the coarse subsystem it is executing — event kernel, core model,
+ * cache hierarchy, DRAM, OS layer. A scope is one thread-local store
+ * on entry and one on exit: no clock reads, no registry, no counts.
  *
- * The whole mechanism compiles away unless DVFS_PROFILE is defined
- * (CMake option of the same name): the macro expands to nothing and
- * the query API returns an all-zero snapshot, so call sites need no
- * conditional compilation. Instrumented builds must stay bit-identical
- * in simulated behaviour — the profiler only ever *reads* the host
- * clock and never feeds anything back into the simulation; CI's
- * profile-smoke job holds it to that by diffing sweep fingerprints
- * against the plain build.
+ * Between start() and stop() an ITIMER_PROF timer raises SIGPROF once
+ * per interval of process CPU time; the kernel delivers it to the
+ * thread that consumed the tick, and the handler adds one sample to
+ * that thread's current subsystem. The resulting histogram is a
+ * statistical CPU-time split whose cost does not depend on how often
+ * scopes are entered, so the markers stay compiled into every build.
  *
- * Aggregation is thread-friendly for the sweep engine: each thread
- * accumulates into a thread_local block registered with a
- * mutex-protected global list; snapshot() sums all blocks. Workers
- * that exited before the snapshot have already flushed their totals
- * (the blocks are owned by the registry, not the thread).
+ * The profiler only ever reads the tag; nothing flows back into the
+ * simulation, so a profiled run reproduces the unprofiled fingerprint
+ * bit-for-bit (test_profile.cc, and CI's profiled sweep_bench step).
  */
 
 #ifndef DVFS_SIM_PROFILE_HH
 #define DVFS_SIM_PROFILE_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 
 namespace dvfs::sim::prof {
 
-/** Subsystems wall time is attributed to. */
+/** Subsystems CPU samples are attributed to. */
 enum class Subsystem : unsigned {
     Kernel,  ///< event queue: schedule/dispatch machinery
     Core,    ///< core model: instruction/cluster/burst execution
@@ -50,105 +45,62 @@ inline constexpr unsigned kSubsystemCount =
 /** Printable subsystem name ("kernel", "core", ...). */
 const char *subsystemName(Subsystem s);
 
-/** Aggregated self-time totals across all threads so far. */
+/** SIGPROF sample counts per subsystem over one start()/stop(). */
 struct Snapshot {
-    struct Entry {
-        std::uint64_t selfNs = 0;   ///< wall time charged, nanoseconds
-        std::uint64_t enters = 0;   ///< scope entries
-    };
-    std::array<Entry, kSubsystemCount> bySubsystem{};
+    std::array<std::uint64_t, kSubsystemCount> samples{};
 
     std::uint64_t
-    totalNs() const
+    total() const
     {
         std::uint64_t t = 0;
-        for (const auto &e : bySubsystem)
-            t += e.selfNs;
+        for (std::uint64_t n : samples)
+            t += n;
         return t;
     }
 };
 
-#ifdef DVFS_PROFILE
-
-/** True when the profiler is compiled in. */
-inline constexpr bool kEnabled = true;
-
 namespace detail {
 
-struct ThreadBlock {
-    std::uint64_t selfNs[kSubsystemCount] = {};
-    std::uint64_t enters[kSubsystemCount] = {};
-    unsigned current = static_cast<unsigned>(Subsystem::Other);
-    std::uint64_t lastStamp = 0;
-};
-
-/** The calling thread's block (registered on first use). */
-ThreadBlock &threadBlock();
-
-/** Monotonic host nanoseconds. */
-std::uint64_t nowNs();
+/**
+ * The calling thread's current subsystem. Constant-initialised and
+ * initial-exec, so the SIGPROF handler reads it without a TLS wrapper
+ * call or a lazy allocation.
+ */
+inline constinit thread_local std::atomic<Subsystem> tag
+    __attribute__((tls_model("initial-exec"))){Subsystem::Other};
 
 } // namespace detail
 
-/**
- * RAII subsystem scope. On entry, charges elapsed time to the
- * enclosing subsystem and switches attribution; on exit, charges the
- * inner time and switches back.
- */
+/** RAII subsystem scope: tags the thread with @p s until destroyed. */
 class Scope
 {
   public:
     explicit Scope(Subsystem s)
+        : _prev(detail::tag.load(std::memory_order_relaxed))
     {
-        detail::ThreadBlock &b = detail::threadBlock();
-        const std::uint64_t t = detail::nowNs();
-        b.selfNs[b.current] += t - b.lastStamp;
-        b.lastStamp = t;
-        _prev = b.current;
-        b.current = static_cast<unsigned>(s);
-        ++b.enters[b.current];
+        detail::tag.store(s, std::memory_order_relaxed);
     }
 
-    ~Scope()
-    {
-        detail::ThreadBlock &b = detail::threadBlock();
-        const std::uint64_t t = detail::nowNs();
-        b.selfNs[b.current] += t - b.lastStamp;
-        b.lastStamp = t;
-        b.current = _prev;
-    }
+    ~Scope() { detail::tag.store(_prev, std::memory_order_relaxed); }
 
     Scope(const Scope &) = delete;
     Scope &operator=(const Scope &) = delete;
 
   private:
-    unsigned _prev;
+    Subsystem _prev;
 };
 
-/** Zero all accumulated totals (all threads registered so far). */
-void reset();
+/**
+ * Zero the sample counts and arm the SIGPROF timer. Profiling is
+ * process-wide: starting while already started is fatal.
+ */
+void start();
 
-/** Sum the totals of every thread that ever entered a scope. */
-Snapshot snapshot();
-
-#else // !DVFS_PROFILE
-
-inline constexpr bool kEnabled = false;
-
-class Scope
-{
-  public:
-    explicit Scope(Subsystem) {}
-};
-
-inline void reset() {}
-inline Snapshot snapshot() { return Snapshot{}; }
-
-#endif // DVFS_PROFILE
+/** Disarm the timer and return the samples taken since start(). */
+Snapshot stop();
 
 } // namespace dvfs::sim::prof
 
-#ifdef DVFS_PROFILE
 #define DVFS_PROFILE_CAT2(a, b) a##b
 #define DVFS_PROFILE_CAT(a, b) DVFS_PROFILE_CAT2(a, b)
 /** Attribute the rest of the enclosing block to subsystem @p s. */
@@ -156,10 +108,5 @@ inline Snapshot snapshot() { return Snapshot{}; }
     ::dvfs::sim::prof::Scope DVFS_PROFILE_CAT(dvfs_prof_scope_,         \
                                               __LINE__)(                \
         ::dvfs::sim::prof::Subsystem::s)
-#else
-#define DVFS_PROFILE_SCOPE(s)                                           \
-    do {                                                                \
-    } while (0)
-#endif
 
 #endif // DVFS_SIM_PROFILE_HH

@@ -15,14 +15,6 @@ CoreModel::CoreModel(std::uint32_t id, const CoreConfig &cfg,
         fatal("core %u: IPC and store dispatch rate must be positive", id);
 }
 
-void
-CoreModel::reset()
-{
-    _sqPending.clear();
-    _sqOccupied = 0;
-    _missScratch.clear();
-}
-
 Tick
 CoreModel::instrTicks(double n, double ipc_scale) const
 {

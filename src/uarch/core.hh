@@ -96,9 +96,6 @@ class CoreModel
      */
     Tick atomicRmw(Tick start, bool contended, PerfCounters &pc);
 
-    /** Drop microarchitectural state (between runs). */
-    void reset();
-
     const CoreConfig &config() const { return _cfg; }
 
     /** Current core frequency. */

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,96 @@ TEST(FlagSetDeathTest, OverflowingIntegerIsFatalNamingTheFlag)
     EXPECT_EXIT((void)flags.getInt("count", 1),
                 testing::ExitedWithCode(1),
                 "--count: 99999999999999999999 is out of range");
+}
+
+TEST(FlagSet, IntListAndHex64ParseWellFormedValues)
+{
+    FlagSet flags("prog", "test fixture");
+    flags.add("targets", "MHZ,...", "frequencies")
+        .add("gaps", "CSV", "gap lengths")
+        .add("fp", "0x...", "digest")
+        .add("FP", "HEX", "digest, upper case and unprefixed");
+    Argv argv({"--targets=2000,3000,4000", "--fp=0xb806f47ff81388e0",
+               "--FP=B806F47FF81388E0"});
+    flags.parse(argv.argc(), argv.argv());
+
+    EXPECT_EQ(flags.getIntList("targets", {1}, 1, 100000),
+              (std::vector<long>{2000, 3000, 4000}));
+    EXPECT_EQ(flags.getIntList("gaps", {980}, 0, 1000),
+              std::vector<long>{980});
+    EXPECT_EQ(flags.getHex64("fp"), 0xb806f47ff81388e0ull);
+    EXPECT_EQ(flags.getHex64("FP"), 0xb806f47ff81388e0ull);
+    EXPECT_EQ(sampleFlags().getHex64("name"), std::nullopt);
+}
+
+TEST(FlagSetDeathTest, BadIntListElementIsFatalNamingTheFlag)
+{
+    // Unchecked, fig1 --targets=abc aborted on std::invalid_argument,
+    // --targets=-1000 wrapped to a 4294966 MHz column, and fig9
+    // --gaps=5x ran a 5 us gap.
+    FlagSet flags("prog", "test fixture");
+    flags.add("a", "CSV", "").add("b", "CSV", "").add("c", "CSV", "").add(
+        "d", "CSV", "");
+    Argv argv({"--a=abc", "--b=2000,-1000", "--c=5x", "--d=1,,2"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getIntList("a", {}, 1, 100000),
+                testing::ExitedWithCode(1),
+                "--a: expected an integer, got 'abc'");
+    EXPECT_EXIT((void)flags.getIntList("b", {}, 1, 100000),
+                testing::ExitedWithCode(1),
+                "--b: -1000 is out of range \\[1, 100000\\]");
+    EXPECT_EXIT((void)flags.getIntList("c", {}, 0, 100000),
+                testing::ExitedWithCode(1),
+                "--c: expected an integer, got '5x'");
+    EXPECT_EXIT((void)flags.getIntList("d", {}, 0, 100000),
+                testing::ExitedWithCode(1),
+                "--d: expected an integer, got ''");
+}
+
+TEST(FlagSetDeathTest, BadHex64IsFatalNamingTheFlag)
+{
+    // Unchecked, std::stoull aborted on 'zz' after the whole grid ran
+    // and read '0x12junk' as 0x12.
+    FlagSet flags("prog", "test fixture");
+    flags.add("a", "0x...", "").add("b", "0x...", "").add("c", "0x...", "")
+        .add("d", "0x...", "").add("e", "0x...", "");
+    Argv argv({"--a=zz", "--b=0x12junk", "--c=0x", "--d=-1",
+               "--e=0x1234567890abcdef0"});
+    flags.parse(argv.argc(), argv.argv());
+    for (const char *key : {"a", "b", "c", "d", "e"}) {
+        EXPECT_EXIT((void)flags.getHex64(key), testing::ExitedWithCode(1),
+                    std::string("--") + key +
+                        ": expected a 64-bit hex value, got '");
+    }
+}
+
+TEST(FlagSetDeathTest, SamplingWindowsAreRangeChecked)
+{
+    // Unchecked, --detail-us=-5 wrapped through Tick and the sampled
+    // run panicked with "event scheduled in the past".
+    FlagSet flags("prog", "test fixture");
+    flags.addSampling();
+    Argv argv({"--detail-us=-5"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)dvfs::bench::samplingFromArgs(flags),
+                testing::ExitedWithCode(1),
+                "--detail-us: -5 is out of range \\[1, ");
+
+    FlagSet zero("prog", "test fixture");
+    zero.addSampling();
+    Argv argv0({"--detail-us=0"});
+    zero.parse(argv0.argc(), argv0.argv());
+    EXPECT_EXIT((void)dvfs::bench::samplingFromArgs(zero),
+                testing::ExitedWithCode(1),
+                "--detail-us: 0 is out of range");
+
+    FlagSet huge("prog", "test fixture");
+    huge.addSampling();
+    Argv argv1({"--gap-us=20000000000000"});
+    huge.parse(argv1.argc(), argv1.argv());
+    EXPECT_EXIT((void)dvfs::bench::samplingFromArgs(huge),
+                testing::ExitedWithCode(1),
+                "--gap-us: 20000000000000 is out of range");
 }
 
 TEST(FlagSetDeathTest, HelpPrintsListingAndExitsCleanly)

@@ -267,8 +267,9 @@ TEST(ManagedDifferential, ErrorBoundsAreDeterministicAndObserved)
     // The sampled side observed the manager: transitions were noted
     // and each one (plus every GC boundary) forced a detail window.
     EXPECT_EQ(cmp.sampleTotals.transitions, cmp.transitions);
-    if (cmp.transitions > 0)
+    if (cmp.transitions > 0) {
         EXPECT_GT(cmp.sampleTotals.forcedWindows, 0u);
+    }
 
     // Pure function of (workloads, config, seeds): digests and error
     // metrics reproduce at any worker count; only wall clocks move.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing sweep pool: worker-count edge cases, index-keyed
+ * Shared-cursor sweep pool: worker-count edge cases, index-keyed
  * aggregation, failure propagation and cancellation.
  */
 

@@ -67,8 +67,8 @@ TEST(SweepStress, RepeatedFailuresLeaveNoResidue)
 
 TEST(SweepStress, LargerSimulationGridBitStable)
 {
-    // A real simulation grid, big enough that work stealing actually
-    // migrates cells between workers, repeated to catch flaky
+    // A real simulation grid, big enough that every worker claims
+    // cells from the shared cursor, repeated to catch flaky
     // nondeterminism rather than a single lucky schedule.
     SweepSpec spec;
     spec.workloads = {wl::syntheticSmall(2, 40), wl::syntheticSmall(4, 30)};
