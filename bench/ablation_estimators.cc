@@ -9,10 +9,11 @@
  * estimator, with and without BURST, plus the simulator's oracle
  * non-scaling counter as the ceiling.
  *
- * Ground truth (benchmark x {1 GHz, 4 GHz}) is an ObservedGrid that
- * serves both directions: live simulation on the sweep engine by
- * default, or recorded .dvfstrace replay via --trace-dir (recording
- * the traces first when the directory is incomplete).
+ * Ground truth is the Figure 3 grid's 1 and 4 GHz columns, an
+ * ObservedGrid that serves both directions: live simulation on the
+ * sweep engine by default, or .dvfstrace replay via --trace-dir
+ * (recording first when the directory is incomplete), which also
+ * reads a directory fig3_accuracy recorded.
  *
  * The DEP variants are constructed through the PredictorRegistry
  * ("DEP" family over each ModelSpec); table headers keep the ModelSpec
@@ -104,19 +105,11 @@ main(int argc, char **argv)
         .addWorkers()
         .addBool("progress", "progress/ETA lines on stderr");
     args.parse(argc, argv);
-    const std::string dir = args.get("dir", "both");
-    const std::string only = args.get("only");
+    const std::string dir =
+        args.getChoice("dir", "both", {"up", "down", "both"});
     const std::string trace_dir = args.get("trace-dir");
 
-    exp::sweep::SweepSpec spec;
-    for (const auto &params : wl::dacapoSuite()) {
-        if (only.empty() || params.name == only)
-            spec.workloads.push_back(params);
-    }
-    if (spec.workloads.empty()) {
-        std::cerr << "no benchmark matches --only=" << only << "\n";
-        return 1;
-    }
+    exp::sweep::SweepSpec spec = bench::fig3GridSpec(0, args.get("only"));
     spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(4.0)};
 
     exp::sweep::SweepRunner::Options opts;
@@ -130,10 +123,10 @@ main(int argc, char **argv)
                   << trace_dir << "\n";
     }
 
-    if (dir == "up" || dir == "both")
+    if (dir != "down")
         runDirection("low-to-high", Frequency::ghz(1.0),
                      Frequency::ghz(4.0), grid);
-    if (dir == "down" || dir == "both")
+    if (dir != "up")
         runDirection("high-to-low", Frequency::ghz(4.0),
                      Frequency::ghz(1.0), grid);
 

@@ -211,18 +211,37 @@ class FlagSet
     getIntList(const std::string &key, std::vector<long> def, long lo,
                long hi) const
     {
-        const std::string v = get(key);
-        if (v.empty())
-            return def;
-        std::vector<long> out;
-        std::size_t pos = 0;
-        for (;;) {
-            const std::size_t comma = std::min(v.find(',', pos), v.size());
-            out.push_back(parseInt(key, v.substr(pos, comma - pos), lo, hi));
-            if (comma == v.size())
-                return out;
-            pos = comma + 1;
-        }
+        return getList(key, std::move(def), [&](const std::string &v) {
+            return parseInt(key, v, lo, hi);
+        });
+    }
+
+    /**
+     * Comma-separated numbers of --key, @p def if absent. Every
+     * element is checked like getDouble(): malformed is fatal(),
+     * naming the flag.
+     */
+    std::vector<double>
+    getDoubleList(const std::string &key, std::vector<double> def) const
+    {
+        return getList(key, std::move(def), [&](const std::string &v) {
+            return parseDouble(key, v);
+        });
+    }
+
+    /**
+     * Value of --key, @p def if absent; a value outside @p choices is
+     * fatal(), naming the flag.
+     */
+    std::string
+    getChoice(const std::string &key, const std::string &def,
+              const std::vector<std::string> &choices) const
+    {
+        const std::string v = get(key, def);
+        if (std::find(choices.begin(), choices.end(), v) == choices.end())
+            fatal("--%s: unknown value '%s' (try --help)", key.c_str(),
+                  v.c_str());
+        return v;
     }
 
     /**
@@ -252,16 +271,8 @@ class FlagSet
     double
     getDouble(const std::string &key, double def) const
     {
-        std::string v = get(key);
-        if (v.empty())
-            return def;
-        char *end = nullptr;
-        double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0') {
-            fatal("--%s: expected a number, got '%s'", key.c_str(),
-                  v.c_str());
-        }
-        return parsed;
+        const std::string v = get(key);
+        return v.empty() ? def : parseDouble(key, v);
     }
 
   private:
@@ -287,6 +298,37 @@ class FlagSet
                   v.c_str(), lo, hi);
         }
         return parsed;
+    }
+
+    static double
+    parseDouble(const std::string &key, const std::string &v)
+    {
+        char *end = nullptr;
+        const double parsed = std::strtod(v.c_str(), &end);
+        if (end == v.c_str() || *end != '\0') {
+            fatal("--%s: expected a number, got '%s'", key.c_str(),
+                  v.c_str());
+        }
+        return parsed;
+    }
+
+    /** Split --key's value at commas and parse each element. */
+    template <typename T, typename Parse>
+    std::vector<T>
+    getList(const std::string &key, std::vector<T> def, Parse parse) const
+    {
+        const std::string v = get(key);
+        if (v.empty())
+            return def;
+        std::vector<T> out;
+        std::size_t pos = 0;
+        for (;;) {
+            const std::size_t comma = std::min(v.find(',', pos), v.size());
+            out.push_back(parse(v.substr(pos, comma - pos)));
+            if (comma == v.size())
+                return out;
+            pos = comma + 1;
+        }
     }
 
     std::string
@@ -398,22 +440,37 @@ samplingFromArgs(const FlagSet &args)
 }
 
 /**
- * The Figure 3 ground-truth grid: the DaCapo suite (optionally the
- * first @p n_bench entries, or the one named by @p only) crossed with
- * the four operating points both directions read. Shared by
- * fig3_accuracy, trace_record and trace_replay so record and replay
- * agree on cell coordinates. Seeds stay at the spec default ({42}).
+ * The DaCapo suite, or its first @p n_bench entries (0 = all), or the
+ * one named by @p only. An @p only that names no benchmark is fatal().
+ */
+inline std::vector<wl::WorkloadParams>
+dacapoWorkloads(const std::string &only = "", std::size_t n_bench = 0)
+{
+    std::vector<wl::WorkloadParams> out;
+    for (const auto &params : wl::dacapoSuite()) {
+        if (n_bench != 0 && out.size() >= n_bench)
+            break;
+        if (only.empty() || params.name == only)
+            out.push_back(params);
+    }
+    if (out.empty())
+        fatal("no benchmark matches --only=%s", only.c_str());
+    return out;
+}
+
+/**
+ * The Figure 3 ground-truth grid: dacapoWorkloads(@p only, @p n_bench)
+ * crossed with the four operating points both directions read.
+ * fig3_accuracy records, replays and verifies it; fig9 and sweep_bench
+ * run it in both simulation modes; ablation_estimators and fig4_ctp
+ * keep its 1 and 4 GHz columns. Seeds stay at the spec default
+ * ({42}), so trace files recorded by one harness replay in another.
  */
 inline exp::sweep::SweepSpec
 fig3GridSpec(std::size_t n_bench = 0, const std::string &only = "")
 {
     exp::sweep::SweepSpec spec;
-    for (const auto &params : wl::dacapoSuite()) {
-        if (n_bench != 0 && spec.workloads.size() >= n_bench)
-            break;
-        if (only.empty() || params.name == only)
-            spec.workloads.push_back(params);
-    }
+    spec.workloads = dacapoWorkloads(only, n_bench);
     spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(2.0),
                         Frequency::ghz(3.0), Frequency::ghz(4.0)};
     return spec;

@@ -94,12 +94,7 @@ main(int argc, char **argv)
     const bench::Gates gates =
         bench::gatesFromArgs(args, "expect-managed-fingerprint");
 
-    std::vector<wl::WorkloadParams> workloads;
-    for (const auto &params : wl::dacapoSuite()) {
-        if (workloads.size() >= n_bench)
-            break;
-        workloads.push_back(params);
-    }
+    const auto workloads = bench::dacapoWorkloads("", n_bench);
     const auto seeds = exp::sweep::SweepSpec::replicateSeeds(42, n_seeds);
     const auto table_vf = power::VfTable::haswell();
     const mgr::ManagerConfig mc;

@@ -13,31 +13,34 @@
  * estimated/actual-1 (negative = execution time underestimated), plus
  * the average absolute error across benchmarks — the paper's headline
  * metric (6% for DEP+BURST at 4 GHz from 1 GHz; 27% for M+CRIT).
+ * Errors come from trace::ReplayEngine, the prediction path dvfsd
+ * serves, under the registry's canonical predictor names.
  *
- * The (benchmark x frequency) ground-truth grid is an ObservedGrid:
- * with --trace-dir it replays recorded .dvfstrace files when a
- * complete set is present (recording one first otherwise), without it
- * the grid simulates on the sweep engine — both directions share the
- * same four operating points, so each cell is simulated exactly once
- * and cells run concurrently. Results are aggregated by cell index, so
- * the tables are identical at any worker count, and the replayed and
- * simulated paths produce bit-identical errors.
- *
- * Predictors come from the PredictorRegistry; the table's predictor
- * column uses the registry's canonical names.
+ * Both directions read one (benchmark x frequency) ObservedGrid, each
+ * cell simulated once on the sweep engine and aggregated by cell
+ * index, so the tables are identical at any worker count. This is the
+ * one harness for that grid: --trace-dir=DIR replays a complete set of
+ * .dvfstrace files from DIR, or simulates and records one, printing
+ * the grid digest to stderr; --verify-live then re-simulates in memory
+ * and exits 1 unless every error from the traces is bit-identical,
+ * reporting live vs replay wall time (the replay speedup).
  *
  * Usage: fig3_accuracy [--dir=up|down|both] [--only=<benchmark>]
- *                      [--trace-dir=DIR] [--workers=N] [--progress]
+ *                      [--trace-dir=DIR [--verify-live]]
+ *                      [--workers=N] [--progress]
  */
 
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <iostream>
-#include <map>
 #include <vector>
 
 #include "bench_util.hh"
+#include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/trace_cache.hh"
 #include "exp/table.hh"
-#include "pred/registry.hh"
+#include "trace/replay.hh"
 
 using namespace dvfs;
 
@@ -49,58 +52,70 @@ struct Direction {
     std::vector<Frequency> targets;
 };
 
+/**
+ * Evaluate one direction over @p grid, appending every error to
+ * @p errors (benchmark-major, then target, then predictor) and, when
+ * @p out is set, printing the direction's table there.
+ */
 void
-runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid)
+runDirection(const Direction &dir, const exp::sweep::ObservedGrid &grid,
+             std::ostream *out, std::vector<double> &errors)
 {
-    std::cout << "\nFigure 3 (" << dir.label
-              << "): base " << dir.base.toString() << "\n\n";
-
-    auto predictors = pred::PredictorRegistry::instance().figure3Set();
-
-    // errors[predictor][target] -> per-benchmark list
-    std::map<std::string, std::map<std::uint32_t, std::vector<double>>>
-        errors;
+    const trace::ReplayEngine engine;  // the registry's Figure 3 zoo
+    const auto &names = engine.predictorNames();
+    const std::size_t nt = dir.targets.size();
+    const std::size_t np = names.size();
 
     std::vector<std::string> headers = {"benchmark", "predictor"};
     for (auto t : dir.targets)
         headers.push_back("err @" + t.toString());
     exp::Table table(headers);
 
+    const std::size_t first_error = errors.size();
     for (std::size_t w = 0; w < grid.spec.workloads.size(); ++w) {
-        const auto &params = grid.spec.workloads[w];
-
-        const pred::PredictionTable base(grid.at(w, dir.base).view());
-        std::map<std::uint32_t, Tick> actual;
+        std::vector<trace::ReplayTarget> targets;
         for (auto t : dir.targets)
-            actual[t.toMHz()] = grid.at(w, t).totalTime;
+            targets.push_back({t, grid.at(w, t).totalTime});
+        const std::size_t first = errors.size();
+        for (const auto &cell :
+             engine.evaluate(grid.at(w, dir.base).view(), targets))
+            errors.push_back(cell.error);
 
-        bool first = true;
-        for (const auto &p : predictors) {
-            std::vector<std::string> row = {first ? params.name : "",
-                                            p->name()};
-            first = false;
-            for (auto t : dir.targets) {
-                Tick est = p->predict(base, t);
-                double err =
-                    pred::Predictor::relativeError(est, actual[t.toMHz()]);
-                errors[p->name()][t.toMHz()].push_back(err);
-                row.push_back(exp::Table::pct(err));
-            }
+        for (std::size_t p = 0; p < np; ++p) {
+            std::vector<std::string> row = {
+                p == 0 ? grid.spec.workloads[w].name : "", names[p]};
+            for (std::size_t t = 0; t < nt; ++t)
+                row.push_back(exp::Table::pct(errors[first + t * np + p]));
             table.addRow(std::move(row));
         }
         table.addSeparator();
     }
 
-    // Average absolute error rows.
-    for (const auto &p : predictors) {
-        std::vector<std::string> row = {"avg |err|", p->name()};
-        for (auto t : dir.targets)
-            row.push_back(
-                exp::Table::pct(exp::meanAbs(errors[p->name()][t.toMHz()])));
+    for (std::size_t p = 0; p < np; ++p) {
+        std::vector<std::string> row = {"avg |err|", names[p]};
+        for (std::size_t t = 0; t < nt; ++t) {
+            std::vector<double> column;
+            for (std::size_t i = first_error + t * np + p;
+                 i < errors.size(); i += nt * np)
+                column.push_back(errors[i]);
+            row.push_back(exp::Table::pct(exp::meanAbs(column)));
+        }
         table.addRow(std::move(row));
     }
 
-    table.print(std::cout);
+    if (out) {
+        *out << "\nFigure 3 (" << dir.label << "): base "
+             << dir.base.toString() << "\n\n";
+        table.print(*out);
+    }
+}
+
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
 } // namespace
@@ -116,43 +131,96 @@ main(int argc, char **argv)
         .add("only", "NAME", "run a single DaCapo benchmark")
         .addTraceDir("replay recorded .dvfstrace files from DIR "
                      "(recording them first if absent)")
+        .addBool("verify-live",
+                 "with --trace-dir: re-simulate and exit 1 unless every "
+                 "replayed error is bit-identical")
         .addWorkers()
         .addBool("progress", "progress/ETA lines on stderr");
     args.parse(argc, argv);
 
-    const std::string dir = args.get("dir", "both");
-    const std::string only = args.get("only");
+    const std::string dir =
+        args.getChoice("dir", "both", {"up", "down", "both"});
     const std::string trace_dir = args.get("trace-dir");
+    const bool verify = args.has("verify-live");
+    if (verify && trace_dir.empty())
+        fatal("--verify-live needs --trace-dir=DIR to replay from");
 
-    Direction up{"a: low-to-high", Frequency::ghz(1.0),
-                 {Frequency::ghz(2.0), Frequency::ghz(3.0),
-                  Frequency::ghz(4.0)}};
-    Direction down{"b: high-to-low", Frequency::ghz(4.0),
-                   {Frequency::ghz(3.0), Frequency::ghz(2.0),
-                    Frequency::ghz(1.0)}};
+    std::vector<Direction> dirs;
+    if (dir != "down")
+        dirs.push_back({"a: low-to-high", Frequency::ghz(1.0),
+                        {Frequency::ghz(2.0), Frequency::ghz(3.0),
+                         Frequency::ghz(4.0)}});
+    if (dir != "up")
+        dirs.push_back({"b: high-to-low", Frequency::ghz(4.0),
+                        {Frequency::ghz(3.0), Frequency::ghz(2.0),
+                         Frequency::ghz(1.0)}});
 
     // Both directions read the same four operating points, so one
-    // grid covers them (the serial harness simulated each twice).
-    exp::sweep::SweepSpec spec = bench::fig3GridSpec(0, only);
-    if (spec.workloads.empty()) {
-        std::cerr << "no benchmark matches --only=" << only << "\n";
-        return 1;
-    }
-
+    // grid covers them.
+    const exp::sweep::SweepSpec spec =
+        bench::fig3GridSpec(0, args.get("only"));
     exp::sweep::SweepRunner::Options opts;
     opts.workers = bench::sweepWorkers(args);
     opts.progress = args.has("progress");
     opts.label = "fig3";
-    auto grid = exp::sweep::observeGrid(spec, opts, trace_dir);
-    if (!trace_dir.empty()) {
-        std::cout << (grid.replayed ? "replaying traces from "
-                                    : "recorded traces to ")
-                  << trace_dir << "\n";
+
+    auto t0 = std::chrono::steady_clock::now();
+    exp::sweep::ObservedGrid grid;
+    try {
+        grid = exp::sweep::observeGrid(spec, opts, trace_dir);
+        if (grid.replayed) {
+            std::cout << "replaying traces from " << trace_dir << "\n";
+        } else if (!trace_dir.empty()) {
+            std::cout << "recorded traces to " << trace_dir << "\n";
+            const double ms = msSince(t0);
+            const std::size_t cells = spec.cellCount();
+            std::cerr << "fig3_accuracy: recorded " << cells
+                      << " cells in " << exp::Table::fmt(ms, 1) << " ms ("
+                      << exp::Table::fmt(cells / (ms / 1000.0), 2)
+                      << " cells/s), digest 0x" << std::hex
+                      << exp::sweep::gridDigest(grid.live->cells)
+                      << std::dec << "\n";
+            // Verify what the directory holds, not the in-memory grid
+            // that was just written to it.
+            if (verify) {
+                t0 = std::chrono::steady_clock::now();
+                grid = exp::sweep::loadGrid(spec, trace_dir);
+            }
+        }
+    } catch (const trace::TraceError &e) {
+        fatal("--trace-dir=%s: %s", trace_dir.c_str(), e.what());
     }
 
-    if (dir == "up" || dir == "both")
-        runDirection(up, grid);
-    if (dir == "down" || dir == "both")
-        runDirection(down, grid);
+    std::vector<double> errors;
+    for (const Direction &d : dirs)
+        runDirection(d, grid, &std::cout, errors);
+    if (!verify)
+        return 0;
+    const double replay_ms = msSince(t0);
+
+    opts.label = "fig3 verify";
+    const auto v0 = std::chrono::steady_clock::now();
+    const auto live_grid = exp::sweep::recordGrid(spec, opts);
+    std::vector<double> live;
+    for (const Direction &d : dirs)
+        runDirection(d, live_grid, nullptr, live);
+    const double live_ms = msSince(v0);
+
+    std::size_t diverged = 0;
+    for (std::size_t i = 0; i < errors.size(); ++i) {
+        diverged += std::bit_cast<std::uint64_t>(errors[i]) !=
+                    std::bit_cast<std::uint64_t>(live[i]);
+    }
+    if (diverged != 0) {
+        std::cerr << "fig3_accuracy: DIVERGENCE — " << diverged
+                  << " replayed predictor errors differ from the live "
+                     "path\n";
+        return 1;
+    }
+    std::cout << "verify-live: all replayed predictor errors "
+                 "bit-identical to the live path ("
+              << exp::Table::fmt(live_ms, 1) << " ms live vs "
+              << exp::Table::fmt(replay_ms, 1) << " ms replay, "
+              << exp::Table::fmt(live_ms / replay_ms, 1) << "x)\n";
     return 0;
 }

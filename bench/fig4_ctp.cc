@@ -7,6 +7,9 @@
  * (Algorithm 1) lowers the average absolute error from 10% to 6% at
  * 4 GHz (base 1 GHz) and from 14% to 8% at 1 GHz (base 4 GHz).
  *
+ * Both directions read the Figure 3 grid's 1 and 4 GHz columns, each
+ * cell simulated once on the sweep pool at its default width.
+ *
  * Usage: fig4_ctp [--only=<benchmark>]
  */
 
@@ -14,7 +17,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "exp/experiment.hh"
+#include "exp/sweep/trace_cache.hh"
 #include "exp/table.hh"
 #include "pred/predictors.hh"
 
@@ -24,7 +27,7 @@ namespace {
 
 void
 runDirection(const char *label, Frequency base, Frequency target,
-             const std::string &only)
+             const exp::sweep::ObservedGrid &grid)
 {
     const pred::ModelSpec spec{pred::BaseEstimator::Crit, true};
     pred::DepPredictor across(spec, true);
@@ -33,18 +36,16 @@ runDirection(const char *label, Frequency base, Frequency target,
     exp::Table table({"benchmark", "per-epoch CTP", "across-epoch CTP"});
     std::vector<double> per_errs, across_errs;
 
-    for (const auto &params : wl::dacapoSuite()) {
-        if (!only.empty() && params.name != only)
-            continue;
-        auto base_run = exp::runFixed(params, base);
-        Tick actual = exp::runFixed(params, target).totalTime;
+    for (std::size_t w = 0; w < grid.spec.workloads.size(); ++w) {
+        const auto &base_run = grid.at(w, base).view();
+        Tick actual = grid.at(w, target).totalTime;
         double pe = pred::Predictor::relativeError(
-            per_epoch.predict(base_run.record, target), actual);
+            per_epoch.predict(base_run, target), actual);
         double ae = pred::Predictor::relativeError(
-            across.predict(base_run.record, target), actual);
+            across.predict(base_run, target), actual);
         per_errs.push_back(pe);
         across_errs.push_back(ae);
-        table.addRow({params.name, exp::Table::pct(pe),
+        table.addRow({grid.spec.workloads[w].name, exp::Table::pct(pe),
                       exp::Table::pct(ae)});
     }
     table.addSeparator();
@@ -67,11 +68,18 @@ main(int argc, char **argv)
                         "prediction (Figure 4)");
     args.add("only", "NAME", "run a single DaCapo benchmark");
     args.parse(argc, argv);
-    const std::string only = args.get("only");
+
+    exp::sweep::SweepSpec spec = bench::fig3GridSpec(0, args.get("only"));
+    spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(4.0)};
+    exp::sweep::SweepRunner::Options opts;
+    opts.workers = exp::sweep::defaultWorkers();
+    opts.label = "fig4";
+    const auto grid = exp::sweep::observeGrid(spec, opts, "");
+
     runDirection("low-to-high", Frequency::ghz(1.0), Frequency::ghz(4.0),
-                 only);
+                 grid);
     runDirection("high-to-low", Frequency::ghz(4.0), Frequency::ghz(1.0),
-                 only);
+                 grid);
     std::cout << "\nPaper reference: per-epoch 10% -> across-epoch 6% "
                  "(1->4 GHz); per-epoch 14% -> across-epoch 8% "
                  "(4->1 GHz).\n";

@@ -16,6 +16,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "bench_util.hh"
 #include "exp/experiment.hh"
@@ -44,7 +45,8 @@ main(int argc, char **argv)
     auto vf = power::VfTable::haswell();
     mgr::ManagerConfig mc;
     mc.tolerableSlowdown = threshold;
-    mc.holdOff = static_cast<std::uint32_t>(args.getInt("holdoff", 2));
+    mc.holdOff = static_cast<std::uint32_t>(args.getInt(
+        "holdoff", 2, 1, std::numeric_limits<std::uint32_t>::max()));
 
     auto out = exp::runManaged(wl::benchmarkByName(name), mc, vf);
 

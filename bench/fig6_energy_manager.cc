@@ -30,7 +30,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench_util.hh"
@@ -54,17 +53,12 @@ main(int argc, char **argv)
         .addWorkers()
         .addBool("progress", "progress/ETA lines on stderr");
     args.parse(argc, argv);
-    const std::string only = args.get("only");
-    const Tick quantum = static_cast<Tick>(args.getInt("quantum-us", 50)) *
-                         kTicksPerUs;
-
-    std::vector<double> thresholds;
-    {
-        std::stringstream ss(args.get("thresholds", "0.05,0.10"));
-        std::string item;
-        while (std::getline(ss, item, ','))
-            thresholds.push_back(std::stod(item));
-    }
+    const Tick quantum =
+        static_cast<Tick>(
+            args.getInt("quantum-us", 50, 1, bench::kMaxSimUs)) *
+        kTicksPerUs;
+    const std::vector<double> thresholds =
+        args.getDoubleList("thresholds", {0.05, 0.10});
 
     auto table_vf = power::VfTable::haswell();
     const unsigned workers = bench::sweepWorkers(args);
@@ -74,14 +68,7 @@ main(int argc, char **argv)
 
     // Fixed baselines: every benchmark at the highest operating point.
     exp::sweep::SweepSpec base_spec;
-    for (const auto &params : wl::dacapoSuite()) {
-        if (only.empty() || params.name == only)
-            base_spec.workloads.push_back(params);
-    }
-    if (base_spec.workloads.empty()) {
-        std::cerr << "no benchmark matches --only=" << only << "\n";
-        return 1;
-    }
+    base_spec.workloads = bench::dacapoWorkloads(args.get("only"));
     base_spec.frequencies = {table_vf.highest()};
     base_spec.runOptions.mode = mode;
     base_spec.runOptions.sampling = sampling;

@@ -51,10 +51,9 @@ main(int argc, char **argv)
         .addWorkers()
         .addBool("progress", "progress/ETA lines on stderr");
     args.parse(argc, argv);
-    const std::string only = args.get("only");
     const double threshold = args.getDouble("threshold", 0.10);
     const auto step =
-        static_cast<std::uint32_t>(args.getInt("step-mhz", 250));
+        static_cast<std::uint32_t>(args.getInt("step-mhz", 250, 1, 3000));
 
     auto fine_vf = power::VfTable::haswell();          // manager: 125 MHz
     auto sweep_vf = power::VfTable::haswell(step);     // oracle sweep
@@ -67,14 +66,7 @@ main(int argc, char **argv)
     // Oracle grid: every benchmark at every sweep operating point
     // (the highest doubles as the baseline).
     exp::sweep::SweepSpec spec;
-    for (const auto &params : wl::dacapoSuite()) {
-        if (only.empty() || params.name == only)
-            spec.workloads.push_back(params);
-    }
-    if (spec.workloads.empty()) {
-        std::cerr << "no benchmark matches --only=" << only << "\n";
-        return 1;
-    }
+    spec.workloads = bench::dacapoWorkloads(args.get("only"));
     for (const auto &p : sweep_vf.points())
         spec.frequencies.push_back(p.freq);
     spec.runOptions.mode = mode;

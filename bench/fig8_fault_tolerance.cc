@@ -148,7 +148,9 @@ main(int argc, char **argv)
     const auto items =
         static_cast<std::uint64_t>(args.getInt("items", 600, 1));
     const Tick quantum =
-        static_cast<Tick>(args.getInt("quantum-us", 50)) * kTicksPerUs;
+        static_cast<Tick>(
+            args.getInt("quantum-us", 50, 1, bench::kMaxSimUs)) *
+        kTicksPerUs;
 
     auto table_vf = power::VfTable::haswell();
     wl::WorkloadParams params = wl::syntheticSmall(threads, items);

@@ -166,14 +166,7 @@ main(int argc, char **argv)
     const sim::SamplingConfig sampling = bench::samplingFromArgs(args);
     const bool managed = args.has("managed");
 
-    exp::sweep::SweepSpec spec;
-    for (const auto &params : wl::dacapoSuite()) {
-        if (spec.workloads.size() >= n_bench)
-            break;
-        spec.workloads.push_back(params);
-    }
-    spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(2.0),
-                        Frequency::ghz(3.0), Frequency::ghz(4.0)};
+    exp::sweep::SweepSpec spec = bench::fig3GridSpec(n_bench);
     spec.seeds = exp::sweep::SweepSpec::replicateSeeds(42, n_seeds);
     spec.runOptions.mode = mode;
     spec.runOptions.sampling = sampling;

@@ -66,10 +66,10 @@ main(int argc, char **argv)
     args.add("only", "NAME", "run a single DaCapo benchmark")
         .add("freq-mhz", "N", "run frequency in MHz (default 1000)");
     args.parse(argc, argv);
-    const std::string only = args.get("only");
+    const auto workloads = bench::dacapoWorkloads(args.get("only"));
     const auto freq =
         Frequency::mhz(static_cast<std::uint32_t>(
-            args.getInt("freq-mhz", 1000)));
+            args.getInt("freq-mhz", 1000, 1, 100'000)));
 
     std::cout << "Table I: benchmark characterisation at "
               << freq.toString()
@@ -79,9 +79,7 @@ main(int argc, char **argv)
                       "paper exec", "GC(ms)", "paper GC", "GC share",
                       "GCs", "alloc(MB)"});
 
-    for (const auto &params : wl::dacapoSuite()) {
-        if (!only.empty() && params.name != only)
-            continue;
+    for (const auto &params : workloads) {
         auto out = exp::runFixed(params, freq);
         const double exec_ms = wl::descaleMs(out.totalTime);
         const double gc_ms = wl::descaleMs(out.gcTime);

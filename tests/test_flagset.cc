@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -204,6 +206,84 @@ TEST(FlagSetDeathTest, BadHex64IsFatalNamingTheFlag)
                     std::string("--") + key +
                         ": expected a 64-bit hex value, got '");
     }
+}
+
+TEST(FlagSetDeathTest, NegativeHarnessValuesAreFatalNotWrapped)
+{
+    // Unchecked, table1 --freq-mhz=-1000 printed "4294966.296 GHz",
+    // fig7 --step-mhz=-250 stepped by ~4.29 GHz, fig6 --quantum-us=-5
+    // reported 0.0% savings and fig5 --holdoff=-1 made no decisions.
+    FlagSet flags("prog", "test fixture");
+    flags.add("freq-mhz", "N", "").add("step-mhz", "N", "")
+        .add("quantum-us", "N", "").add("holdoff", "N", "");
+    Argv argv({"--freq-mhz=-1000", "--step-mhz=-250", "--quantum-us=-5",
+               "--holdoff=-1"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getInt("freq-mhz", 1000, 1, 100'000),
+                testing::ExitedWithCode(1),
+                "--freq-mhz: -1000 is out of range \\[1, 100000\\]");
+    EXPECT_EXIT((void)flags.getInt("step-mhz", 250, 1, 3000),
+                testing::ExitedWithCode(1),
+                "--step-mhz: -250 is out of range \\[1, 3000\\]");
+    EXPECT_EXIT(
+        (void)flags.getInt("quantum-us", 50, 1, dvfs::bench::kMaxSimUs),
+        testing::ExitedWithCode(1), "--quantum-us: -5 is out of range");
+    EXPECT_EXIT((void)flags.getInt("holdoff", 2, 1,
+                                   std::numeric_limits<std::uint32_t>::max()),
+                testing::ExitedWithCode(1),
+                "--holdoff: -1 is out of range \\[1, 4294967295\\]");
+}
+
+TEST(FlagSet, DoubleListAndChoiceParseWellFormedValues)
+{
+    FlagSet flags("prog", "test fixture");
+    flags.add("thresholds", "CSV", "").add("dir", "up|down|both", "");
+    Argv argv({"--thresholds=0.05,0.1,1e-2", "--dir=down"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EQ(flags.getDoubleList("thresholds", {0.5}),
+              (std::vector<double>{0.05, 0.1, 0.01}));
+    EXPECT_EQ(flags.getChoice("dir", "both", {"up", "down", "both"}),
+              "down");
+
+    FlagSet absent("prog", "test fixture");
+    absent.add("thresholds", "CSV", "").add("dir", "up|down|both", "");
+    EXPECT_EQ(absent.getDoubleList("thresholds", {0.05, 0.10}),
+              (std::vector<double>{0.05, 0.10}));
+    EXPECT_EQ(absent.getChoice("dir", "both", {"up", "down", "both"}),
+              "both");
+}
+
+TEST(FlagSetDeathTest, BadDoubleListElementIsFatalNamingTheFlag)
+{
+    // Unchecked, fig6 --thresholds=abc aborted on an uncaught
+    // std::invalid_argument and --thresholds=0.1x was read as 0.1.
+    FlagSet flags("prog", "test fixture");
+    flags.add("a", "CSV", "").add("b", "CSV", "").add("c", "CSV", "");
+    Argv argv({"--a=abc", "--b=0.1x", "--c=0.05,,0.1"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getDoubleList("a", {}),
+                testing::ExitedWithCode(1),
+                "--a: expected a number, got 'abc'");
+    EXPECT_EXIT((void)flags.getDoubleList("b", {}),
+                testing::ExitedWithCode(1),
+                "--b: expected a number, got '0.1x'");
+    EXPECT_EXIT((void)flags.getDoubleList("c", {}),
+                testing::ExitedWithCode(1),
+                "--c: expected a number, got ''");
+}
+
+TEST(FlagSetDeathTest, UnlistedChoiceIsFatalNamingTheFlag)
+{
+    // Unchecked, fig3 --dir=bogus simulated the whole grid, printed no
+    // table and exited 0.
+    FlagSet flags("prog", "test fixture");
+    flags.add("dir", "up|down|both", "");
+    Argv argv({"--dir=sideways"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT(
+        (void)flags.getChoice("dir", "both", {"up", "down", "both"}),
+        testing::ExitedWithCode(1),
+        "--dir: unknown value 'sideways'");
 }
 
 TEST(FlagSetDeathTest, SamplingWindowsAreRangeChecked)
