@@ -16,6 +16,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "uarch/cache.hh"
+#include "uarch/core.hh"
 #include "uarch/dram.hh"
 #include "wl/suite.hh"
 
@@ -73,6 +74,37 @@ BM_CacheHierarchyLoad(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheHierarchyLoad);
+
+/**
+ * Streaming store bursts through the core's store path: 19-line
+ * bursts (the Figure 3 grid's mean burst) over fresh lines, so nearly
+ * every line misses, evicts a dirty victim and drains through the
+ * write port. Reported per line.
+ */
+static void
+BM_CacheHierarchyStoreBurst(benchmark::State &state)
+{
+    constexpr std::uint32_t kLines = 19;
+    constexpr std::uint64_t kBase = 0x1'0000'0000ULL;
+    constexpr std::uint64_t kWindow = 1ULL << 30;  // 64x the L3
+    uarch::Dram dram;
+    uarch::FreqDomain uncore("uncore", Frequency::mhz(1500));
+    uarch::FreqDomain domain("core", Frequency::ghz(2.0));
+    uarch::CacheHierarchy mem(4, uarch::HierarchyConfig{}, dram, uncore);
+    uarch::CoreModel core(0, uarch::CoreConfig{}, mem, domain);
+    uarch::PerfCounters pc;
+    std::uint64_t offset = 0;
+    Tick t = 0;
+    for (auto _ : state) {
+        t = core.executeStoreBurst(
+            uarch::StoreBurstSpec{kBase + offset, kLines, 2}, t, pc);
+        offset = (offset + kLines * 64) % kWindow;
+        benchmark::DoNotOptimize(t);
+    }
+    state.SetItemsProcessed(state.iterations() * kLines);
+    state.SetLabel("items = store lines");
+}
+BENCHMARK(BM_CacheHierarchyStoreBurst);
 
 /** Simulation rate: events per wall second for a full benchmark. */
 static void

@@ -21,9 +21,10 @@ namespace dvfs {
  * Report an internal simulator bug and abort.
  *
  * Use for conditions that should be impossible regardless of user
- * input. Never returns.
+ * input. Never returns. Declared cold, so calls to it (and the
+ * branches that lead to them) are laid out off the hot path.
  */
-[[noreturn]] void panic(const char *fmt, ...)
+[[noreturn, gnu::cold]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /**
@@ -46,11 +47,13 @@ std::string strprintf(const char *fmt, ...)
  *
  * Unlike <cassert>, these checks guard simulator invariants that must
  * hold even in release builds; a silent corruption would invalidate
- * every downstream measurement.
+ * every downstream measurement. The failure branch is marked unlikely
+ * (and panic() is cold), so a check on a hot path costs one
+ * predicted-not-taken compare.
  */
 #define DVFS_ASSERT(cond, msg)                                          \
     do {                                                                \
-        if (!(cond)) {                                                  \
+        if (!(cond)) [[unlikely]] {                                     \
             ::dvfs::panic("assertion failed at %s:%d: %s (%s)",         \
                           __FILE__, __LINE__, #cond, msg);              \
         }                                                               \

@@ -1,5 +1,6 @@
 #include "sim/profile.hh"
 
+#include <atomic>
 #include <csignal>
 #include <sys/time.h>
 
@@ -16,13 +17,12 @@ std::atomic<std::uint64_t> counts[kSubsystemCount];
 std::atomic<bool> running{false};
 
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-static_assert(std::atomic<Subsystem>::is_always_lock_free);
+static_assert(__atomic_always_lock_free(sizeof(Subsystem), nullptr));
 
 void
 onSigprof(int)
 {
-    const auto s = static_cast<unsigned>(
-        detail::tag.load(std::memory_order_relaxed));
+    const auto s = static_cast<unsigned>(detail::loadTag());
     counts[s].fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -23,7 +23,6 @@
 #define DVFS_SIM_PROFILE_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 
 namespace dvfs::sim::prof {
@@ -65,9 +64,29 @@ namespace detail {
  * The calling thread's current subsystem. Constant-initialised and
  * initial-exec, so the SIGPROF handler reads it without a TLS wrapper
  * call or a lazy allocation.
+ *
+ * A plain variable accessed with relaxed __atomic builtins rather than
+ * a std::atomic: UBSan null-checks `this` on every std::atomic member
+ * call, and GCC 12 can miscompile that check on a TLS address (a
+ * branch on stale flags reports a null `this`). The builtins are the
+ * same single relaxed loads and stores, with no `this` to check.
  */
-inline constinit thread_local std::atomic<Subsystem> tag
-    __attribute__((tls_model("initial-exec"))){Subsystem::Other};
+inline constinit thread_local Subsystem tag
+    __attribute__((tls_model("initial-exec"))) = Subsystem::Other;
+
+/** The calling thread's tag (relaxed; safe in a signal handler). */
+inline Subsystem
+loadTag()
+{
+    return __atomic_load_n(&tag, __ATOMIC_RELAXED);
+}
+
+/** Set the calling thread's tag (relaxed). */
+inline void
+storeTag(Subsystem s)
+{
+    __atomic_store_n(&tag, s, __ATOMIC_RELAXED);
+}
 
 } // namespace detail
 
@@ -75,13 +94,12 @@ inline constinit thread_local std::atomic<Subsystem> tag
 class Scope
 {
   public:
-    explicit Scope(Subsystem s)
-        : _prev(detail::tag.load(std::memory_order_relaxed))
+    explicit Scope(Subsystem s) : _prev(detail::loadTag())
     {
-        detail::tag.store(s, std::memory_order_relaxed);
+        detail::storeTag(s);
     }
 
-    ~Scope() { detail::tag.store(_prev, std::memory_order_relaxed); }
+    ~Scope() { detail::storeTag(_prev); }
 
     Scope(const Scope &) = delete;
     Scope &operator=(const Scope &) = delete;

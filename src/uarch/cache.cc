@@ -53,7 +53,6 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
         std::countr_zero(static_cast<std::uint64_t>(_numSets)));
     _meta.assign(static_cast<std::size_t>(_numSets) * _cfg.assoc, 0);
     _order.assign(_numSets, identityOrder(_cfg.assoc));
-    _mru.assign(_numSets, 0);
 }
 
 bool
@@ -80,7 +79,6 @@ Cache::reset()
 {
     std::fill(_meta.begin(), _meta.end(), 0u);
     std::fill(_order.begin(), _order.end(), identityOrder(_cfg.assoc));
-    std::fill(_mru.begin(), _mru.end(), 0u);
     _hits.reset();
     _misses.reset();
     _writebacks.reset();
@@ -241,12 +239,12 @@ CacheHierarchy::load(std::uint32_t core, std::uint64_t addr, Tick issue,
     }
     // A dirty L1 victim folds into the L2 (same clock domain, cheap);
     // install it there so its eventual eviction generates traffic.
-    if (r1.writeback) {
-        auto r = l2.access(*r1.writeback, true);
-        if (r.writeback) {
-            auto wb = _l3.access(*r.writeback, true);
-            if (wb.writeback)
-                _dram.write(*wb.writeback, issue);
+    if (r1.dirtyVictim) {
+        auto r = l2.access(r1.victim, true);
+        if (r.dirtyVictim) {
+            auto wb = _l3.access(r.victim, true);
+            if (wb.dirtyVictim)
+                _dram.write(wb.victim, issue);
         }
     }
 
@@ -258,10 +256,10 @@ CacheHierarchy::load(std::uint32_t core, std::uint64_t addr, Tick issue,
         out.memLatency = t - issue;
         return out;
     }
-    if (r2.writeback) {
-        auto wb = _l3.access(*r2.writeback, true);
-        if (wb.writeback)
-            _dram.write(*wb.writeback, t);
+    if (r2.dirtyVictim) {
+        auto wb = _l3.access(r2.victim, true);
+        if (wb.dirtyVictim)
+            _dram.write(wb.victim, t);
     }
 
     t += l3HitTicks();
@@ -287,17 +285,10 @@ CacheHierarchy::load(std::uint32_t core, std::uint64_t addr, Tick issue,
             return out;
         }
     }
-    if (r3.writeback)
-        _dram.write(*r3.writeback, t);
-    // The displaced line would, at overlay-coverage rate, have been a
-    // dirty burst line in exact mode: pay the writeback it would have
-    // cost. A clean victim gives the faithful address; on a cold fill
-    // flip a tag bit — channel and bank decode from the low line bits
-    // either way, so the read sees the same bank pressure.
-    else if (_warmEnabled && warmVictimDue())
-        _dram.write(r3.evictedClean ? *r3.evictedClean
-                                    : (addr ^ (std::uint64_t{1} << 32)),
-                    t);
+    if (r3.dirtyVictim)
+        _dram.write(r3.victim, t);
+    else if (_warmEnabled)
+        warmVictimWrite(addr, r3, t);
 
     Tick done = _dram.read(addr, t);
     out.level = HitLevel::Dram;
@@ -306,58 +297,14 @@ CacheHierarchy::load(std::uint32_t core, std::uint64_t addr, Tick issue,
     return out;
 }
 
-Tick
-CacheHierarchy::storeLine(std::uint32_t core, std::uint64_t addr, Tick issue)
+void
+CacheHierarchy::warmVictimWrite(std::uint64_t addr, const Cache::Result &r3,
+                                Tick t)
 {
-    DVFS_PROFILE_SCOPE(Cache);
-    DVFS_ASSERT(core < _l1d.size(), "core index out of range");
-
-    // Every detailed store line advances the overlay's write clock so
-    // warm ranges decay at the same rate whether the writes that push
-    // them out executed in detail or were charged analytically.
-    if (_warmEnabled)
-        _warmWritten += 1;
-
-    // Install dirty in the private levels so subsequent reads of
-    // freshly initialized memory hit.
-    auto r1 = _l1d[core].access(addr, true);
-    if (r1.writeback) {
-        auto r = _l2[core].access(*r1.writeback, true);
-        if (r.writeback)
-            _l3.access(*r.writeback, true);
-    }
-
-    auto r3 = _l3.access(addr, true);
-    if (r3.hit) {
-        // Line owned on chip: the store drains at cache speed, i.e.
-        // the SQ entry is released structurally immediately.
-        return issue;
-    }
-    // Warm-overlay lines count as on-chip for stores too: re-zeroing
-    // a line a fast-forwarded burst wrote drains at cache speed, as
-    // it would have had that burst executed in detail.
-    if (_warmEnabled && warmHit(addr))
-        return issue;
-
-    // Store miss: the line allocates without fetching (write-combined
-    // zeroing/copying), but its SQ entries are held until the core's
-    // write port — the limited line-fill-buffer pipeline draining the
-    // miss and the displaced victim — accepts the line. The port runs
-    // at memory speed (wall clock), which is what makes sustained
-    // store bursts drain-limited and back up the SQ at every DVFS
-    // setting (Section III-D). A dirty victim additionally consumes
-    // DRAM write bandwidth (and disturbs banks that reads share).
-    if (r3.writeback)
-        _dram.write(*r3.writeback, issue);
-    // As in load(): the displaced line would usually have been a
-    // dirty burst line in exact mode — pay its writeback.
-    else if (_warmEnabled && warmVictimDue())
-        _dram.write(r3.evictedClean ? *r3.evictedClean
-                                    : (addr ^ (std::uint64_t{1} << 32)),
-                    issue);
-    Tick &port = _writePortFreeAt[core];
-    port = std::max(port, issue) + _writeDrainTicks;
-    return port;
+    if (warmVictimDue())
+        _dram.write(r3.cleanVictim ? r3.victim
+                                   : (addr ^ (std::uint64_t{1} << 32)),
+                    t);
 }
 
 void

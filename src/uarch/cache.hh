@@ -20,6 +20,10 @@
  * replacement. There is no coherence protocol: the workloads
  * communicate through synchronization costs modelled separately (see
  * CoreModel::atomicRmw), and no data values flow through the caches.
+ *
+ * Loads walk the hierarchy through CacheHierarchy::load. Store bursts
+ * walk it in CoreModel::executeStoreBurst, one walk per burst over
+ * the hierarchy's store-path hooks; that loop is the only store path.
  */
 
 #ifndef DVFS_UARCH_CACHE_HH
@@ -27,7 +31,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,22 +63,32 @@ struct CacheConfig {
 
 /**
  * One physical cache: a tag array with true-LRU replacement.
+ *
+ * Ways fill lowest index first and only reset() invalidates them, so
+ * the invalid ways of a set are always a suffix and a set is full
+ * exactly when its last way is valid. access() relies on this to skip
+ * the invalid-way scan on a full set.
  */
 class Cache
 {
   public:
-    /** Result of a lookup-with-allocate. */
+    /**
+     * Result of a lookup-with-allocate. Plain fields rather than
+     * optionals: a miss sets at most one of the two victim flags, and
+     * @c victim is meaningful only when one of them is set.
+     */
     struct Result {
         bool hit = false;
-        /** Address of an evicted dirty line, if any. */
-        std::optional<std::uint64_t> writeback;
+        /** The fill evicted a dirty line: a writeback of @c victim. */
+        bool dirtyVictim = false;
         /**
-         * Address of an evicted *clean* line, if any. Exact-mode
-         * walks ignore it; the hierarchy's warm overlay consults it
-         * to restore the writeback a fast-forwarded burst's dirty
-         * install would have produced.
+         * The fill evicted a *clean* line. Exact-mode walks ignore it;
+         * the hierarchy's warm overlay consults it to restore the
+         * writeback a fast-forwarded burst's dirty install would have
+         * produced.
          */
-        std::optional<std::uint64_t> evictedClean;
+        bool cleanVictim = false;
+        std::uint64_t victim = 0;  ///< evicted line's byte address
     };
 
     Cache(std::string name, const CacheConfig &cfg);
@@ -85,8 +98,8 @@ class Cache
      *
      * Defined inline below the class: the hierarchy calls this for
      * every load and store on the simulator's hottest path, and
-     * inlining it into CacheHierarchy::load/storeLine is a measurable
-     * win.
+     * inlining it into CacheHierarchy::load and
+     * CoreModel::executeStoreBurst is a measurable win.
      *
      * @param addr  Byte address.
      * @param dirty Mark the (new or existing) line dirty.
@@ -128,21 +141,27 @@ class Cache
      * Move way @p w to the most-recent position of a set's recency
      * word. The word is a base-16 permutation: nibble 0 holds the
      * most recently touched way index, nibble assoc-1 the least
-     * recent. The double shifts keep the p == 15 case (shift by 60+4)
-     * well-defined without a branch.
+     * recent.
+     *
+     * No loop finds w: x has a zero nibble exactly where ord holds w,
+     * and the has-zero-nibble trick flags the lowest zero nibble
+     * exactly (a borrow can only raise false flags above a true zero).
+     * Nibbles past assoc-1 are zero, so a search for way 0 may match
+     * there too, but only above its real position. The double shifts
+     * keep the position-15 case (shift by 60+4) well-defined, and at
+     * position 0 the rotate leaves the word unchanged.
      */
     static void
     touchWay(std::uint64_t &ord, std::uint32_t w)
     {
-        unsigned p = 0;
-        while (((ord >> (4 * p)) & 0xF) != w)
-            ++p;
-        if (p) {
-            const unsigned sh = 4 * p;
-            const std::uint64_t low = ord & ((std::uint64_t{1} << sh) - 1);
-            const std::uint64_t high = (ord >> sh >> 4) << sh << 4;
-            ord = high | (low << 4) | w;
-        }
+        constexpr std::uint64_t kOnes = 0x1111111111111111ULL;
+        const std::uint64_t x = ord ^ (kOnes * w);
+        const std::uint64_t zero = (x - kOnes) & ~x & (kOnes << 3);
+        const unsigned sh =
+            static_cast<unsigned>(std::countr_zero(zero)) & ~3u;
+        const std::uint64_t low = ord & ((std::uint64_t{1} << sh) - 1);
+        const std::uint64_t high = (ord >> sh >> 4) << sh << 4;
+        ord = high | (low << 4) | w;
     }
 
     /** Identity recency word: nibble i = i for i < assoc. */
@@ -190,16 +209,14 @@ class Cache
      * touches the way already at nibble 0) updates nothing at all.
      * Selection is bit-identical to stamp LRU: both implement exact
      * least-recently-touched with the first invalid way preferred.
+     *
+     * Nibble 0 is the set's most-recently-touched way, and lookups
+     * probe it before scanning the set: locality makes repeat hits to
+     * the same line the common case, and the probe is one compare.
+     * A lookup thus touches two host cache lines: the set's tags and
+     * this word, which every other path needs anyway.
      */
     std::vector<std::uint64_t> _order;
-    /**
-     * Most-recently-touched way per set. Lookups probe it before
-     * scanning the set: locality makes repeat hits to the same line
-     * the common case on the simulator's hot path, and the probe is
-     * one compare. Purely an access-path shortcut — hit/miss results,
-     * LRU state and stats are identical with or without it.
-     */
-    std::vector<std::uint32_t> _mru;
 
     sim::Counter _hits, _misses, _writebacks;
 };
@@ -228,21 +245,23 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
     // Fast path: the set's most-recently-touched way. It already
     // holds recency nibble 0, so the order word needs no update.
     {
-        const std::uint32_t m = _mru[set];
+        const std::uint32_t m = static_cast<std::uint32_t>(_order[set] & 0xF);
         if ((meta[m] | kWayDirty) == want) {
             meta[m] |= mark;
             _hits.inc();
-            return Result{true, std::nullopt, std::nullopt};
+            return Result{true};
         }
     }
 
     // Hit scan first, victim selection only on a miss: hits (the
     // common case) pay one word compare per way and nothing else, and
-    // the miss-path second pass re-reads set-local data already in
-    // the host L1. The scan is branchless — at most one way can hold
-    // a tag, so reducing the compares into a bitmask and taking the
-    // lowest set bit finds the same way an early-exit loop would.
+    // the miss path re-reads set-local data already in the host L1.
+    // The scan is branchless and fully unrolled for the templated
+    // geometries — at most one way can hold a tag, so reducing the
+    // compares into a bitmask and taking the lowest set bit finds the
+    // same way an early-exit loop would.
     std::uint32_t hit_mask = 0;
+#pragma GCC unroll 16
     for (std::uint32_t w = 0; w < assoc; ++w)
         hit_mask |=
             static_cast<std::uint32_t>((meta[w] | kWayDirty) == want) << w;
@@ -251,55 +270,50 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
             static_cast<std::uint32_t>(std::countr_zero(hit_mask));
         meta[w] |= mark;
         touchWay(_order[set], w);
-        _mru[set] = w;
         _hits.inc();
-        return Result{true, std::nullopt, std::nullopt};
+        return Result{true};
     }
 
+    _misses.inc();
     // Selection is identical to the classic stamp-per-way loop: the
     // first invalid way wins, else the least recently touched way.
-    std::uint32_t invalid_mask = 0;
-    for (std::uint32_t w = 0; w < assoc; ++w)
-        invalid_mask |=
-            static_cast<std::uint32_t>((meta[w] & kWayValid) == 0) << w;
-    std::uint32_t victim =
-        invalid_mask
-            ? static_cast<std::uint32_t>(std::countr_zero(invalid_mask))
-            : assoc;
-    if (victim == assoc) {
-        // No invalid way: evict the tail nibble of the recency word.
-        // Moving it to the front is then a plain rotate — no
-        // position-finding loop on the (hot) full-set miss path.
+    // Invariant: a set's invalid ways are always a suffix. Fills take
+    // the lowest-index invalid way and only reset() invalidates, so
+    // the set is full exactly when its last way is valid — and once
+    // full (forever after its first assoc fills) no miss scans for an
+    // invalid way.
+    if ((meta[assoc - 1] & kWayValid) != 0) {
+        // Evict the tail nibble of the recency word. Moving it to the
+        // front is then a plain rotate — no position-finding loop on
+        // the (hot) full-set miss path.
         const std::uint64_t ord = _order[set];
-        victim = static_cast<std::uint32_t>(
+        const std::uint32_t victim = static_cast<std::uint32_t>(
             (ord >> (4 * (assoc - 1))) & 0xF);
         _order[set] =
             ((ord & ((std::uint64_t{1} << (4 * (assoc - 1))) - 1)) << 4) |
             victim;
-        _mru[set] = victim;
-        _misses.inc();
-        Result res{false, std::nullopt, std::nullopt};
         const std::uint32_t vm = meta[victim];
-        if ((vm & kWayValid) != 0) {
-            const std::uint64_t va = lineAddr(
-                static_cast<std::uint64_t>(vm >> kWayTagShift), set);
-            if ((vm & kWayDirty) != 0) {
-                res.writeback = va;
-                _writebacks.inc();
-            } else {
-                res.evictedClean = va;
-            }
+        Result res;
+        res.victim = lineAddr(static_cast<std::uint64_t>(vm >> kWayTagShift),
+                              set);
+        if ((vm & kWayDirty) != 0) {
+            res.dirtyVictim = true;
+            _writebacks.inc();
+        } else {
+            res.cleanVictim = true;
         }
         meta[victim] = (tag << kWayTagShift) | kWayValid | mark;
         return res;
     }
 
-    // Cold fill into the first invalid way: never a writeback.
-    _misses.inc();
+    // Cold fill into the first invalid way: never a writeback. The
+    // suffix invariant guarantees the scan stops before the last way.
+    std::uint32_t victim = 0;
+    while ((meta[victim] & kWayValid) != 0)
+        ++victim;
     meta[victim] = (tag << kWayTagShift) | kWayValid | mark;
     touchWay(_order[set], victim);
-    _mru[set] = victim;
-    return Result{false, std::nullopt, std::nullopt};
+    return Result{};
 }
 
 inline Cache::Result
@@ -332,8 +346,10 @@ struct HierarchyConfig {
 /**
  * The multi-level hierarchy shared by all cores.
  *
- * Owns per-core L1D and L2 instances plus the shared L3, and routes
- * misses and dirty writebacks to the DRAM model.
+ * Owns per-core L1D and L2 instances plus the shared L3, the per-core
+ * write ports and the warm overlay, and routes misses and dirty
+ * writebacks to the DRAM model. load() walks a load; store bursts are
+ * walked by CoreModel::executeStoreBurst through the store-path hooks.
  */
 class CacheHierarchy
 {
@@ -365,20 +381,57 @@ class CacheHierarchy
     LoadOutcome load(std::uint32_t core, std::uint64_t addr, Tick issue,
                      Frequency core_freq);
 
+    /// @name Store path
+    ///
+    /// Store bursts walk the tags in CoreModel::executeStoreBurst, one
+    /// walk per burst with these per-core handles hoisted out of its
+    /// line loop. Each line installs dirty in L1 (a dirty L1 victim
+    /// folds into L2, a dirty L2 victim into L3), then in L3. An L3
+    /// hit drains at cache speed. On a miss the line is handled by the
+    /// core's write port (a line-fill-buffer pipeline with fixed
+    /// wall-clock service), and a dirty L3 victim consumes DRAM write
+    /// bandwidth — so sustained bursts drain at memory speed at every
+    /// DVFS setting, the mechanism behind the paper's store-queue
+    /// backpressure (Section III-D).
+    /// @{
+
+    /** Per-core write-port horizon: the tick its pipeline frees up. */
+    Tick &writePort(std::uint32_t core) { return _writePortFreeAt[core]; }
+
+    /** Write-port service time per missed line, in ticks. */
+    Tick writeDrainTicks() const { return _writeDrainTicks; }
+
+    /** True once enableWarmOverlay() has armed the overlay. */
+    bool warmEnabled() const { return _warmEnabled; }
+
     /**
-     * Perform a line-filling store from a store burst.
-     *
-     * If the line is on chip it drains at cache speed. On a miss the
-     * line is handled by the core's write port (a line-fill-buffer
-     * pipeline with fixed wall-clock service), and a dirty L3 victim
-     * consumes DRAM write bandwidth — so sustained bursts drain at
-     * memory speed at every DVFS setting, the mechanism behind the
-     * paper's store-queue backpressure (Section III-D).
-     *
-     * @return Tick at which the store structurally completes and its
-     *         SQ entries can be released.
+     * Overlay step for one detailed store line, after its L3 install.
+     * Advances the overlay's write clock, so warm ranges decay at the
+     * same rate whether the writes that push them out executed in
+     * detail or were charged analytically. @return true when the line
+     * counts as on chip: it hit the L3 tags (@p l3Hit), or it falls
+     * in a warm range — re-zeroing a line a fast-forwarded burst wrote
+     * drains at cache speed, as it would have had that burst executed
+     * in detail.
      */
-    Tick storeLine(std::uint32_t core, std::uint64_t addr, Tick issue);
+    bool
+    warmStoreOnChip(std::uint64_t addr, bool l3Hit)
+    {
+        _warmWritten += 1;
+        return l3Hit || warmHit(addr);
+    }
+
+    /**
+     * Overlay stand-in for the writeback an L3 install (@p r3, for
+     * @p addr) did not produce: the displaced line would, at
+     * overlay-coverage rate, have been a dirty burst line in exact
+     * mode, so pay the DRAM write it would have cost at @p t. A clean
+     * victim gives the faithful address; on a cold fill flip a tag
+     * bit — channel and bank decode from the low line bits either
+     * way, so reads see the same bank pressure.
+     */
+    void warmVictimWrite(std::uint64_t addr, const Cache::Result &r3, Tick t);
+    /// @}
 
     /// @name Warm-range overlay (sampled runs only)
     ///
@@ -417,6 +470,10 @@ class CacheHierarchy
     Tick l3HitTicks() const;
 
     const HierarchyConfig &config() const { return _cfg; }
+    std::uint32_t cores() const
+    {
+        return static_cast<std::uint32_t>(_l1d.size());
+    }
     Cache &l1d(std::uint32_t core) { return _l1d[core]; }
     Cache &l2(std::uint32_t core) { return _l2[core]; }
     Cache &l3() { return _l3; }

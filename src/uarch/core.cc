@@ -13,6 +13,8 @@ CoreModel::CoreModel(std::uint32_t id, const CoreConfig &cfg,
 {
     if (_cfg.baseIpc <= 0.0 || _cfg.storeDispatchPerCycle <= 0.0)
         fatal("core %u: IPC and store dispatch rate must be positive", id);
+    DVFS_ASSERT(id < mem.cores(), "core index out of range");
+    _sqRing.resize(static_cast<std::size_t>(_cfg.sqEntries) + 1);
 }
 
 Tick
@@ -128,7 +130,9 @@ Tick
 CoreModel::executeStoreBurst(const StoreBurstSpec &spec, Tick start,
                              PerfCounters &pc)
 {
-    DVFS_PROFILE_SCOPE(Core);
+    // One scope for the whole burst: its host time is the tag walk of
+    // every line, and the SQ bookkeeping around it is charged here too.
+    DVFS_PROFILE_SCOPE(Cache);
     if (spec.lines == 0)
         return start;
 
@@ -138,34 +142,86 @@ CoreModel::executeStoreBurst(const StoreBurstSpec &spec, Tick start,
         freq.cyclesToTicks(store_period_cycles * spec.storesPerLine);
     const std::uint32_t spl = std::max<std::uint32_t>(1, spec.storesPerLine);
 
+    // Nothing else runs during a burst, so the per-core handles and
+    // the overlay switch hold for every line.
+    Cache &l1 = _mem.l1d(_id);
+    Cache &l2 = _mem.l2(_id);
+    Cache &l3 = _mem.l3();
+    Dram &dram = _mem.dram();
+    Tick &port = _mem.writePort(_id);
+    const Tick drain_ticks = _mem.writeDrainTicks();
+    const bool warm = _mem.warmEnabled();
+    const std::uint32_t ring = static_cast<std::uint32_t>(_sqRing.size());
+
+    auto retire_head = [&] {
+        _sqOccupied -= _sqRing[_sqHead].stores;
+        _sqHead = _sqHead + 1 == ring ? 0 : _sqHead + 1;
+        _sqLines -= 1;
+    };
+
     Tick t = start;
     Tick sq_full = 0;
 
     for (std::uint32_t i = 0; i < spec.lines; ++i) {
         // Retire drained lines.
-        while (!_sqPending.empty() && _sqPending.front().first <= t) {
-            _sqOccupied -= _sqPending.front().second;
-            _sqPending.pop_front();
-        }
+        while (_sqLines != 0 && _sqRing[_sqHead].drain <= t)
+            retire_head();
         // Block dispatch while the SQ cannot take this line's stores.
-        while (_sqOccupied + spl > _cfg.sqEntries && !_sqPending.empty()) {
-            Tick drain = _sqPending.front().first;
+        while (_sqOccupied + spl > _cfg.sqEntries && _sqLines != 0) {
+            const Tick drain = _sqRing[_sqHead].drain;
             if (drain > t) {
                 sq_full += drain - t;
                 t = drain;
             }
-            _sqOccupied -= _sqPending.front().second;
-            _sqPending.pop_front();
+            retire_head();
         }
         // Dispatch the line's stores (core-clock paced).
         t += line_dispatch;
-        // Hand the line to the memory system; it occupies SQ entries
-        // until the hierarchy structurally accepts it.
-        std::uint64_t addr =
+
+        // Hand the line to the memory system. Install it dirty in the
+        // private levels so later reads of freshly initialized memory
+        // hit; a dirty L1 victim folds into L2, a dirty L2 victim into
+        // L3.
+        const std::uint64_t addr =
             spec.baseAddr + static_cast<std::uint64_t>(i) * 64;
-        Tick done = _mem.storeLine(_id, addr, t);
-        if (done > t) {
-            _sqPending.emplace_back(done, spl);
+        const Cache::Result r1 = l1.access(addr, true);
+        if (r1.dirtyVictim) {
+            const Cache::Result r2 = l2.access(r1.victim, true);
+            // A dirty L3 line this install evicts is counted as an L3
+            // writeback but never written to DRAM, unlike in load().
+            // Every pinned digest includes that: writing it is a
+            // deliberate re-pin (DESIGN.md section 9).
+            if (r2.dirtyVictim)
+                l3.access(r2.victim, true);
+        }
+        const Cache::Result r3 = l3.access(addr, true);
+        // Line owned on chip: the store drains at cache speed, i.e.
+        // its SQ entries are released structurally immediately.
+        if (warm ? _mem.warmStoreOnChip(addr, r3.hit) : r3.hit)
+            continue;
+
+        // Store miss: the line allocates without fetching
+        // (write-combined zeroing/copying), but its SQ entries are
+        // held until the core's write port — the limited
+        // line-fill-buffer pipeline draining the miss and the
+        // displaced victim — accepts the line. The port runs at
+        // memory speed (wall clock), which is what makes sustained
+        // store bursts drain-limited and back up the SQ at every DVFS
+        // setting (Section III-D). A dirty victim additionally
+        // consumes DRAM write bandwidth (and disturbs banks that reads
+        // share).
+        if (r3.dirtyVictim)
+            dram.write(r3.victim, t);
+        else if (warm)
+            _mem.warmVictimWrite(addr, r3, t);
+        port = std::max(port, t) + drain_ticks;
+        if (port > t) {
+            DVFS_ASSERT(_sqLines < ring, "store-queue ring overflow");
+            const std::uint32_t tail =
+                _sqHead + _sqLines < ring ? _sqHead + _sqLines
+                                          : _sqHead + _sqLines - ring;
+            _sqRing[tail] = SqLine{port, spl};
+            _sqLines += 1;
             _sqOccupied += spl;
         }
     }

@@ -24,7 +24,6 @@
 #define DVFS_UARCH_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/time.hh"
@@ -125,12 +124,25 @@ class CoreModel
      */
     std::vector<MissWindow> _missScratch;
 
+    /** One store-burst line still holding SQ entries. */
+    struct SqLine {
+        Tick drain;            ///< tick the write port accepts the line
+        std::uint32_t stores;  ///< SQ entries it holds
+    };
+
     /**
-     * Store-queue occupancy: drain completion tick and store count of
-     * each line still occupying SQ entries, oldest first.
+     * Store-queue occupancy, oldest line first, as a fixed ring of
+     * sqEntries + 1 slots. A line enters only when its stores fit or
+     * the queue is empty, and each holds at least one entry, so at
+     * most max(sqEntries, 1) lines are ever pending; an overflow is a
+     * DVFS_ASSERT. Lines enter with their write-port drain tick, and a
+     * core's port horizon only moves forward, so the ring stays in
+     * drain order and the head is always the next line to drain.
      */
-    std::deque<std::pair<Tick, std::uint32_t>> _sqPending;
-    std::uint32_t _sqOccupied = 0;
+    std::vector<SqLine> _sqRing;
+    std::uint32_t _sqHead = 0;      ///< ring index of the oldest line
+    std::uint32_t _sqLines = 0;     ///< lines pending
+    std::uint32_t _sqOccupied = 0;  ///< SQ entries they hold
 };
 
 } // namespace dvfs::uarch
