@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the simulator substrate:
- * event-queue throughput, DRAM/cache model cost, and whole-benchmark
+ * event-queue throughput (bulk, and the steady re-armed window the
+ * simulator actually keeps), DRAM/cache model cost, and whole-benchmark
  * simulation rate (the "ablation" data for DESIGN.md's atomic-cluster
  * issue decision: how much wall time one simulated run costs), and
  * sweep-engine overhead at 1/2/8 workers. The synthetic sweep grid's
@@ -10,6 +11,8 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "exp/experiment.hh"
 #include "exp/sweep/sweep.hh"
@@ -38,6 +41,45 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
+
+/**
+ * The simulator's event traffic: a steady window of N pending events.
+ * Each fired event is re-armed 1 ns to 5 us later (femtosecond ticks),
+ * and every fourth re-arm also cancels and re-arms another pending
+ * timer, as a preempted timeslice does. Sampled sweeps keep four to
+ * six events pending.
+ */
+static void
+BM_EventQueueRearm(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    sim::EventQueue eq;
+    sim::Rng rng(3);
+    std::vector<Tick> deltas(1024);
+    for (Tick &d : deltas)
+        d = kTicksPerNs + rng.nextBounded(5 * kTicksPerUs);
+    std::vector<sim::EventId> ids(n);
+    std::size_t fired = 0;
+    std::size_t armed = 0;
+    auto arm = [&](std::size_t slot) {
+        ids[slot] = eq.scheduleAfter(deltas[armed++ % deltas.size()],
+                                     [&fired, slot] { fired = slot; });
+    };
+    for (std::size_t slot = 0; slot < n; ++slot)
+        arm(slot);
+    for (auto _ : state) {
+        eq.runOne();
+        arm(fired);
+        if (armed % 4 == 0) {
+            const std::size_t slot = armed % n;
+            eq.cancel(ids[slot]);
+            arm(slot);
+        }
+    }
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueRearm)->Arg(4)->Arg(8)->Arg(64);
 
 static void
 BM_DramRandomReads(benchmark::State &state)

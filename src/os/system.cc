@@ -338,6 +338,7 @@ System::dispatch(Thread &t)
     if (!a) {
         ThreadContext ctx{t.id, t.rng,
                           _sampler && _sampler->fastForward()};
+        DVFS_PROFILE_SCOPE(Wl);
         a = t.program->next(ctx);
     }
     execute(t, std::move(*a));
@@ -491,15 +492,16 @@ System::executeFastForward(Thread &t, Action first)
                 break;
         }
         // Pull the next action exactly as dispatch() would, with the
-        // lite-timing hint raised.
-        std::optional<Action> next;
-        if (_interceptor)
-            next = _interceptor->interceptNext(t);
-        if (!next) {
-            ThreadContext ctx{t.id, t.rng, true};
-            next = t.program->next(ctx);
+        // lite-timing hint raised, straight into `a`.
+        if (_interceptor) {
+            if (std::optional<Action> next = _interceptor->interceptNext(t)) {
+                a = std::move(*next);
+                continue;
+            }
         }
-        a = std::move(*next);
+        ThreadContext ctx{t.id, t.rng, true};
+        DVFS_PROFILE_SCOPE(Wl);
+        a = t.program->next(ctx);
     }
 
     if (charged == 0 && tail) {

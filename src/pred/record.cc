@@ -47,6 +47,13 @@ RunRecorder::closeEpoch(const os::SyncEvent &ev, const os::System &sys)
     ep.stallTid = (ev.kind == os::SyncEventKind::FutexWait)
                       ? ev.tid
                       : os::kNoThread;
+    // One allocation per epoch instead of a 1 -> 2 -> 4 growth chain.
+    std::size_t running = 0;
+    for (std::size_t tid = 0; tid < n; ++tid) {
+        running += sys.thread(static_cast<os::ThreadId>(tid)).state ==
+                   os::ThreadState::Running;
+    }
+    ep.active.reserve(running);
     for (std::size_t tid = 0; tid < n; ++tid) {
         const os::Thread &t = sys.thread(static_cast<os::ThreadId>(tid));
         // The listener runs before the event's state change, so a

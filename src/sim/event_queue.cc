@@ -1,18 +1,11 @@
 #include "sim/event_queue.hh"
 
-#include <cstring>
-
 #include "sim/log.hh"
 #include "sim/profile.hh"
 
 namespace dvfs::sim {
 
-EventQueue::EventQueue()
-    : _now(0), _cursor(0), _live(0), _executed(0), _levelMask(0),
-      _overflowMin(kTickNever)
-{
-    std::memset(_occ, 0, sizeof(_occ));
-}
+EventQueue::EventQueue() : _now(0), _nextSeq(0), _executed(0) {}
 
 EventQueue::~EventQueue()
 {
@@ -33,7 +26,7 @@ EventQueue::allocEntry()
     Entry *e = new Entry();
     e->slot = static_cast<std::uint32_t>(_entries.size());
     e->gen = 0;
-    e->home = kHomeNone;
+    e->pos = kNotQueued;
     _entries.push_back(e);
     return e;
 }
@@ -43,7 +36,6 @@ EventQueue::freeEntry(Entry *e)
 {
     e->cb.reset();
     ++e->gen;  // invalidate any EventId still pointing at this entry
-    e->home = kHomeNone;
     if (_pool.size() < 4096)
         _pool.push_back(e);
     // Over-full pool: the entry stays parked in _entries and is
@@ -57,7 +49,7 @@ EventQueue::resolve(EventId id) const
     if (slot_plus_one == 0 || slot_plus_one > _entries.size())
         return nullptr;
     Entry *e = _entries[static_cast<std::size_t>(slot_plus_one) - 1];
-    if (!e->live || e->gen != static_cast<std::uint32_t>(id))
+    if (e->pos == kNotQueued || e->gen != static_cast<std::uint32_t>(id))
         return nullptr;
     return e;
 }
@@ -73,43 +65,55 @@ EventQueue::acquire(Tick when)
     if (when == kTickNever)
         panic("event scheduled at the kTickNever sentinel");
     Entry *e = allocEntry();
-    e->when = when;
-    e->live = true;
-    place(e);
-    ++_live;
+    // Grows only past the pending high-water mark.
+    _heap.emplace_back();
+    siftUp(_heap.size() - 1, Key{when, _nextSeq++, e});
     return e;
 }
 
 void
-EventQueue::unlink(Entry *e)
+EventQueue::siftUp(std::size_t i, Key k)
 {
-    const std::uint16_t home = e->home;
-    e->home = kHomeNone;
-    if (home == kHomeOverflow) {
-        remove(_overflow, e);
-        if (_overflow.head == nullptr) {
-            _overflowMin = kTickNever;
-        } else if (e->when == _overflowMin) {
-            // Rare (a cancelled far-future watchdog): rescan for the
-            // exact minimum so rebase() keeps landing on a real tick.
-            Tick min = kTickNever;
-            for (Entry *o = _overflow.head; o; o = o->next)
-                min = o->when < min ? o->when : min;
-            _overflowMin = min;
-        }
-        return;
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!before(k, _heap[parent]))
+            break;
+        put(i, _heap[parent]);
+        i = parent;
     }
-    DVFS_ASSERT(home != kHomeNone, "entry not on any wheel list");
-    List &l = _slots[home];
-    remove(l, e);
-    if (l.head == nullptr) {
-        const unsigned level = home >> kLevelBits;
-        const unsigned idx = home & (kSlotsPerLevel - 1);
-        _occ[level][idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-        const std::uint64_t *w = _occ[level];
-        if ((w[0] | w[1] | w[2] | w[3]) == 0)
-            _levelMask &= ~(1u << level);
+    put(i, k);
+}
+
+void
+EventQueue::siftDown(std::size_t i, Key k)
+{
+    const std::size_t n = _heap.size();
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && before(_heap[child + 1], _heap[child]))
+            ++child;
+        if (!before(_heap[child], k))
+            break;
+        put(i, _heap[child]);
+        i = child;
     }
+    put(i, k);
+}
+
+void
+EventQueue::removeAt(std::size_t i)
+{
+    const Key last = _heap.back();
+    _heap.pop_back();
+    if (i == _heap.size())
+        return;  // the removed key was the last one
+    // The last key refills the hole; it may belong above or below it.
+    if (i > 0 && before(last, _heap[(i - 1) / 2]))
+        siftUp(i, last);
+    else
+        siftDown(i, last);
 }
 
 bool
@@ -118,119 +122,25 @@ EventQueue::cancel(EventId id)
     Entry *e = resolve(id);
     if (!e)
         return false;
-    unlink(e);
-    e->live = false;
-    --_live;
+    removeAt(e->pos);
+    e->pos = kNotQueued;
     freeEntry(e);
     return true;
 }
 
 void
-EventQueue::cascade(unsigned level, unsigned idx)
+EventQueue::dispatchFront()
 {
-    // The caller moved the cursor to this slot's start tick; every
-    // entry re-files at a strictly lower level (its tick now agrees
-    // with the cursor in all bytes at or above `level`). Walking the
-    // FIFO in order keeps same-tick entries in insertion order.
-    List &l = _slots[level * kSlotsPerLevel + idx];
-    Entry *e = l.head;
-    l.head = l.tail = nullptr;
-    _occ[level][idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-    const std::uint64_t *w = _occ[level];
-    if ((w[0] | w[1] | w[2] | w[3]) == 0)
-        _levelMask &= ~(1u << level);
-    while (e) {
-        Entry *n = e->next;
-        place(e);
-        e = n;
-    }
-}
-
-void
-EventQueue::rebase()
-{
-    // Wheel empty, overflow not: jump the cursor straight to the
-    // overflow minimum and pull in every overflow entry sharing its
-    // top-level epoch. Entries keep FIFO order both in the wheel
-    // (placed in list order) and in the residual overflow list, so
-    // same-tick insertion order survives the crossing.
-    DVFS_ASSERT(_levelMask == 0 && _overflow.head != nullptr,
-                "rebase without overflow work");
-    _cursor = _overflowMin;
-    const Tick epoch = _overflowMin >> kHorizonBits;
-    Entry *e = _overflow.head;
-    _overflow.head = _overflow.tail = nullptr;
-    Tick min = kTickNever;
-    while (e) {
-        Entry *n = e->next;
-        if ((e->when >> kHorizonBits) == epoch) {
-            place(e);
-        } else {
-            append(_overflow, e);
-            e->home = kHomeOverflow;
-            min = e->when < min ? e->when : min;
-        }
-        e = n;
-    }
-    _overflowMin = min;
-    DVFS_ASSERT(_levelMask != 0, "rebase produced an empty wheel");
-}
-
-EventQueue::List *
-EventQueue::advance(Tick limit, Tick *tick_out)
-{
-    for (;;) {
-        if (_levelMask == 0) {
-            if (_overflow.head == nullptr || _overflowMin >= limit)
-                return nullptr;
-            rebase();
-            continue;
-        }
-        const unsigned level =
-            static_cast<unsigned>(std::countr_zero(_levelMask));
-        const std::uint64_t *w = _occ[level];
-        unsigned idx = 0;
-        for (unsigned i = 0; i < kOccWords; ++i) {
-            if (w[i]) {
-                idx = i * 64 +
-                      static_cast<unsigned>(std::countr_zero(w[i]));
-                break;
-            }
-        }
-        // All occupied slots sit at or after the cursor's position on
-        // their level (wheel invariant), and the lowest non-empty
-        // level always holds the earliest tick, so the first set bit
-        // is the next thing to happen.
-        if (level == 0) {
-            const Tick t =
-                (_cursor & ~Tick{kSlotsPerLevel - 1}) | idx;
-            if (t >= limit)
-                return nullptr;
-            _cursor = t;
-            *tick_out = t;
-            return &_slots[idx];
-        }
-        const unsigned shift = level * kLevelBits;
-        const Tick span_mask = (Tick{1} << (shift + kLevelBits)) - 1;
-        const Tick start =
-            (_cursor & ~span_mask) | (Tick{idx} << shift);
-        if (start >= limit)
-            return nullptr;
-        _cursor = start;
-        cascade(level, idx);
-    }
-}
-
-void
-EventQueue::dispatch(Entry *e)
-{
-    unlink(e);
-    e->live = false;
-    --_live;
+    const Key k = _heap.front();
+    DVFS_ASSERT(k.when >= _now, "event time went backwards");
+    _now = k.when;
+    removeAt(0);
+    Entry *e = k.entry;
+    e->pos = kNotQueued;
     ++_executed;
-    // Invoke in place: the entry is already off the wheel, so the
+    // Invoke in place: the key is already off the heap, so the
     // callback may schedule (including same-tick) or cancel freely;
-    // it just cannot be recycled until it returns.
+    // the entry just cannot be recycled until it returns.
     e->cb();
     freeEntry(e);
 }
@@ -239,13 +149,9 @@ bool
 EventQueue::runOne()
 {
     DVFS_PROFILE_SCOPE(Kernel);
-    Tick t;
-    List *slot = advance(kTickNever, &t);
-    if (!slot)
+    if (_heap.empty())
         return false;
-    DVFS_ASSERT(t >= _now, "event time went backwards");
-    _now = t;
-    dispatch(slot->head);
+    dispatchFront();
     return true;
 }
 
@@ -254,24 +160,15 @@ EventQueue::runUntil(Tick limit)
 {
     DVFS_PROFILE_SCOPE(Kernel);
     std::uint64_t n = 0;
-    for (;;) {
-        Tick t;
-        List *slot = advance(limit, &t);
-        if (!slot) {
-            if (_live > 0)
-                _now = limit;  // events remain at or beyond the limit
+    if (limit <= _now)
+        return n;  // nothing is due before now; time never goes back
+    while (!_heap.empty()) {
+        if (_heap.front().when >= limit) {
+            _now = limit;  // events remain at or beyond the limit
             break;
         }
-        DVFS_ASSERT(t >= _now, "event time went backwards");
-        _now = t;
-        // Batch dispatch: every entry here fires at exactly t, and a
-        // callback scheduling at the current tick appends to this very
-        // slot, so draining the head until the FIFO empties needs no
-        // wheel re-scan between entries.
-        while (Entry *e = slot->head) {
-            dispatch(e);
-            ++n;
-        }
+        dispatchFront();
+        ++n;
     }
     return n;
 }
@@ -281,17 +178,9 @@ EventQueue::run()
 {
     DVFS_PROFILE_SCOPE(Kernel);
     std::uint64_t n = 0;
-    for (;;) {
-        Tick t;
-        List *slot = advance(kTickNever, &t);
-        if (!slot)
-            break;
-        DVFS_ASSERT(t >= _now, "event time went backwards");
-        _now = t;
-        while (Entry *e = slot->head) {
-            dispatch(e);
-            ++n;
-        }
+    while (!_heap.empty()) {
+        dispatchFront();
+        ++n;
     }
     return n;
 }

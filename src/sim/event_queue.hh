@@ -7,21 +7,19 @@
  * (tick, insertion-order) order, which makes simulations bitwise
  * deterministic for a given workload and configuration.
  *
- * The implementation is a hierarchical timing wheel (DESIGN.md §9):
- * six levels of 256 slots indexed by successive bytes of the event
- * tick, a far-future overflow FIFO beyond the 48-bit horizon, and an
- * intrusive doubly-linked FIFO of pooled entries per slot. Schedule,
- * cancel and dispatch are all O(1) amortized; the deterministic
- * ordering contract — earliest tick first, insertion order within a
- * tick — holds by construction because a tick maps to exactly one
- * slot and slot lists are append-only FIFOs. The pre-wheel binary
- * heap survives as ReferenceEventQueue for differential testing.
+ * The implementation is an indexed binary min-heap (DESIGN.md §9) of
+ * 24-byte keys {tick, insertion sequence, entry} over pooled entries
+ * that hold the callbacks. The simulator keeps only four to six events
+ * pending, so a sift moves a few keys; the entries never move. Each
+ * entry records its key's heap index, so cancellation removes the key
+ * and recycles the entry at once. The ordering contract — earliest
+ * tick first, insertion order within a tick — is the (tick, sequence)
+ * key order. ReferenceEventQueue (tests/) is its differential oracle.
  */
 
 #ifndef DVFS_SIM_EVENT_QUEUE_HH
 #define DVFS_SIM_EVENT_QUEUE_HH
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -52,14 +50,13 @@ using EventId = std::uint64_t;
 constexpr EventId kNoEvent = 0;
 
 /**
- * A deterministic discrete-event queue over a hierarchical timing
- * wheel.
+ * A deterministic discrete-event queue over an indexed binary heap.
  *
  * Events scheduled for the same tick fire in insertion order. Events
  * may schedule further events, including at the current tick (they run
  * after all previously-inserted same-tick events). Scheduling in the
  * past is a simulator bug and panics; so is scheduling at the
- * kTickNever sentinel, which the wheel reserves as "no deadline".
+ * kTickNever sentinel, which means "no deadline".
  */
 class EventQueue
 {
@@ -105,17 +102,17 @@ class EventQueue
      * Cancel a previously scheduled event.
      *
      * Cancelling an event that already fired (or was already cancelled)
-     * is a no-op and returns false. Cancellation is eager: the entry is
-     * unlinked from its wheel slot (or the overflow list) and recycled
-     * immediately, so parked far-future timers never pin pool entries.
+     * is a no-op and returns false. Cancellation is eager: the key is
+     * removed from the heap and the entry recycled immediately, so
+     * parked far-future timers never pin pool entries.
      */
     bool cancel(EventId id);
 
     /** True if no runnable events remain. */
-    bool empty() const { return _live == 0; }
+    bool empty() const { return _heap.empty(); }
 
     /** Number of pending (non-cancelled) events. */
-    std::uint64_t pending() const { return _live; }
+    std::uint64_t pending() const { return _heap.size(); }
 
     /**
      * Run the next event, advancing time to its tick.
@@ -128,10 +125,9 @@ class EventQueue
      * Run events until the queue empties or @p limit is reached.
      *
      * Events scheduled at exactly @p limit are not executed; time
-     * stops at the last executed event (or @p limit if provided and
-     * events remain beyond it). Same-tick events are batch-dispatched:
-     * a slot's FIFO is drained without re-consulting the wheel between
-     * entries.
+     * stops at the last executed event, or at @p limit if events
+     * remain beyond it. A limit at or below now() runs nothing and
+     * leaves now() unchanged: time never moves backwards.
      *
      * @return Number of events executed.
      */
@@ -151,16 +147,6 @@ class EventQueue
     std::size_t entriesAllocated() const { return _entries.size(); }
 
   private:
-    /// @name Wheel geometry
-    /// @{
-    static constexpr unsigned kLevelBits = 8;
-    static constexpr unsigned kSlotsPerLevel = 1u << kLevelBits;  // 256
-    static constexpr unsigned kLevels = 6;
-    /** Ticks addressable by the wheel before the overflow list. */
-    static constexpr unsigned kHorizonBits = kLevels * kLevelBits; // 48
-    static constexpr unsigned kOccWords = kSlotsPerLevel / 64;     // 4
-    /// @}
-
     /**
      * Entries are pooled and identified by a permanent slot plus a
      * per-reuse generation; an EventId packs (slot+1, generation), so
@@ -169,29 +155,31 @@ class EventQueue
      * rejected by the generation check. The callback's captures live
      * inside the entry (EventCallback is inline storage), so a
      * schedule/fire cycle through the pool performs zero heap
-     * allocations. next/prev link the entry into its wheel slot's
-     * FIFO (or the overflow list); `home` records which list so
-     * cancel can unlink eagerly.
+     * allocations.
      */
     struct Entry {
-        Tick when;
-        Entry *next;
-        Entry *prev;
         EventCallback cb;
         std::uint32_t slot;  ///< permanent index into _entries
         std::uint32_t gen;   ///< bumped on retire; stale ids mismatch
-        std::uint16_t home;  ///< level<<8|idx, kHomeOverflow, kHomeNone
-        bool live;           ///< scheduled and not yet fired/cancelled
+        std::uint32_t pos;   ///< index of this entry's key in _heap
     };
 
-    static constexpr std::uint16_t kHomeOverflow = 0xFFFF;
-    static constexpr std::uint16_t kHomeNone = 0xFFFE;
+    /** Entry::pos of an entry that is not pending (fired or free). */
+    static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
 
-    /** Intrusive FIFO: append at tail, dispatch from head. */
-    struct List {
-        Entry *head = nullptr;
-        Entry *tail = nullptr;
+    /** What the heap orders and moves; the entry stays put. */
+    struct Key {
+        Tick when;
+        std::uint64_t seq;  ///< insertion order (same-tick FIFO)
+        Entry *entry;
     };
+
+    /** Heap order: earliest tick first, then insertion order. */
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
 
     /** Pack an entry's identity into an opaque EventId (never 0). */
     static constexpr EventId
@@ -200,119 +188,44 @@ class EventQueue
         return (static_cast<EventId>(slot) + 1) << 32 | gen;
     }
 
-    static void
-    append(List &l, Entry *e)
-    {
-        e->next = nullptr;
-        e->prev = l.tail;
-        if (l.tail)
-            l.tail->next = e;
-        else
-            l.head = e;
-        l.tail = e;
-    }
-
-    static void
-    remove(List &l, Entry *e)
-    {
-        if (e->prev)
-            e->prev->next = e->next;
-        else
-            l.head = e->next;
-        if (e->next)
-            e->next->prev = e->prev;
-        else
-            l.tail = e->prev;
-    }
-
     /**
-     * File @p e into the wheel (or overflow) by its tick, relative to
-     * the wheel cursor. The level is the highest byte in which the
-     * tick differs from the cursor; the slot within the level is that
-     * byte of the tick. Requires e->when >= _cursor.
-     */
-    void
-    place(Entry *e)
-    {
-        const Tick diff = e->when ^ _cursor;
-        if (diff >> kHorizonBits) {
-            // Beyond the 48-bit horizon: park in the overflow FIFO.
-            if (_overflow.head == nullptr || e->when < _overflowMin)
-                _overflowMin = e->when;
-            append(_overflow, e);
-            e->home = kHomeOverflow;
-            return;
-        }
-        const unsigned level =
-            diff ? (63u - static_cast<unsigned>(std::countl_zero(diff))) /
-                       kLevelBits
-                 : 0u;
-        const unsigned idx = static_cast<unsigned>(
-            (e->when >> (level * kLevelBits)) & (kSlotsPerLevel - 1));
-        const unsigned s = level * kSlotsPerLevel + idx;
-        append(_slots[s], e);
-        e->home = static_cast<std::uint16_t>(s);
-        _occ[level][idx / 64] |= std::uint64_t{1} << (idx % 64);
-        _levelMask |= 1u << level;
-    }
-
-    /** Unlink @p e from whichever list `home` says it is on. */
-    void unlink(Entry *e);
-
-    /**
-     * Validate @p when, pull an entry from the pool and file it into
-     * the wheel. The caller fills in the callback.
+     * Validate @p when, pull an entry from the pool and push its key.
+     * The caller fills in the callback.
      */
     Entry *acquire(Tick when);
 
-    /**
-     * Advance the cursor to the earliest pending tick, cascading
-     * upper-level slots and rebasing from the overflow list as
-     * needed. On success sets *tick_out (< @p limit), points the
-     * cursor at it, and returns the level-0 slot list holding every
-     * event at that tick. Returns nullptr if the queue is empty or
-     * the earliest event is at or beyond @p limit (cursor untouched
-     * past that point, so later schedules stay well-formed).
-     */
-    List *advance(Tick limit, Tick *tick_out);
+    /** Store @p k at heap index @p i and record the index. */
+    void
+    put(std::size_t i, const Key &k)
+    {
+        _heap[i] = k;
+        k.entry->pos = static_cast<std::uint32_t>(i);
+    }
 
-    /** Re-place every entry of an upper-level slot after the cursor
-     *  moved to the slot's start (FIFO order preserved). */
-    void cascade(unsigned level, unsigned idx);
+    /** Settle @p k into the hole at @p i, moving parents down. */
+    void siftUp(std::size_t i, Key k);
 
-    /** Move the cursor to the overflow minimum and drain every
-     *  overflow entry in the cursor's new top-level epoch. */
-    void rebase();
+    /** Settle @p k into the hole at @p i, moving children up. */
+    void siftDown(std::size_t i, Key k);
 
-    /** Fire @p e (head of the current level-0 slot) in place. */
-    void dispatch(Entry *e);
+    /** Remove the key at heap index @p i, keeping the heap order. */
+    void removeAt(std::size_t i);
 
-    Tick _now;     ///< reported simulated time
-    /**
-     * Wheel placement reference. Invariants: _cursor <= _now; every
-     * wheel entry's tick shares the cursor's top 16 bits and is >=
-     * _cursor; every overflow entry's tick has a strictly greater
-     * top-16-bit epoch. Unlike _now, the cursor never moves past an
-     * undispatched event, so slot indices computed from it always
-     * land at or after it on every level.
-     */
-    Tick _cursor;
-    std::uint64_t _live;
+    /** Pop the earliest key, advance time to it, and fire its entry. */
+    void dispatchFront();
+
+    Tick _now;  ///< reported simulated time
+    std::uint64_t _nextSeq;
     std::uint64_t _executed;
 
-    List _slots[kLevels * kSlotsPerLevel];
-    std::uint64_t _occ[kLevels][kOccWords];  ///< slot occupancy bitmaps
-    std::uint32_t _levelMask;                ///< bit l: level l non-empty
-    List _overflow;
-    Tick _overflowMin;  ///< exact min tick on _overflow when non-empty
-
+    std::vector<Key> _heap;         ///< min-heap of pending events
     std::vector<Entry *> _entries;  ///< every entry ever allocated
     std::vector<Entry *> _pool;     ///< freelist of recycled entries
 
     Entry *allocEntry();
     void freeEntry(Entry *e);
 
-    /** Resolve an EventId to its live entry, or nullptr if stale. */
+    /** Resolve an EventId to its pending entry, or nullptr if stale. */
     Entry *resolve(EventId id) const;
 };
 

@@ -47,6 +47,8 @@ subsystemName(Subsystem s)
       case Subsystem::Cache: return "cache";
       case Subsystem::Dram: return "dram";
       case Subsystem::Os: return "os";
+      case Subsystem::Fastpath: return "fastpath";
+      case Subsystem::Wl: return "wl";
       case Subsystem::Other: return "other";
       case Subsystem::Count: break;
     }

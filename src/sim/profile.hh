@@ -4,8 +4,9 @@
  *
  * Scoped RAII markers (DVFS_PROFILE_SCOPE) tag the calling thread with
  * the coarse subsystem it is executing — event kernel, core model,
- * cache hierarchy, DRAM, OS layer. A scope is one thread-local store
- * on entry and one on exit: no clock reads, no registry, no counts.
+ * cache hierarchy, DRAM, OS layer, fast-path model, workload
+ * generator. A scope is one thread-local store on entry and one on
+ * exit: no clock reads, no registry, no counts.
  *
  * Between start() and stop() an ITIMER_PROF timer raises SIGPROF once
  * per interval of process CPU time; the kernel delivers it to the
@@ -29,12 +30,14 @@ namespace dvfs::sim::prof {
 
 /** Subsystems CPU samples are attributed to. */
 enum class Subsystem : unsigned {
-    Kernel,  ///< event queue: schedule/dispatch machinery
-    Core,    ///< core model: instruction/cluster/burst execution
-    Cache,   ///< cache hierarchy walks
-    Dram,    ///< DRAM bank/bus model
-    Os,      ///< scheduler, futexes, syscalls, managed runtime
-    Other,   ///< anything outside an instrumented scope
+    Kernel,    ///< event queue: schedule/dispatch machinery
+    Core,      ///< core model: instruction/cluster/burst execution
+    Cache,     ///< cache hierarchy walks
+    Dram,      ///< DRAM bank/bus model
+    Os,        ///< scheduler, futexes, syscalls, managed runtime
+    Fastpath,  ///< fast-path model: fitted charges, detail observations
+    Wl,        ///< workload generators: ThreadProgram::next pulls
+    Other,     ///< anything outside an instrumented scope
     Count
 };
 

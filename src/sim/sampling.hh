@@ -149,7 +149,7 @@ struct SampleStats {
 };
 
 /**
- * Drives detail <-> fast-forward transitions on the timing wheel.
+ * Drives detail <-> fast-forward transitions on the event queue.
  *
  * The schedule is time-based: [0, startupDetail) is detailed, then
  * gaps and detail windows alternate, with gap lengths adapted from

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/log.hh"
+#include "sim/profile.hh"
 
 namespace dvfs::uarch {
 
@@ -169,6 +170,7 @@ FastPathModel::observeCluster(const MissClusterSpec &spec,
                               std::uint32_t busyCores, Tick elapsed,
                               const PerfCounters &delta)
 {
+    DVFS_PROFILE_SCOPE(Fastpath);
     DVFS_ASSERT(!spec.lite(), "observing a lite cluster spec");
     ClusterShape &s =
         clusterShape(spec.loadCount(), spec.overlapInstructions,
@@ -197,6 +199,7 @@ FastPathModel::observeBurst(const StoreBurstSpec &spec,
                             std::uint32_t busyCores, Tick elapsed,
                             const PerfCounters &delta)
 {
+    DVFS_PROFILE_SCOPE(Fastpath);
     if (spec.lines == 0)
         return;
     BurstShape &s = burstShape(spec.storesPerLine);
@@ -218,6 +221,7 @@ FastPathModel::chargeCluster(const MissClusterSpec &spec,
                              std::uint32_t busyCores, Tick &elapsed,
                              PerfCounters &pc)
 {
+    DVFS_PROFILE_SCOPE(Fastpath);
     ClusterShape *s = nullptr;
     const std::uint32_t loads = spec.loadCount();
     for (auto &cand : _points[_cur].clusters) {
@@ -263,6 +267,7 @@ FastPathModel::chargeBurst(const StoreBurstSpec &spec,
                            std::uint32_t busyCores, Tick &elapsed,
                            PerfCounters &pc)
 {
+    DVFS_PROFILE_SCOPE(Fastpath);
     if (spec.lines == 0) {
         elapsed = 0;
         return true;

@@ -275,9 +275,15 @@ class FastPathModel
     static std::uint64_t
     emitShare(Lane<N> &lane, int field, std::uint64_t chargedWeight)
     {
-        const auto entitled = static_cast<std::uint64_t>(
-            static_cast<unsigned __int128>(chargedWeight)
-            * lane.eraObs[field] / lane.eraWeight);
+        const unsigned __int128 product =
+            static_cast<unsigned __int128>(chargedWeight) *
+            lane.eraObs[field];
+        // The product nearly always fits 64 bits, where a native
+        // divide gives the same quotient as the 128-bit library call.
+        const std::uint64_t entitled =
+            (product >> 64) == 0
+                ? static_cast<std::uint64_t>(product) / lane.eraWeight
+                : static_cast<std::uint64_t>(product / lane.eraWeight);
         std::uint64_t out = entitled > lane.emitted[field]
                                 ? entitled - lane.emitted[field]
                                 : 0;

@@ -11,10 +11,17 @@ WorkerProgram::WorkerProgram(const SharedWorkload &shared,
                              std::uint32_t index)
     : _sh(shared), _index(index)
 {
-    _items = _sh.params.workItems;
+    const WorkloadParams &p = _sh.params;
+    _items = p.workItems;
     // Worker 0 models pmd's oversized input file: same item count
     // (keeping barrier arrivals matched) but heavier items.
-    _workScale = (index == 0) ? _sh.params.stragglerFactor : 1.0;
+    const double workScale = (index == 0) ? p.stragglerFactor : 1.0;
+    _halfItemInstr = static_cast<std::uint64_t>(
+        std::llround(p.computeInstr * 0.5 * workScale));
+    _lockHoldInstr = static_cast<std::uint64_t>(
+        std::llround(p.lockHoldInstr * workScale));
+    _itemAllocBytes = static_cast<std::uint64_t>(
+        std::llround(p.allocBytesPerItem * workScale));
 }
 
 uarch::MissClusterSpec
@@ -92,9 +99,7 @@ WorkerProgram::next(os::ThreadContext &ctx)
 
         _clustersLeft = p.clustersPerItem;
         _state = _clustersLeft > 0 ? State::Clusters : State::LockEnter;
-        auto instr = static_cast<std::uint64_t>(
-            std::llround(p.computeInstr * 0.5 * _workScale));
-        return os::Action::makeCompute(instr, p.l2LoadsPerItem,
+        return os::Action::makeCompute(_halfItemInstr, p.l2LoadsPerItem,
                                        p.l3LoadsPerItem);
       }
 
@@ -121,8 +126,7 @@ WorkerProgram::next(os::ThreadContext &ctx)
 
       case State::LockHold:
         _state = State::LockExit;
-        return os::Action::makeCompute(static_cast<std::uint64_t>(
-            std::llround(p.lockHoldInstr * _workScale)));
+        return os::Action::makeCompute(_lockHoldInstr);
 
       case State::LockExit:
         _state = State::Alloc;
@@ -130,8 +134,7 @@ WorkerProgram::next(os::ThreadContext &ctx)
 
       case State::Alloc: {
         if (_allocLeft == 0)
-            _allocLeft = static_cast<std::uint64_t>(
-                std::llround(p.allocBytesPerItem * _workScale));
+            _allocLeft = _itemAllocBytes;
         if (_allocLeft == 0 || p.allocChunkBytes == 0) {
             _allocLeft = 0;
             _state = State::ItemEnd;
@@ -148,9 +151,7 @@ WorkerProgram::next(os::ThreadContext &ctx)
       case State::ItemEnd: {
         ++_item;
         _state = State::ItemStart;
-        auto instr = static_cast<std::uint64_t>(
-            std::llround(p.computeInstr * 0.5 * _workScale));
-        return os::Action::makeCompute(instr, p.l2LoadsPerItem, 0);
+        return os::Action::makeCompute(_halfItemInstr, p.l2LoadsPerItem, 0);
       }
 
       case State::Done:

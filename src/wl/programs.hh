@@ -58,7 +58,12 @@ class WorkerProgram : public os::ThreadProgram
     std::uint32_t _index;
     std::uint64_t _items;        ///< total items for this worker
     std::uint64_t _item = 0;     ///< current item
-    double _workScale = 1.0;     ///< straggler multiplier on item work
+    /// @name Per-item sizes, straggler-scaled once at construction
+    /// @{
+    std::uint64_t _halfItemInstr;   ///< each compute half of an item
+    std::uint64_t _lockHoldInstr;   ///< work inside the critical section
+    std::uint64_t _itemAllocBytes;  ///< bytes allocated per item
+    /// @}
 
     State _state = State::ItemStart;
     bool _barrierTaken = false;

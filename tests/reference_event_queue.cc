@@ -117,6 +117,8 @@ std::uint64_t
 ReferenceEventQueue::runUntil(Tick limit)
 {
     std::uint64_t n = 0;
+    if (limit <= _now)
+        return n;  // nothing is due before now; time never goes back
     while (true) {
         Entry *e = pop();
         if (!e)

@@ -2,11 +2,12 @@
  * @file
  * Reference binary-heap event queue.
  *
- * This is the pre-timing-wheel EventQueue implementation, kept verbatim
- * as an executable specification of the dispatch-order contract:
- * earliest tick first, insertion order within a tick. The differential
- * test (tests/test_event_queue_differential.cc) drives a seeded random
- * op stream through this queue and the production timing wheel and
+ * The simplest correct EventQueue: a std::priority_queue of entry
+ * pointers with lazy cancellation, kept as an executable specification
+ * of the dispatch-order contract: earliest tick first, insertion order
+ * within a tick. The differential test
+ * (tests/test_event_queue_differential.cc) drives seeded random op
+ * streams through this queue and the production indexed heap and
  * requires identical firing sequences.
  *
  * Not used on any simulation path; it lives under tests/ and only
@@ -33,7 +34,8 @@ namespace dvfs::sim {
  * tick fire in insertion order, events may schedule further events
  * (including at the current tick), scheduling in the past panics.
  * Ordering within a tick is enforced by an explicit insertion sequence
- * number in the heap comparator rather than by construction.
+ * number in the heap comparator; cancelled entries stay in the heap
+ * until they surface.
  */
 class ReferenceEventQueue
 {
@@ -79,7 +81,8 @@ class ReferenceEventQueue
 
     /**
      * Run events until the queue empties or @p limit is reached.
-     * Events at exactly @p limit are not executed.
+     * Events at exactly @p limit are not executed; a limit at or
+     * below now() runs nothing and leaves now() unchanged.
      */
     std::uint64_t runUntil(Tick limit);
 

@@ -116,6 +116,23 @@ TEST(EventQueue, RunUntilStopsBeforeLimit)
     EXPECT_EQ(fired, 3);
 }
 
+TEST(EventQueue, RunUntilAtOrBelowNowRunsNothing)
+{
+    EventQueue eq;
+    eq.schedule(100, [] {});
+    eq.schedule(200, [] {});
+    EXPECT_TRUE(eq.runOne());
+    EXPECT_EQ(eq.now(), 100u);
+    // A limit in the past must not rewind the clock.
+    EXPECT_EQ(eq.runUntil(50), 0u);
+    EXPECT_EQ(eq.now(), 100u);
+    EXPECT_EQ(eq.runUntil(100), 0u);
+    EXPECT_EQ(eq.now(), 100u);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_EQ(eq.now(), 200u);
+}
+
 TEST(EventQueue, ExecutedCounterAccumulates)
 {
     EventQueue eq;
@@ -131,6 +148,18 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     eq.schedule(100, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(50, [] {}), "past");
+}
+
+TEST(EventQueueDeathTest, ScheduleBeforeNowAfterLowRunUntilPanics)
+{
+    EventQueue eq;
+    eq.schedule(100, [] {});
+    eq.schedule(200, [] {});
+    eq.runOne();
+    eq.runUntil(50);
+    // now() is still 100, so tick 60 is in the past: it must not be
+    // accepted and then fire after an event that already ran at 100.
+    EXPECT_DEATH(eq.schedule(60, [] {}), "past");
 }
 
 TEST(EventQueue, StaleIdAfterSlotReuseCancelsNothing)

@@ -1,22 +1,25 @@
 /**
  * @file
- * Differential and edge-case tests for the timing-wheel event kernel.
+ * Differential and edge-case tests for the indexed-heap event kernel.
  *
- * The wheel (EventQueue) must be observationally identical to the
- * retired binary-heap implementation (ReferenceEventQueue), which is
+ * The kernel (EventQueue) must be observationally identical to
+ * ReferenceEventQueue, a plain priority queue with lazy cancellation
  * kept as an executable specification of the dispatch-order contract:
- * earliest tick first, insertion order within a tick. A seeded random
- * op stream — schedule, cancel, same-tick reschedule from inside
- * callbacks, partial runUntil — is driven through both queues and the
+ * earliest tick first, insertion order within a tick. Seeded random op
+ * streams — schedule, cancel, same-tick reschedule from inside
+ * callbacks, partial runUntil — are driven through both queues and the
  * full observable trace (firing order, firing ticks, cancel results)
- * must match bit for bit.
+ * must match bit for bit. One stream is shaped like the simulator's
+ * measured traffic: four to eight pending events re-armed at ns-to-us
+ * deltas.
  *
- * The edge-case tests pin down the wheel-specific machinery the
- * random stream is unlikely to stress deterministically: scheduling
- * at the current tick, cancelling entries parked in the far-future
- * overflow list (before and after a rebase), cursor movement across
- * every wheel level, and pool reuse under a million schedule/cancel
- * cycles.
+ * The edge-case tests pin down what a random stream is unlikely to hit
+ * deterministically: scheduling at the current tick, cancelling the
+ * head, a middle and the last heap key, a callback cancelling a
+ * same-tick sibling, far-future ticks, ticks at every power-of-256
+ * boundary, and pool reuse under a million schedule/cancel cycles. The
+ * EventQueueWheel suite keeps the name it had under the timing-wheel
+ * kernel this one replaced; its cases now run against the heap.
  */
 
 #include <gtest/gtest.h>
@@ -109,9 +112,82 @@ runScript(std::uint32_t seed, unsigned ops)
     return trace;
 }
 
+/** Trace token marking now() after a runUntil. */
+constexpr std::uint64_t kNowMark = 0x2000000000000000ull;
+
 /**
- * Long-horizon stream: deltas big enough to exercise upper wheel
- * levels and the overflow list against the reference.
+ * The simulator's traffic: a window of 4-8 pending events re-armed at
+ * ns-to-us deltas (femtosecond ticks). Fired events re-arm themselves,
+ * sometimes at the same tick; pending timers are cancelled and
+ * re-armed; runUntil limits fall before, at and after now().
+ */
+template <typename Queue>
+std::vector<TraceStep>
+windowScript(std::uint32_t seed, unsigned ops)
+{
+    Queue q;
+    std::vector<TraceStep> trace;
+    std::vector<EventId> ids;  // every id ever returned, stale or not
+    std::uint64_t next_tok = 1;
+    sim::Rng rng(seed);
+
+    // A delta of 0 ns to 5 us; one in four lands on a whole ns of a
+    // few, so distinct events collide on one tick.
+    auto delta = [&rng]() -> Tick {
+        return rng.nextBool(0.25) ? rng.nextBounded(4) * kTicksPerNs
+                                  : rng.nextBounded(5 * kTicksPerUs);
+    };
+    auto arm = [&](Tick when) {
+        const std::uint64_t tok = next_tok++;
+        const bool rearm = rng.nextBool(0.7);
+        const Tick rearm_delta = delta();
+        Queue *qp = &q;
+        auto *tp = &trace;
+        const std::uint64_t child = tok | 0x1000000000000000ull;
+        ids.push_back(q.schedule(
+            when, [qp, tp, tok, rearm, rearm_delta, child] {
+                tp->emplace_back(tok, qp->now());
+                if (rearm) {
+                    qp->schedule(qp->now() + rearm_delta, [qp, tp, child] {
+                        tp->emplace_back(child, qp->now());
+                    });
+                }
+            }));
+    };
+
+    for (unsigned i = 0; i < ops; ++i) {
+        while (q.pending() < 4)
+            arm(q.now() + delta());
+        const std::uint32_t r =
+            static_cast<std::uint32_t>(rng.nextBounded(100));
+        if (r < 50) {
+            q.runOne();
+        } else if (r < 75) {
+            const EventId id =
+                ids[static_cast<std::size_t>(rng.nextBounded(ids.size()))];
+            trace.emplace_back(q.cancel(id) ? kCancelHit : kCancelMiss,
+                               q.now());
+            if (q.pending() < 8)
+                arm(q.now() + delta());
+        } else if (r < 90) {
+            if (q.pending() < 8)
+                arm(q.now() + delta());
+        } else {
+            const Tick back = rng.nextBounded(2 * kTicksPerUs);
+            const Tick limit = rng.nextBool(0.3)
+                                   ? (q.now() > back ? q.now() - back : 0)
+                                   : q.now() + delta();
+            q.runUntil(limit);
+            trace.emplace_back(kNowMark, q.now());
+        }
+    }
+    q.run();
+    return trace;
+}
+
+/**
+ * Long-horizon stream: deltas from 1 tick to 2^50 ticks, so keys of
+ * wildly different magnitude share the heap.
  */
 template <typename Queue>
 std::vector<TraceStep>
@@ -122,8 +198,7 @@ longHorizonScript(std::uint32_t seed)
     std::uint64_t tok = 1;
     sim::Rng rng(seed);
     for (unsigned i = 0; i < 300; ++i) {
-        // Spread deltas across ~2^50 so placements hit every level
-        // and the overflow path.
+        // Spread deltas across ~2^50.
         const unsigned level_bits =
             static_cast<unsigned>(rng.nextBounded(50));
         Tick delta = (Tick{1} << level_bits) + rng.nextBounded(1000);
@@ -145,11 +220,11 @@ longHorizonScript(std::uint32_t seed)
 TEST(EventQueueDifferential, WheelMatchesReferenceHeap)
 {
     for (std::uint32_t seed : {1u, 2u, 3u, 77u, 1234u}) {
-        auto wheel = runScript<sim::EventQueue>(seed, 2000);
-        auto heap = runScript<sim::ReferenceEventQueue>(seed, 2000);
-        ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < wheel.size(); ++i) {
-            ASSERT_EQ(wheel[i], heap[i])
+        auto kernel = runScript<sim::EventQueue>(seed, 2000);
+        auto ref = runScript<sim::ReferenceEventQueue>(seed, 2000);
+        ASSERT_EQ(kernel.size(), ref.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < kernel.size(); ++i) {
+            ASSERT_EQ(kernel[i], ref[i])
                 << "seed " << seed << " step " << i;
         }
     }
@@ -158,10 +233,81 @@ TEST(EventQueueDifferential, WheelMatchesReferenceHeap)
 TEST(EventQueueDifferential, LongHorizonStreamMatches)
 {
     for (std::uint32_t seed : {5u, 6u, 7u}) {
-        auto wheel = longHorizonScript<sim::EventQueue>(seed);
-        auto heap = longHorizonScript<sim::ReferenceEventQueue>(seed);
-        EXPECT_EQ(wheel, heap) << "seed " << seed;
+        auto kernel = longHorizonScript<sim::EventQueue>(seed);
+        auto ref = longHorizonScript<sim::ReferenceEventQueue>(seed);
+        EXPECT_EQ(kernel, ref) << "seed " << seed;
     }
+}
+
+TEST(EventQueueDifferential, SmallPendingWindowStreamMatches)
+{
+    for (std::uint32_t seed : {11u, 12u, 13u, 99u, 4321u}) {
+        auto kernel = windowScript<sim::EventQueue>(seed, 20'000);
+        auto ref = windowScript<sim::ReferenceEventQueue>(seed, 20'000);
+        ASSERT_EQ(kernel.size(), ref.size()) << "seed " << seed;
+        EXPECT_GT(kernel.size(), 20'000u) << "seed " << seed;
+        for (std::size_t i = 0; i < kernel.size(); ++i) {
+            ASSERT_EQ(kernel[i], ref[i])
+                << "seed " << seed << " step " << i;
+        }
+    }
+}
+
+TEST(EventQueueHeap, CancelHeadMiddleAndLastKeys)
+{
+    // Distinct ticks inserted out of order: 10 50 20 60 70 30 40 lays
+    // the heap out as [10, 50, 20, 60, 70, 30, 40].
+    sim::EventQueue q;
+    std::vector<Tick> fired;
+    std::vector<EventId> id;
+    for (Tick t : {10, 50, 20, 60, 70, 30, 40})
+        id.push_back(q.schedule(t, [&] { fired.push_back(q.now()); }));
+    // A middle key whose replacement (the last key, 40) belongs above
+    // the hole: it must sift up past 50.
+    EXPECT_TRUE(q.cancel(id[3]));  // 60
+    // The key now in the last slot (30): no refill needed.
+    EXPECT_TRUE(q.cancel(id[5]));  // 30
+    // The head: the last key refills the root and sifts down.
+    EXPECT_TRUE(q.cancel(id[0]));  // 10
+    for (std::size_t k : {0u, 3u, 5u})
+        EXPECT_FALSE(q.cancel(id[k]));
+    EXPECT_EQ(q.pending(), 4u);
+    EXPECT_EQ(q.run(), 4u);
+    EXPECT_EQ(fired, (std::vector<Tick>{20, 40, 50, 70}));
+
+    // Same tick: the order that survives is insertion order.
+    std::vector<int> order;
+    std::vector<EventId> same;
+    for (int i = 0; i < 6; ++i)
+        same.push_back(q.schedule(100, [&order, i] { order.push_back(i); }));
+    EXPECT_TRUE(q.cancel(same[0]));  // head
+    EXPECT_TRUE(q.cancel(same[2]));  // middle
+    EXPECT_TRUE(q.cancel(same[5]));  // last
+    EXPECT_EQ(q.run(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+}
+
+TEST(EventQueueHeap, CallbackCancelsSameTickSibling)
+{
+    sim::EventQueue q;
+    std::vector<int> order;
+    EventId self = sim::kNoEvent, sibling = sim::kNoEvent;
+    self = q.schedule(10, [&] {
+        order.push_back(0);
+        // Already off the heap while it runs: not cancellable.
+        EXPECT_FALSE(q.cancel(self));
+        // The next key in line, due at this very tick.
+        EXPECT_TRUE(q.cancel(sibling));
+    });
+    sibling = q.schedule(10, [&] { order.push_back(1); });
+    q.schedule(10, [&] { order.push_back(2); });
+    q.schedule(11, [&] { order.push_back(3); });
+    EXPECT_EQ(q.runUntil(11), 2u);
+    EXPECT_EQ(order, (std::vector<int>{0, 2}));
+    EXPECT_EQ(q.now(), 11u);
+    EXPECT_EQ(q.run(), 1u);
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
+    EXPECT_EQ(q.executed(), 3u);
 }
 
 TEST(EventQueueWheel, ScheduleAtCurrentTickFiresInBatch)
@@ -188,7 +334,7 @@ TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
     sim::EventQueue q;
     std::vector<int> fired;
 
-    // Beyond the 48-bit horizon: parked on the overflow list.
+    // Far-future ticks (2^49 fs, about 9.4 minutes) beside a near one.
     const Tick far = Tick{1} << 49;
     EventId f1 = q.schedule(far, [&] { fired.push_back(1); });
     EventId f2 = q.schedule(far + 5, [&] { fired.push_back(2); });
@@ -196,14 +342,13 @@ TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
     q.schedule(100, [&] { fired.push_back(0); });
     EXPECT_EQ(q.pending(), 4u);
 
-    // Cancel straight off the overflow list — including the entry
-    // holding the overflow minimum, forcing the exact-min rescan.
+    // Cancel the earliest far entry while a nearer key heads the
+    // heap.
     EXPECT_TRUE(q.cancel(f1));
     EXPECT_FALSE(q.cancel(f1));  // already gone
     EXPECT_EQ(q.pending(), 3u);
 
-    // Fire the near event, then step into the far epoch: the rebase
-    // pulls f2/f3 out of overflow into the wheel.
+    // Fire the near event, then jump to the far tick.
     EXPECT_TRUE(q.runOne());
     EXPECT_EQ(fired, std::vector<int>{0});
     EXPECT_TRUE(q.runOne());
@@ -211,9 +356,8 @@ TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
     EXPECT_EQ(fired, (std::vector<int>{0, 2}));
     EXPECT_FALSE(q.cancel(f2));  // already fired
 
-    // f3 fired in the same batch? No: runOne dispatches one event.
-    // It is now a live wheel entry at the current tick; cancel it
-    // post-cascade.
+    // runOne dispatches one event, so f3 is still pending at the
+    // current tick; it can be cancelled there.
     EXPECT_TRUE(q.cancel(f3));
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.run(), 0u);
@@ -223,19 +367,19 @@ TEST(EventQueueWheel, CursorCrossesEveryLevel)
 {
     sim::EventQueue q;
     std::vector<Tick> fired;
-    // One event per wheel level, plus byte-boundary neighbours that
-    // force cascades (255 -> 256 crosses level 0 into level 1, etc).
+    // Ticks at every power of 256 up to 2^40 and their neighbours,
+    // the 2^48 edge and beyond: keys of every magnitude in one heap.
     std::vector<Tick> ticks;
     for (unsigned level = 0; level < 6; ++level) {
         const Tick base = Tick{1} << (8 * level);
         ticks.push_back(base);
         ticks.push_back(base + 1);
         if (level > 0)
-            ticks.push_back(base - 1);  // last slot of the level below
+            ticks.push_back(base - 1);
     }
-    ticks.push_back((Tick{1} << 48) - 1);  // horizon edge: still wheel
-    ticks.push_back(Tick{1} << 48);        // first overflow tick
-    // Insert in reverse so wheel order, not insertion order, decides.
+    ticks.push_back((Tick{1} << 48) - 1);
+    ticks.push_back(Tick{1} << 48);
+    // Insert in reverse so tick order, not insertion order, decides.
     for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) {
         Tick t = *it;
         q.schedule(t, [&fired, &q] { fired.push_back(q.now()); });
@@ -250,9 +394,8 @@ TEST(EventQueueWheel, SameTickFifoSurvivesCascade)
 {
     sim::EventQueue q;
     std::vector<int> order;
-    // Two same-tick events filed at an upper level (tick differs from
-    // the cursor in byte 3): the cascade down to level 0 must keep
-    // their insertion order.
+    // Two same-tick events far from the current tick, inserted
+    // before a nearer one: they must still fire in insertion order.
     const Tick t = (Tick{3} << 24) + 42;
     q.schedule(t, [&] { order.push_back(1); });
     q.schedule(t, [&] { order.push_back(2); });

@@ -2,8 +2,9 @@
  * @file
  * The sampling profiler observes without perturbing: profiled runs
  * (exact, sampled, and a 2-worker sweep) reproduce the unprofiled
- * fingerprints while collecting samples, a nested start() is fatal,
- * and a SIGPROF after stop() is harmless.
+ * fingerprints while collecting samples, a profiled sampled grid keeps
+ * its pinned digest, a nested start() is fatal, and a SIGPROF after
+ * stop() is harmless.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "exp/experiment.hh"
 #include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/pool.hh"
+#include "exp/sweep/sweep.hh"
 #include "sim/profile.hh"
 #include "wl/suite.hh"
 
@@ -69,6 +71,33 @@ TEST(Profile, SampledRunIsBitIdentical)
     const std::uint64_t plain = fixedRun(exp::SimMode::Sampled);
     const prof::Snapshot snap = profiled(
         [&] { EXPECT_EQ(fixedRun(exp::SimMode::Sampled), plain); });
+    EXPECT_GT(snap.total(), 0u);
+}
+
+/**
+ * sweep_bench's sampled grid (the first four DaCapo workloads at 1-4
+ * GHz) under the profiler, with the fast-path and workload-generator
+ * scopes live on every fast-forwarded action: its digest stays the
+ * pinned sampled golden.
+ */
+TEST(Profile, SampledGridKeepsPinnedDigest)
+{
+    exp::sweep::SweepSpec spec;
+    for (const auto &params : wl::dacapoSuite()) {
+        if (spec.workloads.size() >= 4)
+            break;
+        spec.workloads.push_back(params);
+    }
+    spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(2.0),
+                        Frequency::ghz(3.0), Frequency::ghz(4.0)};
+    spec.seeds = exp::sweep::SweepSpec::replicateSeeds(42, 1);
+    spec.runOptions.mode = exp::SimMode::Sampled;
+    exp::sweep::SweepRunner::Options ro;
+    ro.workers = 2;
+    const prof::Snapshot snap = profiled([&] {
+        auto res = exp::sweep::SweepRunner(spec, ro).run();
+        EXPECT_EQ(exp::sweep::gridDigest(res.cells), 0x681d8e2cbc485463ULL);
+    });
     EXPECT_GT(snap.total(), 0u);
 }
 
