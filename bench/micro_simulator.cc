@@ -5,7 +5,8 @@
  * simulator actually keeps), DRAM/cache model cost, and whole-benchmark
  * simulation rate (the "ablation" data for DESIGN.md's atomic-cluster
  * issue decision: how much wall time one simulated run costs), and
- * sweep-engine overhead at 1/2/8 workers. The synthetic sweep grid's
+ * sweep-engine overhead at 1/2/8 workers, and the FNV-1a digest over
+ * zero-heavy and dense input. The synthetic sweep grid's
  * digest is pinned by
  * SweepGolden.CommittedDigestsReproduceAcrossWorkerCounts.
  */
@@ -17,6 +18,7 @@
 #include "exp/experiment.hh"
 #include "exp/sweep/sweep.hh"
 #include "sim/event_queue.hh"
+#include "sim/fnv.hh"
 #include "sim/rng.hh"
 #include "uarch/cache.hh"
 #include "uarch/core.hh"
@@ -80,6 +82,95 @@ BM_EventQueueRearm(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueRearm)->Arg(4)->Arg(8)->Arg(64);
+
+namespace {
+
+/** A word with @p bytes low bytes nonzero (0-8), the rest zero. */
+std::uint64_t
+wordWithBytes(sim::Rng &rng, int bytes)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= rng.nextRange(1, 255) << (i * 8);
+    return v;
+}
+
+/**
+ * 4096 words in the sampled grid's fingerprint mix (69% zero, 11% one
+ * significant byte, 14% four, 6% eight) or all eight bytes nonzero.
+ */
+std::vector<std::uint64_t>
+fnvWords(bool zero_heavy)
+{
+    sim::Rng rng(5);
+    std::vector<std::uint64_t> words(4096);
+    for (std::uint64_t &w : words) {
+        if (!zero_heavy) {
+            w = wordWithBytes(rng, 8);
+            continue;
+        }
+        const double u = rng.nextDouble();
+        w = wordWithBytes(rng, u < 0.69 ? 0 : u < 0.80 ? 1 : u < 0.94 ? 4 : 8);
+    }
+    return words;
+}
+
+/**
+ * 64 KiB in the Figure 3 trace images' mix (58.5% of 8-byte words all
+ * zero, 87% of bytes zero) or all bytes nonzero.
+ */
+std::vector<std::uint8_t>
+fnvBytes(bool trace_like)
+{
+    sim::Rng rng(6);
+    std::vector<std::uint8_t> bytes(64 * 1024);
+    for (std::size_t i = 0; i < bytes.size(); i += 8) {
+        const bool zero_word = trace_like && rng.nextBool(0.585);
+        for (std::size_t j = i; j < i + 8; ++j) {
+            const bool nonzero =
+                !trace_like || (!zero_word && rng.nextBool(0.313));
+            bytes[j] = nonzero
+                           ? static_cast<std::uint8_t>(rng.nextRange(1, 255))
+                           : 0;
+        }
+    }
+    return bytes;
+}
+
+} // namespace
+
+/** Fnv1a::mix over 4096 words per iteration; reported per word. */
+static void
+BM_Fnv1aMix(benchmark::State &state, bool zero_heavy)
+{
+    const std::vector<std::uint64_t> words = fnvWords(zero_heavy);
+    for (auto _ : state) {
+        sim::Fnv1a h;
+        for (std::uint64_t w : words)
+            h.mix(w);
+        benchmark::DoNotOptimize(h.digest());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(words.size()));
+}
+BENCHMARK_CAPTURE(BM_Fnv1aMix, zero_heavy, true);
+BENCHMARK_CAPTURE(BM_Fnv1aMix, dense, false);
+
+/** Fnv1a::mixBytes over a 64 KiB payload per iteration. */
+static void
+BM_Fnv1aMixBytes(benchmark::State &state, bool trace_like)
+{
+    const std::vector<std::uint8_t> bytes = fnvBytes(trace_like);
+    for (auto _ : state) {
+        sim::Fnv1a h;
+        h.mixBytes(bytes.data(), bytes.size());
+        benchmark::DoNotOptimize(h.digest());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK_CAPTURE(BM_Fnv1aMixBytes, trace_like, true);
+BENCHMARK_CAPTURE(BM_Fnv1aMixBytes, dense, false);
 
 static void
 BM_DramRandomReads(benchmark::State &state)

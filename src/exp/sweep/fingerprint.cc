@@ -72,6 +72,7 @@ mixEnergy(Fnv1a &h, const power::EnergyBreakdown &e)
 std::uint64_t
 fingerprintRun(const FixedRunOutput &out)
 {
+    DVFS_PROFILE_SCOPE(Digest);
     Fnv1a h;
     h.mix(out.freq.toMHz());
     h.mix(out.totalTime);
@@ -88,6 +89,7 @@ fingerprintRun(const FixedRunOutput &out)
 std::uint64_t
 fingerprintRun(const ManagedRunOutput &out)
 {
+    DVFS_PROFILE_SCOPE(Digest);
     Fnv1a h;
     h.mix(out.totalTime);
     h.mix(out.collections);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sim/fnv.hh"
+#include "sim/profile.hh"
 
 namespace dvfs::exp {
 struct FixedRunOutput;
@@ -41,6 +42,7 @@ template <typename RunOutput>
 std::uint64_t
 gridDigest(const std::vector<RunOutput> &cells)
 {
+    DVFS_PROFILE_SCOPE(Digest);
     Fnv1a h;
     for (const RunOutput &cell : cells)
         h.mix(fingerprintRun(cell));

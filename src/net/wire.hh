@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "sim/fnv.hh"
+#include "sim/profile.hh"
 
 namespace dvfs::net {
 
@@ -210,6 +211,7 @@ class BasicCursor
 inline std::uint64_t
 fnv1aBytes(const std::uint8_t *data, std::size_t size)
 {
+    DVFS_PROFILE_SCOPE(Digest);
     sim::Fnv1a h;
     h.mixBytes(data, size);
     return h.digest();

@@ -22,11 +22,19 @@ TraceStore::footprint(const CachedTrace &c)
 TraceStore::PutResult
 TraceStore::put(const std::vector<std::uint8_t> &image)
 {
-    // The header digest names the entry; cheap to read, and decode
-    // verifies it against the bytes before anything is cached.
+    // The header digest names the entry but vouches for nothing until
+    // the bytes are hashed: decodeTrace verifies it on a miss, and
+    // verifyTraceImage on a hit, so a corrupt image naming a cached
+    // trace raises the TraceError a miss would.
     const std::uint64_t digest = trace::tracePayloadDigest(image);
 
+    bool cached_before = false;
     {
+        std::lock_guard<std::mutex> lock(_mtx);
+        cached_before = _index.count(digest) != 0;
+    }
+    if (cached_before) {
+        trace::verifyTraceImage(image);
         std::lock_guard<std::mutex> lock(_mtx);
         auto it = _index.find(digest);
         if (it != _index.end()) {
@@ -34,6 +42,7 @@ TraceStore::put(const std::vector<std::uint8_t> &image)
             ++_stats.reuses;
             return {digest, true, it->second->cached};
         }
+        // Evicted while verifying: fall through and decode.
     }
 
     // Strict decode and table build outside the lock: uploads of

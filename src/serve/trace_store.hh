@@ -70,7 +70,10 @@ class TraceStore
      *
      * Returns the cached (or pre-existing) entry and whether it was
      * already present. The decode is strict — any malformed image
-     * throws trace::TraceError and caches nothing.
+     * throws trace::TraceError and caches nothing. An image whose
+     * header names a cached digest is still verified against its
+     * bytes (trace::verifyTraceImage), so a corrupt re-upload throws
+     * too instead of being acknowledged as cached.
      */
     struct PutResult {
         std::uint64_t digest = 0;

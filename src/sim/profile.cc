@@ -49,6 +49,7 @@ subsystemName(Subsystem s)
       case Subsystem::Os: return "os";
       case Subsystem::Fastpath: return "fastpath";
       case Subsystem::Wl: return "wl";
+      case Subsystem::Digest: return "digest";
       case Subsystem::Other: return "other";
       case Subsystem::Count: break;
     }

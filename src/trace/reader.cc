@@ -183,8 +183,8 @@ TraceError::kindName(Kind kind)
     return "?";
 }
 
-LoadedTrace
-decodeTrace(const std::vector<std::uint8_t> &image)
+std::uint64_t
+verifyTraceImage(const std::vector<std::uint8_t> &image)
 {
     if (image.size() < kTraceHeaderBytes) {
         throw TraceError(TraceError::Kind::Truncated, image.size(),
@@ -212,8 +212,17 @@ decodeTrace(const std::vector<std::uint8_t> &image)
                          "payload digest mismatch (corrupt or "
                          "truncated trace)");
     }
+    return stored_digest;
+}
+
+LoadedTrace
+decodeTrace(const std::vector<std::uint8_t> &image)
+{
+    const std::uint64_t stored_digest = verifyTraceImage(image);
 
     // The digest has vouched for every payload byte; parse sections.
+    const std::uint8_t *payload = image.data() + kTraceHeaderBytes;
+    const std::size_t payload_size = image.size() - kTraceHeaderBytes;
     Cursor c(payload, payload_size, kTraceHeaderBytes);
     const std::uint32_t sections = c.u32();
 

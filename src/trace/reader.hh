@@ -83,6 +83,16 @@ class LoadedTrace final : public pred::RunView
 };
 
 /**
+ * Check an in-memory .dvfstrace image's header (magic, version,
+ * reserved field) and its payload against the header digest, the
+ * checks decodeTrace makes before it parses a section. Returns the
+ * verified payload digest.
+ *
+ * @throws TraceError as decodeTrace would for the same bytes.
+ */
+std::uint64_t verifyTraceImage(const std::vector<std::uint8_t> &image);
+
+/**
  * Decode an in-memory .dvfstrace image.
  *
  * @throws TraceError on any malformed input (see format.hh).

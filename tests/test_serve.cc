@@ -135,6 +135,39 @@ TEST(TraceStore, PutIsIdempotentByDigest)
     EXPECT_GT(stats.bytes, 0u);
 }
 
+/**
+ * The header digest is only a claim: an image naming a cached digest
+ * whose bytes do not match it is refused with the TraceError a miss
+ * would raise, and the cached entry is untouched.
+ */
+TEST(TraceStore, CorruptImageNamingCachedDigestIsRefused)
+{
+    TraceStore store(64u << 20);
+    const auto image = makeImage(7);
+    const std::uint64_t digest = store.put(image).digest;
+
+    auto flipped = image;
+    flipped[flipped.size() / 2] ^= 0x01;
+    std::vector<std::uint8_t> headerOnly(
+        image.begin(), image.begin() + trace::kTraceHeaderBytes);
+    for (const auto *bad : {&flipped, &headerOnly}) {
+        ASSERT_EQ(trace::tracePayloadDigest(*bad), digest);
+        try {
+            store.put(*bad);
+            ADD_FAILURE() << "a corrupt image was acknowledged as cached";
+        } catch (const trace::TraceError &e) {
+            EXPECT_EQ(e.kind(), trace::TraceError::Kind::DigestMismatch);
+            EXPECT_EQ(e.offset(), 16u);
+        }
+    }
+
+    auto stats = store.stats();
+    EXPECT_EQ(stats.reuses, 0u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_NE(store.get(digest), nullptr);
+    EXPECT_TRUE(store.put(image).alreadyCached);
+}
+
 TEST(TraceStore, GetCountsHitsAndMisses)
 {
     TraceStore store(64u << 20);
@@ -349,10 +382,8 @@ TEST(ServeService, EveryFailureIsAStructuredErrorReply)
                  net::ErrorCode::UnknownTrace);
 
     // A corrupt upload of a NOT-yet-cached trace: strict decode fails
-    // and nothing is cached. (Corrupting an already-cached image's
-    // payload would hit the digest-keyed idempotency fast path — the
-    // unchanged header digest names the cached entry, which is served
-    // without re-decoding.)
+    // and nothing is cached. (A corrupt image naming a cached digest
+    // is refused the same way: CorruptReuploadOfCachedTraceIsRefused.)
     net::UploadTraceReq bad;
     bad.image = makeImage(8);
     bad.image[bad.image.size() / 2] ^= 0x01;
@@ -393,6 +424,52 @@ TEST(ServeService, EveryFailureIsAStructuredErrorReply)
     EXPECT_EQ(sr->requests, 8u);
     EXPECT_EQ(sr->errors, 6u);
     EXPECT_EQ(sr->tracesCached, 1u);
+}
+
+/**
+ * A corrupt re-upload of a cached trace (one payload byte flipped, or
+ * the 24-byte header alone) is a BadRequest at the digest's offset,
+ * not an alreadyCached acknowledgement; the cached entry still serves
+ * Predict, and a clean re-upload is still acknowledged as cached.
+ */
+TEST(ServeService, CorruptReuploadOfCachedTraceIsRefused)
+{
+    TraceStore store(64u << 20);
+    Service service(store);
+    const auto image = makeImage(7);
+    net::UploadTraceReq up;
+    up.image = image;
+    Frame upReply = service.handle(Frame::request(1, up));
+    const auto *upr = std::get_if<net::UploadTraceResp>(&upReply.body);
+    ASSERT_NE(upr, nullptr);
+    EXPECT_EQ(upr->alreadyCached, 0u);
+
+    net::UploadTraceReq flipped;
+    flipped.image = image;
+    flipped.image[flipped.image.size() / 2] ^= 0x01;
+    net::UploadTraceReq headerOnly;
+    headerOnly.image.assign(image.begin(),
+                            image.begin() + trace::kTraceHeaderBytes);
+    std::uint64_t id = 2;
+    for (const auto *bad : {&flipped, &headerOnly}) {
+        const Frame reply = service.handle(Frame::request(id++, *bad));
+        const auto &err = requireError(reply, net::ErrorCode::BadRequest);
+        EXPECT_EQ(err.offset, 16u) << err.message;
+    }
+
+    net::PredictReq pq;
+    pq.traceDigest = upr->traceDigest;
+    pq.targetMHz = 2000;
+    const Frame pReply = service.handle(Frame::request(id++, pq));
+    const auto *pr = std::get_if<net::PredictResp>(&pReply.body);
+    ASSERT_NE(pr, nullptr);
+    EXPECT_EQ(pr->baseTotalTime, upr->totalTime);
+
+    const Frame again = service.handle(Frame::request(id++, up));
+    const auto *ar = std::get_if<net::UploadTraceResp>(&again.body);
+    ASSERT_NE(ar, nullptr);
+    EXPECT_EQ(ar->alreadyCached, 1u);
+    EXPECT_EQ(ar->traceDigest, upr->traceDigest);
 }
 
 TEST(ServeServer, TcpEndToEndMatchesLocalServiceBitIdentically)

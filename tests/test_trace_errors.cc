@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "exp/experiment.hh"
+#include "reference_fnv.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 
@@ -66,12 +67,10 @@ loadU64(const std::vector<std::uint8_t> &image, std::size_t off)
 void
 resealDigest(std::vector<std::uint8_t> &image)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = trace::kTraceHeaderBytes; i < image.size(); ++i) {
-        h ^= image[i];
-        h *= 0x100000001b3ull;
-    }
-    storeU64(image, 16, h);
+    sim::ReferenceFnv1a h;
+    h.mixBytes(image.data() + trace::kTraceHeaderBytes,
+               image.size() - trace::kTraceHeaderBytes);
+    storeU64(image, 16, h.digest());
 }
 
 } // namespace
