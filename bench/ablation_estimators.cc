@@ -22,7 +22,6 @@
  *
  * Usage: ablation_estimators [--dir=up|down|both] [--only=<name>]
  *                            [--trace-dir=DIR] [--workers=N]
- *                            [--progress]
  */
 
 #include <iostream>
@@ -102,8 +101,7 @@ main(int argc, char **argv)
         .add("only", "NAME", "run a single DaCapo benchmark")
         .addTraceDir("replay recorded .dvfstrace files from DIR "
                      "(recording them first if absent)")
-        .addWorkers()
-        .addBool("progress", "progress/ETA lines on stderr");
+        .addWorkers();
     args.parse(argc, argv);
     const std::string dir =
         args.getChoice("dir", "both", {"up", "down", "both"});
@@ -112,11 +110,8 @@ main(int argc, char **argv)
     exp::sweep::SweepSpec spec = bench::fig3GridSpec(0, args.get("only"));
     spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(4.0)};
 
-    exp::sweep::SweepRunner::Options opts;
-    opts.workers = bench::sweepWorkers(args);
-    opts.progress = args.has("progress");
-    opts.label = "ablation";
-    auto grid = exp::sweep::observeGrid(spec, opts, trace_dir);
+    auto grid = exp::sweep::observeGrid(spec, bench::sweepWorkers(args),
+                                        trace_dir);
     if (!trace_dir.empty()) {
         std::cout << (grid.replayed ? "replaying traces from "
                                     : "recorded traces to ")

@@ -27,7 +27,7 @@
  *
  * Usage: fig3_accuracy [--dir=up|down|both] [--only=<benchmark>]
  *                      [--trace-dir=DIR [--verify-live]]
- *                      [--workers=N] [--progress]
+ *                      [--workers=N]
  */
 
 #include <bit>
@@ -134,8 +134,7 @@ main(int argc, char **argv)
         .addBool("verify-live",
                  "with --trace-dir: re-simulate and exit 1 unless every "
                  "replayed error is bit-identical")
-        .addWorkers()
-        .addBool("progress", "progress/ETA lines on stderr");
+        .addWorkers();
     args.parse(argc, argv);
 
     const std::string dir =
@@ -159,15 +158,12 @@ main(int argc, char **argv)
     // grid covers them.
     const exp::sweep::SweepSpec spec =
         bench::fig3GridSpec(0, args.get("only"));
-    exp::sweep::SweepRunner::Options opts;
-    opts.workers = bench::sweepWorkers(args);
-    opts.progress = args.has("progress");
-    opts.label = "fig3";
+    const unsigned workers = bench::sweepWorkers(args);
 
     auto t0 = std::chrono::steady_clock::now();
     exp::sweep::ObservedGrid grid;
     try {
-        grid = exp::sweep::observeGrid(spec, opts, trace_dir);
+        grid = exp::sweep::observeGrid(spec, workers, trace_dir);
         if (grid.replayed) {
             std::cout << "replaying traces from " << trace_dir << "\n";
         } else if (!trace_dir.empty()) {
@@ -198,9 +194,8 @@ main(int argc, char **argv)
         return 0;
     const double replay_ms = msSince(t0);
 
-    opts.label = "fig3 verify";
     const auto v0 = std::chrono::steady_clock::now();
-    const auto live_grid = exp::sweep::recordGrid(spec, opts);
+    const auto live_grid = exp::sweep::recordGrid(spec, workers);
     std::vector<double> live;
     for (const Direction &d : dirs)
         runDirection(d, live_grid, nullptr, live);

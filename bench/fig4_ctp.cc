@@ -71,10 +71,8 @@ main(int argc, char **argv)
 
     exp::sweep::SweepSpec spec = bench::fig3GridSpec(0, args.get("only"));
     spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(4.0)};
-    exp::sweep::SweepRunner::Options opts;
-    opts.workers = exp::sweep::defaultWorkers();
-    opts.label = "fig4";
-    const auto grid = exp::sweep::observeGrid(spec, opts, "");
+    const auto grid =
+        exp::sweep::observeGrid(spec, exp::sweep::defaultWorkers(), "");
 
     runDirection("low-to-high", Frequency::ghz(1.0), Frequency::ghz(4.0),
                  grid);

@@ -19,7 +19,7 @@
  *                            [--startup-us=60] [--detail-us=30]
  *                            [--gap-us=980] [--max-gap-us=0]
  *                            [--drift-permille=50]
- *                            [--workers=N] [--progress]
+ *                            [--workers=N]
  *
  * --mode=sampled runs both the fixed baselines and the managed cells
  * interval-sampled (the managed side forks the fast-path model per
@@ -50,8 +50,7 @@ main(int argc, char **argv)
              "Tolerable-Slowdown values (default 0.05,0.10)")
         .addMode()
         .addSampling()
-        .addWorkers()
-        .addBool("progress", "progress/ETA lines on stderr");
+        .addWorkers();
     args.parse(argc, argv);
     const Tick quantum =
         static_cast<Tick>(
@@ -62,7 +61,6 @@ main(int argc, char **argv)
 
     auto table_vf = power::VfTable::haswell();
     const unsigned workers = bench::sweepWorkers(args);
-    const bool progress = args.has("progress");
     const exp::SimMode mode = bench::modeFromArgs(args);
     const sim::SamplingConfig sampling = bench::samplingFromArgs(args);
 
@@ -73,11 +71,7 @@ main(int argc, char **argv)
     base_spec.runOptions.mode = mode;
     base_spec.runOptions.sampling = sampling;
 
-    exp::sweep::SweepRunner::Options ro;
-    ro.workers = workers;
-    ro.progress = progress;
-    ro.label = "fig6 baselines";
-    auto baselines = exp::sweep::SweepRunner(base_spec, ro).run();
+    auto baselines = exp::sweep::runSweep(base_spec, workers);
 
     // Managed cells: (benchmark x threshold), threshold innermost,
     // matching the serial harness's loop nest.

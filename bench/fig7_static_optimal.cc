@@ -21,7 +21,7 @@
  *                            [--startup-us=60] [--detail-us=30]
  *                            [--gap-us=980] [--max-gap-us=0]
  *                            [--drift-permille=50]
- *                            [--workers=N] [--progress]
+ *                            [--workers=N]
  *
  * --mode=sampled runs the oracle grid and the managed cells
  * interval-sampled; savings are within-mode energy ratios, so the
@@ -48,8 +48,7 @@ main(int argc, char **argv)
         .add("only", "NAME", "run a single DaCapo benchmark")
         .addMode()
         .addSampling()
-        .addWorkers()
-        .addBool("progress", "progress/ETA lines on stderr");
+        .addWorkers();
     args.parse(argc, argv);
     const double threshold = args.getDouble("threshold", 0.10);
     const auto step =
@@ -59,7 +58,6 @@ main(int argc, char **argv)
     auto sweep_vf = power::VfTable::haswell(step);     // oracle sweep
 
     const unsigned workers = bench::sweepWorkers(args);
-    const bool progress = args.has("progress");
     const exp::SimMode mode = bench::modeFromArgs(args);
     const sim::SamplingConfig sampling = bench::samplingFromArgs(args);
 
@@ -72,11 +70,7 @@ main(int argc, char **argv)
     spec.runOptions.mode = mode;
     spec.runOptions.sampling = sampling;
 
-    exp::sweep::SweepRunner::Options ro;
-    ro.workers = workers;
-    ro.progress = progress;
-    ro.label = "fig7 oracle";
-    auto grid = exp::sweep::SweepRunner(spec, ro).run();
+    auto grid = exp::sweep::runSweep(spec, workers);
 
     // Dynamic manager, one run per benchmark.
     const auto &wls = grid.spec.workloads;

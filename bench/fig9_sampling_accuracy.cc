@@ -25,7 +25,7 @@
  *          [--gaps=980] [--detail-us=30] [--startup-us=60]
  *          [--workers=N] [--repeat=1]
  *          [--fail-err-pct=X] [--fail-speedup=X]
- *          [--expect-sampled-fingerprint=0x...] [--progress]
+ *          [--expect-sampled-fingerprint=0x...]
  *
  * --gaps is a comma-separated list of fast-forward gap lengths in
  * microseconds; each is measured with the same detail/startup windows
@@ -65,15 +65,13 @@ main(int argc, char **argv)
         .add("fail-speedup", "X",
              "fail if grid speedup falls below X")
         .add("expect-sampled-fingerprint", "0x...",
-             "pin the first configuration's sampled digest")
-        .addBool("progress", "progress/ETA lines on stderr");
+             "pin the first configuration's sampled digest");
     args.parse(argc, argv);
 
     const auto n_bench =
         static_cast<std::size_t>(args.getInt("benchmarks", 4, 1));
     const auto n_seeds =
         static_cast<std::size_t>(args.getInt("seeds", 1, 1));
-    const bool progress = args.has("progress");
     const unsigned workers = bench::sweepWorkers(args);
     const unsigned repeat = bench::repeatFromArgs(args);
 
@@ -107,10 +105,7 @@ main(int argc, char **argv)
 
         exp::sweep::ModeComparison best = bench::bestOfRepeats(
             "fig9_sampling_accuracy", " at " + gap, repeat,
-            [&] {
-                return exp::sweep::compareModes(spec, cfg, workers,
-                                                progress);
-            },
+            [&] { return exp::sweep::compareModes(spec, cfg, workers); },
             repeats_ok);
 
         double exact_fed = 0.0;

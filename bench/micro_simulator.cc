@@ -299,10 +299,8 @@ BM_SweepSynthetic(benchmark::State &state)
                         Frequency::ghz(3.0), Frequency::ghz(4.0)};
     spec.seeds = exp::sweep::SweepSpec::replicateSeeds(42, 4);
 
-    exp::sweep::SweepRunner::Options ro;
-    ro.workers = workers;
     for (auto _ : state) {
-        auto res = exp::sweep::SweepRunner(spec, ro).run();
+        auto res = exp::sweep::runSweep(spec, workers);
         benchmark::DoNotOptimize(res.cells.front().totalTime);
     }
     state.SetItemsProcessed(state.iterations() *

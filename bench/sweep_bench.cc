@@ -17,7 +17,7 @@
  *                    [--mode=exact|sampled] [--startup-us=60]
  *                    [--detail-us=30] [--gap-us=980] [--max-gap-us=0]
  *                    [--drift-permille=50] [--managed]
- *                    [--repeat=N] [--progress]
+ *                    [--repeat=N]
  *                    [--profile] [--expect-fingerprint=0x...]
  *
  * --managed swaps the fixed-frequency grid for an energy-manager-
@@ -146,7 +146,6 @@ main(int argc, char **argv)
                  "energy-manager-governed grid (benchmarks x seeds) "
                  "instead of fixed frequencies")
         .addRepeat()
-        .addBool("progress", "progress/ETA lines on stderr")
         .addBool("profile", "per-subsystem CPU-sample split")
         .add("expect-fingerprint", "0x...",
              "fail unless the serial digest matches");
@@ -155,7 +154,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getInt("benchmarks", 4, 1));
     const auto n_seeds =
         static_cast<std::size_t>(args.getInt("seeds", 1, 1));
-    const bool progress = args.has("progress");
     const unsigned workers = bench::sweepWorkers(args);
     const unsigned repeat = bench::repeatFromArgs(args);
 
@@ -224,12 +222,8 @@ main(int argc, char **argv)
                                 mgr::ManagerConfig{}, table_vf, ro);
                         }));
             }
-            exp::sweep::SweepRunner::Options ro;
-            ro.workers = w;
-            ro.progress = progress;
-            ro.label = "sweep_bench w=" + std::to_string(w);
             return exp::sweep::gridDigest(
-                exp::sweep::SweepRunner(spec, ro).run().cells);
+                exp::sweep::runSweep(spec, w).cells);
         }));
     }
     const Measurement &serial = runs.front();

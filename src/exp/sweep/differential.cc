@@ -96,19 +96,6 @@ finishSlowdown(ModeComparison &cmp)
             static_cast<double>(cmp.slowdownSamples);
 }
 
-/** One fixed-frequency grid on the sweep pool, timed. */
-SweepResult
-runGrid(SweepSpec spec, unsigned workers, bool progress,
-        const std::string &label, double &wallSec)
-{
-    SweepRunner::Options ro;
-    ro.workers = workers;
-    ro.progress = progress;
-    ro.label = label;
-    return timed([&] { return SweepRunner(std::move(spec), ro).run(); },
-                 wallSec);
-}
-
 /**
  * One (workload x seed) grid, flattened seed-innermost: @p run on
  * each cell's workload with @p opts at the cell's seed.
@@ -131,7 +118,7 @@ runCells(const std::vector<wl::WorkloadParams> &workloads,
 
 ModeComparison
 compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
-             unsigned workers, bool progress)
+             unsigned workers)
 {
     ModeComparison cmp;
     cmp.sampling = sampling;
@@ -144,10 +131,10 @@ compareModes(const SweepSpec &spec, const sim::SamplingConfig &sampling,
     sampledSpec.runOptions.mode = SimMode::Sampled;
     sampledSpec.runOptions.sampling = sampling;
 
-    SweepResult exact = runGrid(std::move(exactSpec), workers, progress,
-                                "exact", cmp.exactWallSec);
-    SweepResult sampled = runGrid(std::move(sampledSpec), workers,
-                                  progress, "sampled", cmp.sampledWallSec);
+    SweepResult exact = timed([&] { return runSweep(exactSpec, workers); },
+                              cmp.exactWallSec);
+    SweepResult sampled = timed(
+        [&] { return runSweep(sampledSpec, workers); }, cmp.sampledWallSec);
     compareCells(exact.cells, sampled.cells, cmp);
 
     const auto &ws = spec.workloads;

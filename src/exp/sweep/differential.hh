@@ -119,7 +119,7 @@ struct ModeComparison {
  */
 ModeComparison compareModes(const SweepSpec &spec,
                             const sim::SamplingConfig &sampling,
-                            unsigned workers = 1, bool progress = false);
+                            unsigned workers = 1);
 
 /**
  * Run every (workload, seed) cell under the energy manager in both

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <mutex>
 #include <optional>
@@ -16,9 +18,13 @@ unsigned
 defaultWorkers()
 {
     if (const char *env = std::getenv("DVFS_SWEEP_WORKERS")) {
+        // The rule FlagSet::getInt applies to --workers: the whole
+        // string is one decimal number, in range for an unsigned.
         char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && v >= 1)
+        errno = 0;
+        const long long v = std::strtoll(env, &end, 10);
+        if (end != env && *end == '\0' && errno != ERANGE && v >= 1 &&
+            v <= static_cast<long long>(UINT_MAX))
             return static_cast<unsigned>(v);
         warn("ignoring invalid DVFS_SWEEP_WORKERS='%s'", env);
     }
@@ -28,15 +34,13 @@ defaultWorkers()
 
 void
 runIndexed(std::size_t n, unsigned workers,
-           const std::function<void(std::size_t)> &fn,
-           const ProgressFn &on_progress)
+           const std::function<void(std::size_t)> &fn)
 {
     if (workers == 0)
         fatal("sweep: worker count must be at least 1 (got 0)");
 
     std::atomic<std::size_t> next{0};
     std::atomic<bool> cancelled{false};
-    std::size_t done = 0;  // guarded by mtx
     std::mutex mtx;
     std::optional<SweepError> failure;  // guarded by mtx
 
@@ -61,10 +65,6 @@ runIndexed(std::size_t n, unsigned workers,
                     failure.emplace(i, *what);
                 cancelled.store(true, std::memory_order_release);
                 return;
-            }
-            if (on_progress) {
-                std::lock_guard<std::mutex> lock(mtx);
-                on_progress(++done, n);
             }
         }
     };

@@ -48,13 +48,11 @@ class SweepError : public std::runtime_error
     std::size_t _cell;
 };
 
-/** Serialized progress callback: (cells done, cells total). */
-using ProgressFn = std::function<void(std::size_t, std::size_t)>;
-
 /**
  * Worker count to use when the caller has no opinion:
- * DVFS_SWEEP_WORKERS from the environment if set and >= 1, else
- * std::thread::hardware_concurrency(), else 1.
+ * DVFS_SWEEP_WORKERS from the environment if it is a whole decimal
+ * number in [1, UINT_MAX], else std::thread::hardware_concurrency(),
+ * else 1. Any other value is warned about and ignored.
  */
 unsigned defaultWorkers();
 
@@ -67,15 +65,12 @@ unsigned defaultWorkers();
  * fatal()s.
  *
  * @p fn must only touch per-cell state (it runs concurrently).
- * @p on_progress, if set, is invoked under a lock after each completed
- * cell.
  *
  * @throws SweepError wrapping the first cell failure, after cancelling
  *         remaining cells and joining all workers.
  */
 void runIndexed(std::size_t n, unsigned workers,
-                const std::function<void(std::size_t)> &fn,
-                const ProgressFn &on_progress = nullptr);
+                const std::function<void(std::size_t)> &fn);
 
 /**
  * Map @p fn over [0, n) with runIndexed, collecting results by cell
@@ -84,12 +79,10 @@ void runIndexed(std::size_t n, unsigned workers,
 template <typename R>
 std::vector<R>
 sweepMap(std::size_t n, unsigned workers,
-         const std::function<R(std::size_t)> &fn,
-         const ProgressFn &on_progress = nullptr)
+         const std::function<R(std::size_t)> &fn)
 {
     std::vector<R> out(n);
-    runIndexed(
-        n, workers, [&](std::size_t i) { out[i] = fn(i); }, on_progress);
+    runIndexed(n, workers, [&](std::size_t i) { out[i] = fn(i); });
     return out;
 }
 

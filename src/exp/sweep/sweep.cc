@@ -1,8 +1,5 @@
 #include "exp/sweep/sweep.hh"
 
-#include <iostream>
-
-#include "exp/sweep/progress.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
 
@@ -78,37 +75,24 @@ SweepResult::at(std::size_t workload, Frequency f, std::size_t seed) const
     return cells.at(spec.indexOf(workload, spec.freqIndex(f), seed));
 }
 
-SweepRunner::SweepRunner(SweepSpec spec, Options opts)
-    : _spec(std::move(spec)), _opts(std::move(opts))
-{
-}
-
 SweepResult
-SweepRunner::run()
+runSweep(const SweepSpec &spec, unsigned workers)
 {
-    const std::size_t n = _spec.cellCount();
+    const std::size_t n = spec.cellCount();
 
     SweepResult res;
-    res.spec = _spec;
+    res.spec = spec;
     res.cells.resize(n);
-
-    ProgressMeter meter(_opts.label, _opts.progress ? &std::cerr : nullptr);
 
     // Each cell builds, runs and tears down its own System; the only
     // shared state is the result slot it owns.
-    const SweepSpec &spec = _spec;
-    auto runCell = [&spec, &res](std::size_t index) {
+    runIndexed(n, workers, [&spec, &res](std::size_t index) {
         Cell c = spec.cell(index);
         RunOptions opts = spec.runOptions;
         opts.seed = spec.seeds[c.seed];
         res.cells[index] = runFixed(spec.workloads[c.workload],
                                     spec.frequencies[c.freq], opts);
-    };
-
-    runIndexed(n, _opts.workers, runCell,
-               _opts.progress ? meter.callback() : ProgressFn());
-    if (_opts.progress)
-        meter.finish(n);
+    });
     return res;
 }
 

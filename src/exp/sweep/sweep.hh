@@ -4,7 +4,7 @@
  * executed concurrently with deterministic aggregation.
  *
  * Every figure bench boils down to a grid of independent ground-truth
- * simulations. A SweepSpec names that grid once; SweepRunner executes
+ * simulations. A SweepSpec names that grid once; runSweep() executes
  * its cells on the shared-cursor pool, each cell in its own isolated
  * System (the cell seed is a pure function of the cell's coordinates,
  * never of its position or schedule), and collects results keyed by
@@ -18,7 +18,6 @@
 #define DVFS_EXP_SWEEP_SWEEP_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "exp/experiment.hh"
@@ -90,34 +89,14 @@ struct SweepResult {
 };
 
 /**
- * Executes a SweepSpec on the shared-cursor pool (pool.hh).
+ * Run every cell of @p spec on @p workers threads of the
+ * shared-cursor pool (pool.hh); 1 is the serial baseline and 0 is
+ * fatal. Blocks until the sweep completes or fails.
+ *
+ * @throws SweepError on the first failing cell (remaining cells are
+ *         cancelled).
  */
-class SweepRunner
-{
-  public:
-    struct Options {
-        /** Pool width; 1 = serial baseline. 0 is fatal. */
-        unsigned workers = 1;
-        /** Print progress/ETA lines to stderr. */
-        bool progress = false;
-        /** Label for progress lines. */
-        std::string label = "sweep";
-    };
-
-    SweepRunner(SweepSpec spec, Options opts);
-
-    /**
-     * Run every cell; blocks until the sweep completes or fails.
-     *
-     * @throws SweepError on the first failing cell (remaining cells
-     *         are cancelled).
-     */
-    SweepResult run();
-
-  private:
-    SweepSpec _spec;
-    Options _opts;
-};
+SweepResult runSweep(const SweepSpec &spec, unsigned workers);
 
 } // namespace dvfs::exp::sweep
 

@@ -60,14 +60,12 @@ ObservedGrid::at(std::size_t workload, Frequency f, std::size_t seed) const
 }
 
 ObservedGrid
-recordGrid(const SweepSpec &spec, const SweepRunner::Options &opts,
-           const std::string &dir)
+recordGrid(const SweepSpec &spec, unsigned workers, const std::string &dir)
 {
     ObservedGrid grid;
     grid.spec = spec;
 
-    auto live = std::make_shared<SweepResult>(
-        SweepRunner(spec, opts).run());
+    auto live = std::make_shared<SweepResult>(runSweep(spec, workers));
     grid.live = live;
 
     if (!dir.empty()) {
@@ -161,12 +159,11 @@ gridTracesPresent(const SweepSpec &spec, const std::string &dir)
 }
 
 ObservedGrid
-observeGrid(const SweepSpec &spec, const SweepRunner::Options &opts,
-            const std::string &dir)
+observeGrid(const SweepSpec &spec, unsigned workers, const std::string &dir)
 {
     if (gridTracesPresent(spec, dir))
         return loadGrid(spec, dir);
-    return recordGrid(spec, opts, dir);
+    return recordGrid(spec, workers, dir);
 }
 
 } // namespace dvfs::exp::sweep

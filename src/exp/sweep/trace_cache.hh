@@ -57,14 +57,13 @@ struct ObservedGrid {
 };
 
 /**
- * Simulate every cell of @p spec on the sweep engine and, when @p dir
- * is non-empty, persist each cell as a .dvfstrace in it (the
- * directory is created if needed).
+ * Simulate every cell of @p spec with runSweep() on @p workers
+ * threads and, when @p dir is non-empty, persist each cell as a
+ * .dvfstrace in it (the directory is created if needed).
  *
  * @throws trace::TraceError if a trace file cannot be written.
  */
-ObservedGrid recordGrid(const SweepSpec &spec,
-                        const SweepRunner::Options &opts,
+ObservedGrid recordGrid(const SweepSpec &spec, unsigned workers,
                         const std::string &dir = "");
 
 /**
@@ -84,8 +83,7 @@ bool gridTracesPresent(const SweepSpec &spec, const std::string &dir);
  * persist into @p dir). The convenience entry point for harnesses'
  * --trace-dir flag.
  */
-ObservedGrid observeGrid(const SweepSpec &spec,
-                         const SweepRunner::Options &opts,
+ObservedGrid observeGrid(const SweepSpec &spec, unsigned workers,
                          const std::string &dir);
 
 } // namespace dvfs::exp::sweep

@@ -8,9 +8,9 @@
  * (who to wake, when) lives in the callers.
  *
  * Sync ids are allocated densely, so the queues live in a flat vector
- * indexed by id, and each queue keeps its first few waiters inline
- * (SmallVector): the wait/wake fast path performs no hashing and, in
- * steady state, no allocation.
+ * indexed by id, and each queue keeps its capacity once grown: the
+ * wait/wake fast path performs no hashing and, in steady state, no
+ * allocation.
  */
 
 #ifndef DVFS_OS_FUTEX_HH
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "os/action.hh"
-#include "sim/small_vector.hh"
 
 namespace dvfs::os {
 
@@ -75,11 +74,11 @@ class FutexTable
 
   private:
     /**
-     * One futex's FIFO wait queue. Four inline slots cover the common
-     * case (a handful of threads per mutex/barrier); a queue that
-     * grows past that spills to the heap once and keeps the block.
+     * One futex's FIFO wait queue. Dequeuing never releases capacity,
+     * so a queue allocates only while it grows to its longest length
+     * (a handful of threads per mutex/barrier) and never after.
      */
-    using WaitQueue = sim::SmallVector<ThreadId, 4>;
+    using WaitQueue = std::vector<ThreadId>;
 
     SyncId _next = 0;
     std::vector<WaitQueue> _queues;  ///< indexed by SyncId, dense

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "os/futex.hh"
 #include "os/scheduler.hh"
 
@@ -71,6 +74,38 @@ TEST(FutexTable, TotalWaitersAcrossFutexes)
     t.wait(b, 3);
     EXPECT_EQ(t.totalWaiters(), 3u);
     t.reset();
+    EXPECT_EQ(t.totalWaiters(), 0u);
+}
+
+TEST(FutexTable, FifoSurvivesLongQueuesAndTableGrowth)
+{
+    // Queues longer than a handful of waiters, moved when allocating
+    // more futexes reallocates the table, must keep their FIFO order.
+    FutexTable t;
+    const SyncId a = t.allocate(), b = t.allocate();
+    for (ThreadId tid = 100; tid < 109; ++tid)
+        t.wait(a, tid);
+    t.wait(b, 200);
+    t.wait(b, 201);
+    EXPECT_EQ(t.totalWaiters(), 11u);
+
+    for (int i = 0; i < 64; ++i)
+        t.allocate();
+    EXPECT_EQ(t.waiters(a), 9u);
+    EXPECT_EQ(t.waiters(b), 2u);
+    EXPECT_EQ(t.totalWaiters(), 11u);
+
+    EXPECT_TRUE(t.remove(a, 104));
+    EXPECT_EQ(t.totalWaiters(), 10u);
+
+    EXPECT_EQ(t.wake(a, 3), (std::vector<ThreadId>{100, 101, 102}));
+    EXPECT_EQ(t.totalWaiters(), 7u);
+
+    const std::uint32_t all = ~0u;
+    EXPECT_EQ(t.wake(a, all),
+              (std::vector<ThreadId>{103, 105, 106, 107, 108}));
+    EXPECT_EQ(t.totalWaiters(), 2u);
+    EXPECT_EQ(t.wake(b, all), (std::vector<ThreadId>{200, 201}));
     EXPECT_EQ(t.totalWaiters(), 0u);
 }
 

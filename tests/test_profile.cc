@@ -92,10 +92,8 @@ TEST(Profile, SampledGridKeepsPinnedDigest)
                         Frequency::ghz(3.0), Frequency::ghz(4.0)};
     spec.seeds = exp::sweep::SweepSpec::replicateSeeds(42, 1);
     spec.runOptions.mode = exp::SimMode::Sampled;
-    exp::sweep::SweepRunner::Options ro;
-    ro.workers = 2;
     const prof::Snapshot snap = profiled([&] {
-        auto res = exp::sweep::SweepRunner(spec, ro).run();
+        auto res = exp::sweep::runSweep(spec, 2);
         EXPECT_EQ(exp::sweep::gridDigest(res.cells), 0x681d8e2cbc485463ULL);
     });
     EXPECT_GT(snap.total(), 0u);

@@ -25,7 +25,6 @@
 
 using namespace dvfs;
 using exp::sweep::ObservedGrid;
-using exp::sweep::SweepRunner;
 using exp::sweep::SweepSpec;
 
 namespace {
@@ -84,10 +83,8 @@ allErrors(const ObservedGrid &grid)
 TEST(ReplayGrid, RecordedGridReplaysBitIdentically)
 {
     const std::string dir = freshDir("roundtrip");
-    SweepRunner::Options opts;
-    opts.workers = 2;
 
-    auto live = exp::sweep::recordGrid(smallSpec(), opts, dir);
+    auto live = exp::sweep::recordGrid(smallSpec(), 2, dir);
     ASSERT_FALSE(live.replayed);
     ASSERT_TRUE(exp::sweep::gridTracesPresent(smallSpec(), dir));
 
@@ -114,15 +111,13 @@ TEST(ReplayGrid, RecordedGridReplaysBitIdentically)
 TEST(ReplayGrid, ObserveGridRecordsThenReplays)
 {
     const std::string dir = freshDir("observe");
-    SweepRunner::Options opts;
-    opts.workers = 1;
 
     // First call: no traces yet -> records (and persists).
-    auto first = exp::sweep::observeGrid(smallSpec(), opts, dir);
+    auto first = exp::sweep::observeGrid(smallSpec(), 1, dir);
     EXPECT_FALSE(first.replayed);
 
     // Second call: complete directory -> replays, same numbers.
-    auto second = exp::sweep::observeGrid(smallSpec(), opts, dir);
+    auto second = exp::sweep::observeGrid(smallSpec(), 1, dir);
     EXPECT_TRUE(second.replayed);
     auto a = allErrors(first), b = allErrors(second);
     ASSERT_EQ(a.size(), b.size());
@@ -130,7 +125,7 @@ TEST(ReplayGrid, ObserveGridRecordsThenReplays)
         EXPECT_TRUE(sameBits(a[i], b[i])) << "error " << i;
 
     // Empty dir means "never persist": the grid is always live.
-    auto inmem = exp::sweep::observeGrid(smallSpec(), opts, "");
+    auto inmem = exp::sweep::observeGrid(smallSpec(), 1, "");
     EXPECT_FALSE(inmem.replayed);
     std::filesystem::remove_all(dir);
 }
@@ -141,9 +136,7 @@ TEST(ReplayGrid, MismatchedTraceIsRejected)
     // loading with a different seed must fail coordinate cross-checks
     // (the file name encodes the seed, so the lookup itself misses).
     const std::string dir = freshDir("mismatch");
-    SweepRunner::Options opts;
-    opts.workers = 1;
-    exp::sweep::recordGrid(smallSpec(), opts, dir);
+    exp::sweep::recordGrid(smallSpec(), 1, dir);
 
     SweepSpec other = smallSpec();
     other.seeds = {43};
@@ -158,9 +151,7 @@ TEST(ReplayGrid, ImpersonatingTraceIsCellMismatch)
     // it was loaded for must be the structured CellMismatch kind —
     // here a 1 GHz recording renamed to pose as the 4 GHz cell.
     const std::string dir = freshDir("impersonate");
-    SweepRunner::Options opts;
-    opts.workers = 1;
-    exp::sweep::recordGrid(smallSpec(), opts, dir);
+    exp::sweep::recordGrid(smallSpec(), 1, dir);
 
     const std::string low =
         dir + "/" + trace::traceFileName("synthA", 1000, 42);
@@ -188,10 +179,8 @@ TEST(ReplayGrid, DuplicateCellPathsAreRejected)
     SweepSpec dup = smallSpec();
     dup.workloads[1].name = dup.workloads[0].name;
 
-    SweepRunner::Options opts;
-    opts.workers = 1;
     try {
-        exp::sweep::recordGrid(dup, opts, dir);
+        exp::sweep::recordGrid(dup, 1, dir);
         FAIL() << "duplicate cell paths were accepted on record";
     } catch (const trace::TraceError &e) {
         EXPECT_EQ(e.kind(), trace::TraceError::Kind::DuplicateCell);
@@ -203,15 +192,13 @@ TEST(ReplayGrid, DuplicateCellPathsAreRejected)
         EXPECT_EQ(e.kind(), trace::TraceError::Kind::DuplicateCell);
     }
     // In-memory grids never touch the filesystem: no name collision.
-    EXPECT_NO_THROW(exp::sweep::recordGrid(dup, opts));
+    EXPECT_NO_THROW(exp::sweep::recordGrid(dup, 1));
     std::filesystem::remove_all(dir);
 }
 
 TEST(ReplayGrid, ReplayEngineOrdersCellsTargetMajor)
 {
-    SweepRunner::Options opts;
-    opts.workers = 1;
-    auto grid = exp::sweep::recordGrid(smallSpec(), opts);
+    auto grid = exp::sweep::recordGrid(smallSpec(), 1);
 
     trace::ReplayEngine engine;
     const auto names = engine.predictorNames();

@@ -68,9 +68,7 @@ fig3Grid()
 std::uint64_t
 runDigest(const exp::sweep::SweepSpec &spec, unsigned workers)
 {
-    exp::sweep::SweepRunner::Options ro;
-    ro.workers = workers;
-    auto res = exp::sweep::SweepRunner(spec, ro).run();
+    auto res = exp::sweep::runSweep(spec, workers);
     return exp::sweep::gridDigest(res.cells);
 }
 
@@ -95,9 +93,7 @@ TEST(SampledSweepDeterminism, SampledCellsActuallyFastForward)
     spec.runOptions.mode = exp::SimMode::Sampled;
     spec.runOptions.sampling = tinyWindows();
 
-    exp::sweep::SweepRunner::Options ro;
-    ro.workers = 2;
-    auto res = exp::sweep::SweepRunner(spec, ro).run();
+    auto res = exp::sweep::runSweep(spec, 2);
     std::uint64_t ff_actions = 0;
     for (const auto &cell : res.cells) {
         EXPECT_EQ(cell.mode, exp::SimMode::Sampled);

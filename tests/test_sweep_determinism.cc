@@ -20,7 +20,7 @@
 #include "exp/sweep/sweep.hh"
 
 using namespace dvfs;
-using exp::sweep::SweepRunner;
+using exp::sweep::runSweep;
 using exp::sweep::SweepSpec;
 
 namespace {
@@ -33,14 +33,6 @@ baseSpec()
     spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(4.0)};
     spec.seeds = SweepSpec::replicateSeeds(42, 2);
     return spec;
-}
-
-exp::sweep::SweepResult
-run(const SweepSpec &spec, unsigned workers = 2)
-{
-    SweepRunner::Options ro;
-    ro.workers = workers;
-    return SweepRunner(spec, ro).run();
 }
 
 /**
@@ -89,29 +81,29 @@ expectSubgrid(const exp::sweep::SweepResult &small,
 
 TEST(SweepDeterminism, AddingAWorkloadPreservesExistingCells)
 {
-    auto small = run(baseSpec());
+    auto small = runSweep(baseSpec(), 2);
     auto spec = baseSpec();
     spec.workloads.push_back(wl::syntheticSmall(4, 40));
-    auto big = run(spec);
+    auto big = runSweep(spec, 2);
     expectSubgrid(small, big);
 }
 
 TEST(SweepDeterminism, AddingAFrequencyPreservesExistingCells)
 {
-    auto small = run(baseSpec());
+    auto small = runSweep(baseSpec(), 2);
     auto spec = baseSpec();
     spec.frequencies.insert(spec.frequencies.begin(),
                             Frequency::ghz(2.0));
-    auto big = run(spec);
+    auto big = runSweep(spec, 2);
     expectSubgrid(small, big);
 }
 
 TEST(SweepDeterminism, AddingASeedPreservesExistingCells)
 {
-    auto small = run(baseSpec());
+    auto small = runSweep(baseSpec(), 2);
     auto spec = baseSpec();
     spec.seeds = SweepSpec::replicateSeeds(42, 4);
-    auto big = run(spec);
+    auto big = runSweep(spec, 2);
     expectSubgrid(small, big);
 }
 
@@ -121,7 +113,7 @@ TEST(SweepDeterminism, FrequenciesShareTheSeed)
     // every operating point: the seed depends on (workload, seed
     // index) only, never on frequency. Witness: identical allocated
     // bytes and event counts across frequencies of one workload.
-    auto res = run(baseSpec());
+    auto res = runSweep(baseSpec(), 2);
     const auto &a = res.at(0, std::size_t{0}, 0);
     const auto &b = res.at(0, std::size_t{1}, 0);
     EXPECT_NE(a.freq.toMHz(), b.freq.toMHz());

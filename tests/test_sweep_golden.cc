@@ -22,7 +22,7 @@
 #include "pred/predictors.hh"
 
 using namespace dvfs;
-using exp::sweep::SweepRunner;
+using exp::sweep::runSweep;
 using exp::sweep::SweepSpec;
 
 namespace {
@@ -41,9 +41,7 @@ goldenSpec()
 exp::sweep::SweepResult
 runAt(unsigned workers)
 {
-    SweepRunner::Options ro;
-    ro.workers = workers;
-    return SweepRunner(goldenSpec(), ro).run();
+    return runSweep(goldenSpec(), workers);
 }
 
 /** Bitwise double equality (== would also accept -0.0 vs 0.0). */
@@ -190,9 +188,7 @@ TEST(SweepGolden, CommittedDigestsReproduceAcrossWorkerCounts)
 
     for (const auto &g : grids) {
         for (unsigned workers : {1u, 2u, 8u}) {
-            SweepRunner::Options ro;
-            ro.workers = workers;
-            auto res = SweepRunner(g.spec, ro).run();
+            auto res = runSweep(g.spec, workers);
             EXPECT_EQ(gridDigest(res), g.digest)
                 << g.name << " workers=" << workers;
         }

@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -133,38 +134,31 @@ TEST(SweepPool, PoolIsReusableAfterFailure)
     EXPECT_EQ(ran.load(), 4u);
 }
 
-TEST(SweepPool, ProgressCallbackMonotoneWhenSerial)
-{
-    std::vector<std::size_t> done_values;
-    runIndexed(
-        20, 1, [](std::size_t) {},
-        [&](std::size_t done, std::size_t total) {
-            EXPECT_EQ(total, 20u);
-            done_values.push_back(done);
-        });
-    ASSERT_EQ(done_values.size(), 20u);
-    for (std::size_t i = 0; i < done_values.size(); ++i)
-        EXPECT_EQ(done_values[i], i + 1);
-}
-
-TEST(SweepPool, ProgressCallbackCoversEveryCountParallel)
-{
-    // Counts may arrive out of order across workers (the counter is
-    // bumped outside the callback lock), but each of 1..n exactly once.
-    std::vector<std::size_t> done_values;
-    runIndexed(
-        20, 4, [](std::size_t) {},
-        [&](std::size_t done, std::size_t total) {
-            EXPECT_EQ(total, 20u);
-            done_values.push_back(done);
-        });
-    ASSERT_EQ(done_values.size(), 20u);
-    std::sort(done_values.begin(), done_values.end());
-    for (std::size_t i = 0; i < done_values.size(); ++i)
-        EXPECT_EQ(done_values[i], i + 1);
-}
-
 TEST(SweepPool, DefaultWorkersIsPositive)
 {
     EXPECT_GE(defaultWorkers(), 1u);
+}
+
+TEST(SweepPool, DefaultWorkersTakesOnlyAWholeUnsignedFromEnv)
+{
+    const char *saved = std::getenv("DVFS_SWEEP_WORKERS");
+    const std::string restore = saved ? saved : "";
+    unsetenv("DVFS_SWEEP_WORKERS");
+    const unsigned fallback = defaultWorkers();
+    EXPECT_GE(fallback, 1u);
+
+    // Out of range for an unsigned, trailing junk, below 1, empty:
+    // each is warned about and falls back to the hardware width.
+    for (const char *bad :
+         {"4294967296", "4294967297", "2x", "0", "-3", ""}) {
+        setenv("DVFS_SWEEP_WORKERS", bad, 1);
+        EXPECT_EQ(defaultWorkers(), fallback) << "'" << bad << "'";
+    }
+    setenv("DVFS_SWEEP_WORKERS", "3", 1);
+    EXPECT_EQ(defaultWorkers(), 3u);
+
+    if (saved)
+        setenv("DVFS_SWEEP_WORKERS", restore.c_str(), 1);
+    else
+        unsetenv("DVFS_SWEEP_WORKERS");
 }

@@ -17,7 +17,7 @@
 #include "exp/sweep/sweep.hh"
 
 using namespace dvfs;
-using exp::sweep::SweepRunner;
+using exp::sweep::runSweep;
 using exp::sweep::SweepSpec;
 
 TEST(SweepStress, ManyTinyCellsManyWorkers)
@@ -76,18 +76,14 @@ TEST(SweepStress, LargerSimulationGridBitStable)
                         Frequency::ghz(3.0), Frequency::ghz(4.0)};
     spec.seeds = SweepSpec::replicateSeeds(7, 3);
 
-    SweepRunner::Options serial_opts;
-    serial_opts.workers = 1;
-    auto reference = SweepRunner(spec, serial_opts).run();
+    auto reference = runSweep(spec, 1);
     std::vector<std::uint64_t> ref_fp;
     ref_fp.reserve(reference.cells.size());
     for (const auto &cell : reference.cells)
         ref_fp.push_back(exp::sweep::fingerprintRun(cell));
 
     for (int round = 0; round < 3; ++round) {
-        SweepRunner::Options ro;
-        ro.workers = 8;
-        auto res = SweepRunner(spec, ro).run();
+        auto res = runSweep(spec, 8);
         ASSERT_EQ(res.cells.size(), ref_fp.size());
         for (std::size_t i = 0; i < ref_fp.size(); ++i)
             ASSERT_EQ(exp::sweep::fingerprintRun(res.cells[i]), ref_fp[i])
