@@ -5,14 +5,16 @@
  * simulator actually keeps), DRAM/cache model cost, and whole-benchmark
  * simulation rate (the "ablation" data for DESIGN.md's atomic-cluster
  * issue decision: how much wall time one simulated run costs), and
- * sweep-engine overhead at 1/2/8 workers, and the FNV-1a digest over
- * zero-heavy and dense input. The synthetic sweep grid's
+ * sweep-engine overhead at 1/2/8 workers, the FNV-1a digest over
+ * zero-heavy and dense input, and the workload generator's action
+ * pulls (full and lite clusters). The synthetic sweep grid's
  * digest is pinned by
  * SweepGolden.CommittedDigestsReproduceAcrossWorkerCounts.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "exp/experiment.hh"
@@ -23,6 +25,7 @@
 #include "uarch/cache.hh"
 #include "uarch/core.hh"
 #include "uarch/dram.hh"
+#include "wl/programs.hh"
 #include "wl/suite.hh"
 
 using namespace dvfs;
@@ -171,6 +174,37 @@ BM_Fnv1aMixBytes(benchmark::State &state, bool trace_like)
 }
 BENCHMARK_CAPTURE(BM_Fnv1aMixBytes, trace_like, true);
 BENCHMARK_CAPTURE(BM_Fnv1aMixBytes, dense, false);
+
+/**
+ * Workload-generator cost per action: WorkerProgram::next() pulls for
+ * avrora's parameters with the lite-timing hint down (full clusters
+ * write their addresses into the program's buffer) or up (address-free
+ * lite clusters, the fast-forward path). A finished worker is rebuilt.
+ */
+static void
+BM_WorkerProgramNext(benchmark::State &state, bool lite)
+{
+    wl::SharedWorkload sh;
+    sh.params = wl::benchmarkByName("avrora");
+    for (std::uint32_t i = 0; i < sh.params.numLocks; ++i)
+        sh.locks.push_back(i);
+    if (sh.params.barrierEvery > 0)
+        sh.barrier = sh.params.numLocks;
+    for (std::uint32_t w = 0; w < sh.params.appThreads; ++w)
+        sh.workers.push_back(w);
+    sim::Rng rng(1);
+    os::ThreadContext ctx{1, rng, lite};
+    auto prog = std::make_unique<wl::WorkerProgram>(sh, 1);
+    for (auto _ : state) {
+        os::Action a = prog->next(ctx);
+        if (a.kind == os::ActionKind::Exit)
+            prog = std::make_unique<wl::WorkerProgram>(sh, 1);
+        benchmark::DoNotOptimize(a);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_WorkerProgramNext, lite, true);
+BENCHMARK_CAPTURE(BM_WorkerProgramNext, full, false);
 
 static void
 BM_DramRandomReads(benchmark::State &state)

@@ -11,9 +11,9 @@
  * exactly the serialization the naive M+CRIT predictor cannot see.
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hh"
 #include "dvfs.hh"
 
 using namespace dvfs;
@@ -21,9 +21,11 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
+    const char *usage =
+        "usage: example_criticality_report [benchmark] [freq-mhz]\n";
+    examples::requireAtMost(argc, 2, usage);
     const std::string name = argc > 1 ? argv[1] : "avrora";
-    const auto freq = Frequency::mhz(
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 1000);
+    const auto freq = examples::mhzArg(argc, argv, 2, 1000, usage);
 
     auto params = wl::benchmarkByName(name);
     auto out = exp::runFixed(params, freq);

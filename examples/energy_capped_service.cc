@@ -13,10 +13,10 @@
  * before enabling such a governor.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 
+#include "args.hh"
 #include "dvfs.hh"
 
 using namespace dvfs;
@@ -24,8 +24,12 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
+    const char *usage = "usage: example_energy_capped_service [benchmark] "
+                        "[slowdown-percent]\n";
+    examples::requireAtMost(argc, 2, usage);
     const std::string name = argc > 1 ? argv[1] : "lusearch";
-    const double budget = (argc > 2 ? std::atof(argv[2]) : 10.0) / 100.0;
+    const double budget =
+        examples::percentArg(argc, argv, 2, 10.0, usage) / 100.0;
 
     auto params = wl::benchmarkByName(name);
     auto table = power::VfTable::haswell();

@@ -13,11 +13,11 @@
  *   overlap — instructions overlapped with misses (hurts STALL most)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "args.hh"
 #include "dvfs.hh"
 
 using namespace dvfs;
@@ -66,11 +66,13 @@ sweepValues(const std::string &knob)
 int
 main(int argc, char **argv)
 {
+    const char *usage = "usage: example_predictor_playground "
+                        "[alloc|locks|chains|overlap] [base-mhz] "
+                        "[target-mhz]\n";
+    examples::requireAtMost(argc, 3, usage);
     const std::string knob = argc > 1 ? argv[1] : "alloc";
-    const auto base = Frequency::mhz(
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 1000);
-    const auto target = Frequency::mhz(
-        argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 4000);
+    const auto base = examples::mhzArg(argc, argv, 2, 1000, usage);
+    const auto target = examples::mhzArg(argc, argv, 3, 4000, usage);
 
     auto predictors = pred::PredictorRegistry::instance().figure3Set();
 

@@ -11,9 +11,9 @@
  * recording (pred::RunRecorder), and prediction (pred::DepPredictor).
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hh"
 #include "dvfs.hh"
 
 using namespace dvfs;
@@ -21,10 +21,10 @@ using namespace dvfs;
 int
 main(int argc, char **argv)
 {
-    const auto base = Frequency::mhz(
-        argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 1000);
-    const auto target = Frequency::mhz(
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4000);
+    const char *usage = "usage: example_quickstart [base-mhz] [target-mhz]\n";
+    examples::requireAtMost(argc, 2, usage);
+    const auto base = examples::mhzArg(argc, argv, 1, 1000, usage);
+    const auto target = examples::mhzArg(argc, argv, 2, 4000, usage);
 
     // 1. Describe a workload: 4 threads, managed allocation, locks.
     wl::WorkloadParams params = wl::syntheticSmall(4, 400);

@@ -15,6 +15,7 @@
 #define DVFS_OS_ACTION_HH
 
 #include <cstdint>
+#include <type_traits>
 
 #include "uarch/work.hh"
 
@@ -47,18 +48,27 @@ enum class ActionKind {
 };
 
 /**
- * One action. A tagged struct rather than std::variant: the payloads
- * are small, and the OS dispatch switch stays flat and readable.
+ * One action: a tagged union of 48 bytes. The payloads are small and
+ * own no memory (a cluster's addresses live in the producing program's
+ * buffer, see uarch::MissClusterSpec), so an action is trivially
+ * copyable and moves through the OS without heap traffic; the OS
+ * dispatch switch stays flat and readable. Only the member named by
+ * @c kind is meaningful; a default action is an Exit with a zeroed
+ * payload.
  */
 struct Action {
     ActionKind kind = ActionKind::Exit;
 
-    uarch::ComputeSpec compute{};      ///< valid for Compute
-    uarch::MissClusterSpec cluster{};  ///< valid for MissCluster
-    uarch::StoreBurstSpec burst{};     ///< valid for StoreBurst
-    SyncId sync = kNoSync;             ///< mutex/barrier/futex id
-    std::uint64_t allocBytes = 0;      ///< valid for Alloc
-    ThreadId joinTarget = kNoThread;   ///< valid for Join
+    union {
+        uarch::MissClusterSpec cluster;    ///< valid for MissCluster
+        uarch::ComputeSpec compute;        ///< valid for Compute
+        uarch::StoreBurstSpec burst;       ///< valid for StoreBurst
+        SyncId sync;                       ///< mutex/barrier/futex id
+        std::uint64_t allocBytes;          ///< valid for Alloc
+        ThreadId joinTarget;               ///< valid for Join
+    };
+
+    Action() : cluster{} {}
 
     /// @name Factories
     /// @{
@@ -74,11 +84,11 @@ struct Action {
     }
 
     static Action
-    makeCluster(uarch::MissClusterSpec spec)
+    makeCluster(const uarch::MissClusterSpec &spec)
     {
         Action a;
         a.kind = ActionKind::MissCluster;
-        a.cluster = std::move(spec);
+        a.cluster = spec;
         return a;
     }
 
@@ -155,6 +165,10 @@ struct Action {
     }
     /// @}
 };
+
+static_assert(std::is_trivially_copyable_v<Action>,
+              "actions are copied by value on the dispatch path");
+static_assert(sizeof(Action) <= 48, "an action is at most 48 bytes");
 
 /** Printable name of an action kind. */
 const char *actionKindName(ActionKind kind);

@@ -341,11 +341,11 @@ System::dispatch(Thread &t)
         DVFS_PROFILE_SCOPE(Wl);
         a = t.program->next(ctx);
     }
-    execute(t, std::move(*a));
+    execute(t, *a);
 }
 
 void
-System::execute(Thread &t, Action a)
+System::execute(Thread &t, const Action &a)
 {
     if (_sampler && _sampler->fastForward()) {
         switch (a.kind) {
@@ -353,17 +353,17 @@ System::execute(Thread &t, Action a)
           case ActionKind::MissCluster:
           case ActionKind::StoreBurst:
           case ActionKind::Alloc:
-            executeFastForward(t, std::move(a));
+            executeFastForward(t, a);
             return;
           default:
             break;
         }
     }
-    executeDetailed(t, std::move(a));
+    executeDetailed(t, a);
 }
 
 void
-System::executeDetailed(Thread &t, Action a)
+System::executeDetailed(Thread &t, const Action &a)
 {
     DVFS_PROFILE_SCOPE(Os);
     DVFS_ASSERT(t.core >= 0, "executing on no core");
@@ -426,7 +426,7 @@ System::executeDetailed(Thread &t, Action a)
         if (_interceptor)
             repl = _interceptor->onAlloc(t, a.allocBytes);
         if (repl) {
-            execute(t, std::move(*repl));
+            execute(t, *repl);
         } else {
             // No managed runtime attached: allocation is free.
             onActionDone(t);
@@ -443,7 +443,7 @@ System::executeDetailed(Thread &t, Action a)
 }
 
 void
-System::executeFastForward(Thread &t, Action first)
+System::executeFastForward(Thread &t, Action a)
 {
     DVFS_PROFILE_SCOPE(Os);
     DVFS_ASSERT(t.core >= 0, "executing on no core");
@@ -460,7 +460,6 @@ System::executeFastForward(Thread &t, Action first)
     uarch::PerfCounters acc;
     std::optional<Action> tail;
     std::uint64_t charged = 0;
-    Action a = std::move(first);
 
     while (true) {
         if (a.kind == ActionKind::Alloc) {
@@ -472,7 +471,7 @@ System::executeFastForward(Thread &t, Action first)
             if (_interceptor)
                 repl = _interceptor->onAlloc(t, a.allocBytes);
             if (repl) {
-                a = std::move(*repl);
+                a = *repl;
                 continue;
             }
             // No managed runtime: allocation is free; pull the next
@@ -480,7 +479,7 @@ System::executeFastForward(Thread &t, Action first)
         } else {
             Tick elapsed = 0;
             if (!chargeFastForward(t, a, vt, elapsed, acc)) {
-                tail = std::move(a);
+                tail = a;
                 break;
             }
             vt += elapsed;
@@ -495,7 +494,7 @@ System::executeFastForward(Thread &t, Action first)
         // lite-timing hint raised, straight into `a`.
         if (_interceptor) {
             if (std::optional<Action> next = _interceptor->interceptNext(t)) {
-                a = std::move(*next);
+                a = *next;
                 continue;
             }
         }
@@ -509,13 +508,13 @@ System::executeFastForward(Thread &t, Action first)
         // non-timed action): nothing accumulated, run it exactly.
         // Never a lite spec — lite work is always chargeable (naive
         // fallback), so a tail is either sync/exit or a full spec.
-        executeDetailed(t, std::move(*tail));
+        executeDetailed(t, *tail);
         return;
     }
 
     stats.ffCommits += 1;
     t.ffAccum = acc;
-    t.ffPending = std::move(tail);
+    t.ffPending = tail;
     Thread *tp = &t;
     _eq.schedule(vt, [this, tp] { commitFastForward(*tp); });
 }
@@ -581,12 +580,12 @@ System::commitFastForward(Thread &t)
     t.counters += t.ffAccum;
     t.ffAccum = uarch::PerfCounters{};
     if (t.ffPending) {
-        Action tail = std::move(*t.ffPending);
+        Action tail = *t.ffPending;
         t.ffPending.reset();
         // Re-enters execute(): a sync tail runs its exact path, a
         // cold-model timed tail either starts the next lump (model
         // warmed meanwhile) or falls back to detailed execution.
-        execute(t, std::move(tail));
+        execute(t, tail);
         return;
     }
     onActionDone(t);

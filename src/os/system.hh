@@ -298,17 +298,17 @@ class System
     void dispatch(Thread &t);
 
     /** Execute one action for a running thread. */
-    void execute(Thread &t, Action a);
+    void execute(Thread &t, const Action &a);
 
     /** The cycle-accurate half of execute() (detail phase/fallback). */
-    void executeDetailed(Thread &t, Action a);
+    void executeDetailed(Thread &t, const Action &a);
 
     /**
-     * Fast-forward batching: charge @p first and as many subsequent
+     * Fast-forward batching: charge @p a and as many subsequent
      * actions as possible analytically, then schedule one lump-commit
      * event at the accumulated virtual time.
      */
-    void executeFastForward(Thread &t, Action first);
+    void executeFastForward(Thread &t, Action a);
 
     /**
      * Charge one action from the fast-path model at virtual time

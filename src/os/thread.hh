@@ -42,10 +42,11 @@ struct ThreadContext {
 
     /**
      * True when the OS is fast-forwarding (sampled mode): the program
-     * must perform the *identical* RNG draw sequence but may return
-     * address-free lite work descriptors (uarch work specs with their
-     * lite fields set) instead of materialising addresses. Programs
-     * may ignore the flag — a full spec is always acceptable.
+     * may return address-free lite work descriptors (uarch work specs
+     * with their lite fields set) instead of materialising addresses,
+     * and skip the draws that would only have picked addresses, so
+     * the sampled run is its own deterministic stream. Programs may
+     * ignore the flag — a full spec is always acceptable.
      */
     bool liteTiming = false;
 };
@@ -55,7 +56,9 @@ struct ThreadContext {
  *
  * next() is called exactly once per completed action; returning an
  * Exit action ends the thread. Programs own all their workload state
- * (loop counters, address cursors, ...).
+ * (loop counters, address cursors, ...), including the addresses of a
+ * full miss cluster they return, which stay valid until the next
+ * next() call (uarch::MissClusterSpec).
  */
 class ThreadProgram
 {

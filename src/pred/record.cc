@@ -1,6 +1,7 @@
 #include "pred/record.hh"
 
 #include "sim/log.hh"
+#include "sim/profile.hh"
 
 namespace dvfs::pred {
 
@@ -12,6 +13,7 @@ RunRecorder::RunRecorder(os::System &sys, bool keep_events)
 void
 RunRecorder::onSyncEvent(const os::SyncEvent &ev, const os::System &sys)
 {
+    DVFS_PROFILE_SCOPE(Record);
     if (_keepEvents)
         _events.push_back(ev);
 

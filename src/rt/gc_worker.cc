@@ -8,7 +8,8 @@
 namespace dvfs::rt {
 
 GcWorkerProgram::GcWorkerProgram(Runtime &rt, std::uint32_t idx)
-    : _rt(rt), _idx(idx)
+    : _rt(rt), _idx(idx),
+      _addrs(rt.config().traceChains, rt.config().traceChainDepth)
 {
 }
 
@@ -72,29 +73,27 @@ GcWorkerProgram::next(os::ThreadContext &ctx)
         // mode materialise too, so window-overlapping marks keep
         // refreshing the mark era.
         uarch::MissClusterSpec spec;
-        spec.overlapInstructions = cfg.traceOverlapInstructions;
         if (ctx.liteTiming && _rt.collections() > 1) {
+            spec.overlapInstructions = cfg.traceOverlapInstructions;
             spec.liteChains = cfg.traceChains;
             spec.liteChainDepth = cfg.traceChainDepth;
         } else {
             std::uint64_t span = std::max<std::uint64_t>(
                 _rt.nurseryScanBytes(), 64);
-            spec.chains.reserve(cfg.traceChains);
             for (std::uint32_t c = 0; c < cfg.traceChains; ++c) {
-                std::vector<std::uint64_t> chain;
-                chain.reserve(cfg.traceChainDepth);
+                std::uint64_t *chain = _addrs.chain(c);
                 for (std::uint32_t d = 0; d < cfg.traceChainDepth; ++d) {
                     std::uint64_t off = ctx.rng.nextBounded(span) & ~63ULL;
-                    chain.push_back(_rt.nurseryScanBase() + off);
+                    chain[d] = _rt.nurseryScanBase() + off;
                 }
-                spec.chains.push_back(std::move(chain));
             }
+            spec = _addrs.spec(cfg.traceOverlapInstructions);
         }
         if (++_traceClustersDone >= _traceClustersDue) {
             _traceClustersDone = 0;
             _state = State::Copy;
         }
-        return os::Action::makeCluster(std::move(spec));
+        return os::Action::makeCluster(spec);
       }
 
       case State::Copy: {

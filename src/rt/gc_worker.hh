@@ -59,6 +59,9 @@ class GcWorkerProgram : public os::ThreadProgram
     std::uint32_t _traceClustersDone = 0;
     /** Trace clusters this unit owes (scales with batched grabs). */
     std::uint32_t _traceClustersDue = 0;
+
+    /** Addresses of the last full trace cluster (valid until next()). */
+    uarch::ClusterAddressBuffer _addrs;
 };
 
 } // namespace dvfs::rt

@@ -50,6 +50,7 @@ subsystemName(Subsystem s)
       case Subsystem::Fastpath: return "fastpath";
       case Subsystem::Wl: return "wl";
       case Subsystem::Digest: return "digest";
+      case Subsystem::Record: return "record";
       case Subsystem::Other: return "other";
       case Subsystem::Count: break;
     }

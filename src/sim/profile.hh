@@ -5,8 +5,9 @@
  * Scoped RAII markers (DVFS_PROFILE_SCOPE) tag the calling thread with
  * the coarse subsystem it is executing — event kernel, core model,
  * cache hierarchy, DRAM, OS layer, fast-path model, workload
- * generator, digests. A scope is one thread-local store on entry and
- * one on exit: no clock reads, no registry, no counts.
+ * generator, digests, epoch recorder. A scope is one thread-local
+ * store on entry and one on exit: no clock reads, no registry, no
+ * counts.
  *
  * Between start() and stop() an ITIMER_PROF timer raises SIGPROF once
  * per interval of process CPU time; the kernel delivers it to the
@@ -38,6 +39,7 @@ enum class Subsystem : unsigned {
     Fastpath,  ///< fast-path model: fitted charges, detail observations
     Wl,        ///< workload generators: ThreadProgram::next pulls
     Digest,    ///< FNV-1a: run/grid fingerprints, payload and frame digests
+    Record,    ///< epoch recorder: RunRecorder's per-sync-event epochs
     Other,     ///< anything outside an instrumented scope
     Count
 };

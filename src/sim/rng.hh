@@ -60,6 +60,9 @@ class Rng
      */
     Rng split(std::uint64_t salt);
 
+    /** Same state: both generators draw the same sequence from here. */
+    bool operator==(const Rng &) const = default;
+
   private:
     std::uint64_t _s[4];
 };

@@ -54,6 +54,7 @@ CoreModel::executeCluster(const MissClusterSpec &spec, Tick start,
                           PerfCounters &pc)
 {
     DVFS_PROFILE_SCOPE(Core);
+    DVFS_ASSERT(!spec.lite(), "executing a lite cluster spec");
     const Frequency freq = _domain.frequency();
 
     // Record per-DRAM-miss (issue, completion) pairs for the Leading
@@ -64,10 +65,10 @@ CoreModel::executeCluster(const MissClusterSpec &spec, Tick start,
     Tick mem_end = start;
     Tick crit = 0;  // CRIT: max over chains of accumulated DRAM latency
 
-    for (const auto &chain : spec.chains) {
+    for (std::uint32_t c = 0; c < spec.chains; ++c) {
         Tick t = start;
         Tick chain_dram = 0;
-        for (std::uint64_t addr : chain) {
+        for (std::uint64_t addr : spec.chain(c)) {
             auto out = _mem.load(_id, addr, t, freq);
             switch (out.level) {
               case HitLevel::L1:

@@ -14,7 +14,10 @@
 #define DVFS_UARCH_WORK_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "sim/log.hh"
 
 namespace dvfs::uarch {
 
@@ -41,9 +44,37 @@ struct ComputeSpec {
  * data returns), chains are mutually independent and overlap (MLP).
  * @c overlapInstructions is the independent work the out-of-order
  * window can retire underneath the cluster.
+ *
+ * A spec owns no memory (40 bytes, trivially copyable), so actions
+ * carrying one copy without heap traffic. A full spec points at its
+ * addresses, which live in a ClusterAddressBuffer owned by the
+ * program that produced the spec.
+ *
+ * Address lifetime: a full spec's addresses are valid until the
+ * producing program's next ThreadProgram::next() call, which rewrites
+ * its buffer in place. The OS consumes every full spec before then:
+ * executeDetailed runs CoreModel::executeCluster synchronously, and a
+ * fast-forward lump's unchargeable tail waits in Thread::ffPending
+ * while its thread is busy, so nothing pulls from that program until
+ * the tail has executed. Code that keeps a spec across pulls (tests
+ * draining a program into a list, say) must copy the addresses out
+ * first.
  */
 struct MissClusterSpec {
-    std::vector<std::vector<std::uint64_t>> chains;
+    /**
+     * Full spec: every load address, chain-major (chain 0's hops in
+     * issue order, then chain 1's, ...). Not owned; see above.
+     */
+    const std::uint64_t *addrs = nullptr;
+
+    /**
+     * Full spec: exclusive end offset of each chain in @c addrs, so
+     * chain c is [chainEnds[c-1], chainEnds[c]) (chain 0 starts at 0).
+     * Chains may differ in length. Not owned; same lifetime as
+     * @c addrs.
+     */
+    const std::uint32_t *chainEnds = nullptr;
+
     std::uint64_t overlapInstructions = 0;
 
     /**
@@ -55,12 +86,15 @@ struct MissClusterSpec {
      */
     std::uint32_t shapeHint = 0;
 
+    /** Full spec: number of chains in @c chainEnds. */
+    std::uint32_t chains = 0;
+
     /**
-     * Lite descriptor, produced instead of @c chains when a program is
+     * Lite descriptor, produced instead of addresses when a program is
      * asked for a fast-forward action (ThreadContext::liteTiming): the
-     * generator performs the identical RNG draws but materialises no
-     * addresses. Lite specs can only be charged analytically, never
-     * executed by the detailed core model.
+     * generator makes the draws that pick the shape key but
+     * materialises no addresses. Lite specs can only be charged
+     * analytically, never executed by the detailed core model.
      */
     std::uint32_t liteChains = 0;
     std::uint32_t liteChainDepth = 0;
@@ -68,17 +102,68 @@ struct MissClusterSpec {
     /** True if this is an address-free lite descriptor. */
     bool lite() const { return liteChains != 0; }
 
+    /** Addresses of chain @p c of a full spec, in issue order. */
+    std::span<const std::uint64_t>
+    chain(std::uint32_t c) const
+    {
+        const std::uint32_t begin = c == 0 ? 0 : chainEnds[c - 1];
+        return {addrs + begin, addrs + chainEnds[c]};
+    }
+
     /** Total loads, for either representation. */
     std::uint32_t
     loadCount() const
     {
         if (lite())
             return liteChains * liteChainDepth;
-        std::size_t n = 0;
-        for (const auto &c : chains)
-            n += c.size();
-        return static_cast<std::uint32_t>(n);
+        return chains == 0 ? 0 : chainEnds[chains - 1];
     }
+};
+
+/**
+ * Producer-owned storage behind full MissClusterSpecs: @p chains chains
+ * of @p depth addresses, chain-major, plus each chain's end offset. A
+ * program sizes it once and rewrites the addresses in place for every
+ * cluster, so building a full spec allocates nothing; spec() hands out
+ * a view that stays valid until the next rewrite (the lifetime rule
+ * above).
+ */
+class ClusterAddressBuffer
+{
+  public:
+    ClusterAddressBuffer(std::uint32_t chains, std::uint32_t depth)
+        : _addrs(static_cast<std::size_t>(chains) * depth),
+          _chainEnds(chains)
+    {
+        for (std::uint32_t c = 0; c < chains; ++c)
+            _chainEnds[c] = (c + 1) * depth;
+    }
+
+    /** Write access to chain @p c's addresses. */
+    std::uint64_t *
+    chain(std::uint32_t c)
+    {
+        DVFS_ASSERT(c < _chainEnds.size(), "cluster chain out of range");
+        return _addrs.data() + (c == 0 ? 0 : _chainEnds[c - 1]);
+    }
+
+    /** A full spec over the current addresses. */
+    MissClusterSpec
+    spec(std::uint64_t overlap_instructions,
+         std::uint32_t shape_hint = 0) const
+    {
+        MissClusterSpec s;
+        s.addrs = _addrs.data();
+        s.chainEnds = _chainEnds.data();
+        s.chains = static_cast<std::uint32_t>(_chainEnds.size());
+        s.overlapInstructions = overlap_instructions;
+        s.shapeHint = shape_hint;
+        return s;
+    }
+
+  private:
+    std::vector<std::uint64_t> _addrs;
+    std::vector<std::uint32_t> _chainEnds;
 };
 
 /**

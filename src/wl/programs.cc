@@ -9,7 +9,8 @@ namespace dvfs::wl {
 
 WorkerProgram::WorkerProgram(const SharedWorkload &shared,
                              std::uint32_t index)
-    : _sh(shared), _index(index)
+    : _sh(shared), _index(index),
+      _addrs(shared.params.chains, shared.params.chainDepth)
 {
     const WorkloadParams &p = _sh.params;
     _items = p.workItems;
@@ -25,12 +26,9 @@ WorkerProgram::WorkerProgram(const SharedWorkload &shared,
 }
 
 uarch::MissClusterSpec
-WorkerProgram::makeCluster(os::ThreadContext &ctx) const
+WorkerProgram::makeCluster(os::ThreadContext &ctx)
 {
     const WorkloadParams &p = _sh.params;
-    uarch::MissClusterSpec spec;
-    spec.overlapInstructions = p.clusterOverlapInstr;
-
     std::uint32_t hot = 0, warm = 0, cold = 0;
     for (std::uint32_t c = 0; c < p.chains; ++c) {
         // A chain stays within one region: a pointer chase does not
@@ -59,21 +57,22 @@ WorkerProgram::makeCluster(os::ThreadContext &ctx) const
             // uniform draws leaves the workload statistics unchanged.
             continue;
         }
-        std::vector<std::uint64_t> chain;
-        chain.reserve(p.chainDepth);
+        std::uint64_t *chain = _addrs.chain(c);
         for (std::uint32_t d = 0; d < p.chainDepth; ++d)
-            chain.push_back(base + (ctx.rng.nextBounded(span) & ~63ULL));
-        spec.chains.push_back(std::move(chain));
+            chain[d] = base + (ctx.rng.nextBounded(span) & ~63ULL);
     }
     // The region mix keys the fast-path model's shape table: clusters
     // with equal load counts but different temperatures must not share
     // a latency distribution. Set in both modes so lite charges match
     // full observations.
-    spec.shapeHint = hot | warm << 8 | cold << 16;
-    if (ctx.liteTiming) {
-        spec.liteChains = p.chains;
-        spec.liteChainDepth = p.chainDepth;
-    }
+    const std::uint32_t shape = hot | warm << 8 | cold << 16;
+    if (!ctx.liteTiming)
+        return _addrs.spec(p.clusterOverlapInstr, shape);
+    uarch::MissClusterSpec spec;
+    spec.overlapInstructions = p.clusterOverlapInstr;
+    spec.shapeHint = shape;
+    spec.liteChains = p.chains;
+    spec.liteChainDepth = p.chainDepth;
     return spec;
 }
 

@@ -51,8 +51,11 @@ class WorkerProgram : public os::ThreadProgram
         Done,        ///< exit
     };
 
-    /** Build one miss cluster over the hot/warm/cold regions. */
-    uarch::MissClusterSpec makeCluster(os::ThreadContext &ctx) const;
+    /**
+     * Build one miss cluster over the hot/warm/cold regions. A full
+     * spec's addresses are written into @c _addrs.
+     */
+    uarch::MissClusterSpec makeCluster(os::ThreadContext &ctx);
 
     const SharedWorkload &_sh;
     std::uint32_t _index;
@@ -70,6 +73,9 @@ class WorkerProgram : public os::ThreadProgram
     std::uint32_t _clustersLeft = 0;
     std::uint64_t _allocLeft = 0;
     std::uint32_t _lockId = 0;
+
+    /** Addresses of the last full cluster (valid until next()). */
+    uarch::ClusterAddressBuffer _addrs;
 };
 
 /**

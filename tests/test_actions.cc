@@ -7,6 +7,7 @@
 
 #include "os/action.hh"
 #include "os/system.hh"
+#include "test_util.hh"
 
 using namespace dvfs::os;
 
@@ -22,13 +23,16 @@ TEST(Action, ComputeFactory)
 
 TEST(Action, ClusterFactoryMovesChains)
 {
-    dvfs::uarch::MissClusterSpec spec;
-    spec.chains = {{1, 2, 3}, {4}};
+    dvfs::test::ClusterChains addrs{{1, 2, 3}, {4}};
+    dvfs::uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 99;
-    Action a = Action::makeCluster(std::move(spec));
+    Action a = Action::makeCluster(spec);
     EXPECT_EQ(a.kind, ActionKind::MissCluster);
-    ASSERT_EQ(a.cluster.chains.size(), 2u);
-    EXPECT_EQ(a.cluster.chains[0].size(), 3u);
+    ASSERT_EQ(a.cluster.chains, 2u);
+    EXPECT_EQ(a.cluster.chain(0).size(), 3u);
+    EXPECT_EQ(a.cluster.chain(1).size(), 1u);
+    EXPECT_EQ(a.cluster.chain(1)[0], 4u);
+    EXPECT_EQ(a.cluster.loadCount(), 4u);
     EXPECT_EQ(a.cluster.overlapInstructions, 99u);
 }
 

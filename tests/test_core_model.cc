@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.hh"
 #include "uarch/core.hh"
 
 using namespace dvfs;
@@ -85,15 +86,15 @@ TEST(CoreCluster, DependentChainSerializes)
     Rig rig(Frequency::ghz(1.0));
     PerfCounters one, chain;
 
-    MissClusterSpec single;
-    single.chains = {{0x10000000}};
+    test::ClusterChains single_addrs{{0x10000000}};
+    MissClusterSpec single = single_addrs.spec();
     Tick t_single =
         rig.core[0].executeCluster(single, 0, one);
 
     rig.mem.reset();
     rig.dram.reset();
-    MissClusterSpec deep;
-    deep.chains = {{0x20000000, 0x30000000, 0x40000000}};
+    test::ClusterChains deep_addrs{{0x20000000, 0x30000000, 0x40000000}};
+    MissClusterSpec deep = deep_addrs.spec();
     Tick t_chain = rig.core[0].executeCluster(deep, 0, chain);
 
     EXPECT_GT(t_chain, 2 * t_single);
@@ -105,15 +106,16 @@ TEST(CoreCluster, ParallelChainsOverlap)
     Rig rig(Frequency::ghz(1.0));
     PerfCounters serial, parallel;
 
-    MissClusterSpec deep;
-    deep.chains = {{0x10000000, 0x20000000, 0x30000000, 0x40000000}};
+    test::ClusterChains deep_addrs{
+        {0x10000000, 0x20000000, 0x30000000, 0x40000000}};
+    MissClusterSpec deep = deep_addrs.spec();
     Tick t_serial = rig.core[0].executeCluster(deep, 0, serial);
 
     rig.mem.reset();
     rig.dram.reset();
-    MissClusterSpec wide;
-    wide.chains = {{0x50000000, 0x60000000},
-                   {0x70000000, 0x80000000}};
+    test::ClusterChains wide_addrs{{0x50000000, 0x60000000},
+                                   {0x70000000, 0x80000000}};
+    MissClusterSpec wide = wide_addrs.spec();
     Tick t_parallel = rig.core[0].executeCluster(wide, 0, parallel);
 
     // Same number of misses, but two chains overlap.
@@ -124,8 +126,8 @@ TEST(CoreCluster, OverlapInstructionsHideMemoryTime)
 {
     Rig rig(Frequency::ghz(4.0));
     PerfCounters pc;
-    MissClusterSpec spec;
-    spec.chains = {{0x10000000}};
+    test::ClusterChains addrs{{0x10000000}};
+    MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 4'000'000;  // compute >> memory
     Tick end = rig.core[0].executeCluster(spec, 0, pc);
     // Elapsed equals the compute time: memory fully hidden.
@@ -142,9 +144,9 @@ TEST(CoreCluster, EstimatorOrderingOnChainedMisses)
     // stall <= leading <= crit (the paper's accuracy ladder).
     Rig rig(Frequency::ghz(2.0));
     PerfCounters pc;
-    MissClusterSpec spec;
-    spec.chains = {{0x10000000, 0x20000000, 0x30000000},
-                   {0x40000000, 0x50000000}};
+    test::ClusterChains addrs{{0x10000000, 0x20000000, 0x30000000},
+                              {0x40000000, 0x50000000}};
+    MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 2000;
     rig.core[0].executeCluster(spec, 0, pc);
     EXPECT_LE(pc.stallNonscaling, pc.leadingNonscaling);
@@ -157,8 +159,8 @@ TEST(CoreCluster, CacheHitsDoNotCountAsNonScaling)
 {
     Rig rig(Frequency::ghz(1.0));
     PerfCounters warm;
-    MissClusterSpec spec;
-    spec.chains = {{0x10000000}};
+    test::ClusterChains addrs{{0x10000000}};
+    MissClusterSpec spec = addrs.spec();
     rig.core[0].executeCluster(spec, 0, warm);      // cold: DRAM
     PerfCounters hot;
     rig.core[0].executeCluster(spec, 100000, hot);  // warm: L1

@@ -6,7 +6,9 @@
  * proves the tentpole property of the allocation-free event kernel:
  * once the entry pool is primed, scheduling and running events — with
  * captures up to the inline-callback capacity — performs zero heap
- * allocations.
+ * allocations. The same audit covers the action producers: pulling
+ * full miss clusters from a workload worker or a GC worker writes
+ * their addresses into the program's own buffer and allocates nothing.
  *
  * This file defines global operators, so it must live in its own test
  * binary (see CMakeLists.txt): linked into the main suite it would
@@ -20,8 +22,14 @@
 #include <cstdlib>
 #include <new>
 
+#include "rt/gc_worker.hh"
+#include "rt/runtime.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "uarch/perf_counters.hh"
+#include "wl/builder.hh"
+#include "wl/programs.hh"
+#include "wl/suite.hh"
 
 namespace {
 
@@ -177,4 +185,60 @@ TEST(EventAlloc, CountingAllocatorObservesAllocations)
     auto *p = new std::uint64_t[32];
     EXPECT_GT(g_allocs.load(), before);
     delete[] p;
+}
+
+namespace {
+
+/**
+ * Pull @p n actions with the lite-timing hint down, after a first pull
+ * outside the count; returns the allocations the @p n pulls made and
+ * adds the full clusters among them to @p clusters.
+ */
+std::uint64_t
+allocsPerPulls(os::ThreadProgram &prog, os::ThreadContext &ctx, int n,
+               std::uint64_t &clusters)
+{
+    prog.next(ctx);
+    const std::uint64_t before = g_allocs.load();
+    for (int i = 0; i < n; ++i) {
+        os::Action a = prog.next(ctx);
+        if (a.kind == os::ActionKind::MissCluster && !a.cluster.lite() &&
+            a.cluster.loadCount() > 0)
+            ++clusters;
+    }
+    return g_allocs.load() - before;
+}
+
+} // namespace
+
+/**
+ * Zero heap allocations per full action: a cluster's addresses live
+ * in the producing program's buffer, so neither a workload worker
+ * (avrora) nor a GC worker allocates once it has made its first pull.
+ */
+TEST(ActionAlloc, FullClusterPullsAllocateNothing)
+{
+    wl::BenchInstance inst = wl::buildBenchmark(
+        wl::benchmarkByName("avrora"),
+        wl::defaultSystemConfig(Frequency::ghz(2.0)));
+
+    wl::WorkerProgram worker(*inst.shared, 1);
+    sim::Rng wrng(2);
+    os::ThreadContext wctx{1, wrng};
+    std::uint64_t clusters = 0;
+    EXPECT_EQ(allocsPerPulls(worker, wctx, 10'000, clusters), 0u)
+        << "WorkerProgram allocated while pulling full actions";
+    EXPECT_GT(clusters, 1'000u);
+
+    // A GC worker with an endless work package: grab, pop, release,
+    // trace clusters, copy, and around again.
+    rt::Runtime &runtime = *inst.runtime;
+    runtime.workerRemaining(1) = 1ULL << 40;
+    rt::GcWorkerProgram gc(runtime, 1);
+    sim::Rng grng(3);
+    os::ThreadContext gctx{2, grng};
+    clusters = 0;
+    EXPECT_EQ(allocsPerPulls(gc, gctx, 10'000, clusters), 0u)
+        << "GcWorkerProgram allocated while pulling full actions";
+    EXPECT_GT(clusters, 1'000u);
 }

@@ -77,8 +77,9 @@ TEST(Profile, SampledRunIsBitIdentical)
 /**
  * sweep_bench's sampled grid (the first four DaCapo workloads at 1-4
  * GHz) under the profiler, with the fast-path and workload-generator
- * scopes live on every fast-forwarded action and the digest scopes on
- * every fingerprint: its digest stays the pinned sampled golden.
+ * scopes live on every fast-forwarded action, the record scope on every
+ * sync event and the digest scopes on every fingerprint: its digest
+ * stays the pinned sampled golden.
  */
 TEST(Profile, SampledGridKeepsPinnedDigest)
 {

@@ -153,11 +153,18 @@ TEST(WorkerProgram, ClusterAddressesRespectRegions)
     params.pWarm = 0.0;
     auto sh = shared(params);
     WorkerProgram w(sh, 3);
-    for (const auto &a : drain(w, 3)) {
+    // A cluster's addresses live in the program's buffer until its
+    // next pull, so check each cluster as it is pulled.
+    sim::Rng rng(4);
+    ThreadContext ctx{3, rng};
+    std::size_t clusters = 0;
+    for (Action a = w.next(ctx); a.kind != ActionKind::Exit;
+         a = w.next(ctx)) {
         if (a.kind != ActionKind::MissCluster)
             continue;
-        for (const auto &chain : a.cluster.chains) {
-            for (std::uint64_t addr : chain) {
+        ++clusters;
+        for (std::uint32_t c = 0; c < a.cluster.chains; ++c) {
+            for (std::uint64_t addr : a.cluster.chain(c)) {
                 EXPECT_GE(addr, kHotBase + 3 * kHotStride);
                 EXPECT_LT(addr,
                           kHotBase + 3 * kHotStride + params.hotBytes);
@@ -165,6 +172,7 @@ TEST(WorkerProgram, ClusterAddressesRespectRegions)
             }
         }
     }
+    EXPECT_GT(clusters, 0u);
 }
 
 TEST(WorkerProgram, DeterministicForSameSeed)

@@ -19,6 +19,7 @@
 #include "exp/sweep/fingerprint.hh"
 #include "sim/event_queue.hh"
 #include "sim/sampling.hh"
+#include "test_util.hh"
 #include "uarch/fastpath.hh"
 #include "wl/suite.hh"
 
@@ -340,9 +341,9 @@ TEST(FastPathModel, ColdModelRefusesToCharge)
 
     // Observations alone do not make the model chargeable: the window
     // must be promoted by age() first.
-    uarch::MissClusterSpec full;
-    full.chains = {{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12},
-                   {13, 14, 15, 16}};
+    test::ClusterChains full_addrs{
+        {1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}, {13, 14, 15, 16}};
+    uarch::MissClusterSpec full = full_addrs.spec();
     full.overlapInstructions = 100;
     for (int i = 0; i < 16; ++i) {
         uarch::PerfCounters d;
@@ -363,8 +364,8 @@ TEST(FastPathModel, EmissionConservesObservedMeans)
 
     // Observe a fixed shape with a deliberately awkward elapsed value
     // so integer division must round somewhere.
-    uarch::MissClusterSpec spec;
-    spec.chains = {{1, 2, 3}, {4, 5}};
+    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
+    uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
     const Tick obsElapsed = 1000003;
     for (int i = 0; i < 4; ++i) {
@@ -413,8 +414,8 @@ TEST(FastPathModel, OccupancyLanesAreSeparate)
     cfg.minClusterObs = 2;
     uarch::FastPathModel m(4, cfg);
 
-    uarch::MissClusterSpec spec;
-    spec.chains = {{1, 2}};
+    test::ClusterChains addrs{{1, 2}};
+    uarch::MissClusterSpec spec = addrs.spec();
     // Same shape, very different latency at different occupancy.
     for (int i = 0; i < 2; ++i) {
         uarch::PerfCounters d;
@@ -442,8 +443,8 @@ TEST(FastPathModel, OperatingPointForkRescalesOnlyTheComputeShare)
 
     // Fit one shape: elapsed 1000 of which 600 is compute (scaling)
     // and 400 memory/sync (non-scaling).
-    uarch::MissClusterSpec spec;
-    spec.chains = {{1, 2, 3}, {4, 5}};
+    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
+    uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
     for (int i = 0; i < 4; ++i) {
         uarch::PerfCounters d;
@@ -493,8 +494,8 @@ TEST(FastPathModel, AgeOnEmptyWindowKeepsTheEra)
     cfg.minClusterObs = 4;
     uarch::FastPathModel m(4, cfg);
 
-    uarch::MissClusterSpec spec;
-    spec.chains = {{1, 2, 3}, {4, 5}};
+    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
+    uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
     for (int i = 0; i < 4; ++i) {
         uarch::PerfCounters d;
@@ -527,8 +528,8 @@ TEST(FastPathModel, DriftPermilleComparesConsecutivePromotions)
     cfg.minClusterObs = 4;
     uarch::FastPathModel m(4, cfg);
 
-    uarch::MissClusterSpec spec;
-    spec.chains = {{1, 2, 3}, {4, 5}};
+    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
+    uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
     auto window = [&](Tick elapsed) {
         for (int i = 0; i < 4; ++i) {

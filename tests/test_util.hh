@@ -7,12 +7,47 @@
 #define DVFS_TESTS_TEST_UTIL_HH
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
 #include "os/system.hh"
+#include "uarch/work.hh"
 
 namespace dvfs::test {
+
+/**
+ * The addresses of a hand-built miss cluster, owned chain-major the way
+ * a program's uarch::ClusterAddressBuffer owns them; chains may differ
+ * in length. spec() views them, so the ClusterChains must outlive
+ * every spec taken from it.
+ */
+class ClusterChains
+{
+  public:
+    ClusterChains(
+        std::initializer_list<std::initializer_list<std::uint64_t>> chains)
+    {
+        for (const auto &c : chains) {
+            _addrs.insert(_addrs.end(), c.begin(), c.end());
+            _chainEnds.push_back(static_cast<std::uint32_t>(_addrs.size()));
+        }
+    }
+
+    uarch::MissClusterSpec
+    spec() const
+    {
+        uarch::MissClusterSpec s;
+        s.addrs = _addrs.data();
+        s.chainEnds = _chainEnds.data();
+        s.chains = static_cast<std::uint32_t>(_chainEnds.size());
+        return s;
+    }
+
+  private:
+    std::vector<std::uint64_t> _addrs;
+    std::vector<std::uint32_t> _chainEnds;
+};
 
 /** A thread program replaying a fixed list of actions, then exiting. */
 class ScriptProgram : public os::ThreadProgram
