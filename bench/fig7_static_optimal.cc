@@ -65,8 +65,7 @@ main(int argc, char **argv)
     // (the highest doubles as the baseline).
     exp::sweep::SweepSpec spec;
     spec.workloads = bench::dacapoWorkloads(args.get("only"));
-    for (const auto &p : sweep_vf.points())
-        spec.frequencies.push_back(p.freq);
+    spec.frequencies = sweep_vf.frequencies();
     spec.runOptions.mode = mode;
     spec.runOptions.sampling = sampling;
 

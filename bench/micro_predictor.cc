@@ -10,7 +10,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "exp/experiment.hh"
+#include "mgr/energy_manager.hh"
 #include "pred/registry.hh"
 #include "pred/table.hh"
 #include "trace/reader.hh"
@@ -126,23 +129,33 @@ BM_Figure3Set(benchmark::State &state)
 }
 BENCHMARK(BM_Figure3Set)->Arg(1)->Arg(4)->Arg(25);
 
-/** The energy manager's inner loop: one quantum, all 25 points. */
+/**
+ * The energy manager's decision for one quantum: its table (32 epochs,
+ * recorded at 4 GHz), the highest point, then the ascending scan of
+ * the 25 Haswell points under the default slowdown bound.
+ */
 static void
 BM_ManagerQuantumSweep(benchmark::State &state)
 {
     const RunRecord &rec = sampleRecord();
-    // Concrete type on purpose: predictEpochRange is the manager-facing
-    // epoch-span API, not part of the Predictor interface.
-    DepPredictor p({BaseEstimator::Crit, true}, true);
-    auto table = power::VfTable::haswell();
-    const std::size_t window = std::min<std::size_t>(32, rec.epochs.size());
+    const DepPredictor p({BaseEstimator::Crit, true}, true);
+    const auto vf = power::VfTable::haswell();
+    const std::vector<Frequency> points = vf.frequencies();
+    const double bound = mgr::ManagerConfig{}.tolerableSlowdown;
+    const std::span<const Epoch> quantum(
+        rec.epochs.data(), std::min<std::size_t>(32, rec.epochs.size()));
     for (auto _ : state) {
-        Tick acc = 0;
-        for (const auto &pt : table.points()) {
-            double ratio = 4000.0 / pt.freq.toMHz();
-            acc += p.predictEpochRange(rec.epochs, 0, window, ratio);
-        }
-        benchmark::DoNotOptimize(acc);
+        const PredictionTable table(quantum, vf.highest());
+        const Tick t_ref = p.predict(table, vf.highest());
+        Frequency chosen = vf.highest();
+        p.scanAscending(table, points, [&](std::size_t i, Tick t) {
+            if (static_cast<double>(t) / static_cast<double>(t_ref) - 1.0 >
+                bound)
+                return false;
+            chosen = points[i];
+            return true;
+        });
+        benchmark::DoNotOptimize(chosen);
     }
 }
 BENCHMARK(BM_ManagerQuantumSweep);

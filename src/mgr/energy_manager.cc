@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "sim/log.hh"
 
@@ -11,7 +12,7 @@ EnergyManager::EnergyManager(os::System &sys, pred::RunRecorder &rec,
                              const power::VfTable &table,
                              const ManagerConfig &cfg)
     : _sys(sys), _rec(rec), _table(table), _cfg(cfg),
-      _dep(cfg.model, cfg.acrossEpochCtp)
+      _dep(cfg.model, cfg.acrossEpochCtp), _freqs(table.frequencies())
 {
     if (_cfg.quantum == 0)
         fatal("energy manager quantum must be positive");
@@ -53,42 +54,10 @@ EnergyManager::credibleSlowdown(double slowdown) const
 }
 
 double
-EnergyManager::predictSlowdown(std::size_t epoch_first,
-                               std::size_t epoch_last, Tick t_ref,
-                               double r_cand, bool &used_epochs) const
+EnergyManager::predictSlowdown(Tick predicted, Tick t_ref) const
 {
-    Tick t_p = predictQuantum(epoch_first, epoch_last, r_cand,
-                              used_epochs);
-    return static_cast<double>(t_p) / static_cast<double>(t_ref) - 1.0;
-}
-
-Tick
-EnergyManager::predictQuantum(std::size_t epoch_first,
-                              std::size_t epoch_last, double ratio,
-                              bool &used_epochs) const
-{
-    const auto &epochs = _rec.epochs();
-    if (epoch_last > epoch_first) {
-        used_epochs = true;
-        return _dep.predictEpochRange(epochs, epoch_first, epoch_last,
-                                      ratio);
-    }
-
-    // No synchronization activity this quantum: fall back to the
-    // aggregate per-thread deltas (M+CRIT-style within the quantum).
-    used_epochs = false;
-    Tick best = 0;
-    for (std::size_t i = 0; i < _sys.numThreads(); ++i) {
-        const os::Thread &t = _sys.thread(static_cast<os::ThreadId>(i));
-        uarch::PerfCounters delta = t.counters;
-        if (i < _lastCounters.size())
-            delta = delta - _lastCounters[i];
-        if (delta.busyTime == 0)
-            continue;
-        best = std::max(best, pred::predictSpan(delta.busyTime, delta,
-                                                _cfg.model, ratio));
-    }
-    return best;
+    return static_cast<double>(predicted) / static_cast<double>(t_ref) -
+           1.0;
 }
 
 void
@@ -103,13 +72,30 @@ EnergyManager::onQuantum()
 
     ++_sinceChange;
     if (_sinceChange >= _cfg.holdOff * _backoff) {
-        bool used_epochs = false;
+        const bool used_epochs = last > first;
+        std::span<const pred::Epoch> quantum(epochs.data() + first,
+                                             last - first);
+        if (!used_epochs) {
+            // No synchronization activity this quantum: the per-thread
+            // deltas of the busy threads, as the rows of one epoch.
+            _wholeQuantum.active.clear();
+            for (std::size_t i = 0; i < _sys.numThreads(); ++i) {
+                const auto tid = static_cast<os::ThreadId>(i);
+                uarch::PerfCounters delta = _sys.thread(tid).counters;
+                if (i < _lastCounters.size())
+                    delta = delta - _lastCounters[i];
+                if (delta.busyTime > 0)
+                    _wholeQuantum.active.push_back({tid, delta});
+            }
+            quantum = {&_wholeQuantum, 1};
+        }
+        // The quantum ran at f_cur: its table's ratios are
+        // f_cur / f_candidate.
+        const pred::PredictionTable table(quantum, f_cur);
 
         // Step 1: what would this quantum have taken at the highest
         // frequency?
-        const double r_max = static_cast<double>(f_cur.toMHz()) /
-                             static_cast<double>(f_max.toMHz());
-        Tick t_ref = predictQuantum(first, last, r_max, used_epochs);
+        const Tick t_ref = _dep.predict(table, f_max);
 
         // Step 2: lowest candidate whose predicted slowdown stays
         // inside the bound. A prediction the manager cannot trust
@@ -119,23 +105,18 @@ EnergyManager::onQuantum()
         double chosen_slowdown = 0.0;
         bool fallback = false;
         if (t_ref > 0) {
-            for (const auto &p : _table.points()) {
-                const double r = static_cast<double>(f_cur.toMHz()) /
-                                 static_cast<double>(p.freq.toMHz());
-                double slowdown = predictSlowdown(first, last, t_ref, r,
-                                                  used_epochs);
+            _dep.scanAscending(table, _freqs, [&](std::size_t i, Tick t_p) {
+                const double slowdown = predictSlowdown(t_p, t_ref);
                 if (!credibleSlowdown(slowdown)) {
-                    chosen = f_max;
-                    chosen_slowdown = 0.0;
                     fallback = true;
-                    break;
+                    return true;
                 }
-                if (slowdown <= _cfg.tolerableSlowdown) {
-                    chosen = p.freq;
-                    chosen_slowdown = slowdown;
-                    break;  // points ascend: first hit is the lowest
-                }
-            }
+                if (slowdown > _cfg.tolerableSlowdown)
+                    return false;
+                chosen = _freqs[i];
+                chosen_slowdown = slowdown;
+                return true;
+            });
         }
 
         if (fallback)

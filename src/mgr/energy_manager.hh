@@ -13,7 +13,12 @@
  *
  * The per-quantum estimation uses DEP(+BURST) with across-epoch CTP by
  * default; the ModelSpec and CTP mode are configurable so the
- * benchmarks can ablate the predictor choice inside the manager.
+ * benchmarks can ablate the predictor choice inside the manager. Each
+ * quantum becomes one PredictionTable, scanned like dvfsd's OptimalVf
+ * query (Predictor::scanAscending): the highest point first, then the
+ * ascending points one chunk at a time. A quantum that closed no epoch
+ * is one zero-length epoch whose rows are the threads' quantum deltas,
+ * so its estimate is the slowest busy thread's.
  *
  * The manager is hardened against a misbehaving predictor: any
  * non-finite, negative, or incredibly large predicted slowdown is
@@ -80,7 +85,7 @@ class EnergyManager
         Tick tick = 0;                ///< decision time (quantum end)
         Frequency chosen;             ///< frequency for the next quantum
         double predictedSlowdown = 0; ///< at the chosen point
-        bool usedEpochs = false;      ///< epoch path vs. aggregate path
+        bool usedEpochs = false;      ///< the quantum closed an epoch
         bool fallback = false;        ///< degraded mode: prediction rejected
     };
 
@@ -118,17 +123,15 @@ class EnergyManager
 
   protected:
     /**
-     * Predicted slowdown of the last quantum at ratio @p r_cand
-     * (f_current / f_candidate) relative to the reference duration
-     * @p t_ref at the highest point. Virtual so tests can substitute
-     * a broken predictor: any non-finite, clearly negative, or
+     * Slowdown of the last quantum at a candidate point, where it is
+     * predicted to take @p predicted, relative to @p t_ref (> 0), its
+     * prediction at the highest point. Called once per scanned
+     * candidate, lowest first. Virtual so tests can substitute a
+     * broken predictor: any non-finite, clearly negative, or
      * incredibly large return value trips the degraded path instead
      * of steering the machine.
      */
-    virtual double predictSlowdown(std::size_t epoch_first,
-                                   std::size_t epoch_last, Tick t_ref,
-                                   double r_cand,
-                                   bool &used_epochs) const;
+    virtual double predictSlowdown(Tick predicted, Tick t_ref) const;
 
   private:
     void onQuantum();
@@ -136,21 +139,17 @@ class EnergyManager
     /** A prediction the manager is willing to act on. */
     bool credibleSlowdown(double slowdown) const;
 
-    /**
-     * Predicted duration of the last quantum had the machine run at
-     * @p ratio = f_current / f_candidate.
-     */
-    Tick predictQuantum(std::size_t epoch_first, std::size_t epoch_last,
-                        double ratio, bool &used_epochs) const;
-
     os::System &_sys;
     pred::RunRecorder &_rec;
     const power::VfTable &_table;
     ManagerConfig _cfg;
     pred::DepPredictor _dep;
+    std::vector<Frequency> _freqs;  ///< the table's points, ascending
 
     std::size_t _epochCursor = 0;
     std::vector<uarch::PerfCounters> _lastCounters;
+    /** A quantum that closed no epoch, as one zero-length epoch. */
+    pred::Epoch _wholeQuantum;
     Tick _quantumStart = 0;
     std::uint32_t _sinceChange = 0;
     std::uint64_t _quanta = 0;

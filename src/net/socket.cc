@@ -74,10 +74,10 @@ listenTcp(std::uint16_t port, std::uint16_t *chosen_port)
 int
 listenUnix(const std::string &path)
 {
+    sockaddr_un addr = unixAddr(path);
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0)
         fail("socket(AF_UNIX)");
-    sockaddr_un addr = unixAddr(path);
     ::unlink(path.c_str());  // replace a stale socket file
     if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) <
         0) {
@@ -115,10 +115,10 @@ connectTcp(std::uint16_t port)
 int
 connectUnix(const std::string &path)
 {
+    sockaddr_un addr = unixAddr(path);
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0)
         fail("socket(AF_UNIX)");
-    sockaddr_un addr = unixAddr(path);
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) < 0) {
         ::close(fd);

@@ -332,16 +332,19 @@ System::dispatch(Thread &t)
         return;
     }
 
-    std::optional<Action> a;
-    if (_interceptor)
-        a = _interceptor->interceptNext(t);
-    if (!a) {
-        ThreadContext ctx{t.id, t.rng,
-                          _sampler && _sampler->fastForward()};
-        DVFS_PROFILE_SCOPE(Wl);
-        a = t.program->next(ctx);
+    execute(t, nextAction(t, _sampler && _sampler->fastForward()));
+}
+
+Action
+System::nextAction(Thread &t, bool lite)
+{
+    if (_interceptor) {
+        if (std::optional<Action> a = _interceptor->interceptNext(t))
+            return *a;
     }
-    execute(t, *a);
+    ThreadContext ctx{t.id, t.rng, lite};
+    DVFS_PROFILE_SCOPE(Wl);
+    return t.program->next(ctx);
 }
 
 void
@@ -491,16 +494,8 @@ System::executeFastForward(Thread &t, Action a)
                 break;
         }
         // Pull the next action exactly as dispatch() would, with the
-        // lite-timing hint raised, straight into `a`.
-        if (_interceptor) {
-            if (std::optional<Action> next = _interceptor->interceptNext(t)) {
-                a = *next;
-                continue;
-            }
-        }
-        ThreadContext ctx{t.id, t.rng, true};
-        DVFS_PROFILE_SCOPE(Wl);
-        a = t.program->next(ctx);
+        // lite-timing hint raised.
+        a = nextAction(t, true);
     }
 
     if (charged == 0 && tail) {

@@ -297,6 +297,12 @@ class System
     /** Ask for and start the thread's next action. */
     void dispatch(Thread &t);
 
+    /**
+     * The thread's next action: the interceptor's, else the program's
+     * with the lite-timing hint @p lite.
+     */
+    Action nextAction(Thread &t, bool lite);
+
     /** Execute one action for a running thread. */
     void execute(Thread &t, const Action &a);
 

@@ -57,6 +57,16 @@ VfTable::voltageAt(Frequency f) const
     return _points.back().volts;
 }
 
+std::vector<Frequency>
+VfTable::frequencies() const
+{
+    std::vector<Frequency> out;
+    out.reserve(_points.size());
+    for (const OperatingPoint &p : _points)
+        out.push_back(p.freq);
+    return out;
+}
+
 OperatingPoint
 VfTable::ceilPoint(Frequency f) const
 {

@@ -41,6 +41,9 @@ class VfTable
 
     const std::vector<OperatingPoint> &points() const { return _points; }
 
+    /** The points' frequencies, ascending. */
+    std::vector<Frequency> frequencies() const;
+
     Frequency lowest() const { return _points.front().freq; }
     Frequency highest() const { return _points.back().freq; }
 

@@ -56,121 +56,17 @@ slowestPerGroup(const std::vector<SpanRow> &rows,
     std::copy(total, total + n, out);
 }
 
-/** The epochs of a PredictionTable, as the DEP walk reads them. */
-class TableEpochs
-{
-  public:
-    explicit TableEpochs(const PredictionTable &t)
-        : _epochs(t.epochs()), _rows(t.epochRows()),
-          _slots(t.threadSlots()), _widest(t.widestEpoch())
-    {
-    }
-
-    std::size_t size() const { return _epochs.size(); }
-    std::size_t slots() const { return _slots; }
-    std::size_t widest() const { return _widest; }
-    Tick idle(std::size_t i) const { return _epochs[i].idle; }
-    std::uint32_t stall(std::size_t i) const { return _epochs[i].stall; }
-
-    std::size_t
-    rows(std::size_t i) const
-    {
-        return _epochs[i].rowEnd - _epochs[i].rowBegin;
-    }
-
-    const SpanRow &
-    row(std::size_t i, std::size_t r) const
-    {
-        return _rows[_epochs[i].rowBegin + r];
-    }
-
-    std::uint32_t
-    slot(std::size_t i, std::size_t r) const
-    {
-        return row(i, r).tid;
-    }
-
-    SpanSplit
-    split(std::size_t i, std::size_t r, const ModelSpec &spec) const
-    {
-        return row(i, r).split(spec);
-    }
-
-  private:
-    const std::vector<PredictionTable::EpochEntry> &_epochs;
-    const std::vector<SpanRow> &_rows;
-    std::size_t _slots;
-    std::size_t _widest;
-};
-
 /**
- * Live epochs [first, last), read in place: the slots are the
- * ThreadIds themselves (small and dense in a live run).
- */
-class LiveEpochs
-{
-  public:
-    LiveEpochs(const std::vector<Epoch> &epochs, std::size_t first,
-               std::size_t last)
-        : _epochs(epochs), _first(first),
-          _last(std::max(first, std::min(last, epochs.size())))
-    {
-        for (std::size_t i = _first; i < _last; ++i) {
-            for (const EpochThread &et : epochs[i].active)
-                _slots = std::max<std::size_t>(_slots,
-                                               std::size_t{et.tid} + 1);
-            _widest = std::max(_widest, epochs[i].active.size());
-        }
-    }
-
-    std::size_t size() const { return _last - _first; }
-    std::size_t slots() const { return _slots; }
-    std::size_t widest() const { return _widest; }
-    Tick idle(std::size_t i) const { return epoch(i).duration(); }
-    std::size_t rows(std::size_t i) const { return epoch(i).active.size(); }
-
-    std::uint32_t
-    stall(std::size_t i) const
-    {
-        // A stall thread that never ran in the range has no delta
-        // anyone reads.
-        const os::ThreadId tid = epoch(i).stallTid;
-        return tid < _slots ? tid : PredictionTable::kNoSlot;
-    }
-
-    std::uint32_t
-    slot(std::size_t i, std::size_t r) const
-    {
-        return epoch(i).active[r].tid;
-    }
-
-    SpanSplit
-    split(std::size_t i, std::size_t r, const ModelSpec &spec) const
-    {
-        const uarch::PerfCounters &c = epoch(i).active[r].delta;
-        return SpanSplit(c.busyTime, nonscalingTime(c, spec));
-    }
-
-  private:
-    const Epoch &epoch(std::size_t i) const { return _epochs[_first + i]; }
-
-    const std::vector<Epoch> &_epochs;
-    std::size_t _first;
-    std::size_t _last;
-    std::size_t _slots = 0;
-    std::size_t _widest = 0;
-};
-
-/**
- * DEP over a sequence of epochs at N targets, @p ratio[0..N): per-epoch
+ * DEP over a table's epochs at N targets, @p ratio[0..N): per-epoch
  * CTP, or across-epoch CTP (Algorithm 1 of the paper). N is a
  * compile-time lane count so the per-target loops unroll.
  */
-template <std::size_t N, class Epochs>
+template <std::size_t N>
 void
-depLanes(const Epochs &src, const ModelSpec &spec, bool across_epochs,
-         const double *ratio, Tick *out)
+depLanes(const PredictionTable &table, const ModelSpec &spec,
+         bool across_epochs, const double *ratio, Tick *out)
 {
+    const std::vector<SpanRow> &rows = table.epochRows();
     double total[N] = {};
 
     // Algorithm 1's delta counters (accumulated slack), N per thread
@@ -179,16 +75,16 @@ depLanes(const Epochs &src, const ModelSpec &spec, bool across_epochs,
     double *delta = nullptr;
     double *est = nullptr;
     if (across_epochs) {
-        scratch.assign((src.slots() + src.widest()) * N, 0.0);
+        scratch.assign((table.threadSlots() + table.widestEpoch()) * N,
+                       0.0);
         delta = scratch.data();
-        est = delta + src.slots() * N;
+        est = delta + table.threadSlots() * N;
     }
 
-    for (std::size_t i = 0; i < src.size(); ++i) {
-        const std::size_t rows = src.rows(i);
-        if (rows == 0) {
+    for (const PredictionTable::EpochEntry &e : table.epochs()) {
+        if (e.empty()) {
             // Nothing was scheduled: the gap does not scale.
-            const double idle = static_cast<double>(src.idle(i));
+            const double idle = static_cast<double>(e.idle);
             for (std::size_t k = 0; k < N; ++k)
                 total[k] += idle;
             continue;
@@ -198,8 +94,8 @@ depLanes(const Epochs &src, const ModelSpec &spec, bool across_epochs,
             // Per-epoch CTP: the epoch lasts as long as its slowest
             // active thread, with no memory of earlier epochs.
             Tick crit[N] = {};
-            for (std::size_t r = 0; r < rows; ++r) {
-                const SpanSplit sp = src.split(i, r, spec);
+            for (std::uint32_t r = e.rowBegin; r < e.rowEnd; ++r) {
+                const SpanSplit sp = rows[r].split(spec);
                 for (std::size_t k = 0; k < N; ++k)
                     crit[k] = std::max(crit[k], sp.at(ratio[k]));
             }
@@ -212,10 +108,10 @@ depLanes(const Epochs &src, const ModelSpec &spec, bool across_epochs,
         // the least banked slack needs; every other thread banks the
         // difference, and the thread that went to sleep loses its bank.
         double epoch_pred[N] = {};
-        for (std::size_t r = 0; r < rows; ++r) {
-            const SpanSplit sp = src.split(i, r, spec);
-            const double *d = delta + src.slot(i, r) * N;
-            double *a = est + r * N;
+        for (std::uint32_t r = e.rowBegin; r < e.rowEnd; ++r) {
+            const SpanSplit sp = rows[r].split(spec);
+            const double *d = delta + rows[r].tid * N;
+            double *a = est + (r - e.rowBegin) * N;
             for (std::size_t k = 0; k < N; ++k) {
                 a[k] = static_cast<double>(sp.at(ratio[k]));
                 epoch_pred[k] = std::max(epoch_pred[k], a[k] - d[k]);
@@ -223,15 +119,14 @@ depLanes(const Epochs &src, const ModelSpec &spec, bool across_epochs,
         }
         for (std::size_t k = 0; k < N; ++k)
             epoch_pred[k] = std::max(epoch_pred[k], 0.0);
-        for (std::size_t r = 0; r < rows; ++r) {
-            double *d = delta + src.slot(i, r) * N;
-            const double *a = est + r * N;
+        for (std::uint32_t r = e.rowBegin; r < e.rowEnd; ++r) {
+            double *d = delta + rows[r].tid * N;
+            const double *a = est + (r - e.rowBegin) * N;
             for (std::size_t k = 0; k < N; ++k)
                 d[k] += epoch_pred[k] - a[k];
         }
-        const std::uint32_t stall = src.stall(i);
-        if (stall != PredictionTable::kNoSlot)
-            std::fill_n(delta + stall * N, N, 0.0);
+        if (e.stall != PredictionTable::kNoSlot)
+            std::fill_n(delta + e.stall * N, N, 0.0);
         for (std::size_t k = 0; k < N; ++k)
             total[k] += epoch_pred[k];
     }
@@ -244,13 +139,12 @@ depLanes(const Epochs &src, const ModelSpec &spec, bool across_epochs,
  * past n repeat the last target and are dropped (targets never
  * interact, so padding changes no real lane).
  */
-template <class Epochs>
 void
-depWalk(const Epochs &src, const ModelSpec &spec, bool across_epochs,
-        const double *ratio, std::size_t n, Tick *out)
+depWalk(const PredictionTable &table, const ModelSpec &spec,
+        bool across_epochs, const double *ratio, std::size_t n, Tick *out)
 {
     if (n == 1) {
-        depLanes<1>(src, spec, across_epochs, ratio, out);
+        depLanes<1>(table, spec, across_epochs, ratio, out);
         return;
     }
     double padded[kChunk] = {};
@@ -259,11 +153,11 @@ depWalk(const Epochs &src, const ModelSpec &spec, bool across_epochs,
     std::copy(ratio, ratio + n, padded);
     std::fill(padded + n, padded + width, ratio[n - 1]);
     if (width == 2)
-        depLanes<2>(src, spec, across_epochs, padded, lanes);
+        depLanes<2>(table, spec, across_epochs, padded, lanes);
     else if (width == 4)
-        depLanes<4>(src, spec, across_epochs, padded, lanes);
+        depLanes<4>(table, spec, across_epochs, padded, lanes);
     else
-        depLanes<kChunk>(src, spec, across_epochs, padded, lanes);
+        depLanes<kChunk>(table, spec, across_epochs, padded, lanes);
     std::copy(lanes, lanes + n, out);
 }
 
@@ -342,18 +236,7 @@ void
 DepPredictor::predictChunk(const PredictionTable &table, const double *ratio,
                            std::size_t n, Tick *out) const
 {
-    depWalk(TableEpochs(table), _spec, _acrossEpochs, ratio, n, out);
-}
-
-Tick
-DepPredictor::predictEpochRange(const std::vector<Epoch> &epochs,
-                                std::size_t first, std::size_t last,
-                                double ratio) const
-{
-    Tick out = 0;
-    depWalk(LiveEpochs(epochs, first, last), _spec, _acrossEpochs, &ratio,
-            1, &out);
-    return out;
+    depWalk(table, _spec, _acrossEpochs, ratio, n, out);
 }
 
 } // namespace dvfs::pred

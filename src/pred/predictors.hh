@@ -25,16 +25,17 @@
  * Each family has one walk, over a PredictionTable (table.hh), that
  * evaluates up to kTargetChunk targets in a single pass: the targets
  * are the inner loop, so a row's split is computed once per pass
- * rather than once per target.
+ * rather than once per target. The energy manager predicts each
+ * quantum through the same walk, from a table of the quantum's epochs.
  */
 
 #ifndef DVFS_PRED_PREDICTORS_HH
 #define DVFS_PRED_PREDICTORS_HH
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "pred/record.hh"
 #include "pred/run_view.hh"
@@ -93,6 +94,33 @@ class Predictor
     predict(const RunRecord &rec, Frequency target) const
     {
         return predict(RecordView(rec), target);
+    }
+
+    /**
+     * Scan @p ascending lowest first, one walk of @p table per
+     * kTargetChunk targets, and hand each estimate in order to
+     * @p decides(index, estimate) until it returns true: the first
+     * target that decides ends the scan, and later chunks are never
+     * walked. The energy manager and dvfsd's OptimalVf query both pick
+     * their operating point this way, each with its own test.
+     */
+    template <class Decides>
+    void
+    scanAscending(const PredictionTable &table,
+                  std::span<const Frequency> ascending,
+                  Decides &&decides) const
+    {
+        Tick est[kTargetChunk];
+        for (std::size_t first = 0; first < ascending.size();
+             first += kTargetChunk) {
+            const std::size_t n =
+                std::min(kTargetChunk, ascending.size() - first);
+            predict(table, ascending.subspan(first, n), {est, n});
+            for (std::size_t k = 0; k < n; ++k) {
+                if (decides(first + k, est[k]))
+                    return;
+            }
+        }
     }
 
     /** Signed relative error vs. @p actual: estimated/actual - 1. */
@@ -185,18 +213,6 @@ class DepPredictor : public Predictor
     }
 
     std::string name() const override;
-
-    /**
-     * Predict the duration of a contiguous span of live epochs — the
-     * energy manager's per-quantum estimation. Runs the same walk as
-     * predict(), reading the epochs in place instead of a table.
-     *
-     * @param epochs Epoch sequence (begin/end iterator-style indices).
-     * @param ratio  f_base / f_target.
-     */
-    Tick predictEpochRange(const std::vector<Epoch> &epochs,
-                           std::size_t first, std::size_t last,
-                           double ratio) const;
 
   protected:
     unsigned

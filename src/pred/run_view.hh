@@ -19,9 +19,8 @@
  * The accessors return references to vectors rather than iterator
  * abstractions on purpose: every backend materialises the epoch list
  * anyway, and a PredictionTable (table.hh) is gathered from them in one
- * pass. The energy manager's per-quantum path
- * (DepPredictor::predictEpochRange) reads the RunRecorder's live epoch
- * vector, not a RunView.
+ * pass. The energy manager's per-quantum table is gathered from a span
+ * of the RunRecorder's live epochs, not from a RunView.
  */
 
 #ifndef DVFS_PRED_RUN_VIEW_HH

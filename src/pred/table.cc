@@ -8,17 +8,23 @@ PredictionTable::PredictionTable(const RunView &run, unsigned parts)
     : _parts(parts), _baseFreq(run.baseFreq()), _totalTime(run.totalTime())
 {
     if (parts & kEpochRows)
-        buildEpochs(run);
+        buildEpochs(run.epochs());
     if (parts & kMCritRows)
         buildMCrit(run);
     if (parts & kCoopRows)
         buildCoop(run);
 }
 
-void
-PredictionTable::buildEpochs(const RunView &run)
+PredictionTable::PredictionTable(std::span<const Epoch> epochs,
+                                 Frequency base)
+    : _parts(kEpochRows), _baseFreq(base)
 {
-    const std::vector<Epoch> &epochs = run.epochs();
+    buildEpochs(epochs);
+}
+
+void
+PredictionTable::buildEpochs(std::span<const Epoch> epochs)
+{
     std::size_t rows = 0;
     std::size_t max_tid = 0;
     for (const Epoch &ep : epochs) {

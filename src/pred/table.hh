@@ -9,7 +9,8 @@
  * phase, DEP walks the epoch rows (per-epoch maximum, or Algorithm 1's
  * delta counters). Which rows exist, which are eligible and what they
  * hold does not depend on the target frequency or on the ModelSpec, so
- * a table gathers them once, from any RunView, into flat arrays:
+ * a table gathers them once, from any RunView (or, for the energy
+ * manager's quantum, a span of epochs), into flat arrays:
  *
  *  - epoch rows: one SpanRow per active thread per epoch (span = busy
  *    time), with per-epoch row offsets, the idle duration of an epoch
@@ -29,6 +30,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pred/run_view.hh"
@@ -116,6 +118,12 @@ class PredictionTable
     /** Gather the row sets @p parts from @p run (one pass each). */
     explicit PredictionTable(const RunView &run, unsigned parts = kAllRows);
 
+    /**
+     * Only the epoch rows (DEP) of @p epochs, recorded at @p base: the
+     * energy manager's table of one quantum. totalTime() is 0.
+     */
+    PredictionTable(std::span<const Epoch> epochs, Frequency base);
+
     /** True if the table holds every row set in @p parts. */
     bool holds(unsigned parts) const { return (_parts & parts) == parts; }
 
@@ -148,7 +156,7 @@ class PredictionTable
     std::size_t bytes() const;
 
   private:
-    void buildEpochs(const RunView &run);
+    void buildEpochs(std::span<const Epoch> epochs);
     void buildMCrit(const RunView &run);
     void buildCoop(const RunView &run);
 

@@ -38,17 +38,29 @@ Server::Server(const ServerConfig &config)
       _store(config.cacheBytes),
       _service(_store, &_counters)
 {
-    if (::pipe(_stopPipe) < 0) {
-        throw net::SocketError(std::string("pipe: ") +
-                               std::strerror(errno));
-    }
-    net::setNonBlocking(_stopPipe[0]);
+    try {
+        if (!_unixPath.empty())
+            _listenFd = net::listenUnix(_unixPath);
+        else
+            _listenFd = net::listenTcp(config.tcpPort, &_port);
+        net::setNonBlocking(_listenFd);
 
-    if (!_unixPath.empty())
-        _listenFd = net::listenUnix(_unixPath);
-    else
-        _listenFd = net::listenTcp(config.tcpPort, &_port);
-    net::setNonBlocking(_listenFd);
+        if (::pipe(_stopPipe) < 0) {
+            throw net::SocketError(std::string("pipe: ") +
+                                   std::strerror(errno));
+        }
+        net::setNonBlocking(_stopPipe[0]);
+    } catch (...) {
+        // No destructor runs after a throwing constructor: release
+        // what was acquired here.
+        for (int fd : {_listenFd, _stopPipe[0], _stopPipe[1]}) {
+            if (fd >= 0)
+                ::close(fd);
+        }
+        if (_listenFd >= 0 && !_unixPath.empty())
+            ::unlink(_unixPath.c_str());
+        throw;
+    }
 }
 
 Server::~Server()

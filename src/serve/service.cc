@@ -1,8 +1,7 @@
 #include "serve/service.hh"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
+#include <vector>
 
 #include "power/vf_table.hh"
 #include "trace/format.hh"
@@ -202,28 +201,15 @@ Service::handleOptimalVf(const net::OptimalVfReq &req)
     resp.predictedAtChosen = at_highest;
     resp.predictedAtHighest = at_highest;
 
-    // Points ascend, so the first admissible one is the lowest: walk
-    // them one chunk (one pass over the table) at a time and stop
-    // after the first chunk that holds one.
-    constexpr std::size_t kChunk = pred::Predictor::kTargetChunk;
-    const auto &points = table.points();
-    std::array<Frequency, kChunk> freqs{};
-    std::array<Tick, kChunk> predicted{};
-    bool found = false;
-    for (std::size_t first = 0; first < points.size() && !found;
-         first += kChunk) {
-        const std::size_t n = std::min(kChunk, points.size() - first);
-        for (std::size_t i = 0; i < n; ++i)
-            freqs[i] = points[first + i].freq;
-        p->predict(pt, {freqs.data(), n}, {predicted.data(), n});
-        for (std::size_t i = 0; i < n && !found; ++i) {
-            if (static_cast<double>(predicted[i]) <= limit) {
-                resp.chosenMHz = freqs[i].toMHz();
-                resp.predictedAtChosen = predicted[i];
-                found = true;
-            }
-        }
-    }
+    // Points ascend, so the first admissible one is the lowest.
+    const std::vector<Frequency> freqs = table.frequencies();
+    p->scanAscending(pt, freqs, [&](std::size_t i, Tick predicted) {
+        if (static_cast<double>(predicted) > limit)
+            return false;
+        resp.chosenMHz = freqs[i].toMHz();
+        resp.predictedAtChosen = predicted;
+        return true;
+    });
     resp.microvolts = static_cast<std::uint64_t>(
         std::llround(table.voltageAt(Frequency::mhz(resp.chosenMHz)) *
                      1e6));

@@ -7,8 +7,8 @@
 
 namespace dvfs::uarch {
 
-FastPathModel::FastPathModel(std::uint32_t cores, const FastPathConfig &cfg)
-    : _cores(std::max<std::uint32_t>(1, cores)), _cfg(cfg)
+FastPathModel::FastPathModel(std::uint32_t cores)
+    : _cores(std::max<std::uint32_t>(1, cores))
 {
     // One unlabeled point: fixed-frequency runs (and direct model
     // tests) never call setOperatingPoint and live here throughout.
@@ -148,19 +148,19 @@ FastPathModel::age()
     };
     for (auto &s : pt.clusters) {
         Lane<CfCount_> &agg = s.lanes[0];
-        if (agg.winWeight >= _cfg.minClusterObs && agg.eraWeight > 0)
+        if (agg.winWeight >= kMinClusterObs && agg.eraWeight > 0)
             note(agg.eraWeight, agg.eraObs[CfElapsed], agg.winWeight,
                  agg.winObs[CfElapsed]);
         for (auto &l : s.lanes)
-            l.promote(_cfg.minClusterObs);
+            l.promote(kMinClusterObs);
     }
     for (auto &s : pt.bursts) {
         Lane<BfCount_> &agg = s.lanes[0];
-        if (agg.winWeight >= _cfg.minBurstLines && agg.eraWeight > 0)
+        if (agg.winWeight >= kMinBurstLines && agg.eraWeight > 0)
             note(agg.eraWeight, agg.eraObs[BfElapsed], agg.winWeight,
                  agg.winObs[BfElapsed]);
         for (auto &l : s.lanes)
-            l.promote(_cfg.minBurstLines);
+            l.promote(kMinBurstLines);
     }
     _lastDrift = drift;
 }
@@ -239,9 +239,9 @@ FastPathModel::chargeCluster(const MissClusterSpec &spec,
     // to the shape aggregate while the bucket is cold.
     const std::uint32_t b = std::clamp<std::uint32_t>(busyCores, 1, _cores);
     Lane<CfCount_> *lane = &s->lanes[b];
-    if (lane->eraWeight < _cfg.minClusterObs)
+    if (lane->eraWeight < kMinClusterObs)
         lane = &s->lanes[0];
-    if (lane->eraWeight < _cfg.minClusterObs)
+    if (lane->eraWeight < kMinClusterObs)
         return false;
 
     lane->charged += 1;
@@ -284,9 +284,9 @@ FastPathModel::chargeBurst(const StoreBurstSpec &spec,
 
     const std::uint32_t b = std::clamp<std::uint32_t>(busyCores, 1, _cores);
     Lane<BfCount_> *lane = &s->lanes[b];
-    if (lane->eraWeight < _cfg.minBurstLines)
+    if (lane->eraWeight < kMinBurstLines)
         lane = &s->lanes[0];
-    if (lane->eraWeight < _cfg.minBurstLines)
+    if (lane->eraWeight < kMinBurstLines)
         return false;
 
     lane->charged += spec.lines;

@@ -64,21 +64,18 @@
 
 namespace dvfs::uarch {
 
-/** Fitting thresholds of the fast-path model. */
-struct FastPathConfig {
-    /** Cluster observations a lane needs before it may charge. */
-    std::uint32_t minClusterObs = 8;
-    /** Store-burst *lines* a lane needs before it may charge. */
-    std::uint32_t minBurstLines = 64;
-};
-
 /**
  * The model. One instance per System; all state is per-run.
  */
 class FastPathModel
 {
   public:
-    FastPathModel(std::uint32_t cores, const FastPathConfig &cfg = {});
+    /** Cluster observations a lane needs before it may charge. */
+    static constexpr std::uint32_t kMinClusterObs = 8;
+    /** Store-burst *lines* a lane needs before it may charge. */
+    static constexpr std::uint32_t kMinBurstLines = 64;
+
+    explicit FastPathModel(std::uint32_t cores);
 
     /// @name Operating points (DVFS-aware charging)
     /// @{
@@ -300,7 +297,6 @@ class FastPathModel
     PointState forkPoint(const PointState &src, std::uint32_t newMhz);
 
     std::uint32_t _cores;
-    FastPathConfig _cfg;
     std::vector<PointState> _points;
     std::size_t _cur = 0;
     std::uint32_t _lastDrift = kDriftUnknown;

@@ -33,8 +33,7 @@ class StubManager : public mgr::EnergyManager
 
   protected:
     double
-    predictSlowdown(std::size_t, std::size_t, Tick, double,
-                    bool &) const override
+    predictSlowdown(Tick, Tick) const override
     {
         return _value;
     }
@@ -51,8 +50,7 @@ class FlipFlopManager : public mgr::EnergyManager
 
   protected:
     double
-    predictSlowdown(std::size_t, std::size_t, Tick, double,
-                    bool &) const override
+    predictSlowdown(Tick, Tick) const override
     {
         return decisions().size() % 2 == 0 ? 0.0 : 10.0;
     }

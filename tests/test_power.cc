@@ -30,6 +30,10 @@ TEST(VfTable, CoarseStepVariant)
     auto t = VfTable::haswell(500);
     EXPECT_EQ(t.size(), 7u);
     EXPECT_EQ(t.highest(), Frequency::ghz(4.0));
+    const std::vector<Frequency> f = t.frequencies();
+    ASSERT_EQ(f.size(), t.size());
+    for (std::size_t i = 0; i < f.size(); ++i)
+        EXPECT_EQ(f[i], t.points()[i].freq);
 }
 
 TEST(VfTable, VoltageIsMonotone)

@@ -3,11 +3,14 @@
  * The table-based predictors against the reference walks
  * (reference_predictors.hh): every family and estimator, from a live
  * RecordView and from a decoded trace, at every target list the
- * serving path asks for — bit for bit.
+ * serving path asks for — bit for bit; and DEP over the energy
+ * manager's per-quantum tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "power/vf_table.hh"
 #include "pred/registry.hh"
 #include "reference_predictors.hh"
+#include "sim/rng.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
@@ -68,11 +72,8 @@ targetLists()
 {
     std::vector<std::pair<std::string, std::vector<Frequency>>> lists;
     for (std::uint32_t step : {125u, 250u}) {
-        const auto table = power::VfTable::haswell(step);
-        std::vector<Frequency> points;
-        for (const auto &p : table.points())
-            points.push_back(p.freq);
-        lists.push_back({"haswell step " + std::to_string(step), points});
+        lists.push_back({"haswell step " + std::to_string(step),
+                         power::VfTable::haswell(step).frequencies()});
     }
     std::vector<Frequency> predict;
     for (std::uint32_t k = 0; k < 13; ++k)
@@ -216,23 +217,108 @@ TEST(PredictionTable, MatchesReferenceWalks)
             }
         }
 
-        // The energy manager's path: DEP over live epoch sub-ranges.
-        const auto &epochs = recs[ri].epochs;
+        // The energy manager's path: DEP over a table of a live epoch
+        // sub-range (the span constructor) at every Haswell point,
+        // recorded at f_cur = 4 GHz. The last range ends at the
+        // record's end.
+        const std::span<const Epoch> epochs(recs[ri].epochs);
+        ASSERT_GE(epochs.size(), 7u);
+        std::vector<std::pair<std::size_t, std::size_t>> ranges;
+        for (std::size_t first = 0; first < epochs.size(); first += 37) {
+            for (std::size_t len : {1u, 5u, 64u})
+                ranges.push_back(
+                    {first, std::min(first + len, epochs.size())});
+        }
+        ranges.push_back({epochs.size() - 7, epochs.size()});
+        const std::vector<Frequency> &points = lists.front().second;
+        std::vector<Tick> fused(points.size());
         for (bool across : {true, false}) {
             const DepPredictor dep({BaseEstimator::Crit, true}, across);
-            for (std::size_t first = 0; first < epochs.size();
-                 first += 37) {
-                for (std::size_t len : {1u, 5u, 64u}) {
-                    const double ratio = 4000.0 / (1000.0 + 125.0 * len);
-                    EXPECT_EQ(dep.predictEpochRange(epochs, first,
-                                                    first + len, ratio),
+            for (const auto &[first, last] : ranges) {
+                const PredictionTable range(
+                    epochs.subspan(first, last - first),
+                    Frequency::mhz(4000));
+                dep.predict(range, points, fused);
+                for (std::size_t k = 0; k < points.size(); ++k) {
+                    const double ratio =
+                        4000.0 / static_cast<double>(points[k].toMHz());
+                    EXPECT_EQ(fused[k],
                               test::reference::depEpochRange(
-                                  epochs, first, first + len, ratio,
+                                  recs[ri].epochs, first, last, ratio,
                                   {BaseEstimator::Crit, true}, across))
-                        << "epochs [" << first << ", " << first + len
-                        << ")";
+                        << "epochs [" << first << ", " << last << ") at "
+                        << points[k].toMHz() << " MHz";
                 }
             }
         }
     }
+}
+
+TEST(PredictionTable, EpochlessQuantumIsItsSlowestBusyThread)
+{
+    // The energy manager predicts a quantum that closed no epoch as
+    // one zero-length epoch whose rows are the busy threads' quantum
+    // deltas. With one epoch and no banked slack both CTP modes reduce
+    // to the slowest row: the per-thread predictSpan maximum, and 0
+    // (zero length, nothing idle to add) when no thread ran.
+    sim::Rng rng(0x5eed);
+    const std::vector<Frequency> points =
+        power::VfTable::haswell().frequencies();
+    ASSERT_EQ(points.size(), 25u);
+    const ModelSpec specs[] = {{BaseEstimator::Crit, true},
+                               {BaseEstimator::Crit, false},
+                               {BaseEstimator::LeadingLoads, true},
+                               {BaseEstimator::StallTime, false}};
+
+    std::size_t no_busy = 0;
+    std::vector<Tick> fused(points.size());
+    for (int q = 0; q < 300; ++q) {
+        // Every tenth quantum nobody ran; some use ThreadIds far
+        // enough apart to be renumbered.
+        const bool idle = q % 10 == 0;
+        const os::ThreadId stride = q % 3 == 0 ? 40 : 1;
+        std::vector<uarch::PerfCounters> deltas(rng.nextBounded(9));
+        Epoch quantum;
+        for (std::size_t i = 0; i < deltas.size(); ++i) {
+            uarch::PerfCounters &d = deltas[i];
+            d.busyTime = idle || rng.nextBool(0.25)
+                             ? 0
+                             : rng.nextRange(1, 5'000'000);
+            // Non-scaling counters may exceed the span (clamped).
+            d.critNonscaling = rng.nextRange(0, d.busyTime + 1000);
+            d.leadingNonscaling = rng.nextRange(0, d.busyTime);
+            d.stallNonscaling = rng.nextRange(0, d.busyTime / 2);
+            d.sqFullTime = rng.nextRange(0, 20'000);
+            if (d.busyTime > 0) {
+                quantum.active.push_back(
+                    {static_cast<os::ThreadId>(i) * stride, d});
+            }
+        }
+        no_busy += quantum.active.empty();
+        const Frequency f_cur = points[rng.nextBounded(points.size())];
+        const PredictionTable table({&quantum, 1}, f_cur);
+
+        for (const ModelSpec &spec : specs) {
+            for (bool across : {true, false}) {
+                const DepPredictor dep(spec, across);
+                dep.predict(table, points, fused);
+                for (std::size_t k = 0; k < points.size(); ++k) {
+                    const double ratio =
+                        static_cast<double>(f_cur.toMHz()) /
+                        static_cast<double>(points[k].toMHz());
+                    Tick want = 0;
+                    for (const uarch::PerfCounters &d : deltas) {
+                        if (d.busyTime > 0)
+                            want = std::max(want, predictSpan(d.busyTime,
+                                                              d, spec,
+                                                              ratio));
+                    }
+                    EXPECT_EQ(fused[k], want)
+                        << "quantum " << q << ", " << dep.name() << " at "
+                        << points[k].toMHz() << " MHz";
+                }
+            }
+        }
+    }
+    EXPECT_GE(no_busy, 30u);
 }

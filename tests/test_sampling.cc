@@ -358,9 +358,8 @@ TEST(FastPathModel, ColdModelRefusesToCharge)
 
 TEST(FastPathModel, EmissionConservesObservedMeans)
 {
-    uarch::FastPathConfig cfg;
-    cfg.minClusterObs = 4;
-    uarch::FastPathModel m(4, cfg);
+    uarch::FastPathModel m(4);
+    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
 
     // Observe a fixed shape with a deliberately awkward elapsed value
     // so integer division must round somewhere.
@@ -368,7 +367,7 @@ TEST(FastPathModel, EmissionConservesObservedMeans)
     uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
     const Tick obsElapsed = 1000003;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < kObs; ++i) {
         uarch::PerfCounters d;
         d.computeTime = 333335;
         d.l3Hits = 5;
@@ -410,14 +409,13 @@ TEST(FastPathModel, EmissionConservesObservedMeans)
 
 TEST(FastPathModel, OccupancyLanesAreSeparate)
 {
-    uarch::FastPathConfig cfg;
-    cfg.minClusterObs = 2;
-    uarch::FastPathModel m(4, cfg);
+    uarch::FastPathModel m(4);
+    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
 
     test::ClusterChains addrs{{1, 2}};
     uarch::MissClusterSpec spec = addrs.spec();
     // Same shape, very different latency at different occupancy.
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < kObs; ++i) {
         uarch::PerfCounters d;
         m.observeCluster(spec, 1, 1000, d);
         m.observeCluster(spec, 4, 9000, d);
@@ -434,9 +432,8 @@ TEST(FastPathModel, OccupancyLanesAreSeparate)
 
 TEST(FastPathModel, OperatingPointForkRescalesOnlyTheComputeShare)
 {
-    uarch::FastPathConfig cfg;
-    cfg.minClusterObs = 4;
-    uarch::FastPathModel m(4, cfg);
+    uarch::FastPathModel m(4);
+    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
     m.setOperatingPoint(2000);
     EXPECT_EQ(m.operatingPoint(), 2000u);
     EXPECT_EQ(m.operatingPoints(), 1u);
@@ -446,7 +443,7 @@ TEST(FastPathModel, OperatingPointForkRescalesOnlyTheComputeShare)
     test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
     uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < kObs; ++i) {
         uarch::PerfCounters d;
         d.computeTime = 600;
         m.observeCluster(spec, 2, 1000, d);
@@ -490,14 +487,13 @@ TEST(FastPathModel, AgeOnEmptyWindowKeepsTheEra)
     // clear the charging era nor restart its emission bookkeeping —
     // this is what makes a transition landing exactly on a detail ->
     // gap flip tick safe against double-charging.
-    uarch::FastPathConfig cfg;
-    cfg.minClusterObs = 4;
-    uarch::FastPathModel m(4, cfg);
+    uarch::FastPathModel m(4);
+    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
 
     test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
     uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < kObs; ++i) {
         uarch::PerfCounters d;
         d.computeTime = 600;
         m.observeCluster(spec, 2, 1000, d);
@@ -524,15 +520,14 @@ TEST(FastPathModel, AgeOnEmptyWindowKeepsTheEra)
 
 TEST(FastPathModel, DriftPermilleComparesConsecutivePromotions)
 {
-    uarch::FastPathConfig cfg;
-    cfg.minClusterObs = 4;
-    uarch::FastPathModel m(4, cfg);
+    uarch::FastPathModel m(4);
+    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
 
     test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
     uarch::MissClusterSpec spec = addrs.spec();
     spec.overlapInstructions = 50;
     auto window = [&](Tick elapsed) {
-        for (int i = 0; i < 4; ++i) {
+        for (int i = 0; i < kObs; ++i) {
             uarch::PerfCounters d;
             d.computeTime = 600;
             m.observeCluster(spec, 2, elapsed, d);

@@ -12,7 +12,8 @@
  *    ReplayEngine evaluation of the same trace.
  *  - Server: real sockets end-to-end (TCP and Unix), including the
  *    failure policy: a payload-level decode error keeps the
- *    connection, a header-level one closes it after the Error reply.
+ *    connection, a header-level one closes it after the Error reply,
+ *    and a construction that fails leaves no descriptor open.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -589,4 +591,49 @@ TEST(ServeServer, UnixSocketEndToEnd)
     server.stop();
     serverThread.join();
     // The socket file is unlinked on server destruction, not here.
+}
+
+namespace {
+
+/** Descriptors this process holds open. */
+std::size_t
+openFds()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+} // namespace
+
+TEST(ServeServer, FailedConstructionLeaksNoDescriptors)
+{
+    const std::size_t before = openFds();
+
+    // A Unix path longer than sun_path is refused before any socket
+    // exists, by the server and by the client helper alike.
+    serve::ServerConfig too_long;
+    too_long.unixPath =
+        testing::TempDir() + "/" + std::string(200, 'x') + ".sock";
+    too_long.workers = 1;
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_THROW({ serve::Server server(too_long); }, net::SocketError);
+        EXPECT_THROW(net::connectUnix(too_long.unixPath), net::SocketError);
+    }
+    EXPECT_EQ(openFds(), before);
+
+    // A TCP port another socket listens on fails at bind().
+    std::uint16_t port = 0;
+    const int holder = net::listenTcp(0, &port);
+    const std::size_t holding = openFds();
+    serve::ServerConfig taken;
+    taken.tcpPort = port;
+    taken.workers = 1;
+    for (int i = 0; i < 3; ++i)
+        EXPECT_THROW({ serve::Server server(taken); }, net::SocketError);
+    EXPECT_EQ(openFds(), holding);
+    ::close(holder);
+    EXPECT_EQ(openFds(), before);
 }
