@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -218,14 +219,15 @@ class FlagSet
 
     /**
      * Comma-separated numbers of --key, @p def if absent. Every
-     * element is checked like getDouble(): malformed is fatal(),
-     * naming the flag.
+     * element is checked like getDouble(): malformed, non-finite or
+     * outside [@p lo, @p hi] is fatal(), naming the flag.
      */
     std::vector<double>
-    getDoubleList(const std::string &key, std::vector<double> def) const
+    getDoubleList(const std::string &key, std::vector<double> def,
+                  double lo, double hi) const
     {
         return getList(key, std::move(def), [&](const std::string &v) {
-            return parseDouble(key, v);
+            return parseDouble(key, v, lo, hi);
         });
     }
 
@@ -268,11 +270,19 @@ class FlagSet
         return std::stoull(std::string(digits), nullptr, 16);
     }
 
+    /**
+     * Number of --key, @p def if absent. A value that is malformed,
+     * not finite (nan, inf, or out of double's range) or outside the
+     * inclusive range [@p lo, @p hi] is fatal(), naming the flag: a
+     * nan compares false against every bound, so it would otherwise
+     * slip past any check or gate the caller makes.
+     */
     double
-    getDouble(const std::string &key, double def) const
+    getDouble(const std::string &key, double def, double lo,
+              double hi) const
     {
         const std::string v = get(key);
-        return v.empty() ? def : parseDouble(key, v);
+        return v.empty() ? def : parseDouble(key, v, lo, hi);
     }
 
   private:
@@ -301,13 +311,20 @@ class FlagSet
     }
 
     static double
-    parseDouble(const std::string &key, const std::string &v)
+    parseDouble(const std::string &key, const std::string &v, double lo,
+                double hi)
     {
         char *end = nullptr;
+        errno = 0;
         const double parsed = std::strtod(v.c_str(), &end);
         if (end == v.c_str() || *end != '\0') {
             fatal("--%s: expected a number, got '%s'", key.c_str(),
                   v.c_str());
+        }
+        if (errno == ERANGE || !std::isfinite(parsed) || parsed < lo ||
+            parsed > hi) {
+            fatal("--%s: %s is out of range [%g, %g]", key.c_str(),
+                  v.c_str(), lo, hi);
         }
         return parsed;
     }
@@ -411,6 +428,9 @@ modeFromArgs(const FlagSet &args)
  * far beyond any run and far from wrapping us * kTicksPerUs.
  */
 inline constexpr long kMaxSimUs = 1'000'000'000;
+
+/** Upper bound of a number flag with no natural cap: any finite value. */
+inline constexpr double kAnyFinite = std::numeric_limits<double>::max();
 
 /**
  * Sampling window placement from --startup-us / --detail-us /

@@ -205,16 +205,18 @@ main(int argc, char **argv)
     const std::string unix_path = args.get("unix");
     if (port == 0 && unix_path.empty())
         fatal("dvfsd_load: one of --port or --unix is required");
-    const double rate = args.getDouble("rate", 200.0);
-    if (rate <= 0.0)
-        fatal("--rate: must be positive");
-    const double duration = args.getDouble("duration-s", 5.0);
+    // Both positive and bounded, so rate x duration converts to a
+    // request count without overflow.
+    const double rate = args.getDouble("rate", 200.0, 1e-3, 1e6);
+    const double duration =
+        args.getDouble("duration-s", 5.0, 1e-3, 86400.0);
     const auto conns =
         static_cast<std::size_t>(args.getInt("connections", 4, 1));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 42));
     const bool verify = args.has("verify-live");
-    const double fail_p99 = args.getDouble("fail-p99-ms", 0.0);
+    const double fail_p99 =
+        args.getDouble("fail-p99-ms", 0.0, 0.0, bench::kAnyFinite);
 
     auto connect = [&]() {
         return unix_path.empty()

@@ -9,12 +9,16 @@
  * trace, (b) the epoch decomposition with per-thread busy time, and
  * (c)/(d) the per-epoch vs across-epoch CTP predictions for a target
  * frequency — the exact narrative of Figure 2.
+ *
+ * Usage: fig2_epoch_walkthrough [--csv=PREFIX]
  */
 
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <vector>
 
+#include "bench_util.hh"
 #include "exp/export.hh"
 #include "exp/table.hh"
 #include "pred/predictors.hh"
@@ -80,11 +84,32 @@ class WaiterProgram : public os::ThreadProgram
     int _step = 0;
 };
 
+/** The run's sync-event trace, for panel (a) and the events CSV. */
+class EventLog : public os::SyncListener
+{
+  public:
+    void
+    onSyncEvent(const os::SyncEvent &ev, const os::System &) override
+    {
+        events.push_back(ev);
+    }
+
+    std::vector<os::SyncEvent> events;
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::FlagSet args("fig2_epoch_walkthrough",
+                        "the worked epoch-decomposition example "
+                        "(Figure 2)");
+    args.add("csv", "PREFIX",
+             "also write PREFIX_epochs.csv, PREFIX_events.csv and "
+             "PREFIX_threads.csv");
+    args.parse(argc, argv);
+
     os::SystemConfig cfg = wl::defaultSystemConfig(Frequency::ghz(1.0));
     cfg.cores = 2;
     os::System sys(cfg);
@@ -96,15 +121,17 @@ main(int argc, char **argv)
                                     std::make_unique<HolderProgram>(m, t1));
     sys.setMainThread(t0);
 
-    pred::RunRecorder rec(sys, /*keep_events=*/true);
+    pred::RunRecorder rec(sys);
     sys.addListener(&rec);
+    EventLog log;
+    sys.addListener(&log);
 
     auto res = sys.run();
     auto record = rec.finalize();
 
     std::cout << "Figure 2 walkthrough: two threads, one critical "
                  "section, base 1 GHz\n\n(a) event trace:\n";
-    for (const auto &ev : record.events) {
+    for (const auto &ev : log.events) {
         std::cout << "  t=" << exp::Table::fmt(ticksToUs(ev.tick), 2)
                   << " us  " << os::syncEventKindName(ev.kind);
         if (ev.tid != os::kNoThread)
@@ -136,14 +163,14 @@ main(int argc, char **argv)
     const Frequency target = Frequency::ghz(2.0);
     pred::DepPredictor per_epoch({pred::BaseEstimator::Crit, true}, false);
     pred::DepPredictor across({pred::BaseEstimator::Crit, true}, true);
-    if (argc > 1) {
-        // Optional: dump the machine-readable artifacts next to the
-        // human-readable walkthrough.
-        std::string prefix = argv[1];
+    const std::string prefix = args.get("csv");
+    if (!prefix.empty()) {
+        // The machine-readable artifacts next to the human-readable
+        // walkthrough.
         std::ofstream fe(prefix + "_epochs.csv");
         exp::writeEpochsCsv(fe, record);
         std::ofstream fv(prefix + "_events.csv");
-        exp::writeEventsCsv(fv, record);
+        exp::writeEventsCsv(fv, log.events);
         std::ofstream ft(prefix + "_threads.csv");
         exp::writeThreadsCsv(ft, record);
         std::cout << "\nCSV artifacts written with prefix '" << prefix

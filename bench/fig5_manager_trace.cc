@@ -38,7 +38,8 @@ main(int argc, char **argv)
         .add("csv", "PATH", "write the full decision timeline as CSV");
     args.parse(argc, argv);
     const std::string name = args.get("bench", "xalan");
-    const double threshold = args.getDouble("threshold", 0.05);
+    const double threshold =
+        args.getDouble("threshold", 0.05, 0.0, bench::kAnyFinite);
     const auto max_rows =
         static_cast<std::size_t>(args.getInt("max-rows", 24, 0));
 

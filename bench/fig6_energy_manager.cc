@@ -57,7 +57,8 @@ main(int argc, char **argv)
             args.getInt("quantum-us", 50, 1, bench::kMaxSimUs)) *
         kTicksPerUs;
     const std::vector<double> thresholds =
-        args.getDoubleList("thresholds", {0.05, 0.10});
+        args.getDoubleList("thresholds", {0.05, 0.10}, 0.0,
+                           bench::kAnyFinite);
 
     auto table_vf = power::VfTable::haswell();
     const unsigned workers = bench::sweepWorkers(args);

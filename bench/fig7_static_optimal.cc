@@ -50,7 +50,8 @@ main(int argc, char **argv)
         .addSampling()
         .addWorkers();
     args.parse(argc, argv);
-    const double threshold = args.getDouble("threshold", 0.10);
+    const double threshold =
+        args.getDouble("threshold", 0.10, 0.0, bench::kAnyFinite);
     const auto step =
         static_cast<std::uint32_t>(args.getInt("step-mhz", 250, 1, 3000));
 

@@ -141,8 +141,10 @@ main(int argc, char **argv)
         .add("quantum-us", "N", "manager quantum in us (default 50)");
     args.parse(argc, argv);
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1445));
-    const double threshold = args.getDouble("threshold", 0.05);
-    const double epsilon = args.getDouble("epsilon", 0.05);
+    const double threshold =
+        args.getDouble("threshold", 0.05, 0.0, bench::kAnyFinite);
+    const double epsilon =
+        args.getDouble("epsilon", 0.05, 0.0, bench::kAnyFinite);
     const auto threads = static_cast<std::uint32_t>(args.getInt(
         "threads", 4, 1, std::numeric_limits<std::uint32_t>::max()));
     const auto items =

@@ -107,8 +107,8 @@ struct Gates {
 inline Gates
 gatesFromArgs(const FlagSet &args, const std::string &fp_flag)
 {
-    return {args.getDouble("fail-err-pct", 0.0),
-            args.getDouble("fail-speedup", 0.0), fp_flag,
+    return {args.getDouble("fail-err-pct", 0.0, 0.0, kAnyFinite),
+            args.getDouble("fail-speedup", 0.0, 0.0, kAnyFinite), fp_flag,
             args.getHex64(fp_flag)};
 }
 

@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "bench_util.hh"
 #include "exp/table.hh"
 #include "sim/log.hh"
 #include "os/system.hh"
@@ -16,8 +17,13 @@
 using namespace dvfs;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::FlagSet("table2_system",
+                   "simulated system parameters and latency self-check "
+                   "(Table II)")
+        .parse(argc, argv);
+
     os::SystemConfig cfg = wl::defaultSystemConfig(Frequency::ghz(1.0));
     os::System sys(cfg);
 

@@ -59,7 +59,7 @@ struct WiredRun {
              const power::VfTable &table, const RunOptions &opts,
              const mgr::ManagerConfig *mgr_cfg)
         : inst(buildSeeded(params, freq, opts.seed)),
-          rec(*inst.sys, opts.keepEvents), meter(*inst.sys, table),
+          rec(*inst.sys), meter(*inst.sys, table),
           mode(opts.mode)
     {
         if (mode == SimMode::Sampled) {

@@ -88,7 +88,6 @@ struct FixedRunOutput {
  * cell.
  */
 struct RunOptions {
-    bool keepEvents = false;     ///< retain the raw sync-event trace
     std::uint64_t seed = 42;     ///< machine seed (workload determinism)
 
     /**

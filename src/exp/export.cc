@@ -37,10 +37,10 @@ writeEpochsCsv(std::ostream &os, const pred::RunRecord &rec)
 }
 
 void
-writeEventsCsv(std::ostream &os, const pred::RunRecord &rec)
+writeEventsCsv(std::ostream &os, const std::vector<os::SyncEvent> &events)
 {
     os << "tick_ns,kind,tid,futex\n";
-    for (const auto &ev : rec.events) {
+    for (const auto &ev : events) {
         os << ticksToNs(ev.tick) << ','
            << os::syncEventKindName(ev.kind) << ',';
         if (ev.tid != os::kNoThread)

@@ -2,7 +2,7 @@
  * @file
  * Machine-readable export of run artifacts.
  *
- * Writes the epoch stream, the raw sync-event trace, per-thread
+ * Writes the epoch stream, a sync-event trace, per-thread
  * summaries, and energy-manager decisions as CSV so results can be
  * analysed or plotted outside the harness (the binaries' ASCII tables
  * are for humans; these files are for scripts).
@@ -27,8 +27,12 @@ namespace dvfs::exp {
  */
 void writeEpochsCsv(std::ostream &os, const pred::RunRecord &rec);
 
-/** Raw sync events: `tick_ns,kind,tid,futex`. */
-void writeEventsCsv(std::ostream &os, const pred::RunRecord &rec);
+/**
+ * Sync events, as a SyncListener collected them:
+ * `tick_ns,kind,tid,futex`.
+ */
+void writeEventsCsv(std::ostream &os,
+                    const std::vector<os::SyncEvent> &events);
 
 /**
  * Per-thread summary: spawn/exit, busy time, and every DVFS counter

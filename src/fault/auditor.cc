@@ -4,15 +4,7 @@
 
 namespace dvfs::fault {
 
-InvariantAuditor::InvariantAuditor(os::System &sys,
-                                   const AuditorConfig &cfg)
-    : _sys(sys), _cfg(cfg)
-{
-    if (_cfg.interval == 0)
-        fatal("auditor interval must be positive");
-    if (_cfg.watchdogTimeout < _cfg.interval)
-        fatal("watchdog timeout must be at least one audit interval");
-}
+InvariantAuditor::InvariantAuditor(os::System &sys) : _sys(sys) {}
 
 void
 InvariantAuditor::attach()
@@ -28,17 +20,13 @@ InvariantAuditor::attach()
 void
 InvariantAuditor::scheduleNext()
 {
-    _sys.eventQueue().scheduleAfter(_cfg.interval, [this] { audit(); });
+    _sys.eventQueue().scheduleAfter(kInterval, [this] { audit(); });
 }
 
 void
 InvariantAuditor::violation(const char *check, std::string message)
 {
-    if (_cfg.haltOnViolation)
-        panic("invariant '%s' violated at tick %llu: %s", check,
-              static_cast<unsigned long long>(_sys.now()),
-              message.c_str());
-    if (_violations.size() < _cfg.maxViolations)
+    if (_violations.size() < kMaxViolations)
         _violations.push_back(
             Violation{_sys.now(), check, std::move(message)});
 }
@@ -153,7 +141,7 @@ InvariantAuditor::checkThreadConservation()
     for (std::size_t i = 0; i < _sys.numThreads(); ++i) {
         const os::Thread &t = _sys.thread(static_cast<os::ThreadId>(i));
         const Tick alive = now - t.spawnTick;
-        if (t.counters.busyTime > alive + _cfg.decompositionSlack) {
+        if (t.counters.busyTime > alive + kDecompositionSlack) {
             violation("busy-conservation",
                       strprintf("thread %u ('%s') busy %llu ticks but "
                                 "alive only %llu",
@@ -195,7 +183,7 @@ InvariantAuditor::checkEpochAccounting()
             const Tick split = et.delta.computeTime + et.delta.trueMemTime;
             const Tick busy = et.delta.busyTime;
             const Tick diff = split > busy ? split - busy : busy - split;
-            if (diff > _cfg.decompositionSlack) {
+            if (diff > kDecompositionSlack) {
                 violation(
                     "epoch-conservation",
                     strprintf("epoch %zu thread %u: scaling %llu + "
@@ -224,7 +212,7 @@ InvariantAuditor::checkWatchdog()
     }
     if (_sys.liveAppThreads() == 0)
         return;  // winding down, nothing to watch
-    if (_sys.now() - _lastProgressTick < _cfg.watchdogTimeout)
+    if (_sys.now() - _lastProgressTick < kWatchdogTimeout)
         return;
 
     // Hung: events still fire (or we would not be here), yet no thread

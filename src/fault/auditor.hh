@@ -13,9 +13,8 @@
  * progress) into a structured diagnostic naming the blocked threads,
  * and stops the run.
  *
- * Violations either panic immediately (haltOnViolation, for tests and
- * CI) or accumulate into a queryable list (for harnesses that want to
- * report them).
+ * Violations accumulate into a queryable list, capped at
+ * kMaxViolations, for the harness to report.
  */
 
 #ifndef DVFS_FAULT_AUDITOR_HH
@@ -29,32 +28,6 @@
 #include "pred/record.hh"
 
 namespace dvfs::fault {
-
-/** Auditor parameters. */
-struct AuditorConfig {
-    /** Spacing of periodic audit passes. */
-    Tick interval = 10 * kTicksPerUs;
-
-    /**
-     * No instruction retired anywhere for this long, while threads
-     * are blocked, means the machine is hung. Must comfortably exceed
-     * the longest legitimate all-blocked window (a GC handshake).
-     */
-    Tick watchdogTimeout = 2 * kTicksPerMs;
-
-    /** Panic on the first violation instead of collecting it. */
-    bool haltOnViolation = false;
-
-    /**
-     * Absolute slack (ticks) allowed when checking that an epoch
-     * delta's computeTime + trueMemTime equals its busyTime: covers
-     * cycle-to-tick rounding at action commit.
-     */
-    Tick decompositionSlack = 2 * kTicksPerNs;
-
-    /** Stop collecting after this many violations. */
-    std::size_t maxViolations = 64;
-};
 
 /** One failed invariant check. */
 struct Violation {
@@ -79,8 +52,29 @@ struct WatchdogReport {
 class InvariantAuditor : public os::SyncListener
 {
   public:
-    explicit InvariantAuditor(os::System &sys,
-                              const AuditorConfig &cfg = AuditorConfig());
+    /** Spacing of periodic audit passes. */
+    static constexpr Tick kInterval = 10 * kTicksPerUs;
+
+    /**
+     * No instruction retired anywhere for this long, while threads
+     * are blocked, means the machine is hung. Must comfortably exceed
+     * the longest legitimate all-blocked window (a GC handshake).
+     */
+    static constexpr Tick kWatchdogTimeout = 2 * kTicksPerMs;
+    static_assert(kWatchdogTimeout >= kInterval,
+                  "the watchdog needs at least one audit per timeout");
+
+    /**
+     * Absolute slack (ticks) allowed when checking that an epoch
+     * delta's computeTime + trueMemTime equals its busyTime: covers
+     * cycle-to-tick rounding at action commit.
+     */
+    static constexpr Tick kDecompositionSlack = 2 * kTicksPerNs;
+
+    /** Stop collecting after this many violations. */
+    static constexpr std::size_t kMaxViolations = 64;
+
+    explicit InvariantAuditor(os::System &sys);
 
     /** Enable epoch-accounting checks against @p rec (nullable). */
     void observeEpochs(const pred::RunRecorder *rec) { _rec = rec; }
@@ -101,7 +95,6 @@ class InvariantAuditor : public os::SyncListener
     bool clean() const { return _violations.empty() && !_watchdog.fired; }
     std::uint64_t audits() const { return _audits; }
     std::uint64_t checksRun() const { return _checksRun; }
-    const AuditorConfig &config() const { return _cfg; }
     /// @}
 
   private:
@@ -116,7 +109,6 @@ class InvariantAuditor : public os::SyncListener
     void checkWatchdog();
 
     os::System &_sys;
-    AuditorConfig _cfg;
     const pred::RunRecorder *_rec = nullptr;
 
     std::vector<Violation> _violations;

@@ -95,7 +95,7 @@ FaultPlan::dramReadSpike(Tick now)
         return 0;
     }
     Tick extra = nsToTicks(
-        rng(FaultClass::DramLatencySpike).nextExp(_cfg.dramSpikeNsMean));
+        rng(FaultClass::DramLatencySpike).nextExp(kDramSpikeNsMean));
     record(now, FaultClass::DramLatencySpike, extra);
     return extra;
 }
@@ -108,7 +108,7 @@ FaultPlan::dramBankStall(Tick now)
         return 0;
     }
     Tick extra = nsToTicks(
-        rng(FaultClass::DramBankStall).nextExp(_cfg.dramBankStallNsMean));
+        rng(FaultClass::DramBankStall).nextExp(kDramBankStallNsMean));
     record(now, FaultClass::DramBankStall, extra);
     return extra;
 }
@@ -132,7 +132,7 @@ FaultPlan::dvfsExtraDelay(Tick now)
         return 0;
     }
     Tick extra = nsToTicks(
-        rng(FaultClass::DvfsDelay).nextExp(_cfg.dvfsDelayNsMean));
+        rng(FaultClass::DvfsDelay).nextExp(kDvfsDelayNsMean));
     record(now, FaultClass::DvfsDelay, extra);
     return extra;
 }
@@ -156,8 +156,8 @@ FaultPlan::gcExtraClusters(Tick now)
         !rng(FaultClass::GcInflation).nextBool(_cfg.gcInflateProb)) {
         return 0;
     }
-    record(now, FaultClass::GcInflation, _cfg.gcInflateExtraClusters);
-    return _cfg.gcInflateExtraClusters;
+    record(now, FaultClass::GcInflation, kGcInflateExtraClusters);
+    return kGcInflateExtraClusters;
 }
 
 Tick

@@ -59,15 +59,12 @@ struct FaultConfig {
     /// @name DRAM faults
     /// @{
     double dramSpikeProb = 0.0;       ///< per read access
-    double dramSpikeNsMean = 300.0;   ///< exponential extra latency
     double dramBankStallProb = 0.0;   ///< per access
-    double dramBankStallNsMean = 500.0;
     /// @}
 
     /// @name DVFS transition faults
     /// @{
     double dvfsDelayProb = 0.0;       ///< per attempted transition
-    double dvfsDelayNsMean = 100.0;   ///< extra chip-wide stall
     double dvfsRejectProb = 0.0;      ///< per attempted transition
     /// @}
 
@@ -83,7 +80,6 @@ struct FaultConfig {
     /// @name Managed-runtime faults
     /// @{
     double gcInflateProb = 0.0;       ///< per collection
-    std::uint32_t gcInflateExtraClusters = 4; ///< extra trace clusters/unit
     /// @}
 
     /** A config with every class disabled (explicit spelling). */
@@ -117,9 +113,19 @@ struct FaultEvent {
 class FaultPlan
 {
   public:
-    explicit FaultPlan(const FaultConfig &cfg = FaultConfig());
+    /// @name Fault magnitudes
+    /// @{
+    /** Mean of a DRAM spike's exponential extra read latency. */
+    static constexpr double kDramSpikeNsMean = 300.0;
+    /** Mean of a bank stall's exponential extra occupancy. */
+    static constexpr double kDramBankStallNsMean = 500.0;
+    /** Mean of a delayed transition's extra chip-wide stall. */
+    static constexpr double kDvfsDelayNsMean = 100.0;
+    /** Extra trace clusters per copy unit of an inflated collection. */
+    static constexpr std::uint32_t kGcInflateExtraClusters = 4;
+    /// @}
 
-    const FaultConfig &config() const { return _cfg; }
+    explicit FaultPlan(const FaultConfig &cfg = FaultConfig());
 
     /// @name Hook-point queries
     /// @{

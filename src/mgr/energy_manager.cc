@@ -12,7 +12,9 @@ EnergyManager::EnergyManager(os::System &sys, pred::RunRecorder &rec,
                              const power::VfTable &table,
                              const ManagerConfig &cfg)
     : _sys(sys), _rec(rec), _table(table), _cfg(cfg),
-      _dep(cfg.model, cfg.acrossEpochCtp), _freqs(table.frequencies())
+      _dep({pred::BaseEstimator::Crit, /*burst=*/true},
+           /*across_epochs=*/true),
+      _freqs(table.frequencies())
 {
     if (_cfg.quantum == 0)
         fatal("energy manager quantum must be positive");
@@ -21,11 +23,6 @@ EnergyManager::EnergyManager(os::System &sys, pred::RunRecorder &rec,
     if (!std::isfinite(_cfg.tolerableSlowdown) ||
         _cfg.tolerableSlowdown < 0.0)
         fatal("tolerable slowdown must be finite and non-negative");
-    if (!std::isfinite(_cfg.maxCredibleSlowdown) ||
-        _cfg.maxCredibleSlowdown <= 0.0)
-        fatal("max credible slowdown must be finite and positive");
-    if (_cfg.maxBackoff == 0)
-        fatal("oscillation backoff cap must be at least 1");
     if (_table.points().empty())
         fatal("energy manager needs a non-empty operating-point table");
 }
@@ -50,7 +47,7 @@ EnergyManager::credibleSlowdown(double slowdown) const
     // a lower frequency makes the program faster and means the
     // predictor is broken.
     return std::isfinite(slowdown) && slowdown >= -0.01 &&
-           slowdown <= _cfg.maxCredibleSlowdown;
+           slowdown <= kMaxCredibleSlowdown;
 }
 
 double
@@ -126,7 +123,7 @@ EnergyManager::onQuantum()
             // decision boundary: back off exponentially so the
             // regulator settles instead of thrashing.
             if (chosen == _prevFreq)
-                _backoff = std::min(_backoff * 2, _cfg.maxBackoff);
+                _backoff = std::min(_backoff * 2, kMaxBackoff);
             else
                 _backoff = 1;
             _prevFreq = f_cur;

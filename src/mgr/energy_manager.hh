@@ -11,21 +11,20 @@
  * each interval individually respects the bound, the whole run does —
  * the paper's key guarantee argument.
  *
- * The per-quantum estimation uses DEP(+BURST) with across-epoch CTP by
- * default; the ModelSpec and CTP mode are configurable so the
- * benchmarks can ablate the predictor choice inside the manager. Each
- * quantum becomes one PredictionTable, scanned like dvfsd's OptimalVf
- * query (Predictor::scanAscending): the highest point first, then the
- * ascending points one chunk at a time. A quantum that closed no epoch
- * is one zero-length epoch whose rows are the threads' quantum deltas,
- * so its estimate is the slowest busy thread's.
+ * The per-quantum estimation is the paper's: DEP+BURST with
+ * across-epoch CTP. Each quantum becomes one PredictionTable, scanned
+ * like dvfsd's OptimalVf query (Predictor::scanAscending): the highest
+ * point first, then the ascending points one chunk at a time. A
+ * quantum that closed no epoch is one zero-length epoch whose rows are
+ * the threads' quantum deltas, so its estimate is the slowest busy
+ * thread's.
  *
  * The manager is hardened against a misbehaving predictor: any
  * non-finite, negative, or incredibly large predicted slowdown is
  * rejected and the quantum falls back to the highest operating point
  * (safe for the slowdown bound, merely wasteful for energy), recorded
  * as Decision::fallback. When decisions oscillate A->B->A the
- * effective hold-off doubles per flip (up to maxBackoff) so a noisy
+ * effective hold-off doubles per flip (up to kMaxBackoff) so a noisy
  * prediction cannot thrash the voltage regulator.
  */
 
@@ -51,27 +50,6 @@ struct ManagerConfig {
 
     /** Tolerable-Slowdown vs. always running at the highest point. */
     double tolerableSlowdown = 0.05;
-
-    /** Per-thread scaling model used inside the manager. */
-    pred::ModelSpec model{pred::BaseEstimator::Crit, true};
-
-    /** Across-epoch CTP (Algorithm 1) vs. per-epoch CTP. */
-    bool acrossEpochCtp = true;
-
-    /**
-     * Predicted slowdowns above this are rejected as garbage (a sane
-     * prediction is bounded by the frequency ratio of the table's
-     * extreme points, nowhere near this) and trigger the
-     * highest-frequency fallback.
-     */
-    double maxCredibleSlowdown = 100.0;
-
-    /**
-     * Cap on the oscillation backoff multiplier: when decisions
-     * flip A->B->A the effective hold-off doubles per flip, up to
-     * holdOff * maxBackoff intervals.
-     */
-    std::uint32_t maxBackoff = 8;
 };
 
 /**
@@ -88,6 +66,21 @@ class EnergyManager
         bool usedEpochs = false;      ///< the quantum closed an epoch
         bool fallback = false;        ///< degraded mode: prediction rejected
     };
+
+    /**
+     * Predicted slowdowns above this are rejected as garbage (a sane
+     * prediction is bounded by the frequency ratio of the table's
+     * extreme points, nowhere near this) and trigger the
+     * highest-frequency fallback.
+     */
+    static constexpr double kMaxCredibleSlowdown = 100.0;
+
+    /**
+     * Cap on the oscillation backoff multiplier: when decisions
+     * flip A->B->A the effective hold-off doubles per flip, up to
+     * holdOff * kMaxBackoff intervals.
+     */
+    static constexpr std::uint32_t kMaxBackoff = 8;
 
     /**
      * @param sys   The machine to govern.
@@ -117,8 +110,6 @@ class EnergyManager
     /** Current oscillation backoff multiplier (1 = none). */
     std::uint32_t backoff() const { return _backoff; }
 
-    const ManagerConfig &config() const { return _cfg; }
-
     virtual ~EnergyManager() = default;
 
   protected:
@@ -143,7 +134,7 @@ class EnergyManager
     pred::RunRecorder &_rec;
     const power::VfTable &_table;
     ManagerConfig _cfg;
-    pred::DepPredictor _dep;
+    pred::DepPredictor _dep;  ///< DEP+BURST, across-epoch CTP
     std::vector<Frequency> _freqs;  ///< the table's points, ascending
 
     std::size_t _epochCursor = 0;

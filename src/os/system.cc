@@ -848,9 +848,9 @@ System::run(Tick limit)
     }
 
     while (!_runEnded) {
-        if (_eq.executed() > _cfg.maxEvents)
+        if (_eq.executed() > kMaxEvents)
             panic("event cap exceeded (%llu events) — runaway simulation?",
-                  static_cast<unsigned long long>(_cfg.maxEvents));
+                  static_cast<unsigned long long>(kMaxEvents));
         if (_stopRequested)
             break;
         if (limit != kTickNever && _eq.now() >= limit)

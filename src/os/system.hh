@@ -68,9 +68,6 @@ struct SystemConfig {
 
     /** Deterministic seed for all thread RNG streams. */
     std::uint64_t seed = 42;
-
-    /** Hard cap on executed events (runaway guard). */
-    std::uint64_t maxEvents = 400'000'000ULL;
 };
 
 /**
@@ -115,6 +112,9 @@ struct RunResult {
 class System
 {
   public:
+    /** Hard cap on executed events (runaway guard). */
+    static constexpr std::uint64_t kMaxEvents = 400'000'000ULL;
+
     explicit System(const SystemConfig &cfg);
 
     /// @name Construction-time setup

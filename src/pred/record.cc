@@ -5,8 +5,8 @@
 
 namespace dvfs::pred {
 
-RunRecorder::RunRecorder(os::System &sys, bool keep_events)
-    : _sys(sys), _keepEvents(keep_events), _baseFreq(sys.frequency())
+RunRecorder::RunRecorder(os::System &sys)
+    : _sys(sys), _baseFreq(sys.frequency())
 {
 }
 
@@ -14,9 +14,6 @@ void
 RunRecorder::onSyncEvent(const os::SyncEvent &ev, const os::System &sys)
 {
     DVFS_PROFILE_SCOPE(Record);
-    if (_keepEvents)
-        _events.push_back(ev);
-
     switch (ev.kind) {
       case os::SyncEventKind::GcBegin:
         _gcMarks.push_back(GcPhaseMark{ev.tick, true});
@@ -89,7 +86,6 @@ RunRecorder::finalize()
     rec.totalTime = _sys.now();
     rec.epochs = std::move(_epochs);
     rec.gcMarks = std::move(_gcMarks);
-    rec.events = std::move(_events);
 
     for (std::size_t i = 0; i < _sys.numThreads(); ++i) {
         const os::Thread &t = _sys.thread(static_cast<os::ThreadId>(i));

@@ -73,7 +73,6 @@ struct RunRecord {
     std::vector<Epoch> epochs;
     std::vector<ThreadSummary> threads;
     std::vector<GcPhaseMark> gcMarks;
-    std::vector<os::SyncEvent> events;  ///< raw trace (diagnostics)
 };
 
 /**
@@ -85,12 +84,8 @@ struct RunRecord {
 class RunRecorder : public os::SyncListener
 {
   public:
-    /**
-     * @param sys          The machine to observe.
-     * @param keep_events  Retain the raw event trace (memory-heavy;
-     *                     enable for walkthroughs/tests only).
-     */
-    explicit RunRecorder(os::System &sys, bool keep_events = false);
+    /** @param sys  The machine to observe. */
+    explicit RunRecorder(os::System &sys);
 
     void onSyncEvent(const os::SyncEvent &ev, const os::System &sys)
         override;
@@ -109,7 +104,6 @@ class RunRecorder : public os::SyncListener
     void closeEpoch(const os::SyncEvent &ev, const os::System &sys);
 
     os::System &_sys;
-    bool _keepEvents;
     Frequency _baseFreq;
 
     Tick _epochStart = 0;
@@ -117,7 +111,6 @@ class RunRecorder : public os::SyncListener
 
     std::vector<Epoch> _epochs;
     std::vector<GcPhaseMark> _gcMarks;
-    std::vector<os::SyncEvent> _events;
     bool _finalized = false;
 };
 

@@ -34,8 +34,8 @@ GcWorkerProgram::next(os::ThreadContext &ctx)
         // round trip — the traced and copied bytes are identical, the
         // per-unit lock churn is what gets amortised.
         std::uint64_t grab = cfg.copyUnitBytes;
-        if (ctx.liteTiming && cfg.ffCopyUnitBatch > 1)
-            grab *= cfg.ffCopyUnitBatch;
+        if (ctx.liteTiming)
+            grab *= kFfCopyUnitBatch;
         std::uint64_t &rem = _rt.workerRemaining(_idx);
         if (rem > 0) {
             _unitBytes = std::min<std::uint64_t>(rem, grab);

@@ -31,6 +31,16 @@ class GcWorkerProgram : public os::ThreadProgram
 {
   public:
     /**
+     * Copy units a worker grabs per work-lock round trip while the
+     * simulation is fast-forwarding. Trace and copy work still scale
+     * with the bytes grabbed, so the collection does the same amount
+     * of simulated work; only the lock/pop/unlock action churn — the
+     * dominant host cost of a fast-forwarded collection — shrinks.
+     * Detail windows and exact mode always grab single units.
+     */
+    static constexpr std::uint32_t kFfCopyUnitBatch = 8;
+
+    /**
      * @param rt   Owning runtime.
      * @param idx  Worker index (0 .. gcThreads-1); worker 0 finishes
      *             each collection.

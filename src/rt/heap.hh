@@ -19,8 +19,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "sim/stats.hh"
-
 namespace dvfs::rt {
 
 /** Heap sizing and placement. */

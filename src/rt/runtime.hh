@@ -63,17 +63,6 @@ struct RuntimeConfig {
 
     /** Max lines zero-initialised in one burst action (zeroing chunk). */
     std::uint32_t maxZeroLinesPerBurst = 64;
-
-    /**
-     * Copy units a worker grabs per work-lock round trip while the
-     * simulation is fast-forwarding. Trace and copy work still scale
-     * with the bytes grabbed, so the collection does the same amount
-     * of simulated work; only the lock/pop/unlock action churn — the
-     * dominant host cost of a fast-forwarded collection — shrinks.
-     * Detail windows and exact mode always grab single units.
-     */
-    std::uint32_t ffCopyUnitBatch = 8;
-
 };
 
 /**

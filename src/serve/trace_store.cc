@@ -11,7 +11,6 @@ TraceStore::footprint(const CachedTrace &c)
     std::size_t bytes = sizeof(trace::LoadedTrace) + c.table.bytes();
     bytes += rec.threads.size() * sizeof(pred::ThreadSummary);
     bytes += rec.gcMarks.size() * sizeof(pred::GcPhaseMark);
-    bytes += rec.events.size() * sizeof(rec.events[0]);
     for (const pred::Epoch &ep : rec.epochs) {
         bytes += sizeof(pred::Epoch);
         bytes += ep.active.size() * sizeof(pred::EpochThread);

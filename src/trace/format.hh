@@ -55,7 +55,8 @@ enum class SectionId : std::uint32_t {
     Threads = 2,  ///< whole-run per-thread summaries
     Epochs = 3,   ///< epoch decomposition with per-thread deltas
     GcMarks = 4,  ///< GC phase boundaries (COOP signal)
-    Events = 5,   ///< raw sync-event trace (present iff recorded)
+    // 5 is retired: it held a raw sync-event trace no reader used.
+    // Readers skip it like any unknown id; writers never reuse it.
 };
 
 /**

@@ -134,27 +134,6 @@ decodeGcMarks(Cursor &c, pred::RunRecord &rec)
 }
 
 void
-decodeEvents(Cursor &c, pred::RunRecord &rec)
-{
-    const std::uint64_t n = c.u64();
-    checkCount(c, n, 24, "event");
-    rec.events.resize(static_cast<std::size_t>(n));
-    for (os::SyncEvent &ev : rec.events) {
-        ev.tick = c.u64();
-        const std::uint32_t kind = c.u32();
-        if (kind >
-            static_cast<std::uint32_t>(os::SyncEventKind::RunEnd)) {
-            throw TraceError(TraceError::Kind::BadValue, c.offset(),
-                             "event.kind is not a SyncEventKind");
-        }
-        ev.kind = static_cast<os::SyncEventKind>(kind);
-        ev.tid = c.u32();
-        ev.futex = c.u32();
-        checkZero(c.u32(), c.offset(), "event.pad");
-    }
-}
-
-void
 requireConsumed(const Cursor &c, const char *section)
 {
     if (c.remaining() != 0) {
@@ -263,13 +242,10 @@ decodeTrace(const std::vector<std::uint8_t> &image)
             requireConsumed(body, "gcMarks");
             have_gc = true;
             break;
-          case SectionId::Events:
-            decodeEvents(body, rec);
-            requireConsumed(body, "events");
-            break;
           default:
             // Unknown section: a newer writer's extra observation
-            // field. The digest already covers its bytes; skip it.
+            // field, or the retired id 5. The digest already covers
+            // its bytes; skip it.
             break;
         }
     }

@@ -89,21 +89,6 @@ encodeGcMarks(const pred::RunRecord &rec)
     return e;
 }
 
-Encoder
-encodeEvents(const pred::RunRecord &rec)
-{
-    Encoder e;
-    e.u64(rec.events.size());
-    for (const os::SyncEvent &ev : rec.events) {
-        e.u64(ev.tick);
-        e.u32(static_cast<std::uint32_t>(ev.kind));
-        e.u32(ev.tid);
-        e.u32(ev.futex);
-        e.u32(0);
-    }
-    return e;
-}
-
 void
 appendSection(Encoder &payload, SectionId id, const Encoder &body)
 {
@@ -119,18 +104,12 @@ appendSection(Encoder &payload, SectionId id, const Encoder &body)
 std::vector<std::uint8_t>
 encodeTrace(const pred::RunRecord &rec, const TraceMeta &meta)
 {
-    // The Events section is written only when the recorder kept the
-    // raw trace, mirroring RunRecord's own optionality.
-    const bool with_events = !rec.events.empty();
-
     Encoder payload;
-    payload.u32(with_events ? 5 : 4);
+    payload.u32(4);
     appendSection(payload, SectionId::Meta, encodeMeta(rec, meta));
     appendSection(payload, SectionId::Threads, encodeThreads(rec));
     appendSection(payload, SectionId::Epochs, encodeEpochs(rec));
     appendSection(payload, SectionId::GcMarks, encodeGcMarks(rec));
-    if (with_events)
-        appendSection(payload, SectionId::Events, encodeEvents(rec));
 
     Encoder file;
     file.u64(kTraceMagic);

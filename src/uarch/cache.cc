@@ -79,9 +79,7 @@ Cache::reset()
 {
     std::fill(_meta.begin(), _meta.end(), 0u);
     std::fill(_order.begin(), _order.end(), identityOrder(_cfg.assoc));
-    _hits.reset();
-    _misses.reset();
-    _writebacks.reset();
+    _hits = _misses = _writebacks = 0;
 }
 
 CacheHierarchy::CacheHierarchy(std::uint32_t cores,

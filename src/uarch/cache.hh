@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "sim/log.hh"
-#include "sim/stats.hh"
 #include "sim/time.hh"
 #include "uarch/dram.hh"
 #include "uarch/freq_domain.hh"
@@ -115,9 +114,9 @@ class Cache
     const CacheConfig &config() const { return _cfg; }
     const std::string &name() const { return _name; }
 
-    std::uint64_t hits() const { return _hits.value(); }
-    std::uint64_t misses() const { return _misses.value(); }
-    std::uint64_t writebacks() const { return _writebacks.value(); }
+    std::uint64_t hits() const { return _hits; }
+    std::uint64_t misses() const { return _misses; }
+    std::uint64_t writebacks() const { return _writebacks; }
 
   private:
     /// @name Packed way metadata
@@ -218,7 +217,7 @@ class Cache
      */
     std::vector<std::uint64_t> _order;
 
-    sim::Counter _hits, _misses, _writebacks;
+    std::uint64_t _hits = 0, _misses = 0, _writebacks = 0;
 };
 
 template <std::uint32_t A>
@@ -248,7 +247,7 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
         const std::uint32_t m = static_cast<std::uint32_t>(_order[set] & 0xF);
         if ((meta[m] | kWayDirty) == want) {
             meta[m] |= mark;
-            _hits.inc();
+            ++_hits;
             return Result{true};
         }
     }
@@ -270,11 +269,11 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
             static_cast<std::uint32_t>(std::countr_zero(hit_mask));
         meta[w] |= mark;
         touchWay(_order[set], w);
-        _hits.inc();
+        ++_hits;
         return Result{true};
     }
 
-    _misses.inc();
+    ++_misses;
     // Selection is identical to the classic stamp-per-way loop: the
     // first invalid way wins, else the least recently touched way.
     // Invariant: a set's invalid ways are always a suffix. Fills take
@@ -298,7 +297,7 @@ Cache::accessWays(std::uint64_t addr, bool dirty)
                               set);
         if ((vm & kWayDirty) != 0) {
             res.dirtyVictim = true;
-            _writebacks.inc();
+            ++_writebacks;
         } else {
             res.cleanVictim = true;
         }

@@ -59,10 +59,7 @@ Dram::reset()
         ch.readHead = 0;
         ch.writeHead = 0;
     }
-    _reads.reset();
-    _writes.reset();
-    _rowHits.reset();
-    _rowMisses.reset();
+    _reads = _writes = _rowHits = _rowMisses = 0;
     _readLatencySum = 0;
     _writeLatencySum = 0;
 }
@@ -133,13 +130,13 @@ Dram::access(std::uint64_t addr, Tick issue, bool is_write)
     if (is_write) {
         ready = t + _tCas;
     } else if (bank.openRow == row) {
-        _rowHits.inc();
+        ++_rowHits;
         ready = t + _tCas;
     } else if (bank.openRow == ~0ULL) {
-        _rowMisses.inc();
+        ++_rowMisses;
         ready = t + _tRcd + _tCas;
     } else {
-        _rowMisses.inc();
+        ++_rowMisses;
         ready = t + _tRp + _tRcd + _tCas;
     }
     if (!is_write)
@@ -171,10 +168,10 @@ Dram::access(std::uint64_t addr, Tick issue, bool is_write)
         head = 0;
 
     if (is_write) {
-        _writes.inc();
+        ++_writes;
         _writeLatencySum += done - issue;
     } else {
-        _reads.inc();
+        ++_reads;
         _readLatencySum += done - issue;
     }
     return done;
@@ -195,18 +192,16 @@ Dram::write(std::uint64_t addr, Tick issue)
 double
 Dram::meanReadLatencyNs() const
 {
-    return _reads.value()
-               ? ticksToNs(_readLatencySum) / static_cast<double>(_reads.value())
-               : 0.0;
+    return _reads ? ticksToNs(_readLatencySum) / static_cast<double>(_reads)
+                  : 0.0;
 }
 
 double
 Dram::meanWriteLatencyNs() const
 {
-    return _writes.value()
-               ? ticksToNs(_writeLatencySum) /
-                     static_cast<double>(_writes.value())
-               : 0.0;
+    return _writes ? ticksToNs(_writeLatencySum) /
+                         static_cast<double>(_writes)
+                   : 0.0;
 }
 
 Tick

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/time.hh"
 
 namespace dvfs::fault {
@@ -99,10 +98,10 @@ class Dram
 
     /// @name Statistics
     /// @{
-    std::uint64_t reads() const { return _reads.value(); }
-    std::uint64_t writes() const { return _writes.value(); }
-    std::uint64_t rowHits() const { return _rowHits.value(); }
-    std::uint64_t rowMisses() const { return _rowMisses.value(); }
+    std::uint64_t reads() const { return _reads; }
+    std::uint64_t writes() const { return _writes; }
+    std::uint64_t rowHits() const { return _rowHits; }
+    std::uint64_t rowMisses() const { return _rowMisses; }
     /** Mean read latency (ns) since construction/reset. */
     double meanReadLatencyNs() const;
     /** Mean write-drain latency (ns) since construction/reset. */
@@ -170,7 +169,7 @@ class Dram
                   _rowShift = 0;
     std::uint64_t _chanMask = 0, _bankMask = 0;
 
-    sim::Counter _reads, _writes, _rowHits, _rowMisses;
+    std::uint64_t _reads = 0, _writes = 0, _rowHits = 0, _rowMisses = 0;
     Tick _readLatencySum = 0;
     Tick _writeLatencySum = 0;
 };

@@ -76,24 +76,6 @@ TEST(ManagerConfigDeathTest, NanSlowdownIsFatal)
                 "slowdown");
 }
 
-TEST(ManagerConfigDeathTest, BadCredibleSlowdownCapIsFatal)
-{
-    ManagerFixture f;
-    mgr::ManagerConfig cfg;
-    cfg.maxCredibleSlowdown = 0.0;
-    EXPECT_EXIT(f.construct(cfg), ::testing::ExitedWithCode(1),
-                "credible");
-}
-
-TEST(ManagerConfigDeathTest, ZeroBackoffCapIsFatal)
-{
-    ManagerFixture f;
-    mgr::ManagerConfig cfg;
-    cfg.maxBackoff = 0;
-    EXPECT_EXIT(f.construct(cfg), ::testing::ExitedWithCode(1),
-                "backoff");
-}
-
 TEST(VfTableDeathTest, EmptyTableIsFatal)
 {
     EXPECT_EXIT(power::VfTable({}), ::testing::ExitedWithCode(1),

@@ -9,6 +9,8 @@
 
 #include "exp/experiment.hh"
 #include "exp/export.hh"
+#include "test_util.hh"
+#include "wl/builder.hh"
 
 using namespace dvfs;
 
@@ -28,12 +30,8 @@ countLines(const std::string &s)
 const exp::FixedRunOutput &
 sampleRun()
 {
-    static exp::FixedRunOutput out = [] {
-        exp::RunOptions opts;
-        opts.keepEvents = true;
-        return exp::runFixed(wl::syntheticSmall(2, 40),
-                             Frequency::ghz(1.0), opts);
-    }();
+    static const exp::FixedRunOutput out =
+        exp::runFixed(wl::syntheticSmall(2, 40), Frequency::ghz(1.0));
     return out;
 }
 
@@ -56,10 +54,16 @@ TEST(Export, EpochsCsvHasRowPerActiveThread)
 
 TEST(Export, EventsCsvMatchesTrace)
 {
-    const auto &out = sampleRun();
+    wl::BenchInstance inst = wl::buildBenchmark(
+        wl::syntheticSmall(2, 40),
+        wl::defaultSystemConfig(Frequency::ghz(1.0)));
+    test::TraceCollector trace;
+    inst.sys->addListener(&trace);
+    inst.sys->run();
+
     std::ostringstream os;
-    exp::writeEventsCsv(os, out.record);
-    EXPECT_EQ(countLines(os.str()), out.record.events.size() + 1);
+    exp::writeEventsCsv(os, trace.events);
+    EXPECT_EQ(countLines(os.str()), trace.events.size() + 1);
     EXPECT_NE(os.str().find("RunEnd"), std::string::npos);
 }
 

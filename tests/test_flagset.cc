@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "../bench/bench_util.hh"
+#include "../bench/mode_comparison.hh"
 
 using dvfs::bench::FlagSet;
 
@@ -62,7 +63,7 @@ TEST(FlagSet, ParsesDeclaredFlagsWithTypedAccess)
     flags.parse(argv.argc(), argv.argv());
 
     EXPECT_EQ(flags.getInt("count", 1), 42);
-    EXPECT_DOUBLE_EQ(flags.getDouble("ratio", 1.0), 2.5);
+    EXPECT_DOUBLE_EQ(flags.getDouble("ratio", 1.0, 0.0, 10.0), 2.5);
     EXPECT_EQ(flags.get("name"), "abc");
     EXPECT_TRUE(flags.has("verbose"));
     // Declared but not passed: defaults apply, has() is false.
@@ -101,7 +102,7 @@ TEST(FlagSetDeathTest, MalformedValueIsFatalNamingTheFlag)
     EXPECT_EXIT((void)flags.getInt("count", 1),
                 testing::ExitedWithCode(1),
                 "--count: expected an integer, got 'abc'");
-    EXPECT_EXIT((void)flags.getDouble("ratio", 1.0),
+    EXPECT_EXIT((void)flags.getDouble("ratio", 1.0, 0.0, 10.0),
                 testing::ExitedWithCode(1),
                 "--ratio: expected a number, got 'x2'");
 }
@@ -240,14 +241,14 @@ TEST(FlagSet, DoubleListAndChoiceParseWellFormedValues)
     flags.add("thresholds", "CSV", "").add("dir", "up|down|both", "");
     Argv argv({"--thresholds=0.05,0.1,1e-2", "--dir=down"});
     flags.parse(argv.argc(), argv.argv());
-    EXPECT_EQ(flags.getDoubleList("thresholds", {0.5}),
+    EXPECT_EQ(flags.getDoubleList("thresholds", {0.5}, 0.0, 1.0),
               (std::vector<double>{0.05, 0.1, 0.01}));
     EXPECT_EQ(flags.getChoice("dir", "both", {"up", "down", "both"}),
               "down");
 
     FlagSet absent("prog", "test fixture");
     absent.add("thresholds", "CSV", "").add("dir", "up|down|both", "");
-    EXPECT_EQ(absent.getDoubleList("thresholds", {0.05, 0.10}),
+    EXPECT_EQ(absent.getDoubleList("thresholds", {0.05, 0.10}, 0.0, 1.0),
               (std::vector<double>{0.05, 0.10}));
     EXPECT_EQ(absent.getChoice("dir", "both", {"up", "down", "both"}),
               "both");
@@ -261,15 +262,133 @@ TEST(FlagSetDeathTest, BadDoubleListElementIsFatalNamingTheFlag)
     flags.add("a", "CSV", "").add("b", "CSV", "").add("c", "CSV", "");
     Argv argv({"--a=abc", "--b=0.1x", "--c=0.05,,0.1"});
     flags.parse(argv.argc(), argv.argv());
-    EXPECT_EXIT((void)flags.getDoubleList("a", {}),
+    EXPECT_EXIT((void)flags.getDoubleList("a", {}, 0.0, 1.0),
                 testing::ExitedWithCode(1),
                 "--a: expected a number, got 'abc'");
-    EXPECT_EXIT((void)flags.getDoubleList("b", {}),
+    EXPECT_EXIT((void)flags.getDoubleList("b", {}, 0.0, 1.0),
                 testing::ExitedWithCode(1),
                 "--b: expected a number, got '0.1x'");
-    EXPECT_EXIT((void)flags.getDoubleList("c", {}),
+    EXPECT_EXIT((void)flags.getDoubleList("c", {}, 0.0, 1.0),
                 testing::ExitedWithCode(1),
                 "--c: expected a number, got ''");
+}
+
+TEST(FlagSetDeathTest, NanDoubleIsFatalNamingTheFlag)
+{
+    // A nan compares false against every bound: unchecked,
+    // --fail-err-pct=nan switched the fig9/fig10 error gate off and
+    // --rate=nan passed dvfsd_load's positivity check.
+    FlagSet flags("prog", "test fixture");
+    flags.add("fail-err-pct", "X", "").add("rate", "R", "");
+    Argv argv({"--fail-err-pct=nan", "--rate=NaN"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getDouble("fail-err-pct", 0.0, 0.0, 100.0),
+                testing::ExitedWithCode(1),
+                "--fail-err-pct: nan is out of range \\[0, 100\\]");
+    EXPECT_EXIT((void)flags.getDouble("rate", 200.0, 1e-3, 1e6),
+                testing::ExitedWithCode(1),
+                "--rate: NaN is out of range");
+}
+
+TEST(FlagSetDeathTest, InfiniteDoubleIsFatalNamingTheFlag)
+{
+    // Unchecked, fig8 --epsilon=inf made its slowdown bound always
+    // pass, and dvfsd_load --rate=inf reached a double-to-size_t
+    // conversion that overflows.
+    FlagSet flags("prog", "test fixture");
+    flags.add("epsilon", "X", "").add("fail-speedup", "X", "");
+    Argv argv({"--epsilon=inf", "--fail-speedup=-infinity"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getDouble(
+                    "epsilon", 0.05, 0.0,
+                    dvfs::bench::kAnyFinite),
+                testing::ExitedWithCode(1),
+                "--epsilon: inf is out of range");
+    EXPECT_EXIT((void)flags.getDouble(
+                    "fail-speedup", 0.0, 0.0,
+                    dvfs::bench::kAnyFinite),
+                testing::ExitedWithCode(1),
+                "--fail-speedup: -infinity is out of range");
+}
+
+TEST(FlagSetDeathTest, OverflowingDoubleIsFatalNamingTheFlag)
+{
+    // strtod returns inf for 1e400 and flags the overflow only in
+    // errno; an underflow to zero is just as unrepresentable.
+    FlagSet flags("prog", "test fixture");
+    flags.add("fail-p99-ms", "X", "").add("duration-s", "S", "");
+    Argv argv({"--fail-p99-ms=1e400", "--duration-s=1e-400"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getDouble(
+                    "fail-p99-ms", 0.0, 0.0,
+                    dvfs::bench::kAnyFinite),
+                testing::ExitedWithCode(1),
+                "--fail-p99-ms: 1e400 is out of range");
+    EXPECT_EXIT((void)flags.getDouble("duration-s", 5.0, 0.0, 86400.0),
+                testing::ExitedWithCode(1),
+                "--duration-s: 1e-400 is out of range");
+}
+
+TEST(FlagSetDeathTest, DoubleOutsideRangeIsFatalNamingTheFlag)
+{
+    // Unchecked, dvfsd_load --duration-s=-1 reached the same
+    // overflowing conversion as --rate=inf.
+    FlagSet flags("prog", "test fixture");
+    flags.add("duration-s", "S", "").add("rate", "R", "");
+    Argv argv({"--duration-s=-1", "--rate=2e6"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getDouble("duration-s", 5.0, 1e-3, 86400.0),
+                testing::ExitedWithCode(1),
+                "--duration-s: -1 is out of range \\[0.001, 86400\\]");
+    EXPECT_EXIT((void)flags.getDouble("rate", 200.0, 1e-3, 1e6),
+                testing::ExitedWithCode(1),
+                "--rate: 2e6 is out of range \\[0.001, 1e\\+06\\]");
+    // Both bounds are inclusive, and the default is not range-checked.
+    Argv edges({"--duration-s=0.001", "--rate=1e6"});
+    FlagSet ok("prog", "test fixture");
+    ok.add("duration-s", "S", "").add("rate", "R", "");
+    ok.parse(edges.argc(), edges.argv());
+    EXPECT_EQ(ok.getDouble("duration-s", 5.0, 1e-3, 86400.0), 1e-3);
+    EXPECT_EQ(ok.getDouble("rate", 200.0, 1e-3, 1e6), 1e6);
+    FlagSet absent("prog", "test fixture");
+    absent.add("rate", "R", "");
+    EXPECT_EQ(absent.getDouble("rate", -1.0, 1e-3, 1e6), -1.0);
+}
+
+TEST(FlagSetDeathTest, NonFiniteDoubleListElementIsFatalNamingTheFlag)
+{
+    // fig6 --thresholds=0.05,nan ran a manager cell with a nan
+    // Tolerable-Slowdown only to fatal() inside the sweep.
+    FlagSet flags("prog", "test fixture");
+    flags.add("thresholds", "CSV", "");
+    Argv argv({"--thresholds=0.05,nan"});
+    flags.parse(argv.argc(), argv.argv());
+    EXPECT_EXIT((void)flags.getDoubleList(
+                    "thresholds", {}, 0.0,
+                    dvfs::bench::kAnyFinite),
+                testing::ExitedWithCode(1),
+                "--thresholds: nan is out of range");
+}
+
+TEST(FlagSetDeathTest, GateFlagsCannotSwitchTheirGateOff)
+{
+    // The fig9/fig10 gates are off at 0; a nan or inf bound must not
+    // read as off, nor a negative one as on.
+    for (const char *arg : {"--fail-err-pct=nan", "--fail-err-pct=inf",
+                            "--fail-speedup=nan", "--fail-speedup=-1"}) {
+        FlagSet flags("prog", "test fixture");
+        flags.add("fail-err-pct", "X", "").add("fail-speedup", "X", "")
+            .add("expect-fingerprint", "HEX", "");
+        Argv argv({arg});
+        flags.parse(argv.argc(), argv.argv());
+        const std::string flag =
+            std::string(arg).substr(0, std::string(arg).find('='));
+        EXPECT_EXIT((void)dvfs::bench::gatesFromArgs(
+                        flags, "expect-fingerprint"),
+                    testing::ExitedWithCode(1),
+                    flag + ": .* is out of range")
+            << arg;
+    }
 }
 
 TEST(FlagSetDeathTest, UnlistedChoiceIsFatalNamingTheFlag)

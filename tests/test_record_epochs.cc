@@ -150,19 +150,6 @@ TEST(RunRecorder, BusyDeltasSumToThreadTotals)
     }
 }
 
-TEST(RunRecorder, KeepEventsRetainsRawTrace)
-{
-    System sys(smallConfig());
-    ThreadId main = addScript(sys, "main", {Action::makeCompute(1000)});
-    sys.setMainThread(main);
-    RunRecorder rec(sys, /*keep_events=*/true);
-    sys.addListener(&rec);
-    sys.run();
-    auto record = rec.finalize();
-    EXPECT_FALSE(record.events.empty());
-    EXPECT_EQ(record.events.back().kind, SyncEventKind::RunEnd);
-}
-
 TEST(RunRecorder, ThreadSummariesComplete)
 {
     System sys(smallConfig());

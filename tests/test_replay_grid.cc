@@ -229,16 +229,15 @@ TEST(ReplayGrid, RunOptionsSurface)
     // Consolidated options: one struct drives fixed and managed runs.
     exp::RunOptions opts;
     opts.seed = 7;
-    opts.keepEvents = true;
     auto fixed = exp::runFixed(params, Frequency::ghz(2.0), opts);
-    EXPECT_FALSE(fixed.record.events.empty());
+    EXPECT_FALSE(fixed.record.epochs.empty());
     EXPECT_EQ(fixed.mode, exp::SimMode::Exact);
     EXPECT_EQ(fixed.sampling.ffWindows, 0u);
 
     // Identical options replay bit-identically.
     auto fixed2 = exp::runFixed(params, Frequency::ghz(2.0), opts);
     EXPECT_EQ(fixed.totalTime, fixed2.totalTime);
-    EXPECT_EQ(fixed.record.events.size(), fixed2.record.events.size());
+    EXPECT_EQ(fixed.record.epochs.size(), fixed2.record.epochs.size());
 
     // Managed runs: default options == explicit defaults.
     mgr::ManagerConfig mc;

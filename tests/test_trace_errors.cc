@@ -11,38 +11,73 @@
  * and the test pins that construction against regressions (e.g. a
  * future field the digest forgets to cover). Truncation at every
  * length and targeted structural corruptions are covered separately,
- * as is the one mutation that must NOT fail: an unknown section id
- * with a recomputed digest (forward compatibility).
+ * as is the one mutation that must NOT fail: an unknown or retired
+ * section id with a recomputed digest (forward and backward
+ * compatibility).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "exp/experiment.hh"
+#include "net/wire.hh"
 #include "reference_fnv.hh"
+#include "test_util.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
+#include "wl/builder.hh"
 
 using namespace dvfs;
 using trace::TraceError;
 
 namespace {
 
-/** A small but fully-populated image (events kept). */
+wl::WorkloadParams
+sampleParams()
+{
+    auto params = wl::syntheticSmall(3, 60);
+    params.lockProb = 0.3;
+    return params;
+}
+
+/** A small but fully-populated image. */
 const std::vector<std::uint8_t> &
 sampleImage()
 {
     static std::vector<std::uint8_t> image = [] {
-        auto params = wl::syntheticSmall(3, 60);
-        params.lockProb = 0.3;
-        exp::RunOptions opts;
-        opts.keepEvents = true;
-        auto out = exp::runFixed(params, Frequency::ghz(1.0), opts);
+        auto out = exp::runFixed(sampleParams(), Frequency::ghz(1.0));
         return trace::encodeTrace(out.record, {"fuzz", 42});
     }();
     return image;
+}
+
+/**
+ * The same run's sync events in the layout of the retired Events
+ * section (id 5): u64 count, then per event u64 tick, u32 kind,
+ * u32 tid, u32 futex, u32 zero.
+ */
+std::vector<std::uint8_t>
+retiredEventsBody()
+{
+    wl::BenchInstance inst = wl::buildBenchmark(
+        sampleParams(), wl::defaultSystemConfig(Frequency::ghz(1.0)));
+    test::TraceCollector trace;
+    inst.sys->addListener(&trace);
+    inst.sys->run();
+
+    net::Encoder e;
+    e.u64(trace.events.size());
+    for (const os::SyncEvent &ev : trace.events) {
+        e.u64(ev.tick);
+        e.u32(static_cast<std::uint32_t>(ev.kind));
+        e.u32(ev.tid);
+        e.u32(ev.futex);
+        e.u32(0);
+    }
+    return std::move(e.bytes());
 }
 
 void
@@ -189,27 +224,42 @@ TEST(TraceErrors, ErrorsCarryOffsetAndKindName)
 TEST(TraceErrors, UnknownSectionIsSkipped)
 {
     // Forward compatibility: a future writer may append sections this
-    // reader does not know. Append one (valid digest) and the image
-    // must still decode to the same record.
+    // reader does not know. Backward compatibility: older writers
+    // appended the now retired Events section (id 5). Append either
+    // (valid digest) and the image must still decode to the same
+    // record.
     const auto &good = sampleImage();
     auto before = trace::decodeTrace(good);
 
-    auto extended = good;
-    // Bump the section count (u32 at the start of the payload).
-    const std::size_t count_off = trace::kTraceHeaderBytes;
-    extended[count_off] =
-        static_cast<std::uint8_t>(extended[count_off] + 1);
-    // Append: id=0x7f (unknown), reserved=0, length=4, body=4 bytes.
-    const std::uint8_t tail[] = {0x7f, 0, 0, 0, 0, 0, 0, 0,
-                                 4,    0, 0, 0, 0, 0, 0, 0,
-                                 0xde, 0xad, 0xbe, 0xef};
-    extended.insert(extended.end(), std::begin(tail), std::end(tail));
-    resealDigest(extended);
+    const std::pair<std::uint32_t, std::vector<std::uint8_t>> sections[] = {
+        {0x7f, {0xde, 0xad, 0xbe, 0xef}},
+        {5, retiredEventsBody()},
+    };
+    for (const auto &[id, body] : sections) {
+        auto extended = good;
+        // Bump the section count (u32 at the start of the payload).
+        const std::size_t count_off = trace::kTraceHeaderBytes;
+        extended[count_off] =
+            static_cast<std::uint8_t>(extended[count_off] + 1);
+        // Append: id, reserved=0, u64 length, body.
+        net::Encoder tail;
+        tail.u32(id);
+        tail.u32(0);
+        tail.u64(body.size());
+        extended.insert(extended.end(), tail.bytes().begin(),
+                        tail.bytes().end());
+        extended.insert(extended.end(), body.begin(), body.end());
+        resealDigest(extended);
 
-    auto after = trace::decodeTrace(extended);
-    EXPECT_EQ(after.record().totalTime, before.record().totalTime);
-    EXPECT_EQ(after.record().epochs.size(), before.record().epochs.size());
-    EXPECT_EQ(after.meta().workload, before.meta().workload);
+        auto after = trace::decodeTrace(extended);
+        EXPECT_EQ(after.record().totalTime, before.record().totalTime)
+            << "section " << id;
+        EXPECT_EQ(after.record().epochs.size(),
+                  before.record().epochs.size())
+            << "section " << id;
+        EXPECT_EQ(after.meta().workload, before.meta().workload)
+            << "section " << id;
+    }
 }
 
 TEST(TraceErrors, MissingFileIsIoError)

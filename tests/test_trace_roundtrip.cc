@@ -5,8 +5,7 @@
  *
  * The bit-identity contract of the replay path rests on two facts
  * checked here: (1) encode/decode round-trips every RunRecord field
- * the observation API exposes, including the raw sync-event trace when
- * it was kept, and (2) predictors are pure functions of the RunView,
+ * the observation API exposes, and (2) predictors are pure functions of the RunView,
  * so a LoadedTrace and a live RecordView over the same run yield
  * bit-identical predictions. A pinned golden payload digest makes the
  * serialization itself part of the repo's determinism witness.
@@ -28,16 +27,14 @@ using namespace dvfs;
 
 namespace {
 
-/** One mid-size managed-runtime record with the event trace kept. */
+/** One mid-size managed-runtime record. */
 const exp::FixedRunOutput &
 sampleRun()
 {
     static exp::FixedRunOutput out = [] {
         auto params = wl::syntheticSmall(4, 120);
         params.lockProb = 0.3;
-        exp::RunOptions opts;
-        opts.keepEvents = true;
-        return exp::runFixed(params, Frequency::ghz(1.0), opts);
+        return exp::runFixed(params, Frequency::ghz(1.0));
     }();
     return out;
 }
@@ -97,14 +94,6 @@ expectRecordsEq(const pred::RunRecord &a, const pred::RunRecord &b)
         EXPECT_EQ(a.gcMarks[i].tick, b.gcMarks[i].tick);
         EXPECT_EQ(a.gcMarks[i].begin, b.gcMarks[i].begin);
     }
-
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i) {
-        EXPECT_EQ(a.events[i].tick, b.events[i].tick) << "event " << i;
-        EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
-        EXPECT_EQ(a.events[i].tid, b.events[i].tid) << "event " << i;
-        EXPECT_EQ(a.events[i].futex, b.events[i].futex) << "event " << i;
-    }
 }
 
 } // namespace
@@ -112,8 +101,6 @@ expectRecordsEq(const pred::RunRecord &a, const pred::RunRecord &b)
 TEST(TraceRoundtrip, EveryObservedFieldSurvives)
 {
     const auto &out = sampleRun();
-    ASSERT_FALSE(out.record.events.empty())
-        << "keepEvents run should retain the sync-event trace";
 
     auto image = trace::encodeTrace(out.record, {"roundtrip", 7});
     auto loaded = trace::decodeTrace(image);
@@ -121,20 +108,6 @@ TEST(TraceRoundtrip, EveryObservedFieldSurvives)
     EXPECT_EQ(loaded.meta().workload, "roundtrip");
     EXPECT_EQ(loaded.meta().seed, 7u);
     EXPECT_EQ(loaded.payloadDigest(), trace::tracePayloadDigest(image));
-    expectRecordsEq(out.record, loaded.record());
-}
-
-TEST(TraceRoundtrip, EventlessRecordOmitsEventSection)
-{
-    // The default (keepEvents=false) record has no event trace; the
-    // writer must omit the section and the reader reproduce an empty
-    // vector, not fail on a zero-length section.
-    auto params = wl::syntheticSmall(2, 40);
-    auto out = exp::runFixed(params, Frequency::ghz(1.0));
-    ASSERT_TRUE(out.record.events.empty());
-
-    auto loaded =
-        trace::decodeTrace(trace::encodeTrace(out.record, {"ev0", 1}));
     expectRecordsEq(out.record, loaded.record());
 }
 
