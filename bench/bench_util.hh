@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -494,6 +495,21 @@ fig3GridSpec(std::size_t n_bench = 0, const std::string &only = "")
     spec.frequencies = {Frequency::ghz(1.0), Frequency::ghz(2.0),
                         Frequency::ghz(3.0), Frequency::ghz(4.0)};
     return spec;
+}
+
+/**
+ * Write the file @p path through @p write(std::ostream &) and close
+ * it; fatal() naming the path if it cannot be opened or written.
+ */
+template <typename WriteFn>
+void
+writeFile(const std::string &path, WriteFn &&write)
+{
+    std::ofstream f(path);
+    write(f);
+    f.close();
+    if (!f)
+        fatal("cannot write '%s'", path.c_str());
 }
 
 } // namespace dvfs::bench

@@ -13,7 +13,6 @@
  * Usage: fig2_epoch_walkthrough [--csv=PREFIX]
  */
 
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -167,12 +166,15 @@ main(int argc, char **argv)
     if (!prefix.empty()) {
         // The machine-readable artifacts next to the human-readable
         // walkthrough.
-        std::ofstream fe(prefix + "_epochs.csv");
-        exp::writeEpochsCsv(fe, record);
-        std::ofstream fv(prefix + "_events.csv");
-        exp::writeEventsCsv(fv, log.events);
-        std::ofstream ft(prefix + "_threads.csv");
-        exp::writeThreadsCsv(ft, record);
+        bench::writeFile(prefix + "_epochs.csv", [&](std::ostream &f) {
+            exp::writeEpochsCsv(f, record);
+        });
+        bench::writeFile(prefix + "_events.csv", [&](std::ostream &f) {
+            exp::writeEventsCsv(f, log.events);
+        });
+        bench::writeFile(prefix + "_threads.csv", [&](std::ostream &f) {
+            exp::writeThreadsCsv(f, record);
+        });
         std::cout << "\nCSV artifacts written with prefix '" << prefix
                   << "_'\n";
     }

@@ -14,7 +14,6 @@
  *                           [--csv=decisions.csv]
  */
 
-#include <fstream>
 #include <iostream>
 #include <limits>
 
@@ -78,8 +77,9 @@ main(int argc, char **argv)
 
     const std::string csv = args.get("csv");
     if (!csv.empty()) {
-        std::ofstream f(csv);
-        exp::writeDecisionsCsv(f, out.decisions);
+        bench::writeFile(csv, [&](std::ostream &f) {
+            exp::writeDecisionsCsv(f, out.decisions);
+        });
         std::cout << "full decision timeline written to " << csv << "\n";
     }
     return 0;

@@ -51,7 +51,7 @@ main(int argc, char **argv)
                   dvfs::strprintf("%u MB, %u-way, %u cycles @ %s (uncore)",
                             h.l3.sizeBytes / (1024 * 1024), h.l3.assoc,
                             h.l3.latencyCycles,
-                            cfg.uncoreFreq.toString().c_str())});
+                            os::System::kUncoreFreq.toString().c_str())});
     const auto &d = cfg.dram;
     table.addRow({"DRAM",
                   dvfs::strprintf("%u channels x %u banks, %u B lines, "
@@ -61,7 +61,7 @@ main(int argc, char **argv)
     table.addRow({"DVFS",
                   dvfs::strprintf("125 MHz steps, transition stall %.0f ns "
                             "(2 us at paper scale)",
-                            ticksToNs(cfg.dvfsTransitionLatency))});
+                            ticksToNs(os::System::kDvfsTransitionLatency))});
 
     auto vf = power::VfTable::haswell();
     table.addRow({"V/f table",

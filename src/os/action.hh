@@ -170,9 +170,6 @@ static_assert(std::is_trivially_copyable_v<Action>,
               "actions are copied by value on the dispatch path");
 static_assert(sizeof(Action) <= 48, "an action is at most 48 bytes");
 
-/** Printable name of an action kind. */
-const char *actionKindName(ActionKind kind);
-
 } // namespace dvfs::os
 
 #endif // DVFS_OS_ACTION_HH

@@ -9,24 +9,6 @@
 namespace dvfs::os {
 
 const char *
-actionKindName(ActionKind kind)
-{
-    switch (kind) {
-      case ActionKind::Compute: return "Compute";
-      case ActionKind::MissCluster: return "MissCluster";
-      case ActionKind::StoreBurst: return "StoreBurst";
-      case ActionKind::MutexLock: return "MutexLock";
-      case ActionKind::MutexUnlock: return "MutexUnlock";
-      case ActionKind::BarrierWait: return "BarrierWait";
-      case ActionKind::FutexWait: return "FutexWait";
-      case ActionKind::Alloc: return "Alloc";
-      case ActionKind::Join: return "Join";
-      case ActionKind::Exit: return "Exit";
-    }
-    return "?";
-}
-
-const char *
 threadStateName(ThreadState s)
 {
     switch (s) {
@@ -59,7 +41,7 @@ syncEventKindName(SyncEventKind kind)
 System::System(const SystemConfig &cfg)
     : _cfg(cfg),
       _coreDomain("core", cfg.coreFreq),
-      _uncoreDomain("uncore", cfg.uncoreFreq),
+      _uncoreDomain("uncore", kUncoreFreq),
       _dram(cfg.dram),
       _sched(cfg.cores),
       _rootRng(cfg.seed)
@@ -194,7 +176,7 @@ System::setFrequency(Frequency f)
         fatal("setFrequency: invalid frequency");
     if (f == _coreDomain.frequency())
         return;
-    Tick stall = _cfg.dvfsTransitionLatency;
+    Tick stall = kDvfsTransitionLatency;
     if (_faultPlan) {
         // The PCU may drop the request entirely, or take longer than
         // the documented transition latency.
@@ -302,7 +284,7 @@ System::schedIn(Thread &t, std::uint32_t c)
 
     // Context-switch cost: kernel instructions charged to the
     // incoming thread, scaling with frequency like any other code.
-    uarch::ComputeSpec cs{_cfg.ctxSwitchInstructions, 0, 0, 1.0};
+    uarch::ComputeSpec cs{kCtxSwitchInstructions, 0, 0, 1.0};
     uarch::PerfCounters tmp;
     Tick end = _cores[c]->executeCompute(cs, frozenStart(_eq.now()), tmp);
     Thread *tp = &t;
@@ -455,7 +437,7 @@ System::executeFastForward(Thread &t, Action a)
     // decisions, safepoint polls and stop-the-world quiescence are
     // delayed by at most the quantum exact mode already allows a
     // thread to run unpreempted.
-    const Tick cap = lumpStart + _cfg.timeslice;
+    const Tick cap = lumpStart + kTimeslice;
     const Tick ffEnd = _sampler->phaseEnd();
     sim::SampleStats &stats = _sampler->stats();
 
@@ -608,7 +590,7 @@ System::onActionDone(Thread &t)
     // fault plan may also preempt off-schedule (kernel jitter).
     const bool forced = _faultPlan && _faultPlan->preemptNow(_eq.now());
     if (forced ||
-        (_sched.hasReady() && _eq.now() - t.sliceStart >= _cfg.timeslice)) {
+        (_sched.hasReady() && _eq.now() - t.sliceStart >= kTimeslice)) {
         emit(SyncEventKind::SchedOut, t.id);
         t.state = ThreadState::Ready;
         vacateCore(t);

@@ -42,7 +42,10 @@ class FaultPlan;
 
 namespace dvfs::os {
 
-/** Full machine configuration. */
+/**
+ * Machine configuration: what the experiments and tests vary. The OS
+ * costs and the uncore clock are System constants.
+ */
 struct SystemConfig {
     std::uint32_t cores = 4;
     uarch::CoreConfig core{};
@@ -51,20 +54,6 @@ struct SystemConfig {
 
     /** Initial chip-wide core frequency. */
     Frequency coreFreq = Frequency::mhz(1000);
-    /** Fixed uncore (shared L3) frequency, Table II. */
-    Frequency uncoreFreq = Frequency::mhz(1500);
-
-    /** Round-robin timeslice when threads outnumber cores. */
-    Tick timeslice = 20 * kTicksPerUs;
-
-    /**
-     * Chip-wide stall on a DVFS transition. The paper models 2 us;
-     * our default is scaled 1/100 with the rest of the time base.
-     */
-    Tick dvfsTransitionLatency = 20 * kTicksPerNs;
-
-    /** Kernel instructions charged when a thread is scheduled in. */
-    std::uint64_t ctxSwitchInstructions = 300;
 
     /** Deterministic seed for all thread RNG streams. */
     std::uint64_t seed = 42;
@@ -114,6 +103,21 @@ class System
   public:
     /** Hard cap on executed events (runaway guard). */
     static constexpr std::uint64_t kMaxEvents = 400'000'000ULL;
+
+    /** Fixed uncore (shared L3) frequency, Table II. */
+    static constexpr Frequency kUncoreFreq = Frequency::mhz(1500);
+
+    /** Round-robin timeslice when threads outnumber cores. */
+    static constexpr Tick kTimeslice = 20 * kTicksPerUs;
+
+    /**
+     * Chip-wide stall on a DVFS transition. The paper models 2 us;
+     * the simulator scales it 1/100 with the rest of the time base.
+     */
+    static constexpr Tick kDvfsTransitionLatency = 20 * kTicksPerNs;
+
+    /** Kernel instructions charged when a thread is scheduled in. */
+    static constexpr std::uint64_t kCtxSwitchInstructions = 300;
 
     explicit System(const SystemConfig &cfg);
 

@@ -8,38 +8,36 @@ namespace dvfs::power {
 
 double
 PowerModel::coreDynamicWatts(std::uint32_t cores, Frequency f, double volts,
-                             double utilization) const
+                             double utilization)
 {
     utilization = std::clamp(utilization, 0.0, 1.0);
-    double activity = _cfg.idleActivity +
-                      (1.0 - _cfg.idleActivity) * utilization;
-    return cores * _cfg.coreCeffFarad * volts * volts * f.toHz() * activity;
+    double activity = kIdleActivity + (1.0 - kIdleActivity) * utilization;
+    return cores * kCoreCeffFarad * volts * volts * f.toHz() * activity;
 }
 
 double
-PowerModel::coreStaticWatts(std::uint32_t cores, double volts) const
+PowerModel::coreStaticWatts(std::uint32_t cores, double volts)
 {
-    return cores * _cfg.leakWattsPerVolt * volts;
+    return cores * kLeakWattsPerVolt * volts;
 }
 
 double
-PowerModel::dramAccessJoules(std::uint64_t accesses) const
+PowerModel::dramAccessJoules(std::uint64_t accesses)
 {
-    return static_cast<double>(accesses) * _cfg.dramEnergyPerAccess;
+    return static_cast<double>(accesses) * kDramEnergyPerAccess;
 }
 
 double
 PowerModel::totalWatts(std::uint32_t cores, Frequency f, double volts,
-                       double utilization) const
+                       double utilization)
 {
     return coreDynamicWatts(cores, f, volts, utilization) +
-           coreStaticWatts(cores, volts) + _cfg.uncoreWatts +
-           _cfg.dramBackgroundWatts;
+           coreStaticWatts(cores, volts) + kUncoreWatts +
+           kDramBackgroundWatts;
 }
 
-EnergyMeter::EnergyMeter(os::System &sys, const VfTable &table,
-                         const PowerConfig &cfg)
-    : _sys(sys), _table(table), _model(cfg)
+EnergyMeter::EnergyMeter(os::System &sys, const VfTable &table)
+    : _sys(sys), _table(table)
 {
 }
 
@@ -82,11 +80,11 @@ EnergyMeter::closeSegment(Tick now)
 
     const double volts = _table.voltageAt(_segFreq);
     _energy.coreDynamic +=
-        _model.coreDynamicWatts(cores, _segFreq, volts, util) * dt;
-    _energy.coreStatic += _model.coreStaticWatts(cores, volts) * dt;
-    _energy.uncore += _model.uncoreWatts() * dt;
-    _energy.dram += _model.dramBackgroundWatts() * dt +
-                    _model.dramAccessJoules(dram_delta);
+        PowerModel::coreDynamicWatts(cores, _segFreq, volts, util) * dt;
+    _energy.coreStatic += PowerModel::coreStaticWatts(cores, volts) * dt;
+    _energy.uncore += PowerModel::kUncoreWatts * dt;
+    _energy.dram += PowerModel::kDramBackgroundWatts * dt +
+                    PowerModel::dramAccessJoules(dram_delta);
 
     _segStart = now;
 }

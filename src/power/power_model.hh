@@ -17,7 +17,8 @@
  * run), using the machine's counters to recover per-segment
  * utilization and memory traffic. Absolute watts are calibrated to be
  * plausible for a quad-core Haswell; the evaluation consumes only
- * relative energies.
+ * relative energies. The coefficients are PowerModel constants, not
+ * settings: the paper evaluates one chip.
  */
 
 #ifndef DVFS_POWER_POWER_MODEL_HH
@@ -31,63 +32,44 @@
 
 namespace dvfs::power {
 
-/** Power model coefficients. */
-struct PowerConfig {
-    /** Effective switched capacitance per core (F). */
-    double coreCeffFarad = 1.25e-9;
-    /** Residual activity of a clock-gated idle core. */
-    double idleActivity = 0.10;
-    /** Core leakage coefficient (W per volt, per core). */
-    double leakWattsPerVolt = 1.6;
-    /** Fixed uncore power (shared L3 + interconnect at 1.5 GHz), W. */
-    double uncoreWatts = 8.0;
-    /** DRAM background power, W. */
-    double dramBackgroundWatts = 2.0;
-    /** DRAM energy per line access (J). */
-    double dramEnergyPerAccess = 20e-9;
-};
-
 /**
- * Stateless power formulas.
+ * Stateless power formulas over the model's constant coefficients.
  */
 class PowerModel
 {
   public:
-    explicit PowerModel(const PowerConfig &cfg = PowerConfig())
-        : _cfg(cfg)
-    {
-    }
+    /** Effective switched capacitance per core (F). */
+    static constexpr double kCoreCeffFarad = 1.25e-9;
+    /** Residual activity of a clock-gated idle core. */
+    static constexpr double kIdleActivity = 0.10;
+    /** Core leakage coefficient (W per volt, per core). */
+    static constexpr double kLeakWattsPerVolt = 1.6;
+    /** Fixed uncore power (shared L3 + interconnect at 1.5 GHz), W. */
+    static constexpr double kUncoreWatts = 8.0;
+    /** DRAM background power, W. */
+    static constexpr double kDramBackgroundWatts = 2.0;
+    /** DRAM energy per line access (J). */
+    static constexpr double kDramEnergyPerAccess = 20e-9;
 
     /**
      * Dynamic power of @p cores cores at (f, V) with the given mean
      * utilization in [0, 1].
      */
-    double coreDynamicWatts(std::uint32_t cores, Frequency f, double volts,
-                            double utilization) const;
+    static double coreDynamicWatts(std::uint32_t cores, Frequency f,
+                                   double volts, double utilization);
 
     /** Static (leakage) power of @p cores cores at V. */
-    double coreStaticWatts(std::uint32_t cores, double volts) const;
-
-    /** Fixed uncore power. */
-    double uncoreWatts() const { return _cfg.uncoreWatts; }
-
-    /** DRAM background power. */
-    double dramBackgroundWatts() const { return _cfg.dramBackgroundWatts; }
+    static double coreStaticWatts(std::uint32_t cores, double volts);
 
     /** DRAM access energy for @p accesses line transfers. */
-    double dramAccessJoules(std::uint64_t accesses) const;
+    static double dramAccessJoules(std::uint64_t accesses);
 
     /**
      * Total chip+memory power at an operating point, for reports and
      * the static oracle.
      */
-    double totalWatts(std::uint32_t cores, Frequency f, double volts,
-                      double utilization) const;
-
-    const PowerConfig &config() const { return _cfg; }
-
-  private:
-    PowerConfig _cfg;
+    static double totalWatts(std::uint32_t cores, Frequency f, double volts,
+                             double utilization);
 };
 
 /** Energy breakdown of a run (J). */
@@ -112,8 +94,7 @@ struct EnergyBreakdown {
 class EnergyMeter
 {
   public:
-    EnergyMeter(os::System &sys, const VfTable &table,
-                const PowerConfig &cfg = PowerConfig());
+    EnergyMeter(os::System &sys, const VfTable &table);
 
     /** Register the DVFS observer with the system. Call once. */
     void attach();
@@ -133,7 +114,6 @@ class EnergyMeter
 
     os::System &_sys;
     const VfTable &_table;
-    PowerModel _model;
 
     Tick _segStart = 0;
     Frequency _segFreq;

@@ -9,15 +9,13 @@ namespace dvfs::rt {
 
 GcWorkerProgram::GcWorkerProgram(Runtime &rt, std::uint32_t idx)
     : _rt(rt), _idx(idx),
-      _addrs(rt.config().traceChains, rt.config().traceChainDepth)
+      _addrs(kTraceChains, kTraceChainDepth)
 {
 }
 
 os::Action
 GcWorkerProgram::next(os::ThreadContext &ctx)
 {
-    const RuntimeConfig &cfg = _rt.config();
-
     switch (_state) {
       case State::Parked:
         // Woken by the runtime: a collection is starting.
@@ -33,7 +31,7 @@ GcWorkerProgram::next(os::ThreadContext &ctx)
         // fast-forwarding simulation grabs several units per lock
         // round trip — the traced and copied bytes are identical, the
         // per-unit lock churn is what gets amortised.
-        std::uint64_t grab = cfg.copyUnitBytes;
+        std::uint64_t grab = kCopyUnitBytes;
         if (ctx.liteTiming)
             grab *= kFfCopyUnitBatch;
         std::uint64_t &rem = _rt.workerRemaining(_idx);
@@ -42,15 +40,15 @@ GcWorkerProgram::next(os::ThreadContext &ctx)
             rem -= _unitBytes;
             _haveUnit = true;
             const auto units = static_cast<std::uint32_t>(
-                (_unitBytes + cfg.copyUnitBytes - 1) / cfg.copyUnitBytes);
+                (_unitBytes + kCopyUnitBytes - 1) / kCopyUnitBytes);
             _traceClustersDue =
-                (cfg.traceClustersPerUnit + _rt.gcInflateExtraClusters()) *
+                (kTraceClustersPerUnit + _rt.gcInflateExtraClusters()) *
                 units;
         } else {
             _haveUnit = false;
         }
         _state = State::ReleaseWork;
-        return os::Action::makeCompute(cfg.workPopInstructions);
+        return os::Action::makeCompute(kWorkPopInstructions);
       }
 
       case State::ReleaseWork:
@@ -74,20 +72,20 @@ GcWorkerProgram::next(os::ThreadContext &ctx)
         // refreshing the mark era.
         uarch::MissClusterSpec spec;
         if (ctx.liteTiming && _rt.collections() > 1) {
-            spec.overlapInstructions = cfg.traceOverlapInstructions;
-            spec.liteChains = cfg.traceChains;
-            spec.liteChainDepth = cfg.traceChainDepth;
+            spec.overlapInstructions = kTraceOverlapInstructions;
+            spec.liteChains = kTraceChains;
+            spec.liteChainDepth = kTraceChainDepth;
         } else {
             std::uint64_t span = std::max<std::uint64_t>(
                 _rt.nurseryScanBytes(), 64);
-            for (std::uint32_t c = 0; c < cfg.traceChains; ++c) {
+            for (std::uint32_t c = 0; c < kTraceChains; ++c) {
                 std::uint64_t *chain = _addrs.chain(c);
-                for (std::uint32_t d = 0; d < cfg.traceChainDepth; ++d) {
+                for (std::uint32_t d = 0; d < kTraceChainDepth; ++d) {
                     std::uint64_t off = ctx.rng.nextBounded(span) & ~63ULL;
                     chain[d] = _rt.nurseryScanBase() + off;
                 }
             }
-            spec = _addrs.spec(cfg.traceOverlapInstructions);
+            spec = _addrs.spec(kTraceOverlapInstructions);
         }
         if (++_traceClustersDone >= _traceClustersDue) {
             _traceClustersDone = 0;

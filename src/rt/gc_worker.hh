@@ -30,6 +30,28 @@ class Runtime;
 class GcWorkerProgram : public os::ThreadProgram
 {
   public:
+    /** Bytes moved per GC work unit (one grab from the work queue). */
+    static constexpr std::uint32_t kCopyUnitBytes = 4096;
+
+    /**
+     * Pointer-chase clusters issued while tracing one work unit.
+     * Real collectors follow roughly one pointer per few tens of
+     * bytes, so a 4 KB unit is many dependent-load clusters.
+     */
+    static constexpr std::uint32_t kTraceClustersPerUnit = 4;
+
+    /** Pointer-chase depth per trace cluster. */
+    static constexpr std::uint32_t kTraceChainDepth = 6;
+
+    /** Parallel chains per trace cluster (memory-level parallelism). */
+    static constexpr std::uint32_t kTraceChains = 2;
+
+    /** Instructions overlapped with each trace cluster. */
+    static constexpr std::uint32_t kTraceOverlapInstructions = 600;
+
+    /** Instructions per work-queue pop (inside the work lock). */
+    static constexpr std::uint32_t kWorkPopInstructions = 150;
+
     /**
      * Copy units a worker grabs per work-lock round trip while the
      * simulation is fast-forwarding. Trace and copy work still scale
@@ -42,8 +64,8 @@ class GcWorkerProgram : public os::ThreadProgram
 
     /**
      * @param rt   Owning runtime.
-     * @param idx  Worker index (0 .. gcThreads-1); worker 0 finishes
-     *             each collection.
+     * @param idx  Worker index (0 .. Runtime::kGcThreads-1); worker 0
+     *             finishes each collection.
      */
     GcWorkerProgram(Runtime &rt, std::uint32_t idx);
 

@@ -14,22 +14,27 @@ roundUp(std::uint64_t v, std::uint64_t to)
 }
 } // namespace
 
-Heap::Heap(const HeapConfig &cfg)
-    : _cfg(cfg)
+static_assert(Heap::kMatureBytes >= kLine,
+              "the mature space must hold at least one line");
+static_assert(Heap::kNurseryWindows > 1,
+              "the nursery must have windows to rotate through");
+
+Heap::Heap(std::uint64_t nursery_bytes)
+    : _nurseryBytes(nursery_bytes)
 {
-    if (_cfg.nurseryBytes < kLine || _cfg.matureBytes < kLine)
-        fatal("heap spaces must hold at least one line");
+    if (_nurseryBytes < kLine)
+        fatal("the nursery must hold at least one line");
 }
 
 std::optional<std::uint64_t>
 Heap::allocate(std::uint64_t bytes)
 {
     bytes = roundUp(bytes, kLine);
-    if (bytes > _cfg.nurseryBytes)
+    if (bytes > _nurseryBytes)
         fatal("allocation of %llu bytes exceeds the nursery (%llu bytes)",
               static_cast<unsigned long long>(bytes),
-              static_cast<unsigned long long>(_cfg.nurseryBytes));
-    if (_nurseryCursor + bytes > _cfg.nurseryBytes)
+              static_cast<unsigned long long>(_nurseryBytes));
+    if (_nurseryCursor + bytes > _nurseryBytes)
         return std::nullopt;
     std::uint64_t addr = nurseryBase() + _nurseryCursor;
     _nurseryCursor += bytes;
@@ -41,9 +46,9 @@ std::uint64_t
 Heap::matureAlloc(std::uint64_t bytes)
 {
     bytes = roundUp(bytes, kLine);
-    if (_matureCursor + bytes > _cfg.matureBytes)
+    if (_matureCursor + bytes > kMatureBytes)
         _matureCursor = 0;
-    std::uint64_t addr = _cfg.matureBase + _matureCursor;
+    std::uint64_t addr = kMatureBase + _matureCursor;
     _matureCursor += bytes;
     _totalCopied += bytes;
     return addr;
@@ -53,8 +58,7 @@ void
 Heap::resetNursery()
 {
     _nurseryCursor = 0;
-    if (_cfg.nurseryWindows > 1)
-        _window = (_window + 1) % _cfg.nurseryWindows;
+    _window = (_window + 1) % kNurseryWindows;
 }
 
 } // namespace dvfs::rt

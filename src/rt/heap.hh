@@ -11,6 +11,9 @@
  * Addresses are modelled: the nursery and mature space live in
  * distinct regions of the simulated physical address space, so cache
  * and DRAM behaviour of allocation, tracing, and copying is real.
+ * The nursery size is the one setting (a workload property); the
+ * mature space, both base addresses and the nursery's window count
+ * are Heap constants.
  */
 
 #ifndef DVFS_RT_HEAP_HH
@@ -21,12 +24,18 @@
 
 namespace dvfs::rt {
 
-/** Heap sizing and placement. */
-struct HeapConfig {
-    std::uint64_t nurseryBytes = 2ULL << 20;   ///< nursery size
-    std::uint64_t matureBytes = 64ULL << 20;   ///< mature space size
-    std::uint64_t nurseryBase = 0x1'0000'0000; ///< nursery start address
-    std::uint64_t matureBase = 0x2'0000'0000;  ///< mature start address
+/**
+ * Bump-allocated generational heap.
+ */
+class Heap
+{
+  public:
+    /** Mature space size (bytes). */
+    static constexpr std::uint64_t kMatureBytes = 64ULL << 20;
+    /** Nursery start address (window 0). */
+    static constexpr std::uint64_t kNurseryBase = 0x1'0000'0000;
+    /** Mature space start address. */
+    static constexpr std::uint64_t kMatureBase = 0x2'0000'0000;
 
     /**
      * Number of nursery-sized windows the nursery rotates through.
@@ -36,16 +45,10 @@ struct HeapConfig {
      * region whose lines still sit dirty in the LLC would otherwise be
      * artificially free).
      */
-    std::uint32_t nurseryWindows = 8;
-};
+    static constexpr std::uint32_t kNurseryWindows = 8;
 
-/**
- * Bump-allocated generational heap.
- */
-class Heap
-{
-  public:
-    explicit Heap(const HeapConfig &cfg = HeapConfig());
+    /** A heap whose nursery holds @p nursery_bytes (at least a line). */
+    explicit Heap(std::uint64_t nursery_bytes);
 
     /**
      * Allocate @p bytes in the nursery (rounded up to a line).
@@ -66,15 +69,14 @@ class Heap
     void resetNursery();
 
     std::uint64_t nurseryUsed() const { return _nurseryCursor; }
-    std::uint64_t nurseryBytes() const { return _cfg.nurseryBytes; }
+    std::uint64_t nurseryBytes() const { return _nurseryBytes; }
 
     /** Base address of the *current* nursery window. */
     std::uint64_t
     nurseryBase() const
     {
-        return _cfg.nurseryBase + _window * _cfg.nurseryBytes;
+        return kNurseryBase + _window * _nurseryBytes;
     }
-    std::uint64_t matureBase() const { return _cfg.matureBase; }
 
     /** Bytes allocated in the nursery over the whole run. */
     std::uint64_t totalAllocated() const { return _totalAllocated; }
@@ -82,10 +84,8 @@ class Heap
     /** Bytes copied into the mature space over the whole run. */
     std::uint64_t totalCopied() const { return _totalCopied; }
 
-    const HeapConfig &config() const { return _cfg; }
-
   private:
-    HeapConfig _cfg;
+    std::uint64_t _nurseryBytes;
     std::uint64_t _nurseryCursor = 0;
     std::uint64_t _matureCursor = 0;
     std::uint64_t _totalAllocated = 0;

@@ -10,11 +10,9 @@
 namespace dvfs::rt {
 
 Runtime::Runtime(os::System &sys, const RuntimeConfig &cfg)
-    : _sys(sys), _cfg(cfg), _heap(cfg.heap)
+    : _sys(sys), _survivalRate(cfg.survivalRate), _heap(cfg.nurseryBytes)
 {
-    if (_cfg.gcThreads == 0)
-        fatal("runtime needs at least one GC thread");
-    if (_cfg.survivalRate < 0.0 || _cfg.survivalRate > 1.0)
+    if (_survivalRate < 0.0 || _survivalRate > 1.0)
         fatal("survival rate must be in [0, 1]");
 }
 
@@ -28,10 +26,9 @@ Runtime::attach()
     _gcStartFutex = _sys.createFutex();
     _gcWorkFutex = _sys.createFutex();
     _gcWorkLock = _sys.createMutex();
-    _gcBarrier = _sys.createBarrier(_cfg.gcThreads);
+    _gcBarrier = _sys.createBarrier(kGcThreads);
 
-    _workerRemaining.assign(_cfg.gcThreads, 0);
-    for (std::uint32_t i = 0; i < _cfg.gcThreads; ++i) {
+    for (std::uint32_t i = 0; i < kGcThreads; ++i) {
         auto prog = std::make_unique<GcWorkerProgram>(*this, i);
         os::ThreadId tid = _sys.addThread(strprintf("gc-%u", i),
                                           std::move(prog), true);
@@ -64,7 +61,7 @@ os::Action
 Runtime::nextZeroChunk(MutatorState &ms)
 {
     auto lines = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        ms.zeroLinesLeft, _cfg.maxZeroLinesPerBurst));
+        ms.zeroLinesLeft, kMaxZeroLinesPerBurst));
     os::Action a = os::Action::makeStoreBurst(ms.zeroCursor, lines);
     ms.zeroCursor += static_cast<std::uint64_t>(lines) * 64;
     ms.zeroLinesLeft -= lines;
@@ -170,11 +167,11 @@ Runtime::maybeBeginCollection()
 
     // Partition the surviving bytes over the workers.
     auto live = static_cast<std::uint64_t>(
-        _cfg.survivalRate * static_cast<double>(_heap.nurseryUsed()));
-    std::uint64_t share = live / _cfg.gcThreads;
-    for (std::uint32_t i = 0; i < _cfg.gcThreads; ++i)
+        _survivalRate * static_cast<double>(_heap.nurseryUsed()));
+    std::uint64_t share = live / kGcThreads;
+    for (std::uint32_t i = 0; i < kGcThreads; ++i)
         _workerRemaining[i] = share;
-    _workerRemaining[0] += live - share * _cfg.gcThreads;
+    _workerRemaining[0] += live - share * kGcThreads;
 
     _sys.recordPhaseEvent(os::SyncEventKind::GcBegin);
     _sys.futexWakeAll(_gcWorkFutex);

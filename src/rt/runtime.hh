@@ -12,11 +12,17 @@
  * implements with its safepoint protocol, expressed through the same
  * futex primitives the application uses (so DEP sees all of it, as
  * the paper requires).
+ *
+ * The paper evaluates one JVM, so the collector's shape is fixed:
+ * the worker count and zeroing chunk are Runtime constants, the work
+ * unit and trace clusters GcWorkerProgram constants. A workload sets
+ * only its nursery size and survival rate (RuntimeConfig).
  */
 
 #ifndef DVFS_RT_RUNTIME_HH
 #define DVFS_RT_RUNTIME_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -29,40 +35,17 @@ class FaultPlan;
 
 namespace dvfs::rt {
 
-/** Runtime/GC configuration. */
+/**
+ * Runtime/GC configuration: the two values the workloads vary. The
+ * collector's shape (worker count, work-unit size, trace clusters)
+ * is a constant of Runtime and GcWorkerProgram.
+ */
 struct RuntimeConfig {
-    HeapConfig heap{};
-
-    /** Number of parallel GC worker threads. */
-    std::uint32_t gcThreads = 4;
+    /** Nursery size (bytes). */
+    std::uint64_t nurseryBytes = 2ULL << 20;
 
     /** Fraction of the nursery that survives a collection. */
     double survivalRate = 0.25;
-
-    /** Bytes moved per GC work unit (one grab from the work queue). */
-    std::uint32_t copyUnitBytes = 4096;
-
-    /**
-     * Pointer-chase clusters issued while tracing one work unit.
-     * Real collectors follow roughly one pointer per few tens of
-     * bytes, so a 4 KB unit is many dependent-load clusters.
-     */
-    std::uint32_t traceClustersPerUnit = 4;
-
-    /** Pointer-chase depth per trace cluster. */
-    std::uint32_t traceChainDepth = 6;
-
-    /** Parallel chains per trace cluster (memory-level parallelism). */
-    std::uint32_t traceChains = 2;
-
-    /** Instructions overlapped with each trace cluster. */
-    std::uint32_t traceOverlapInstructions = 600;
-
-    /** Instructions per work-queue pop (inside the work lock). */
-    std::uint32_t workPopInstructions = 150;
-
-    /** Max lines zero-initialised in one burst action (zeroing chunk). */
-    std::uint32_t maxZeroLinesPerBurst = 64;
 };
 
 /**
@@ -71,6 +54,12 @@ struct RuntimeConfig {
 class Runtime : public os::ActionInterceptor, public os::SyncListener
 {
   public:
+    /** Number of parallel GC worker threads. */
+    static constexpr std::uint32_t kGcThreads = 4;
+
+    /** Max lines zero-initialised in one burst action (zeroing chunk). */
+    static constexpr std::uint32_t kMaxZeroLinesPerBurst = 64;
+
     /**
      * Create the runtime for @p sys. Call attach() once the
      * application threads have been added; it registers the hooks and
@@ -100,7 +89,6 @@ class Runtime : public os::ActionInterceptor, public os::SyncListener
     std::uint32_t collections() const { return _collections; }
     /** Total stop-the-world time. */
     Tick gcTime() const { return _gcTime; }
-    const RuntimeConfig &config() const { return _cfg; }
 
     /**
      * Install a fault plan (nullable): collections may be inflated
@@ -168,7 +156,7 @@ class Runtime : public os::ActionInterceptor, public os::SyncListener
     void maybeBeginCollection();
 
     os::System &_sys;
-    RuntimeConfig _cfg;
+    double _survivalRate;
     Heap _heap;
 
     GcPhase _phase = GcPhase::Idle;
@@ -185,7 +173,7 @@ class Runtime : public os::ActionInterceptor, public os::SyncListener
     os::SyncId _gcBarrier = os::kNoSync;    ///< GC termination barrier
 
     std::vector<os::ThreadId> _workers;
-    std::vector<std::uint64_t> _workerRemaining;
+    std::array<std::uint64_t, kGcThreads> _workerRemaining{};
     std::vector<MutatorState> _mutators;
 
     bool _attached = false;

@@ -8,18 +8,6 @@
 
 namespace dvfs::uarch {
 
-const char *
-hitLevelName(HitLevel level)
-{
-    switch (level) {
-      case HitLevel::L1: return "L1";
-      case HitLevel::L2: return "L2";
-      case HitLevel::L3: return "L3";
-      case HitLevel::Dram: return "DRAM";
-    }
-    return "?";
-}
-
 namespace {
 
 bool

@@ -49,9 +49,6 @@ enum class HitLevel {
     Dram,  ///< memory
 };
 
-/** Printable name of a hit level. */
-const char *hitLevelName(HitLevel level);
-
 /** Geometry and timing of one cache level. */
 struct CacheConfig {
     std::uint32_t sizeBytes = 32 * 1024;
@@ -111,7 +108,6 @@ class Cache
     /** Drop all lines (between runs). */
     void reset();
 
-    const CacheConfig &config() const { return _cfg; }
     const std::string &name() const { return _name; }
 
     std::uint64_t hits() const { return _hits; }

@@ -95,8 +95,6 @@ class CoreModel
      */
     Tick atomicRmw(Tick start, bool contended, PerfCounters &pc);
 
-    const CoreConfig &config() const { return _cfg; }
-
     /** Current core frequency. */
     Frequency frequency() const { return _domain.frequency(); }
 

@@ -8,9 +8,7 @@ os::SystemConfig
 defaultSystemConfig(Frequency core_freq)
 {
     os::SystemConfig cfg;
-    cfg.cores = 4;
     cfg.coreFreq = core_freq;
-    cfg.uncoreFreq = Frequency::mhz(1500);
     return cfg;
 }
 

@@ -17,7 +17,7 @@ base(const std::string &name, bool memory_intensive, std::uint32_t heap_mb)
     p.name = name;
     p.memoryIntensive = memory_intensive;
     p.heapMB = heap_mb;
-    p.runtime.heap.nurseryBytes = 4ULL << 20;
+    p.runtime.nurseryBytes = 4ULL << 20;
     return p;
 }
 
@@ -73,7 +73,7 @@ pmd()
     p.barrierEvery = 200;
     p.stragglerFactor = 1.7;
     p.runtime.survivalRate = 0.80;
-    p.runtime.heap.nurseryBytes = 2ULL << 20;
+    p.runtime.nurseryBytes = 2ULL << 20;
     return p;
 }
 
@@ -150,7 +150,7 @@ avrora()
     p.pWarm = 0.22;
     p.allocBytesPerItem = 64;
     p.allocChunkBytes = 64;
-    p.runtime.heap.nurseryBytes = 1ULL << 20;
+    p.runtime.nurseryBytes = 1ULL << 20;
     p.lockProb = 0.85;
     p.lockHoldInstr = 150;
     p.numLocks = 3;
@@ -204,17 +204,6 @@ benchmarkByName(const std::string &name)
     if (name == "synthetic")
         return syntheticSmall();
     fatal("unknown benchmark '%s'", name.c_str());
-}
-
-std::vector<WorkloadParams>
-memoryIntensiveSuite()
-{
-    std::vector<WorkloadParams> v;
-    for (auto &p : dacapoSuite()) {
-        if (p.memoryIntensive)
-            v.push_back(p);
-    }
-    return v;
 }
 
 WorkloadParams

@@ -23,9 +23,6 @@ std::vector<WorkloadParams> dacapoSuite();
 /** Look up one benchmark by name; fatal() if unknown. */
 WorkloadParams benchmarkByName(const std::string &name);
 
-/** The memory-intensive subset (Figure 6/7 focus). */
-std::vector<WorkloadParams> memoryIntensiveSuite();
-
 /**
  * A small, fully parameterised synthetic workload for examples and
  * tests: @p item-level knobs preconfigured for a short run.

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "os/action.hh"
-#include "rt/runtime.hh"
+#include "rt/gc_worker.hh"
 #include "sim/rng.hh"
 #include "wl/params.hh"
 
@@ -100,24 +100,24 @@ referenceWorkerCluster(const wl::WorkloadParams &p, os::ThreadId tid,
  * hops over the scanned nursery per trace chain.
  */
 inline ReferenceCluster
-referenceGcTraceCluster(const rt::RuntimeConfig &cfg,
-                        std::uint32_t collections, std::uint64_t scan_base,
+referenceGcTraceCluster(std::uint32_t collections, std::uint64_t scan_base,
                         std::uint64_t scan_bytes, sim::Rng &rng,
                         bool lite_timing)
 {
+    using G = rt::GcWorkerProgram;
     ReferenceCluster spec;
-    spec.overlapInstructions = cfg.traceOverlapInstructions;
+    spec.overlapInstructions = G::kTraceOverlapInstructions;
     if (lite_timing && collections > 1) {
-        spec.liteChains = cfg.traceChains;
-        spec.liteChainDepth = cfg.traceChainDepth;
+        spec.liteChains = G::kTraceChains;
+        spec.liteChainDepth = G::kTraceChainDepth;
         return spec;
     }
     std::uint64_t span = std::max<std::uint64_t>(scan_bytes, 64);
-    spec.chains.reserve(cfg.traceChains);
-    for (std::uint32_t c = 0; c < cfg.traceChains; ++c) {
+    spec.chains.reserve(G::kTraceChains);
+    for (std::uint32_t c = 0; c < G::kTraceChains; ++c) {
         std::vector<std::uint64_t> chain;
-        chain.reserve(cfg.traceChainDepth);
-        for (std::uint32_t d = 0; d < cfg.traceChainDepth; ++d) {
+        chain.reserve(G::kTraceChainDepth);
+        for (std::uint32_t d = 0; d < G::kTraceChainDepth; ++d) {
             std::uint64_t off = rng.nextBounded(span) & ~63ULL;
             chain.push_back(scan_base + off);
         }

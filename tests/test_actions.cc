@@ -57,20 +57,6 @@ TEST(Action, SyncFactories)
     EXPECT_EQ(Action::makeExit().kind, ActionKind::Exit);
 }
 
-TEST(Action, KindNamesAreStable)
-{
-    EXPECT_STREQ(actionKindName(ActionKind::Compute), "Compute");
-    EXPECT_STREQ(actionKindName(ActionKind::MissCluster), "MissCluster");
-    EXPECT_STREQ(actionKindName(ActionKind::StoreBurst), "StoreBurst");
-    EXPECT_STREQ(actionKindName(ActionKind::MutexLock), "MutexLock");
-    EXPECT_STREQ(actionKindName(ActionKind::MutexUnlock), "MutexUnlock");
-    EXPECT_STREQ(actionKindName(ActionKind::BarrierWait), "BarrierWait");
-    EXPECT_STREQ(actionKindName(ActionKind::FutexWait), "FutexWait");
-    EXPECT_STREQ(actionKindName(ActionKind::Alloc), "Alloc");
-    EXPECT_STREQ(actionKindName(ActionKind::Join), "Join");
-    EXPECT_STREQ(actionKindName(ActionKind::Exit), "Exit");
-}
-
 TEST(TraceNames, EventAndStateNamesAreStable)
 {
     EXPECT_STREQ(syncEventKindName(SyncEventKind::FutexWait), "FutexWait");

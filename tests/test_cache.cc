@@ -327,11 +327,3 @@ TEST_F(HierarchyTest, ResetRestoresColdState)
     auto out = mem.load(0, 0x10000, 0, f1);
     EXPECT_EQ(out.level, HitLevel::Dram);
 }
-
-TEST(HitLevelNames, AreStable)
-{
-    EXPECT_STREQ(hitLevelName(HitLevel::L1), "L1");
-    EXPECT_STREQ(hitLevelName(HitLevel::L2), "L2");
-    EXPECT_STREQ(hitLevelName(HitLevel::L3), "L3");
-    EXPECT_STREQ(hitLevelName(HitLevel::Dram), "DRAM");
-}

@@ -98,9 +98,8 @@ class CheckedGcProgram : public os::ThreadProgram
         if (a.kind == os::ActionKind::MissCluster) {
             expectSameCluster(
                 a.cluster,
-                test::referenceGcTraceCluster(_rt.config(), collections,
-                                              base, bytes, oracle,
-                                              ctx.liteTiming));
+                test::referenceGcTraceCluster(collections, base, bytes,
+                                              oracle, ctx.liteTiming));
             if (a.cluster.lite())
                 ++lite;
             else if (collections == 1)

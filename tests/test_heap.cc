@@ -9,25 +9,17 @@
 
 using namespace dvfs;
 using dvfs::rt::Heap;
-using dvfs::rt::HeapConfig;
 
 namespace {
 
-HeapConfig
-tinyHeap()
-{
-    HeapConfig cfg;
-    cfg.nurseryBytes = 1024;
-    cfg.matureBytes = 4096;
-    cfg.nurseryWindows = 4;
-    return cfg;
-}
+/** A 1 KB nursery; the mature space and windows are the constants. */
+constexpr std::uint64_t kTinyNursery = 1024;
 
 } // namespace
 
 TEST(Heap, BumpAllocationIsContiguous)
 {
-    Heap h(tinyHeap());
+    Heap h(kTinyNursery);
     auto a = h.allocate(128);
     auto b = h.allocate(64);
     ASSERT_TRUE(a && b);
@@ -37,7 +29,7 @@ TEST(Heap, BumpAllocationIsContiguous)
 
 TEST(Heap, AllocationRoundsUpToLines)
 {
-    Heap h(tinyHeap());
+    Heap h(kTinyNursery);
     auto a = h.allocate(1);
     auto b = h.allocate(1);
     ASSERT_TRUE(a && b);
@@ -47,23 +39,23 @@ TEST(Heap, AllocationRoundsUpToLines)
 
 TEST(Heap, FullNurseryReturnsNullopt)
 {
-    Heap h(tinyHeap());
+    Heap h(kTinyNursery);
     ASSERT_TRUE(h.allocate(1024));
     EXPECT_FALSE(h.allocate(64).has_value());
 }
 
 TEST(Heap, ResetRotatesWindow)
 {
-    Heap h(tinyHeap());
+    Heap h(kTinyNursery);
     auto a = h.allocate(64);
     h.resetNursery();
     auto b = h.allocate(64);
     ASSERT_TRUE(a && b);
-    EXPECT_EQ(*b - *a, 1024u);  // next window
+    EXPECT_EQ(*b - *a, kTinyNursery);  // next window
     EXPECT_EQ(h.nurseryUsed(), 64u);
 
     // Windows wrap around.
-    for (int i = 0; i < 3; ++i)
+    for (std::uint32_t i = 1; i < Heap::kNurseryWindows; ++i)
         h.resetNursery();
     auto c = h.allocate(64);
     EXPECT_EQ(*c, *a);
@@ -71,27 +63,29 @@ TEST(Heap, ResetRotatesWindow)
 
 TEST(Heap, MatureAllocationWraps)
 {
-    Heap h(tinyHeap());
-    std::uint64_t first = h.matureAlloc(2048);
-    h.matureAlloc(2048);
-    std::uint64_t wrapped = h.matureAlloc(2048);
+    Heap h(kTinyNursery);
+    // Bump allocation: filling the 64 MB space is only arithmetic.
+    constexpr std::uint64_t half = Heap::kMatureBytes / 2;
+    std::uint64_t first = h.matureAlloc(half);
+    h.matureAlloc(half);
+    std::uint64_t wrapped = h.matureAlloc(half);
     EXPECT_EQ(wrapped, first);
-    EXPECT_EQ(h.totalCopied(), 3u * 2048);
+    EXPECT_EQ(h.totalCopied(), 3 * half);
 }
 
 TEST(Heap, SpacesAreDisjoint)
 {
-    Heap h(tinyHeap());
+    Heap h(kTinyNursery);
     auto n = h.allocate(64);
     auto m = h.matureAlloc(64);
     ASSERT_TRUE(n);
     // Nursery windows all live below the mature base.
-    EXPECT_LT(*n + 1024 * 4, m + 1);
+    EXPECT_LT(*n + kTinyNursery * Heap::kNurseryWindows, m + 1);
 }
 
 TEST(HeapDeathTest, OversizedAllocationIsFatal)
 {
-    Heap h(tinyHeap());
+    Heap h(kTinyNursery);
     EXPECT_EXIT(h.allocate(4096), ::testing::ExitedWithCode(1),
                 "exceeds the nursery");
 }

@@ -78,36 +78,35 @@ TEST(VfTableDeathTest, RejectsUnorderedPoints)
 
 TEST(PowerModel, DynamicPowerScalesWithV2F)
 {
-    PowerModel m;
-    double p1 = m.coreDynamicWatts(4, Frequency::ghz(1.0), 0.8, 1.0);
-    double p2 = m.coreDynamicWatts(4, Frequency::ghz(2.0), 0.8, 1.0);
+    using M = PowerModel;
+    double p1 = M::coreDynamicWatts(4, Frequency::ghz(1.0), 0.8, 1.0);
+    double p2 = M::coreDynamicWatts(4, Frequency::ghz(2.0), 0.8, 1.0);
     EXPECT_NEAR(p2 / p1, 2.0, 1e-9);
-    double pv = m.coreDynamicWatts(4, Frequency::ghz(1.0), 1.6, 1.0);
+    double pv = M::coreDynamicWatts(4, Frequency::ghz(1.0), 1.6, 1.0);
     EXPECT_NEAR(pv / p1, 4.0, 1e-9);
 }
 
 TEST(PowerModel, IdleCoresStillBurnResidual)
 {
-    PowerModel m;
-    double idle = m.coreDynamicWatts(4, Frequency::ghz(2.0), 1.0, 0.0);
-    double busy = m.coreDynamicWatts(4, Frequency::ghz(2.0), 1.0, 1.0);
+    using M = PowerModel;
+    double idle = M::coreDynamicWatts(4, Frequency::ghz(2.0), 1.0, 0.0);
+    double busy = M::coreDynamicWatts(4, Frequency::ghz(2.0), 1.0, 1.0);
     EXPECT_GT(idle, 0.0);
-    EXPECT_NEAR(idle / busy, m.config().idleActivity, 1e-9);
+    EXPECT_NEAR(idle / busy, M::kIdleActivity, 1e-9);
 }
 
 TEST(PowerModel, TotalIncludesAllComponents)
 {
-    PowerModel m;
-    double total = m.totalWatts(4, Frequency::ghz(4.0), 1.25, 1.0);
-    EXPECT_GT(total, m.coreDynamicWatts(4, Frequency::ghz(4.0), 1.25, 1.0));
-    EXPECT_GT(total, m.uncoreWatts());
+    using M = PowerModel;
+    double total = M::totalWatts(4, Frequency::ghz(4.0), 1.25, 1.0);
+    EXPECT_GT(total, M::coreDynamicWatts(4, Frequency::ghz(4.0), 1.25, 1.0));
+    EXPECT_GT(total, M::kUncoreWatts);
 }
 
 TEST(PowerModel, PlausibleAbsoluteRange)
 {
     // A quad-core Haswell-class chip: tens of watts at full tilt.
-    PowerModel m;
-    double peak = m.totalWatts(4, Frequency::ghz(4.0), 1.25, 1.0);
+    double peak = PowerModel::totalWatts(4, Frequency::ghz(4.0), 1.25, 1.0);
     EXPECT_GT(peak, 25.0);
     EXPECT_LT(peak, 120.0);
 }
@@ -140,7 +139,7 @@ TEST(EnergyMeter, MidRunTransitionSplitsAccounting)
     EXPECT_GT(out.energy.coreDynamic, 0.0);
     // Static power accrues with wall time.
     double expect_static =
-        power::PowerModel().coreStaticWatts(4, 0.80) *
+        power::PowerModel::coreStaticWatts(4, 0.80) *
         ticksToSeconds(out.totalTime);
     EXPECT_NEAR(out.energy.coreStatic, expect_static,
                 expect_static * 0.01);

@@ -50,7 +50,7 @@ TEST(System, CountersChargeTheRunningThread)
     sys.run();
     const auto &pc = sys.thread(t).counters;
     EXPECT_EQ(pc.instructions,
-              20000u + sys.config().ctxSwitchInstructions);
+              20000u + System::kCtxSwitchInstructions);
     EXPECT_GT(pc.busyTime, 0u);
 }
 
@@ -163,9 +163,7 @@ TEST(System, TimesliceRoundRobinRunsEveryone)
 {
     // 4 CPU-hungry threads on 1 core must all finish, with SchedOut
     // preemptions in the trace.
-    SystemConfig cfg = smallConfig(1);
-    cfg.timeslice = 10 * kTicksPerUs;
-    System sys(cfg);
+    System sys(smallConfig(1));
     TraceCollector trace;
     sys.addListener(&trace);
 
@@ -235,9 +233,7 @@ TEST(System, TraceEventsAreTimeOrdered)
 
 TEST(System, DvfsTransitionStallsDispatch)
 {
-    SystemConfig cfg = smallConfig(1);
-    cfg.dvfsTransitionLatency = 10 * kTicksPerUs;
-    System sys(cfg);
+    System sys(smallConfig(1));
     ThreadId main = sys.addThread(
         "main", std::make_unique<LambdaProgram>(
                     [&sys, step = 0](ThreadContext &) mutable -> Action {
@@ -253,9 +249,16 @@ TEST(System, DvfsTransitionStallsDispatch)
                     }));
     sys.setMainThread(main);
     auto res = sys.run();
-    // The second chunk waited out the 10 us transition stall.
-    EXPECT_GE(res.totalTime, 10 * kTicksPerUs);
-    EXPECT_EQ(sys.frequency(), Frequency::ghz(2.0));
+    // Scheduling in and the first chunk run at 1 GHz; the second chunk
+    // waits out the transition stall, then runs at 2 GHz (IPC 2).
+    const Frequency f1 = Frequency::ghz(1.0);
+    const Frequency f2 = Frequency::ghz(2.0);
+    EXPECT_EQ(res.totalTime,
+              f1.cyclesToTicks(System::kCtxSwitchInstructions / 2.0) +
+                  f1.cyclesToTicks(2000 / 2.0) +
+                  System::kDvfsTransitionLatency +
+                  f2.cyclesToTicks(2000 / 2.0));
+    EXPECT_EQ(sys.frequency(), f2);
 }
 
 TEST(System, FrequencyObserverSeesTransition)

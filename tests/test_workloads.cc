@@ -3,6 +3,8 @@
  * Tests for the benchmark suite and the workload builder.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hh"
@@ -52,10 +54,12 @@ TEST(SuiteDeathTest, UnknownBenchmarkIsFatal)
 
 TEST(Suite, MemoryIntensiveSubset)
 {
-    auto mem = memoryIntensiveSuite();
-    EXPECT_EQ(mem.size(), 4u);
-    for (const auto &p : mem)
-        EXPECT_TRUE(p.memoryIntensive);
+    const auto suite = dacapoSuite();
+    EXPECT_EQ(std::count_if(suite.begin(), suite.end(),
+                            [](const WorkloadParams &p) {
+                                return p.memoryIntensive;
+                            }),
+              4);
 }
 
 TEST(Builder, WiresThreadsRuntimeAndLocks)
@@ -67,7 +71,7 @@ TEST(Builder, WiresThreadsRuntimeAndLocks)
     ASSERT_TRUE(inst.runtime);
     // 3 workers + main + GC workers.
     EXPECT_EQ(inst.sys->numThreads(),
-              3u + 1u + params.runtime.gcThreads);
+              3u + 1u + rt::Runtime::kGcThreads);
     EXPECT_NE(inst.mainTid, os::kNoThread);
     EXPECT_EQ(inst.shared->workers.size(), 3u);
 }
