@@ -142,9 +142,9 @@ main(int argc, char **argv)
     exp::Table table({"epoch", "start (us)", "len (us)", "active",
                       "closed by", "stalled"});
     std::size_t i = 0;
-    for (const auto &ep : record.epochs) {
+    for (const pred::Epoch ep : record.epochs) {
         std::string active;
-        for (const auto &et : ep.active) {
+        for (const pred::EpochThread et : ep.active) {
             if (!active.empty())
                 active += ",";
             active += sys.thread(et.tid).name;

@@ -10,7 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <span>
 
 #include "exp/experiment.hh"
 #include "mgr/energy_manager.hh"
@@ -142,10 +141,9 @@ BM_ManagerQuantumSweep(benchmark::State &state)
     const auto vf = power::VfTable::haswell();
     const std::vector<Frequency> points = vf.frequencies();
     const double bound = mgr::ManagerConfig{}.tolerableSlowdown;
-    const std::span<const Epoch> quantum(
-        rec.epochs.data(), std::min<std::size_t>(32, rec.epochs.size()));
+    const std::size_t quantum = std::min<std::size_t>(32, rec.epochs.size());
     for (auto _ : state) {
-        const PredictionTable table(quantum, vf.highest());
+        const PredictionTable table(rec.epochs, 0, quantum, vf.highest());
         const Tick t_ref = p.predict(table, vf.highest());
         Frequency chosen = vf.highest();
         p.scanAscending(table, points, [&](std::size_t i, Tick t) {
@@ -186,7 +184,7 @@ BM_TraceDecode(benchmark::State &state)
     const auto image = trace::encodeTrace(rec, {"micro", 42});
     for (auto _ : state) {
         auto loaded = trace::decodeTrace(image);
-        benchmark::DoNotOptimize(loaded.record().epochs.data());
+        benchmark::DoNotOptimize(loaded.record().epochs.size());
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(image.size()));

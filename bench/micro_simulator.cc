@@ -6,7 +6,8 @@
  * simulation rate (the "ablation" data for DESIGN.md's atomic-cluster
  * issue decision: how much wall time one simulated run costs), and
  * sweep-engine overhead at 1/2/8 workers, the FNV-1a digest over
- * zero-heavy and dense input, and the workload generator's action
+ * zero-heavy and dense input and over one avrora run record, and the
+ * workload generator's action
  * pulls (full and lite clusters). The synthetic sweep grid's
  * digest is pinned by
  * SweepGolden.CommittedDigestsReproduceAcrossWorkerCounts.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "exp/experiment.hh"
+#include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/sweep.hh"
 #include "sim/event_queue.hh"
 #include "sim/fnv.hh"
@@ -174,6 +176,28 @@ BM_Fnv1aMixBytes(benchmark::State &state, bool trace_like)
 }
 BENCHMARK_CAPTURE(BM_Fnv1aMixBytes, trace_like, true);
 BENCHMARK_CAPTURE(BM_Fnv1aMixBytes, dense, false);
+
+/**
+ * fingerprintRun over one avrora record (1 GHz, seed 42, exact: about
+ * 66k epochs and 256k zero-elided rows), recorded at set-up; reported
+ * per epoch row.
+ */
+static void
+BM_FingerprintAvroraRecord(benchmark::State &state)
+{
+    static const exp::FixedRunOutput out = exp::runFixed(
+        wl::benchmarkByName("avrora"), Frequency::mhz(1000));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(exp::sweep::fingerprintRun(out));
+    state.counters["epochs"] =
+        static_cast<double>(out.record.epochs.size());
+    state.counters["rows"] =
+        static_cast<double>(out.record.epochs.rowCount());
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(out.record.epochs.rowCount()));
+}
+BENCHMARK(BM_FingerprintAvroraRecord)->Unit(benchmark::kMillisecond);
 
 /**
  * Workload-generator cost per action: WorkerProgram::next() pulls for

@@ -36,12 +36,17 @@
  * the window placement flags are ignored in exact mode. Sampled
  * fingerprints are stable but intentionally distinct from exact ones.
  *
+ * After the table it prints the process's peak resident set
+ * (getrusage ru_maxrss), over every configuration and repeat.
+ *
  * --profile samples the hot-path profiler (sim/profile.hh) over each
  * configuration and prints its per-subsystem CPU-sample split.
  * --expect-fingerprint fails the run unless the serial digest matches
  * the given value — CI uses it to prove a profiled run is
  * bit-identical to the pinned golden grid.
  */
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -246,7 +251,12 @@ main(int argc, char **argv)
                       exp::Table::fmt(serial.wallMs / m.wallMs, 2), fp});
     }
     table.print(std::cout);
-    std::cout << "\n";
+    // Peak resident set of the whole process (every configuration and
+    // repeat), so memory can be checked without perfbench.
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    std::cout << "peak RSS: " << exp::Table::fmt(ru.ru_maxrss / 1024.0, 1)
+              << " MB\n\n";
 
     if (profiling) {
         for (const auto &m : runs)

@@ -11,8 +11,8 @@ writeEpochsCsv(std::ostream &os, const pred::RunRecord &rec)
           "crit_ns,leading_ns,stall_ns,sqfull_ns,instructions,"
           "dram_loads,store_lines\n";
     std::size_t idx = 0;
-    for (const auto &ep : rec.epochs) {
-        for (const auto &et : ep.active) {
+    for (const pred::Epoch ep : rec.epochs) {
+        for (const pred::EpochThread et : ep.active) {
             os << idx << ',' << ticksToNs(ep.start) << ','
                << ticksToNs(ep.end) << ','
                << os::syncEventKindName(ep.boundary) << ',';

@@ -1,5 +1,7 @@
 #include "exp/sweep/fingerprint.hh"
 
+#include <bit>
+
 #include "exp/experiment.hh"
 
 namespace dvfs::exp::sweep {
@@ -26,21 +28,44 @@ mixCounters(Fnv1a &h, const uarch::PerfCounters &c)
     h.mix(c.storeLines);
 }
 
+/**
+ * mixCounters of a stored epoch row: the words of the fields its mask
+ * names, and each run of zero fields folded in one multiply.
+ */
+void
+mixRow(Fnv1a &h, pred::EpochStore::Mask mask, const std::uint64_t *words)
+{
+    constexpr unsigned kFields = pred::EpochStore::kFields;
+    for (unsigned i = 0; i < kFields;) {
+        const unsigned rest = mask >> i;
+        if (rest & 1) {
+            h.mix(*words++);
+            ++i;
+            continue;
+        }
+        const unsigned zeros =
+            rest != 0 ? static_cast<unsigned>(std::countr_zero(rest))
+                      : kFields - i;
+        h.mixZeroWords(zeros);
+        i += zeros;
+    }
+}
+
 void
 mixRecord(Fnv1a &h, const pred::RunRecord &rec)
 {
     h.mix(rec.baseFreq.toMHz());
     h.mix(rec.totalTime);
     h.mix(rec.epochs.size());
-    for (const auto &e : rec.epochs) {
+    for (const pred::Epoch e : rec.epochs) {
         h.mix(e.start);
         h.mix(e.end);
         h.mix(static_cast<std::uint64_t>(e.boundary));
         h.mix(static_cast<std::uint64_t>(e.stallTid));
         h.mix(e.active.size());
-        for (const auto &t : e.active) {
-            h.mix(static_cast<std::uint64_t>(t.tid));
-            mixCounters(h, t.delta);
+        for (auto t = e.active.begin(); t != e.active.end(); ++t) {
+            h.mix(static_cast<std::uint64_t>(t.tid()));
+            mixRow(h, t.mask(), t.words());
         }
     }
     h.mix(rec.threads.size());

@@ -161,7 +161,7 @@ InvariantAuditor::checkEpochAccounting()
     ++_checksRun;
     const auto &epochs = _rec->epochs();
     for (; _epochCursor < epochs.size(); ++_epochCursor) {
-        const pred::Epoch &ep = epochs[_epochCursor];
+        const pred::Epoch ep = epochs[_epochCursor];
         if (ep.end <= ep.start) {
             violation("epoch-order",
                       strprintf("epoch %zu is empty or reversed "
@@ -179,7 +179,7 @@ InvariantAuditor::checkEpochAccounting()
         // Scaling + non-scaling decomposition must conserve busy time
         // for every active thread: the core model splits each action's
         // elapsed time exactly into computeTime and trueMemTime.
-        for (const pred::EpochThread &et : ep.active) {
+        for (const pred::EpochThread et : ep.active) {
             const Tick split = et.delta.computeTime + et.delta.trueMemTime;
             const Tick busy = et.delta.busyTime;
             const Tick diff = split > busy ? split - busy : busy - split;

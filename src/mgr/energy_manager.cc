@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "sim/log.hh"
 
@@ -70,25 +69,29 @@ EnergyManager::onQuantum()
     ++_sinceChange;
     if (_sinceChange >= _cfg.holdOff * _backoff) {
         const bool used_epochs = last > first;
-        std::span<const pred::Epoch> quantum(epochs.data() + first,
-                                             last - first);
+        const pred::EpochStore *quantum = &epochs;
+        std::size_t q_first = first, q_last = last;
         if (!used_epochs) {
             // No synchronization activity this quantum: the per-thread
             // deltas of the busy threads, as the rows of one epoch.
-            _wholeQuantum.active.clear();
+            _wholeQuantum.clear();
+            _wholeQuantum.open(0, 0, os::SyncEventKind::RunEnd,
+                               os::kNoThread);
             for (std::size_t i = 0; i < _sys.numThreads(); ++i) {
                 const auto tid = static_cast<os::ThreadId>(i);
                 uarch::PerfCounters delta = _sys.thread(tid).counters;
                 if (i < _lastCounters.size())
                     delta = delta - _lastCounters[i];
                 if (delta.busyTime > 0)
-                    _wholeQuantum.active.push_back({tid, delta});
+                    _wholeQuantum.addRow(tid, delta);
             }
-            quantum = {&_wholeQuantum, 1};
+            quantum = &_wholeQuantum;
+            q_first = 0;
+            q_last = 1;
         }
         // The quantum ran at f_cur: its table's ratios are
         // f_cur / f_candidate.
-        const pred::PredictionTable table(quantum, f_cur);
+        const pred::PredictionTable table(*quantum, q_first, q_last, f_cur);
 
         // Step 1: what would this quantum have taken at the highest
         // frequency?

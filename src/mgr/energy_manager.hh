@@ -12,11 +12,12 @@
  * the paper's key guarantee argument.
  *
  * The per-quantum estimation is the paper's: DEP+BURST with
- * across-epoch CTP. Each quantum becomes one PredictionTable, scanned
- * like dvfsd's OptimalVf query (Predictor::scanAscending): the highest
- * point first, then the ascending points one chunk at a time. A
- * quantum that closed no epoch is one zero-length epoch whose rows are
- * the threads' quantum deltas, so its estimate is the slowest busy
+ * across-epoch CTP. Each quantum becomes one PredictionTable over its
+ * range of the recorder's live epochs, scanned like dvfsd's OptimalVf
+ * query (Predictor::scanAscending): the highest point first, then the
+ * ascending points one chunk at a time. A quantum that closed no epoch
+ * is one zero-length epoch, in a small store of its own, whose rows
+ * are the threads' quantum deltas, so its estimate is the slowest busy
  * thread's.
  *
  * The manager is hardened against a misbehaving predictor: any
@@ -140,7 +141,7 @@ class EnergyManager
     std::size_t _epochCursor = 0;
     std::vector<uarch::PerfCounters> _lastCounters;
     /** A quantum that closed no epoch, as one zero-length epoch. */
-    pred::Epoch _wholeQuantum;
+    pred::EpochStore _wholeQuantum;
     Tick _quantumStart = 0;
     std::uint32_t _sinceChange = 0;
     std::uint64_t _quanta = 0;

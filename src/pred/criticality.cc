@@ -9,7 +9,7 @@ CriticalityStack::CriticalityStack(const RunRecord &rec)
 {
     std::unordered_map<os::ThreadId, CriticalityShare> acc;
 
-    for (const Epoch &ep : rec.epochs) {
+    for (const Epoch ep : rec.epochs) {
         if (ep.active.empty()) {
             _idle += ep.duration();
             continue;
@@ -18,9 +18,9 @@ CriticalityStack::CriticalityStack(const RunRecord &rec)
         // active thread keeps the decomposition exact.
         const Tick share = ep.duration() / ep.active.size();
         Tick remainder = ep.duration() - share * ep.active.size();
-        for (const EpochThread &et : ep.active) {
-            auto &s = acc[et.tid];
-            s.tid = et.tid;
+        for (auto row = ep.active.begin(); row != ep.active.end(); ++row) {
+            auto &s = acc[row.tid()];
+            s.tid = row.tid();
             s.criticality += share + remainder;
             remainder = 0;
             s.activeTime += ep.duration();

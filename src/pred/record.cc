@@ -1,5 +1,7 @@
 #include "pred/record.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 #include "sim/profile.hh"
 
@@ -39,38 +41,29 @@ RunRecorder::closeEpoch(const os::SyncEvent &ev, const os::System &sys)
     if (ev.tick <= _epochStart)
         return;  // zero-length: deltas carry to the next real epoch
 
-    Epoch ep;
-    ep.start = _epochStart;
-    ep.end = ev.tick;
-    ep.boundary = ev.kind;
-    ep.stallTid = (ev.kind == os::SyncEventKind::FutexWait)
-                      ? ev.tid
-                      : os::kNoThread;
-    // One allocation per epoch instead of a 1 -> 2 -> 4 growth chain.
-    std::size_t running = 0;
-    for (std::size_t tid = 0; tid < n; ++tid) {
-        running += sys.thread(static_cast<os::ThreadId>(tid)).state ==
-                   os::ThreadState::Running;
+    _epochs.open(_epochStart, ev.tick, ev.kind,
+                 ev.kind == os::SyncEventKind::FutexWait ? ev.tid
+                                                         : os::kNoThread);
+    // The listener runs before the event's state change, so the
+    // threads on cores are the ones that ran during the closing epoch
+    // (a thread is Running exactly while it occupies a core). Rows go
+    // in ascending tid order. Only counted threads have their snapshot
+    // refreshed: counters committed while a thread was briefly on a
+    // core between boundaries (same-tick preemptions) must carry
+    // forward to the next epoch that observes the thread running, or
+    // they would silently vanish from the decomposition.
+    const os::Scheduler &sched = sys.scheduler();
+    _running.clear();
+    for (std::uint32_t c = 0; c < sched.cores(); ++c) {
+        if (sched.occupant(c) != os::kNoThread)
+            _running.push_back(sched.occupant(c));
     }
-    ep.active.reserve(running);
-    for (std::size_t tid = 0; tid < n; ++tid) {
-        const os::Thread &t = sys.thread(static_cast<os::ThreadId>(tid));
-        // The listener runs before the event's state change, so a
-        // thread still marked Running was scheduled during the closing
-        // epoch. Only counted threads have their snapshot refreshed:
-        // counters committed while a thread was briefly on a core
-        // between boundaries (same-tick preemptions) must carry
-        // forward to the next epoch that observes the thread running,
-        // or they would silently vanish from the decomposition.
-        if (t.state == os::ThreadState::Running) {
-            EpochThread et;
-            et.tid = t.id;
-            et.delta = t.counters - _snapshots[tid];
-            ep.active.push_back(et);
-            _snapshots[tid] = t.counters;
-        }
+    std::sort(_running.begin(), _running.end());
+    for (os::ThreadId tid : _running) {
+        const os::Thread &t = sys.thread(tid);
+        _epochs.addRow(t.id, t.counters - _snapshots[t.id]);
+        _snapshots[t.id] = t.counters;
     }
-    _epochs.push_back(std::move(ep));
     _epochStart = ev.tick;
 }
 
@@ -85,6 +78,7 @@ RunRecorder::finalize()
     rec.baseFreq = _baseFreq;
     rec.totalTime = _sys.now();
     rec.epochs = std::move(_epochs);
+    rec.epochs.shrinkToFit();
     rec.gcMarks = std::move(_gcMarks);
 
     for (std::size_t i = 0; i < _sys.numThreads(); ++i) {

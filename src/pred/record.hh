@@ -9,7 +9,9 @@
  * captures, per *active* (scheduled) thread, the hardware-counter
  * deltas accumulated during the epoch — precisely the bookkeeping the
  * paper's kernel module would perform by reading the per-core DVFS
- * counters on each intercepted futex call.
+ * counters on each intercepted futex call. The epochs go to one
+ * zero-elided EpochStore (epoch_store.hh), with no allocation per
+ * epoch.
  */
 
 #ifndef DVFS_PRED_RECORD_HH
@@ -20,36 +22,11 @@
 
 #include "os/system.hh"
 #include "os/trace.hh"
+#include "pred/epoch_store.hh"
 #include "sim/time.hh"
 #include "uarch/perf_counters.hh"
 
 namespace dvfs::pred {
-
-/** Counter deltas of one active thread within one epoch. */
-struct EpochThread {
-    os::ThreadId tid = os::kNoThread;
-    uarch::PerfCounters delta;
-};
-
-/** One synchronization epoch. */
-struct Epoch {
-    Tick start = 0;
-    Tick end = 0;
-
-    /** Threads scheduled on cores during this epoch. */
-    std::vector<EpochThread> active;
-
-    /** Event kind that closed the epoch. */
-    os::SyncEventKind boundary = os::SyncEventKind::RunEnd;
-
-    /**
-     * Thread that went to sleep at the closing boundary (Algorithm 1's
-     * stall_tid), or kNoThread.
-     */
-    os::ThreadId stallTid = os::kNoThread;
-
-    Tick duration() const { return end - start; }
-};
 
 /** Whole-run facts about one thread. */
 struct ThreadSummary {
@@ -70,7 +47,7 @@ struct GcPhaseMark {
 struct RunRecord {
     Frequency baseFreq;  ///< frequency of the recorded (base) run
     Tick totalTime = 0;
-    std::vector<Epoch> epochs;
+    EpochStore epochs;
     std::vector<ThreadSummary> threads;
     std::vector<GcPhaseMark> gcMarks;
 };
@@ -94,7 +71,7 @@ class RunRecorder : public os::SyncListener
     RunRecord finalize();
 
     /** Epochs closed so far (live view for the energy manager). */
-    const std::vector<Epoch> &epochs() const { return _epochs; }
+    const EpochStore &epochs() const { return _epochs; }
 
     /** GC phase marks so far. */
     const std::vector<GcPhaseMark> &gcMarks() const { return _gcMarks; }
@@ -108,8 +85,9 @@ class RunRecorder : public os::SyncListener
 
     Tick _epochStart = 0;
     std::vector<uarch::PerfCounters> _snapshots;
+    std::vector<os::ThreadId> _running;  ///< closeEpoch's scratch
 
-    std::vector<Epoch> _epochs;
+    EpochStore _epochs;
     std::vector<GcPhaseMark> _gcMarks;
     bool _finalized = false;
 };

@@ -16,11 +16,12 @@
  * with bit-identical results: both backends expose the same field
  * values, and the predictors are pure functions of them.
  *
- * The accessors return references to vectors rather than iterator
- * abstractions on purpose: every backend materialises the epoch list
- * anyway, and a PredictionTable (table.hh) is gathered from them in one
- * pass. The energy manager's per-quantum table is gathered from a span
- * of the RunRecorder's live epochs, not from a RunView.
+ * The accessors return references to stored containers rather than
+ * iterator abstractions on purpose: every backend materialises the
+ * epoch store anyway, and a PredictionTable (table.hh) is gathered
+ * from them in one pass. The energy manager's per-quantum table is
+ * gathered from a range of the RunRecorder's live epochs, not from a
+ * RunView.
  */
 
 #ifndef DVFS_PRED_RUN_VIEW_HH
@@ -36,8 +37,8 @@ namespace dvfs::pred {
 /**
  * Everything a DVFS predictor may legally observe about one run.
  *
- * Implementations must return stable references: the vectors live as
- * long as the view does.
+ * Implementations must return stable references: the containers live
+ * as long as the view does.
  */
 class RunView
 {
@@ -51,7 +52,7 @@ class RunView
     virtual Tick totalTime() const = 0;
 
     /** The synchronization-epoch decomposition, in tick order. */
-    virtual const std::vector<Epoch> &epochs() const = 0;
+    virtual const EpochStore &epochs() const = 0;
 
     /** Whole-run per-thread summaries, indexed by ThreadId. */
     virtual const std::vector<ThreadSummary> &threads() const = 0;
@@ -74,7 +75,7 @@ class RecordView final : public RunView
     Frequency baseFreq() const override { return _rec->baseFreq; }
     Tick totalTime() const override { return _rec->totalTime; }
 
-    const std::vector<Epoch> &
+    const EpochStore &
     epochs() const override
     {
         return _rec->epochs;

@@ -8,32 +8,32 @@ PredictionTable::PredictionTable(const RunView &run, unsigned parts)
     : _parts(parts), _baseFreq(run.baseFreq()), _totalTime(run.totalTime())
 {
     if (parts & kEpochRows)
-        buildEpochs(run.epochs());
+        buildEpochs(run.epochs(), 0, run.epochs().size());
     if (parts & kMCritRows)
         buildMCrit(run);
     if (parts & kCoopRows)
         buildCoop(run);
 }
 
-PredictionTable::PredictionTable(std::span<const Epoch> epochs,
+PredictionTable::PredictionTable(const EpochStore &epochs,
+                                 std::size_t first, std::size_t last,
                                  Frequency base)
     : _parts(kEpochRows), _baseFreq(base)
 {
-    buildEpochs(epochs);
+    buildEpochs(epochs, first, last);
 }
 
 void
-PredictionTable::buildEpochs(std::span<const Epoch> epochs)
+PredictionTable::buildEpochs(const EpochStore &epochs, std::size_t first,
+                             std::size_t last)
 {
-    std::size_t rows = 0;
+    const EpochStore::Rows all = epochs.rows(first, last);
+    const std::size_t rows = all.size();
     std::size_t max_tid = 0;
-    for (const Epoch &ep : epochs) {
-        rows += ep.active.size();
-        for (const EpochThread &et : ep.active)
-            max_tid = std::max<std::size_t>(max_tid, et.tid);
-    }
+    for (auto it = all.begin(); it != all.end(); ++it)
+        max_tid = std::max<std::size_t>(max_tid, it.tid());
     _epochRows.reserve(rows);
-    _epochs.reserve(epochs.size());
+    _epochs.reserve(last - first);
 
     // Algorithm 1 keeps one delta per slot. ThreadIds are small and
     // dense in any recorded run, so they are the slots; only ids far
@@ -41,10 +41,8 @@ PredictionTable::buildEpochs(std::span<const Epoch> epochs)
     // the delta array never outgrows the table.
     std::vector<os::ThreadId> ids;  // slot -> ThreadId when renumbered
     if (max_tid >= rows + 64) {
-        for (const Epoch &ep : epochs) {
-            for (const EpochThread &et : ep.active)
-                ids.push_back(et.tid);
-        }
+        for (auto it = all.begin(); it != all.end(); ++it)
+            ids.push_back(it.tid());
         std::sort(ids.begin(), ids.end());
         ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     }
@@ -58,12 +56,14 @@ PredictionTable::buildEpochs(std::span<const Epoch> epochs)
                    : kNoSlot;
     };
 
-    for (const Epoch &ep : epochs) {
+    for (std::size_t i = first; i < last; ++i) {
+        const Epoch ep = epochs[i];
         EpochEntry e;
         e.rowBegin = static_cast<std::uint32_t>(_epochRows.size());
-        for (const EpochThread &et : ep.active) {
-            _epochRows.push_back(
-                SpanRow::of(slotOf(et.tid), et.delta.busyTime, et.delta));
+        for (auto row = ep.active.begin(); row != ep.active.end(); ++row) {
+            _epochRows.push_back(SpanRow::of(
+                slotOf(row.tid()), row.field<&uarch::PerfCounters::busyTime>(),
+                row));
         }
         e.rowEnd = static_cast<std::uint32_t>(_epochRows.size());
         if (e.empty()) {
@@ -105,7 +105,7 @@ PredictionTable::buildMCrit(const RunView &run)
 void
 PredictionTable::buildCoop(const RunView &run)
 {
-    const std::vector<Epoch> &epochs = run.epochs();
+    const EpochStore &epochs = run.epochs();
     const std::vector<ThreadSummary> &threads = run.threads();
 
     // Phase boundaries: 0, each GC mark, end of run.
@@ -130,18 +130,21 @@ PredictionTable::buildCoop(const RunView &run)
 
         std::fill(busy.begin(), busy.end(), 0);
         std::fill(acc.begin(), acc.end(), SpanRow{});
-        while (ei < epochs.size() && epochs[ei].end <= b) {
-            const Epoch &ep = epochs[ei];
+        for (; ei < epochs.size(); ++ei) {
+            const Epoch ep = epochs[ei];
+            if (ep.end > b)
+                break;
             if (ep.start >= a) {
-                for (const EpochThread &et : ep.active) {
+                for (auto row = ep.active.begin(); row != ep.active.end();
+                     ++row) {
                     // A thread without a summary has no span to scale.
-                    if (et.tid >= nthreads)
+                    const os::ThreadId tid = row.tid();
+                    if (tid >= nthreads)
                         continue;
-                    busy[et.tid] += et.delta.busyTime;
-                    acc[et.tid].add(et.delta);
+                    busy[tid] += row.field<&uarch::PerfCounters::busyTime>();
+                    acc[tid].add(row);
                 }
             }
-            ++ei;
         }
 
         // A participating thread's execution time is its overlap with

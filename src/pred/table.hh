@@ -10,7 +10,7 @@
  * delta counters). Which rows exist, which are eligible and what they
  * hold does not depend on the target frequency or on the ModelSpec, so
  * a table gathers them once, from any RunView (or, for the energy
- * manager's quantum, a span of epochs), into flat arrays:
+ * manager's quantum, a range of a live EpochStore), into flat arrays:
  *
  *  - epoch rows: one SpanRow per active thread per epoch (span = busy
  *    time), with per-epoch row offsets, the idle duration of an epoch
@@ -30,7 +30,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "pred/run_view.hh"
@@ -53,9 +52,14 @@ struct SpanRow {
     /** Store-queue-full time (the BURST term). */
     Tick sqFull = 0;
 
-    /** Row over @p span with the ModelSpec fields of @p c. */
+    /**
+     * Row over @p span with the ModelSpec fields of @p c: a
+     * PerfCounters block, or a stored epoch row, which reads only
+     * these fields.
+     */
+    template <typename Counters>
     static SpanRow
-    of(std::uint32_t tid, Tick span, const uarch::PerfCounters &c)
+    of(std::uint32_t tid, Tick span, const Counters &c)
     {
         SpanRow r;
         r.tid = tid;
@@ -64,19 +68,36 @@ struct SpanRow {
         return r;
     }
 
-    /** Accumulate the ModelSpec fields of @p c. */
+    /** Accumulate the ModelSpec fields of @p c (as of()). */
+    template <typename Counters>
     void
-    add(const uarch::PerfCounters &c)
+    add(const Counters &c)
     {
+        using C = uarch::PerfCounters;
         nonscaling[static_cast<std::size_t>(BaseEstimator::StallTime)] +=
-            c.stallNonscaling;
+            field<&C::stallNonscaling>(c);
         nonscaling[static_cast<std::size_t>(BaseEstimator::LeadingLoads)] +=
-            c.leadingNonscaling;
+            field<&C::leadingNonscaling>(c);
         nonscaling[static_cast<std::size_t>(BaseEstimator::Crit)] +=
-            c.critNonscaling;
+            field<&C::critNonscaling>(c);
         nonscaling[static_cast<std::size_t>(BaseEstimator::Oracle)] +=
-            c.trueMemTime;
-        sqFull += c.sqFullTime;
+            field<&C::trueMemTime>(c);
+        sqFull += field<&C::sqFullTime>(c);
+    }
+
+    /** Field @p M of a PerfCounters block or of a stored row. */
+    template <std::uint64_t uarch::PerfCounters::*M>
+    static std::uint64_t
+    field(const uarch::PerfCounters &c)
+    {
+        return c.*M;
+    }
+
+    template <std::uint64_t uarch::PerfCounters::*M>
+    static std::uint64_t
+    field(const EpochStore::RowIterator &row)
+    {
+        return row.template field<M>();
     }
 
     /** The row's split under @p spec (same as nonscalingTime()). */
@@ -119,10 +140,12 @@ class PredictionTable
     explicit PredictionTable(const RunView &run, unsigned parts = kAllRows);
 
     /**
-     * Only the epoch rows (DEP) of @p epochs, recorded at @p base: the
-     * energy manager's table of one quantum. totalTime() is 0.
+     * Only the epoch rows (DEP) of epochs [@p first, @p last) of
+     * @p epochs, recorded at @p base: the energy manager's table of
+     * one quantum. totalTime() is 0.
      */
-    PredictionTable(std::span<const Epoch> epochs, Frequency base);
+    PredictionTable(const EpochStore &epochs, std::size_t first,
+                    std::size_t last, Frequency base);
 
     /** True if the table holds every row set in @p parts. */
     bool holds(unsigned parts) const { return (_parts & parts) == parts; }
@@ -156,7 +179,8 @@ class PredictionTable
     std::size_t bytes() const;
 
   private:
-    void buildEpochs(std::span<const Epoch> epochs);
+    void buildEpochs(const EpochStore &epochs, std::size_t first,
+                     std::size_t last);
     void buildMCrit(const RunView &run);
     void buildCoop(const RunView &run);
 

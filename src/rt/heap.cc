@@ -16,6 +16,11 @@ roundUp(std::uint64_t v, std::uint64_t to)
 
 static_assert(Heap::kMatureBytes >= kLine,
               "the mature space must hold at least one line");
+static_assert((Heap::kMatureBase - Heap::kNurseryBase) %
+                      Heap::kNurseryWindows ==
+                  0,
+              "the nursery windows must tile the space below the mature "
+              "base exactly");
 static_assert(Heap::kNurseryWindows > 1,
               "the nursery must have windows to rotate through");
 
@@ -24,6 +29,15 @@ Heap::Heap(std::uint64_t nursery_bytes)
 {
     if (_nurseryBytes < kLine)
         fatal("the nursery must hold at least one line");
+    // Window w starts at kNurseryBase + w * nurseryBytes: all of them
+    // must end at or below the mature space.
+    if (_nurseryBytes > (kMatureBase - kNurseryBase) / kNurseryWindows)
+        fatal("a nursery of %llu bytes overlaps the mature space "
+              "(at most %llu bytes over %u windows)",
+              static_cast<unsigned long long>(_nurseryBytes),
+              static_cast<unsigned long long>(
+                  (kMatureBase - kNurseryBase) / kNurseryWindows),
+              kNurseryWindows);
 }
 
 std::optional<std::uint64_t>

@@ -47,7 +47,12 @@ class Heap
      */
     static constexpr std::uint32_t kNurseryWindows = 8;
 
-    /** A heap whose nursery holds @p nursery_bytes (at least a line). */
+    /**
+     * A heap whose nursery holds @p nursery_bytes: at least a line, and
+     * at most (kMatureBase - kNurseryBase) / kNurseryWindows (512 MB),
+     * so no window reaches the mature space. Either bound broken is a
+     * fatal().
+     */
     explicit Heap(std::uint64_t nursery_bytes);
 
     /**

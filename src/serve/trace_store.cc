@@ -11,10 +11,7 @@ TraceStore::footprint(const CachedTrace &c)
     std::size_t bytes = sizeof(trace::LoadedTrace) + c.table.bytes();
     bytes += rec.threads.size() * sizeof(pred::ThreadSummary);
     bytes += rec.gcMarks.size() * sizeof(pred::GcPhaseMark);
-    for (const pred::Epoch &ep : rec.epochs) {
-        bytes += sizeof(pred::Epoch);
-        bytes += ep.active.size() * sizeof(pred::EpochThread);
-    }
+    bytes += rec.epochs.bytes();
     return bytes;
 }
 

@@ -13,7 +13,9 @@
  * highest each as one multiply by P^k from a constexpr table, and an
  * all-zero word as one multiply by P^8. Only the bytes in between take
  * the byte loop. Each fold multiplies only when its run is non-empty,
- * so a dense word costs what the byte loop costs. The result is
+ * so a dense word costs what the byte loop costs. mixZeroWords(k)
+ * folds k whole zero words at once (the zero fields of an epoch row,
+ * pred/epoch_store.hh), as one multiply by P^(8k). The result is
  * bit-identical to the byte loop (tests/reference_fnv.hh is that loop,
  * kept as the oracle of tests/test_fnv.cc).
  *
@@ -78,6 +80,17 @@ class Fnv1a
             _h *= kPrimePow[high];
     }
 
+    /** Fold @p k zero words (8k zero bytes): one multiply by P^(8k)
+     *  from a constexpr table, one more per 16 words past the first
+     *  16. The same as k calls of mix(0). */
+    void
+    mixZeroWords(std::size_t k)
+    {
+        for (; k > kMaxZeroWords; k -= kMaxZeroWords)
+            _h *= kZeroWordPow[kMaxZeroWords];
+        _h *= kZeroWordPow[k];
+    }
+
     /** Fold a double via its bit pattern (exact, not rounded). */
     void
     mixDouble(double v)
@@ -102,6 +115,17 @@ class Fnv1a
             p[k] = p[k - 1] * kPrime;
         return p;
     }();
+
+    /** kZeroWordPow[k] = P^(8k) mod 2^64: folds k zero words. */
+    static constexpr std::size_t kMaxZeroWords = 16;
+    static constexpr std::array<std::uint64_t, kMaxZeroWords + 1>
+        kZeroWordPow = [] {
+            std::array<std::uint64_t, kMaxZeroWords + 1> p{};
+            p[0] = 1;
+            for (std::size_t k = 1; k < p.size(); ++k)
+                p[k] = p[k - 1] * kPrimePow[8];
+            return p;
+        }();
 
     std::uint64_t _h = kOffsetBasis;
 };

@@ -1,5 +1,6 @@
 #include "trace/reader.hh"
 
+#include <filesystem>
 #include <fstream>
 
 #include "trace/wire.hh"
@@ -92,27 +93,32 @@ decodeEpochs(Cursor &c, pred::RunRecord &rec)
 {
     const std::uint64_t n = c.u64();
     checkCount(c, n, 32, "epoch");
-    rec.epochs.resize(static_cast<std::size_t>(n));
-    for (pred::Epoch &ep : rec.epochs) {
-        ep.start = c.u64();
-        ep.end = c.u64();
+    pred::EpochStore &epochs = rec.epochs;
+    epochs.reserveEpochs(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const Tick start = c.u64();
+        const Tick end = c.u64();
         const std::uint32_t boundary = c.u32();
         if (boundary > static_cast<std::uint32_t>(
                            os::SyncEventKind::RunEnd)) {
             throw TraceError(TraceError::Kind::BadValue, c.offset(),
                              "epoch.boundary is not a SyncEventKind");
         }
-        ep.boundary = static_cast<os::SyncEventKind>(boundary);
-        ep.stallTid = c.u32();
+        const os::ThreadId stall_tid = c.u32();
+        epochs.open(start, end, static_cast<os::SyncEventKind>(boundary),
+                    stall_tid);
         const std::uint64_t actives = c.u64();
         checkCount(c, actives, 8 + kCounterBytes, "epoch.active");
-        ep.active.resize(static_cast<std::size_t>(actives));
-        for (pred::EpochThread &et : ep.active) {
-            et.tid = c.u32();
+        for (std::uint64_t r = 0; r < actives; ++r) {
+            const os::ThreadId tid = c.u32();
             checkZero(c.u32(), c.offset(), "epoch.active.pad");
-            decodeCounters(c, et.delta);
+            pred::EpochStore::Words words;
+            for (std::uint64_t &w : words)
+                w = c.u64();
+            epochs.addRow(tid, words);
         }
     }
+    epochs.shrinkToFit();
 }
 
 void
@@ -274,10 +280,24 @@ readTraceFile(const std::string &path)
         throw TraceError(TraceError::Kind::Io, 0,
                          "cannot open '" + path + "' for reading");
     }
-    std::vector<std::uint8_t> image(
-        (std::istreambuf_iterator<char>(f)),
-        std::istreambuf_iterator<char>());
-    if (f.bad()) {
+    // One sized read: the file's length, then the bytes in one call.
+    // Only a regular file has a length to size the buffer by (a
+    // directory opens, and reports a length of 2^63 - 1).
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec)) {
+        throw TraceError(TraceError::Kind::Io, 0,
+                         "'" + path + "' is not a regular file");
+    }
+    f.seekg(0, std::ios::end);
+    const std::streamoff size = f.tellg();
+    f.seekg(0, std::ios::beg);
+    if (size < 0 || !f) {
+        throw TraceError(TraceError::Kind::Io, 0,
+                         "read failure on '" + path + "'");
+    }
+    std::vector<std::uint8_t> image(static_cast<std::size_t>(size));
+    f.read(reinterpret_cast<char *>(image.data()), size);
+    if (f.gcount() != size) {
         throw TraceError(TraceError::Kind::Io, 0,
                          "read failure on '" + path + "'");
     }

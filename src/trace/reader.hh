@@ -58,7 +58,7 @@ class LoadedTrace final : public pred::RunView
     Frequency baseFreq() const override { return _rec.baseFreq; }
     Tick totalTime() const override { return _rec.totalTime; }
 
-    const std::vector<pred::Epoch> &
+    const pred::EpochStore &
     epochs() const override
     {
         return _rec.epochs;

@@ -61,13 +61,14 @@ encodeEpochs(const pred::RunRecord &rec)
 {
     Encoder e;
     e.u64(rec.epochs.size());
-    for (const pred::Epoch &ep : rec.epochs) {
+    for (const pred::Epoch ep : rec.epochs) {
         e.u64(ep.start);
         e.u64(ep.end);
         e.u32(static_cast<std::uint32_t>(ep.boundary));
         e.u32(ep.stallTid);
         e.u64(ep.active.size());
-        for (const pred::EpochThread &et : ep.active) {
+        // Each row back to its 15 raw words, zeros included.
+        for (const pred::EpochThread et : ep.active) {
             e.u32(et.tid);
             e.u32(0);
             encodeCounters(e, et.delta);

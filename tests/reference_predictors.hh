@@ -65,7 +65,7 @@ coop(const pred::RunView &run, const pred::ModelSpec &spec,
      Frequency target)
 {
     const double ratio = freqRatio(run.baseFreq(), target);
-    const std::vector<pred::Epoch> &epochs = run.epochs();
+    const pred::EpochStore &epochs = run.epochs();
     const std::vector<pred::ThreadSummary> &threads = run.threads();
 
     std::vector<Tick> cuts;
@@ -89,7 +89,7 @@ coop(const pred::RunView &run, const pred::ModelSpec &spec,
         std::fill(busy.begin(), busy.end(), 0);
         std::fill(acc.begin(), acc.end(), uarch::PerfCounters{});
         while (ei < epochs.size() && epochs[ei].end <= b) {
-            const pred::Epoch &ep = epochs[ei];
+            const pred::Epoch ep = epochs[ei];
             if (ep.start >= a) {
                 for (const pred::EpochThread &et : ep.active) {
                     busy[et.tid] += et.delta.busyTime;
@@ -121,7 +121,7 @@ coop(const pred::RunView &run, const pred::ModelSpec &spec,
 
 /** DEP over epochs [first, last): per-epoch or across-epoch CTP. */
 inline Tick
-depEpochRange(const std::vector<pred::Epoch> &epochs, std::size_t first,
+depEpochRange(const pred::EpochStore &epochs, std::size_t first,
               std::size_t last, double ratio, const pred::ModelSpec &spec,
               bool across_epochs)
 {
@@ -134,7 +134,7 @@ depEpochRange(const std::vector<pred::Epoch> &epochs, std::size_t first,
 
     double total = 0.0;
     for (std::size_t i = first; i < last && i < epochs.size(); ++i) {
-        const pred::Epoch &ep = epochs[i];
+        const pred::Epoch ep = epochs[i];
 
         if (ep.active.empty()) {
             total += static_cast<double>(ep.duration());
@@ -175,7 +175,7 @@ inline Tick
 dep(const pred::RunView &run, const pred::ModelSpec &spec,
     bool across_epochs, Frequency target)
 {
-    const std::vector<pred::Epoch> &epochs = run.epochs();
+    const pred::EpochStore &epochs = run.epochs();
     return depEpochRange(epochs, 0, epochs.size(),
                          freqRatio(run.baseFreq(), target), spec,
                          across_epochs);

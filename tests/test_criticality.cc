@@ -22,14 +22,14 @@ active(os::ThreadId tid, Tick busy)
     return et;
 }
 
-Epoch
-epoch(Tick start, Tick end, std::vector<EpochThread> threads)
+/** Append an epoch over [start, end) with @p threads to @p rec. */
+void
+epoch(RunRecord &rec, Tick start, Tick end,
+      std::initializer_list<EpochThread> threads)
 {
-    Epoch e;
-    e.start = start;
-    e.end = end;
-    e.active = std::move(threads);
-    return e;
+    rec.epochs.open(start, end, os::SyncEventKind::RunEnd, os::kNoThread);
+    for (const EpochThread &et : threads)
+        rec.epochs.addRow(et.tid, et.delta);
 }
 
 } // namespace
@@ -38,7 +38,7 @@ TEST(Criticality, SoloRunnerGetsFullCredit)
 {
     RunRecord rec;
     rec.totalTime = 100;
-    rec.epochs.push_back(epoch(0, 100, {active(3, 100)}));
+    epoch(rec, 0, 100, {active(3, 100)});
     CriticalityStack stack(rec);
     ASSERT_EQ(stack.shares().size(), 1u);
     EXPECT_EQ(stack.shares()[0].tid, 3u);
@@ -51,7 +51,7 @@ TEST(Criticality, ParallelEpochSplitsEvenly)
 {
     RunRecord rec;
     rec.totalTime = 100;
-    rec.epochs.push_back(epoch(0, 100, {active(0, 100), active(1, 100)}));
+    epoch(rec, 0, 100, {active(0, 100), active(1, 100)});
     CriticalityStack stack(rec);
     ASSERT_EQ(stack.shares().size(), 2u);
     EXPECT_EQ(stack.shares()[0].criticality, 50u);
@@ -63,8 +63,8 @@ TEST(Criticality, SerialThreadDominates)
     RunRecord rec;
     rec.totalTime = 300;
     // Parallel phase, then thread 0 alone (it serializes).
-    rec.epochs.push_back(epoch(0, 100, {active(0, 100), active(1, 100)}));
-    rec.epochs.push_back(epoch(100, 300, {active(0, 200)}));
+    epoch(rec, 0, 100, {active(0, 100), active(1, 100)});
+    epoch(rec, 100, 300, {active(0, 200)});
     CriticalityStack stack(rec);
     EXPECT_EQ(stack.mostCritical(), 0u);
     EXPECT_EQ(stack.shares()[0].criticality, 250u);
@@ -75,8 +75,8 @@ TEST(Criticality, IdleEpochsAccountedSeparately)
 {
     RunRecord rec;
     rec.totalTime = 150;
-    rec.epochs.push_back(epoch(0, 100, {active(0, 100)}));
-    rec.epochs.push_back(epoch(100, 150, {}));
+    epoch(rec, 0, 100, {active(0, 100)});
+    epoch(rec, 100, 150, {});
     CriticalityStack stack(rec);
     EXPECT_EQ(stack.idleTime(), 50u);
     EXPECT_EQ(stack.accountedTime(), 150u);
@@ -88,8 +88,7 @@ TEST(Criticality, DecompositionIsExactWithRemainders)
     rec.totalTime = 101;
     // 101 over 3 threads does not divide evenly; decomposition must
     // still be exact.
-    rec.epochs.push_back(
-        epoch(0, 101, {active(0, 1), active(1, 1), active(2, 1)}));
+    epoch(rec, 0, 101, {active(0, 1), active(1, 1), active(2, 1)});
     CriticalityStack stack(rec);
     EXPECT_EQ(stack.accountedTime(), 101u);
 }

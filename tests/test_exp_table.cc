@@ -78,5 +78,6 @@ TEST(RunFixed, OutputIsCoherent)
     // Busy time across threads cannot exceed cores x wall time.
     EXPECT_LE(out.totals.busyTime, 4 * out.totalTime);
     // Epochs tile the run exactly.
-    EXPECT_EQ(out.record.epochs.back().end, out.totalTime);
+    EXPECT_EQ(out.record.epochs[out.record.epochs.size() - 1].end,
+              out.totalTime);
 }

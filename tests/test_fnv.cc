@@ -4,7 +4,8 @@
  * to the byte-serial FNV-1a in tests/reference_fnv.hh. Standard
  * FNV-1a-64 vectors, every zero-byte mask of a word, byte ranges at
  * every short length and alignment, the bit patterns mixDouble must
- * not round, and a whole sampled run fingerprint folded by the oracle.
+ * not round, runs of whole zero words, and run fingerprints folded by
+ * the oracle: a sampled run, and records of random zero-elided rows.
  */
 
 #include <gtest/gtest.h>
@@ -224,5 +225,56 @@ TEST(Fnv1a, SampledRunFingerprintMatchesOracleFold)
     const exp::FixedRunOutput out = exp::runFixed(
         wl::dacapoSuite().front(), Frequency::ghz(2.0), opts);
     ASSERT_FALSE(out.record.epochs.empty());
+    EXPECT_EQ(exp::sweep::fingerprintRun(out), oracleFingerprint(out));
+}
+
+TEST(Fnv1a, MixZeroWordsMatchesOracleAtEveryRunLength)
+{
+    // k = 0..16 come from the table; longer runs take it more than once.
+    for (std::size_t k = 0; k <= 40; ++k) {
+        Fnv1a fast;
+        ReferenceFnv1a slow;
+        fast.mix(0x1234'5678'9abc'def0ULL);
+        slow.mix(0x1234'5678'9abc'def0ULL);
+        fast.mixZeroWords(k);
+        for (std::size_t i = 0; i < k; ++i)
+            slow.mix(0);
+        EXPECT_EQ(fast.digest(), slow.digest()) << k << " zero words";
+    }
+}
+
+TEST(Fnv1a, RecordFingerprintMatchesOracleOnRandomRowMasks)
+{
+    // fingerprintRun folds each run of a stored row's zero fields in
+    // one multiply; the oracle folds the expanded row field by field.
+    // Rows with random masks (all-zero and all-nonzero among them)
+    // cover every run length and position.
+    sim::Rng rng(0xf00d);
+    exp::FixedRunOutput out;
+    out.freq = Frequency::ghz(1.0);
+    pred::RunRecord &rec = out.record;
+    rec.baseFreq = out.freq;
+    Tick t = 0;
+    for (int e = 0; e < 200; ++e) {
+        rec.epochs.open(t, t + 10, os::SyncEventKind::FutexWake,
+                        os::kNoThread);
+        t += 10;
+        const std::uint64_t rows = rng.nextBounded(5);
+        for (std::uint64_t r = 0; r < rows; ++r) {
+            const unsigned mask =
+                e == 0 ? 0u
+                : e == 1 ? (1u << pred::EpochStore::kFields) - 1
+                         : static_cast<unsigned>(rng.nextBounded(
+                               1u << pred::EpochStore::kFields));
+            pred::EpochStore::Words w{};
+            for (unsigned i = 0; i < pred::EpochStore::kFields; ++i) {
+                if (mask & (1u << i))
+                    w[i] = rng.nextRange(1, ~std::uint64_t{0} - 1);
+            }
+            rec.epochs.addRow(static_cast<os::ThreadId>(r), w);
+        }
+    }
+    rec.totalTime = t;
+    out.totalTime = t;
     EXPECT_EQ(exp::sweep::fingerprintRun(out), oracleFingerprint(out));
 }

@@ -89,3 +89,21 @@ TEST(HeapDeathTest, OversizedAllocationIsFatal)
     EXPECT_EXIT(h.allocate(4096), ::testing::ExitedWithCode(1),
                 "exceeds the nursery");
 }
+
+TEST(HeapDeathTest, NurseryOverlappingTheMatureSpaceIsFatal)
+{
+    // The largest nursery whose eight windows fit below the mature
+    // space is 512 MB; its last window ends exactly at the mature base.
+    constexpr std::uint64_t kLargest =
+        (Heap::kMatureBase - Heap::kNurseryBase) / Heap::kNurseryWindows;
+    Heap largest(kLargest);
+    for (std::uint32_t w = 1; w < Heap::kNurseryWindows; ++w)
+        largest.resetNursery();
+    EXPECT_EQ(largest.nurseryBase() + kLargest, Heap::kMatureBase);
+
+    // One line more and windows 4-7 would overlap the mature space.
+    EXPECT_EXIT(Heap(kLargest + 64), ::testing::ExitedWithCode(1),
+                "overlaps the mature space");
+    EXPECT_EXIT(Heap(1ULL << 30), ::testing::ExitedWithCode(1),
+                "overlaps the mature space");
+}

@@ -124,15 +124,17 @@ TEST(PredictionTable, FarThreadIdsAreRenumberedExactly)
         };
         Tick t = 0;
         for (Tick i = 0; i < 12; ++i) {
-            Epoch ep;
-            ep.start = t;
-            ep.end = t += 100 + 7 * i;
-            ep.active = {row(a, 90 - i, 10 * (i % 3)),
-                         row(5, 60 + 3 * i, 5)};
+            const Tick start = t;
+            t += 100 + 7 * i;
+            rec.epochs.open(start, t, os::SyncEventKind::FutexWake,
+                            i % 3 == 0   ? a
+                            : i % 3 == 1 ? 77
+                                         : os::kNoThread);
+            for (const EpochThread &et :
+                 {row(a, 90 - i, 10 * (i % 3)), row(5, 60 + 3 * i, 5)})
+                rec.epochs.addRow(et.tid, et.delta);
             if (i % 4 == 1)
-                ep.active.push_back(row(b, 100, 40));
-            ep.stallTid = i % 3 == 0 ? a : i % 3 == 1 ? 77 : os::kNoThread;
-            rec.epochs.push_back(std::move(ep));
+                rec.epochs.addRow(b, row(b, 100, 40).delta);
         }
         rec.totalTime = t;
         return rec;
@@ -221,7 +223,7 @@ TEST(PredictionTable, MatchesReferenceWalks)
         // sub-range (the span constructor) at every Haswell point,
         // recorded at f_cur = 4 GHz. The last range ends at the
         // record's end.
-        const std::span<const Epoch> epochs(recs[ri].epochs);
+        const EpochStore &epochs = recs[ri].epochs;
         ASSERT_GE(epochs.size(), 7u);
         std::vector<std::pair<std::size_t, std::size_t>> ranges;
         for (std::size_t first = 0; first < epochs.size(); first += 37) {
@@ -235,9 +237,8 @@ TEST(PredictionTable, MatchesReferenceWalks)
         for (bool across : {true, false}) {
             const DepPredictor dep({BaseEstimator::Crit, true}, across);
             for (const auto &[first, last] : ranges) {
-                const PredictionTable range(
-                    epochs.subspan(first, last - first),
-                    Frequency::mhz(4000));
+                const PredictionTable range(epochs, first, last,
+                                            Frequency::mhz(4000));
                 dep.predict(range, points, fused);
                 for (std::size_t k = 0; k < points.size(); ++k) {
                     const double ratio =
@@ -278,7 +279,8 @@ TEST(PredictionTable, EpochlessQuantumIsItsSlowestBusyThread)
         const bool idle = q % 10 == 0;
         const os::ThreadId stride = q % 3 == 0 ? 40 : 1;
         std::vector<uarch::PerfCounters> deltas(rng.nextBounded(9));
-        Epoch quantum;
+        EpochStore quantum;
+        quantum.open(0, 0, os::SyncEventKind::RunEnd, os::kNoThread);
         for (std::size_t i = 0; i < deltas.size(); ++i) {
             uarch::PerfCounters &d = deltas[i];
             d.busyTime = idle || rng.nextBool(0.25)
@@ -289,14 +291,12 @@ TEST(PredictionTable, EpochlessQuantumIsItsSlowestBusyThread)
             d.leadingNonscaling = rng.nextRange(0, d.busyTime);
             d.stallNonscaling = rng.nextRange(0, d.busyTime / 2);
             d.sqFullTime = rng.nextRange(0, 20'000);
-            if (d.busyTime > 0) {
-                quantum.active.push_back(
-                    {static_cast<os::ThreadId>(i) * stride, d});
-            }
+            if (d.busyTime > 0)
+                quantum.addRow(static_cast<os::ThreadId>(i) * stride, d);
         }
-        no_busy += quantum.active.empty();
+        no_busy += quantum[0].active.empty();
         const Frequency f_cur = points[rng.nextBounded(points.size())];
-        const PredictionTable table({&quantum, 1}, f_cur);
+        const PredictionTable table(quantum, 0, 1, f_cur);
 
         for (const ModelSpec &spec : specs) {
             for (bool across : {true, false}) {

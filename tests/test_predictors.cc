@@ -33,18 +33,18 @@ active(os::ThreadId tid, Tick busy, Tick crit = 0, Tick sq = 0)
     return et;
 }
 
-Epoch
-epoch(Tick start, Tick end, std::vector<EpochThread> threads,
+/** Append an epoch over [start, end) with @p threads to @p rec. */
+void
+epoch(RunRecord &rec, Tick start, Tick end,
+      std::initializer_list<EpochThread> threads,
       os::ThreadId stall = os::kNoThread)
 {
-    Epoch e;
-    e.start = start;
-    e.end = end;
-    e.active = std::move(threads);
-    e.stallTid = stall;
-    e.boundary = stall != os::kNoThread ? os::SyncEventKind::FutexWait
-                                        : os::SyncEventKind::FutexWake;
-    return e;
+    rec.epochs.open(start, end,
+                    stall != os::kNoThread ? os::SyncEventKind::FutexWait
+                                           : os::SyncEventKind::FutexWake,
+                    stall);
+    for (const EpochThread &et : threads)
+        rec.epochs.addRow(et.tid, et.delta);
 }
 
 ThreadSummary
@@ -120,8 +120,8 @@ TEST(Coop, SplitsAtGcBoundaries)
     rec.threads.push_back(thread(0, 0, 1000, 600, 0));
     rec.threads.push_back(thread(1, 600, 1000, 400, 400, true));
     rec.gcMarks.push_back(GcPhaseMark{600, true});
-    rec.epochs.push_back(epoch(0, 600, {active(0, 600)}));
-    rec.epochs.push_back(epoch(600, 1000, {active(1, 400, 400)}));
+    epoch(rec, 0, 600, {active(0, 600)});
+    epoch(rec, 600, 1000, {active(1, 400, 400)});
 
     CoopPredictor p({BaseEstimator::Crit, false});
     // At double frequency: app 600/2 = 300; GC stays 400.
@@ -137,9 +137,9 @@ TEST(Coop, SplitsAtGcBoundaries)
 TEST(Dep, PerEpochSumsCriticalThreads)
 {
     RunRecord rec = simpleRecord();
-    rec.epochs.push_back(epoch(0, 400, {active(0, 400), active(1, 200)}));
-    rec.epochs.push_back(epoch(400, 1000, {active(0, 300),
-                                           active(1, 600)}));
+    epoch(rec, 0, 400, {active(0, 400), active(1, 200)});
+    epoch(rec, 400, 1000, {active(0, 300),
+                                           active(1, 600)});
     DepPredictor per_epoch({BaseEstimator::Crit, false}, false);
     // Ratio 1: sum of per-epoch maxima = 400 + 600.
     EXPECT_EQ(per_epoch.predict(rec, Frequency::ghz(1.0)), 1000u);
@@ -150,8 +150,8 @@ TEST(Dep, PerEpochSumsCriticalThreads)
 TEST(Dep, EmptyEpochIsNonScaling)
 {
     RunRecord rec = simpleRecord();
-    rec.epochs.push_back(epoch(0, 250, {}));
-    rec.epochs.push_back(epoch(250, 1000, {active(0, 750)}));
+    epoch(rec, 0, 250, {});
+    epoch(rec, 250, 1000, {active(0, 750)});
     DepPredictor p({BaseEstimator::Crit, false}, true);
     // The empty (all-asleep) gap does not scale.
     EXPECT_EQ(p.predict(rec, Frequency::ghz(2.0)), 250u + 375u);
@@ -164,9 +164,8 @@ TEST(Dep, AcrossEpochCtpBanksSlack)
     // for it) and its head start must carry into epoch 1.
     RunRecord rec = simpleRecord();
     // Epoch 0 closed by thread 0's sleep; thread 1 keeps running.
-    rec.epochs.push_back(
-        epoch(0, 400, {active(0, 400), active(1, 400)}, /*stall=*/0));
-    rec.epochs.push_back(epoch(400, 1000, {active(1, 600)}));
+    epoch(rec, 0, 400, {active(0, 400), active(1, 400)}, /*stall=*/0);
+    epoch(rec, 400, 1000, {active(1, 600)});
 
     // At ratio 1 both CTP modes reproduce the measured time.
     DepPredictor per_epoch({BaseEstimator::Crit, false}, false);
@@ -187,10 +186,9 @@ TEST(Dep, Algorithm1WorkedExample)
     // Total = 180 (per-epoch CTP would give 100 + 100 = 200).
     RunRecord rec = simpleRecord();
     rec.totalTime = 200;
-    rec.epochs.push_back(
-        epoch(0, 100, {active(0, 100), active(1, 60)}, /*stall=*/0));
-    rec.epochs.push_back(epoch(100, 200, {active(0, 80),
-                                          active(1, 100)}));
+    epoch(rec, 0, 100, {active(0, 100), active(1, 60)}, /*stall=*/0);
+    epoch(rec, 100, 200, {active(0, 80),
+                                          active(1, 100)});
 
     DepPredictor across({BaseEstimator::Crit, false}, true);
     DepPredictor per_epoch({BaseEstimator::Crit, false}, false);
@@ -206,9 +204,9 @@ TEST(Dep, AcrossEpochNeverExceedsPerEpochOnSlackTraces)
     Tick t = 0;
     for (int i = 0; i < 10; ++i) {
         Tick len = 100 + 13 * (i % 3);
-        rec.epochs.push_back(epoch(t, t + len,
+        epoch(rec, t, t + len,
                                    {active(0, len),
-                                    active(1, len - 20 * (i % 2))}));
+                                    active(1, len - 20 * (i % 2))});
         t += len;
     }
     rec.totalTime = t;
@@ -223,7 +221,7 @@ TEST(Dep, AcrossEpochNeverExceedsPerEpochOnSlackTraces)
 TEST(Dep, BurstMovesSqTimeToNonScaling)
 {
     RunRecord rec = simpleRecord();
-    rec.epochs.push_back(epoch(0, 1000, {active(0, 1000, 0, 600)}));
+    epoch(rec, 0, 1000, {active(0, 1000, 0, 600)});
     DepPredictor plain({BaseEstimator::Crit, false}, true);
     DepPredictor burst({BaseEstimator::Crit, true}, true);
     // Double frequency: plain scales everything (500); burst keeps
@@ -273,12 +271,12 @@ TEST_P(PredictorMonotone, SlowerTargetNeverFaster)
     RunRecord rec = simpleRecord();
     rec.threads.push_back(thread(0, 0, 1000, 800, 200));
     rec.threads.push_back(thread(1, 0, 900, 850, 100));
-    rec.epochs.push_back(epoch(0, 500,
+    epoch(rec, 0, 500,
                                {active(0, 450, 100, 20),
-                                active(1, 480, 50, 10)}, 0));
-    rec.epochs.push_back(epoch(500, 1000,
+                                active(1, 480, 50, 10)}, 0);
+    epoch(rec, 500, 1000,
                                {active(0, 350, 100, 30),
-                                active(1, 370, 50, 20)}));
+                                active(1, 370, 50, 20)});
 
     Frequency lo = Frequency::mhz(GetParam());
     Frequency hi = Frequency::mhz(GetParam() + 500);

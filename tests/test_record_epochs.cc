@@ -47,8 +47,8 @@ TEST(RunRecorder, EpochsPartitionTheRun)
     auto record = rec.finalize();
 
     ASSERT_FALSE(record.epochs.empty());
-    EXPECT_EQ(record.epochs.front().start, 0u);
-    EXPECT_EQ(record.epochs.back().end, res.totalTime);
+    EXPECT_EQ(record.epochs[0].start, 0u);
+    EXPECT_EQ(record.epochs[record.epochs.size() - 1].end, res.totalTime);
     Tick sum = 0;
     Tick prev_end = 0;
     for (const auto &ep : record.epochs) {

@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -189,15 +190,21 @@ TEST(TraceStore, EvictsLeastRecentlyUsedFirst)
     const auto a = makeImage(1), b = makeImage(2), c = makeImage(3);
 
     // Scout the per-entry decoded footprints with an unbounded store.
+    // They differ a little: a record's rows keep only nonzero counters.
     TraceStore scout(1u << 30);
     scout.put(a);
     const std::size_t bytes_a = scout.stats().bytes;
     scout.put(b);
-    const std::size_t bytes_ab = scout.stats().bytes;
+    const std::size_t bytes_b = scout.stats().bytes - bytes_a;
+    scout.put(c);
+    const std::size_t bytes_c = scout.stats().bytes - bytes_a - bytes_b;
 
-    // A store that holds exactly two entries. Recency order decides
-    // the victim: touching A after B's insert must doom B, not A.
-    TraceStore store(bytes_ab);
+    // A store that holds A and either of B or C, never all three.
+    // Recency order decides the victim: touching A after B's insert
+    // must doom B, not A.
+    const std::size_t two = bytes_a + std::max(bytes_b, bytes_c);
+    ASSERT_LT(two, bytes_a + bytes_b + bytes_c);
+    TraceStore store(two);
     const std::uint64_t da = store.put(a).digest;
     const std::uint64_t db = store.put(b).digest;
     ASSERT_NE(store.get(da), nullptr);  // A is now most recent

@@ -18,7 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -270,4 +274,21 @@ TEST(TraceErrors, MissingFileIsIoError)
     } catch (const TraceError &e) {
         EXPECT_EQ(e.kind(), TraceError::Kind::Io);
     }
+}
+
+TEST(TraceErrors, DirectoryIsIoError)
+{
+    // A directory opens for reading but has no length to size one read
+    // by; it must be an Io error, not a huge allocation.
+    const std::string dir =
+        ::testing::TempDir() + "trace_errors_dir_" +
+        std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    try {
+        trace::readTraceFile(dir);
+        ADD_FAILURE() << "reading a directory succeeded";
+    } catch (const TraceError &e) {
+        EXPECT_EQ(e.kind(), TraceError::Kind::Io);
+    }
+    std::filesystem::remove(dir);
 }

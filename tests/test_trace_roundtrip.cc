@@ -67,18 +67,20 @@ expectRecordsEq(const pred::RunRecord &a, const pred::RunRecord &b)
 
     ASSERT_EQ(a.epochs.size(), b.epochs.size());
     for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-        const auto &ea = a.epochs[i];
-        const auto &eb = b.epochs[i];
+        const pred::Epoch ea = a.epochs[i];
+        const pred::Epoch eb = b.epochs[i];
         EXPECT_EQ(ea.start, eb.start) << "epoch " << i;
         EXPECT_EQ(ea.end, eb.end) << "epoch " << i;
         EXPECT_EQ(ea.boundary, eb.boundary) << "epoch " << i;
         EXPECT_EQ(ea.stallTid, eb.stallTid) << "epoch " << i;
         ASSERT_EQ(ea.active.size(), eb.active.size()) << "epoch " << i;
-        for (std::size_t t = 0; t < ea.active.size(); ++t) {
-            EXPECT_EQ(ea.active[t].tid, eb.active[t].tid);
-            expectCountersEq(ea.active[t].delta, eb.active[t].delta);
+        for (auto ta = ea.active.begin(), tb = eb.active.begin();
+             ta != ea.active.end(); ++ta, ++tb) {
+            EXPECT_EQ((*ta).tid, (*tb).tid);
+            expectCountersEq((*ta).delta, (*tb).delta);
         }
     }
+    EXPECT_TRUE(a.epochs == b.epochs);
 
     ASSERT_EQ(a.threads.size(), b.threads.size());
     for (std::size_t i = 0; i < a.threads.size(); ++i) {
