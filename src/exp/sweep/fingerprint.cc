@@ -11,21 +11,8 @@ namespace {
 void
 mixCounters(Fnv1a &h, const uarch::PerfCounters &c)
 {
-    h.mix(c.busyTime);
-    h.mix(c.instructions);
-    h.mix(c.critNonscaling);
-    h.mix(c.leadingNonscaling);
-    h.mix(c.stallNonscaling);
-    h.mix(c.sqFullTime);
-    h.mix(c.trueMemTime);
-    h.mix(c.computeTime);
-    h.mix(c.l1Hits);
-    h.mix(c.l2Hits);
-    h.mix(c.l3Hits);
-    h.mix(c.dramLoads);
-    h.mix(c.missClusters);
-    h.mix(c.storeBursts);
-    h.mix(c.storeLines);
+    for (std::uint64_t w : c.words())
+        h.mix(w);
 }
 
 /**
@@ -35,7 +22,7 @@ mixCounters(Fnv1a &h, const uarch::PerfCounters &c)
 void
 mixRow(Fnv1a &h, pred::EpochStore::Mask mask, const std::uint64_t *words)
 {
-    constexpr unsigned kFields = pred::EpochStore::kFields;
+    constexpr unsigned kFields = uarch::PerfCounters::kFields;
     for (unsigned i = 0; i < kFields;) {
         const unsigned rest = mask >> i;
         if (rest & 1) {

@@ -1,7 +1,5 @@
 #include "fault/fault_plan.hh"
 
-#include <ostream>
-
 #include "sim/fnv.hh"
 #include "sim/log.hh"
 
@@ -27,52 +25,31 @@ FaultConfig::only(FaultClass c, std::uint64_t seed)
 {
     FaultConfig cfg;
     cfg.seed = seed;
-    switch (c) {
-      case FaultClass::DramLatencySpike:
-        cfg.dramSpikeProb = 0.02;
-        break;
-      case FaultClass::DramBankStall:
-        cfg.dramBankStallProb = 0.01;
-        break;
-      case FaultClass::DvfsDelay:
-        cfg.dvfsDelayProb = 0.5;
-        break;
-      case FaultClass::DvfsReject:
-        cfg.dvfsRejectProb = 0.6;
-        break;
-      case FaultClass::SpuriousWake:
-        cfg.spuriousWakeMeanInterval = 10 * kTicksPerUs;
-        break;
-      case FaultClass::PreemptJitter:
-        cfg.preemptProb = 0.05;
-        break;
-      case FaultClass::GcInflation:
-        cfg.gcInflateProb = 1.0;
-        break;
-    }
+    cfg.classes.set(static_cast<std::size_t>(c));
     return cfg;
 }
 
-bool
-FaultConfig::anyEnabled() const
+namespace {
+
+constexpr bool
+isProbability(double p)
 {
-    return dramSpikeProb > 0.0 || dramBankStallProb > 0.0 ||
-           dvfsDelayProb > 0.0 || dvfsRejectProb > 0.0 ||
-           spuriousWakeMeanInterval > 0 || preemptProb > 0.0 ||
-           gcInflateProb > 0.0;
+    return p >= 0.0 && p <= 1.0;
 }
+
+} // namespace
+
+static_assert(isProbability(FaultPlan::kDramSpikeProb) &&
+              isProbability(FaultPlan::kDramBankStallProb) &&
+              isProbability(FaultPlan::kDvfsDelayProb) &&
+              isProbability(FaultPlan::kDvfsRejectProb) &&
+              isProbability(FaultPlan::kPreemptProb) &&
+              isProbability(FaultPlan::kGcInflateProb));
+static_assert(FaultPlan::kSpuriousWakeMeanInterval > 0);
 
 FaultPlan::FaultPlan(const FaultConfig &cfg)
     : _cfg(cfg)
 {
-    if (_cfg.dramSpikeProb < 0.0 || _cfg.dramSpikeProb > 1.0 ||
-        _cfg.dramBankStallProb < 0.0 || _cfg.dramBankStallProb > 1.0 ||
-        _cfg.dvfsDelayProb < 0.0 || _cfg.dvfsDelayProb > 1.0 ||
-        _cfg.dvfsRejectProb < 0.0 || _cfg.dvfsRejectProb > 1.0 ||
-        _cfg.preemptProb < 0.0 || _cfg.preemptProb > 1.0 ||
-        _cfg.gcInflateProb < 0.0 || _cfg.gcInflateProb > 1.0) {
-        fatal("fault probabilities must be in [0, 1]");
-    }
     // One decorrelated stream per class: toggling a class cannot shift
     // the draws any other class sees.
     sim::Rng root(_cfg.seed);
@@ -90,8 +67,8 @@ FaultPlan::record(Tick now, FaultClass c, std::uint64_t magnitude)
 Tick
 FaultPlan::dramReadSpike(Tick now)
 {
-    if (_cfg.dramSpikeProb <= 0.0 ||
-        !rng(FaultClass::DramLatencySpike).nextBool(_cfg.dramSpikeProb)) {
+    if (!_cfg.enabled(FaultClass::DramLatencySpike) ||
+        !rng(FaultClass::DramLatencySpike).nextBool(kDramSpikeProb)) {
         return 0;
     }
     Tick extra = nsToTicks(
@@ -103,8 +80,8 @@ FaultPlan::dramReadSpike(Tick now)
 Tick
 FaultPlan::dramBankStall(Tick now)
 {
-    if (_cfg.dramBankStallProb <= 0.0 ||
-        !rng(FaultClass::DramBankStall).nextBool(_cfg.dramBankStallProb)) {
+    if (!_cfg.enabled(FaultClass::DramBankStall) ||
+        !rng(FaultClass::DramBankStall).nextBool(kDramBankStallProb)) {
         return 0;
     }
     Tick extra = nsToTicks(
@@ -116,8 +93,8 @@ FaultPlan::dramBankStall(Tick now)
 bool
 FaultPlan::dvfsReject(Tick now)
 {
-    if (_cfg.dvfsRejectProb <= 0.0 ||
-        !rng(FaultClass::DvfsReject).nextBool(_cfg.dvfsRejectProb)) {
+    if (!_cfg.enabled(FaultClass::DvfsReject) ||
+        !rng(FaultClass::DvfsReject).nextBool(kDvfsRejectProb)) {
         return false;
     }
     record(now, FaultClass::DvfsReject, 1);
@@ -127,8 +104,8 @@ FaultPlan::dvfsReject(Tick now)
 Tick
 FaultPlan::dvfsExtraDelay(Tick now)
 {
-    if (_cfg.dvfsDelayProb <= 0.0 ||
-        !rng(FaultClass::DvfsDelay).nextBool(_cfg.dvfsDelayProb)) {
+    if (!_cfg.enabled(FaultClass::DvfsDelay) ||
+        !rng(FaultClass::DvfsDelay).nextBool(kDvfsDelayProb)) {
         return 0;
     }
     Tick extra = nsToTicks(
@@ -140,11 +117,12 @@ FaultPlan::dvfsExtraDelay(Tick now)
 bool
 FaultPlan::preemptNow(Tick now)
 {
-    if (_cfg.preemptProb <= 0.0 || now < _nextPreemptAllowed)
+    if (!_cfg.enabled(FaultClass::PreemptJitter) ||
+        now < _nextPreemptAllowed)
         return false;
-    if (!rng(FaultClass::PreemptJitter).nextBool(_cfg.preemptProb))
+    if (!rng(FaultClass::PreemptJitter).nextBool(kPreemptProb))
         return false;
-    _nextPreemptAllowed = now + _cfg.preemptMinSpacing;
+    _nextPreemptAllowed = now + kPreemptMinSpacing;
     record(now, FaultClass::PreemptJitter, 1);
     return true;
 }
@@ -152,8 +130,8 @@ FaultPlan::preemptNow(Tick now)
 std::uint32_t
 FaultPlan::gcExtraClusters(Tick now)
 {
-    if (_cfg.gcInflateProb <= 0.0 ||
-        !rng(FaultClass::GcInflation).nextBool(_cfg.gcInflateProb)) {
+    if (!_cfg.enabled(FaultClass::GcInflation) ||
+        !rng(FaultClass::GcInflation).nextBool(kGcInflateProb)) {
         return 0;
     }
     record(now, FaultClass::GcInflation, kGcInflateExtraClusters);
@@ -163,9 +141,9 @@ FaultPlan::gcExtraClusters(Tick now)
 Tick
 FaultPlan::nextSpuriousWakeDelay()
 {
-    if (_cfg.spuriousWakeMeanInterval == 0)
+    if (!_cfg.enabled(FaultClass::SpuriousWake))
         return 0;
-    double mean = static_cast<double>(_cfg.spuriousWakeMeanInterval);
+    double mean = static_cast<double>(kSpuriousWakeMeanInterval);
     auto d = static_cast<Tick>(rng(FaultClass::SpuriousWake).nextExp(mean));
     return d > 0 ? d : 1;
 }
@@ -202,15 +180,6 @@ FaultPlan::fingerprint() const
         h.mix(ev.magnitude);
     }
     return h.digest();
-}
-
-void
-FaultPlan::writeTrace(std::ostream &os) const
-{
-    for (const FaultEvent &ev : _trace) {
-        os << ev.tick << " " << faultClassName(ev.cls) << " "
-           << ev.magnitude << "\n";
-    }
 }
 
 } // namespace dvfs::fault

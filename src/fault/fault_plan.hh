@@ -7,12 +7,16 @@
  * (deterministic) simulation that consumes it, so a failure observed
  * once can be reproduced bit-identically from the seed alone.
  *
- * The plan exposes one query per hook point (DRAM access, DVFS
- * transition, action boundary, collection start, ...). Each fault
- * class draws from its own split RNG stream, so enabling or disabling
- * one class never perturbs the schedule of another. Every fault that
- * actually fires is appended to an in-memory trace; the trace's
- * fingerprint is the replay witness the tests and fig8 compare.
+ * A schedule is named by a seed and a set of enabled classes
+ * (FaultConfig). Each class fires at one fixed intensity, the
+ * FaultPlan constants, which are the stress levels fig8 checks the
+ * manager's guarantee under. The plan exposes one query per hook
+ * point (DRAM access, DVFS transition, action boundary, collection
+ * start, ...). Each fault class draws from its own split RNG stream,
+ * so enabling or disabling one class never perturbs the schedule of
+ * another. Every fault that actually fires is appended to an
+ * in-memory trace; the trace's fingerprint is the replay witness the
+ * tests and fig8 compare.
  *
  * Layering: this header depends only on sim/, so the uarch and os
  * layers can hold a FaultPlan pointer without include cycles.
@@ -22,8 +26,8 @@
 #define DVFS_FAULT_FAULT_PLAN_HH
 
 #include <array>
+#include <bitset>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -49,50 +53,28 @@ constexpr std::size_t kNumFaultClasses = 7;
 const char *faultClassName(FaultClass c);
 
 /**
- * Fault schedule parameters. All classes default to *off*; a
- * default-constructed config injects nothing.
+ * A fault schedule: a seed and the set of enabled classes. Each
+ * class fires at the fixed intensity FaultPlan names (the fig8 stress
+ * levels). A default-constructed config injects nothing.
  */
 struct FaultConfig {
     /** Seed of the whole schedule. Same seed -> same schedule. */
     std::uint64_t seed = 0x5eed;
 
-    /// @name DRAM faults
-    /// @{
-    double dramSpikeProb = 0.0;       ///< per read access
-    double dramBankStallProb = 0.0;   ///< per access
-    /// @}
-
-    /// @name DVFS transition faults
-    /// @{
-    double dvfsDelayProb = 0.0;       ///< per attempted transition
-    double dvfsRejectProb = 0.0;      ///< per attempted transition
-    /// @}
-
-    /// @name OS-layer faults
-    /// @{
-    /** Mean ticks between injected spurious wakeups (0 = off). */
-    Tick spuriousWakeMeanInterval = 0;
-    double preemptProb = 0.0;         ///< per action boundary
-    /** Min spacing between forced preemptions of the same machine. */
-    Tick preemptMinSpacing = 5 * kTicksPerUs;
-    /// @}
-
-    /// @name Managed-runtime faults
-    /// @{
-    double gcInflateProb = 0.0;       ///< per collection
-    /// @}
+    /** Enabled classes, indexed by FaultClass. */
+    std::bitset<kNumFaultClasses> classes;
 
     /** A config with every class disabled (explicit spelling). */
     static FaultConfig none() { return FaultConfig{}; }
 
-    /**
-     * A config with exactly one class enabled at a stress intensity
-     * suitable for the fig8 tolerance runs.
-     */
+    /** A config with exactly class @p c enabled. */
     static FaultConfig only(FaultClass c, std::uint64_t seed = 0x5eed);
 
-    /** True if any class can fire. */
-    bool anyEnabled() const;
+    /** True if class @p c can fire. */
+    bool enabled(FaultClass c) const
+    {
+        return classes.test(static_cast<std::size_t>(c));
+    }
 };
 
 /** One injected fault, as recorded in the replay trace. */
@@ -101,6 +83,8 @@ struct FaultEvent {
     FaultClass cls = FaultClass::DramLatencySpike;
     /** Class-specific magnitude (ticks of delay, clusters, or 1). */
     std::uint64_t magnitude = 0;
+
+    bool operator==(const FaultEvent &) const = default;
 };
 
 /**
@@ -113,6 +97,21 @@ struct FaultEvent {
 class FaultPlan
 {
   public:
+    /// @name Fault intensities
+    /// How often an enabled class fires.
+    /// @{
+    static constexpr double kDramSpikeProb = 0.02;     ///< per DRAM read
+    static constexpr double kDramBankStallProb = 0.01; ///< per DRAM access
+    static constexpr double kDvfsDelayProb = 0.5;  ///< per transition
+    static constexpr double kDvfsRejectProb = 0.6; ///< per transition
+    /** Mean ticks between injected spurious wakeups. */
+    static constexpr Tick kSpuriousWakeMeanInterval = 10 * kTicksPerUs;
+    static constexpr double kPreemptProb = 0.05; ///< per action boundary
+    /** Min spacing between forced preemptions of the same machine. */
+    static constexpr Tick kPreemptMinSpacing = 5 * kTicksPerUs;
+    static constexpr double kGcInflateProb = 1.0; ///< per collection
+    /// @}
+
     /// @name Fault magnitudes
     /// @{
     /** Mean of a DRAM spike's exponential extra read latency. */
@@ -150,7 +149,7 @@ class FaultPlan
 
     /**
      * Delay until the next injected spurious wake (exponential around
-     * the configured mean), or 0 if the class is disabled.
+     * kSpuriousWakeMeanInterval), or 0 if the class is disabled.
      */
     Tick nextSpuriousWakeDelay();
 
@@ -185,9 +184,6 @@ class FaultPlan
      * trace: two runs with the same seed and workload must agree.
      */
     std::uint64_t fingerprint() const;
-
-    /** Human-readable trace dump, one fault per line. */
-    void writeTrace(std::ostream &os) const;
     /// @}
 
   private:

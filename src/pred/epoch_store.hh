@@ -33,7 +33,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "os/action.hh"
@@ -53,20 +52,9 @@ struct EpochThread {
 class EpochStore
 {
   public:
-    /** Counter words per row: the fields of PerfCounters. */
-    static constexpr unsigned kFields = 15;
-
-    /** A row's counters as words, in PerfCounters declaration order. */
-    using Words = std::array<std::uint64_t, kFields>;
-
-    static_assert(sizeof(uarch::PerfCounters) == sizeof(Words) &&
-                      std::is_trivially_copyable_v<uarch::PerfCounters>,
-                  "PerfCounters must be kFields packed 64-bit words: a "
-                  "new field needs a mask bit and its expansion");
-
     /** Bit i set: field i of the row is nonzero and has a word. */
     using Mask = std::uint16_t;
-    static_assert(kFields <= 8 * sizeof(Mask));
+    static_assert(uarch::PerfCounters::kFields <= 8 * sizeof(Mask));
 
     /** One epoch as stored. */
     struct Header {
@@ -90,21 +78,14 @@ class EpochStore
     };
     static_assert(sizeof(RowHead) == 8);
 
-    /** The words of @p c, in field order. */
-    static Words
-    wordsOf(const uarch::PerfCounters &c)
-    {
-        return std::bit_cast<Words>(c);
-    }
-
     /** The counters of a row with @p mask and nonzero @p words. */
     static uarch::PerfCounters
     expand(Mask mask, const std::uint64_t *words)
     {
-        Words w{};
+        uarch::PerfCounters::Words w{};
         for (unsigned m = mask; m != 0; m &= m - 1)
             w[std::countr_zero(m)] = *words++;
-        return std::bit_cast<uarch::PerfCounters>(w);
+        return uarch::PerfCounters::fromWords(w);
     }
 
     /**
@@ -124,7 +105,7 @@ class EpochStore
     {
         uarch::PerfCounters c{};
         c.*m = 1;
-        const Words w = std::bit_cast<Words>(c);
+        const auto w = c.words();
         unsigned i = 0;
         while (w[i] == 0)
             ++i;
@@ -299,10 +280,10 @@ class EpochStore
 
     /** Append a row to the last open() epoch. */
     void
-    addRow(os::ThreadId tid, const Words &w)
+    addRow(os::ThreadId tid, const uarch::PerfCounters::Words &w)
     {
         Mask mask = 0;
-        for (unsigned i = 0; i < kFields; ++i) {
+        for (unsigned i = 0; i < uarch::PerfCounters::kFields; ++i) {
             if (w[i] != 0) {
                 mask |= static_cast<Mask>(1u << i);
                 _words.push_back(w[i]);
@@ -316,7 +297,7 @@ class EpochStore
     void
     addRow(os::ThreadId tid, const uarch::PerfCounters &delta)
     {
-        addRow(tid, wordsOf(delta));
+        addRow(tid, delta.words());
     }
 
     void reserveEpochs(std::size_t n) { _headers.reserve(n); }

@@ -9,24 +9,13 @@ namespace dvfs::trace {
 
 namespace {
 
-void
-decodeCounters(Cursor &c, uarch::PerfCounters &out)
+uarch::PerfCounters::Words
+decodeWords(Cursor &c)
 {
-    out.busyTime = c.u64();
-    out.instructions = c.u64();
-    out.critNonscaling = c.u64();
-    out.leadingNonscaling = c.u64();
-    out.stallNonscaling = c.u64();
-    out.sqFullTime = c.u64();
-    out.trueMemTime = c.u64();
-    out.computeTime = c.u64();
-    out.l1Hits = c.u64();
-    out.l2Hits = c.u64();
-    out.l3Hits = c.u64();
-    out.dramLoads = c.u64();
-    out.missClusters = c.u64();
-    out.storeBursts = c.u64();
-    out.storeLines = c.u64();
+    uarch::PerfCounters::Words words;
+    for (std::uint64_t &w : words)
+        w = c.u64();
+    return words;
 }
 
 /** Range-check a count field against the bytes that must back it. */
@@ -51,7 +40,7 @@ checkZero(std::uint32_t v, std::uint64_t offset, const char *what)
     }
 }
 
-constexpr std::uint64_t kCounterBytes = 15 * 8;
+constexpr std::uint64_t kCounterBytes = sizeof(uarch::PerfCounters);
 
 void
 decodeMeta(Cursor &c, TraceMeta &meta, pred::RunRecord &rec)
@@ -84,7 +73,7 @@ decodeThreads(Cursor &c, pred::RunRecord &rec)
         t.service = service != 0;
         t.spawnTick = c.u64();
         t.exitTick = c.u64();
-        decodeCounters(c, t.totals);
+        t.totals = uarch::PerfCounters::fromWords(decodeWords(c));
     }
 }
 
@@ -112,10 +101,7 @@ decodeEpochs(Cursor &c, pred::RunRecord &rec)
         for (std::uint64_t r = 0; r < actives; ++r) {
             const os::ThreadId tid = c.u32();
             checkZero(c.u32(), c.offset(), "epoch.active.pad");
-            pred::EpochStore::Words words;
-            for (std::uint64_t &w : words)
-                w = c.u64();
-            epochs.addRow(tid, words);
+            epochs.addRow(tid, decodeWords(c));
         }
     }
     epochs.shrinkToFit();

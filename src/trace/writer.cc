@@ -12,21 +12,8 @@ namespace {
 void
 encodeCounters(Encoder &e, const uarch::PerfCounters &c)
 {
-    e.u64(c.busyTime);
-    e.u64(c.instructions);
-    e.u64(c.critNonscaling);
-    e.u64(c.leadingNonscaling);
-    e.u64(c.stallNonscaling);
-    e.u64(c.sqFullTime);
-    e.u64(c.trueMemTime);
-    e.u64(c.computeTime);
-    e.u64(c.l1Hits);
-    e.u64(c.l2Hits);
-    e.u64(c.l3Hits);
-    e.u64(c.dramLoads);
-    e.u64(c.missClusters);
-    e.u64(c.storeBursts);
-    e.u64(c.storeLines);
+    for (std::uint64_t w : c.words())
+        e.u64(w);
 }
 
 Encoder

@@ -11,12 +11,19 @@
  * The OS virtualizes the per-core counters per thread on context
  * switches (as the paper's kernel-module deployment would), so the
  * simulator simply accumulates into the owning thread's block.
+ *
+ * The block is kFields packed 64-bit words. words()/fromWords() are
+ * its one serial layout, declaration order, which the epoch store,
+ * the trace format and the run fingerprints all use.
  */
 
 #ifndef DVFS_UARCH_PERF_COUNTERS_HH
 #define DVFS_UARCH_PERF_COUNTERS_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 
 #include "sim/time.hh"
 
@@ -24,6 +31,12 @@ namespace dvfs::uarch {
 
 /** Accumulated hardware counters for one thread. */
 struct PerfCounters {
+    /** Counter words: one per field. */
+    static constexpr unsigned kFields = 15;
+
+    /** The counters as words, in declaration order. */
+    using Words = std::array<std::uint64_t, kFields>;
+
     /** Time scheduled on a core (never includes futex wait time). */
     Tick busyTime = 0;
 
@@ -116,7 +129,33 @@ struct PerfCounters {
         storeLines += o.storeLines;
         return *this;
     }
+
+    bool operator==(const PerfCounters &) const = default;
+
+    /** The fields as words, in declaration order. */
+    constexpr Words words() const;
+
+    /** The counters whose words() are @p w. */
+    static constexpr PerfCounters fromWords(const Words &w);
 };
+
+static_assert(sizeof(PerfCounters) == sizeof(PerfCounters::Words) &&
+                  std::is_trivially_copyable_v<PerfCounters>,
+              "PerfCounters must be kFields packed 64-bit words: a new "
+              "field needs kFields, the epoch store's mask and the trace "
+              "format to grow with it");
+
+constexpr PerfCounters::Words
+PerfCounters::words() const
+{
+    return std::bit_cast<Words>(*this);
+}
+
+constexpr PerfCounters
+PerfCounters::fromWords(const Words &w)
+{
+    return std::bit_cast<PerfCounters>(w);
+}
 
 } // namespace dvfs::uarch
 

@@ -8,7 +8,10 @@
  * clusters over hot/warm/cold address regions, managed allocation
  * (zero-initialised, GC-pressure-generating), critical sections, and
  * optional barrier phases — the ingredient list Section II-B of the
- * paper identifies for managed multithreaded behaviour.
+ * paper identifies for managed multithreaded behaviour. The address
+ * layout (region bases and sizes) is shared by every benchmark, so it
+ * is a set of constants, not fields: a benchmark picks how often it
+ * touches each region (pHot, pWarm), not how large the region is.
  *
  * All durations in Table I are reproduced at 1/100 time scale (see
  * DESIGN.md); kTimeScale converts between simulated and reported time.
@@ -42,10 +45,16 @@ descaleMs(Tick t)
 constexpr std::uint64_t kHotBase = 0x3'0000'0000ULL;
 /** Stride between consecutive threads' hot regions. */
 constexpr std::uint64_t kHotStride = 8ULL << 20;
+/** Bytes of a thread's hot region that chains touch. */
+constexpr std::uint64_t kHotBytes = 96ULL << 10;
 /** Shared warm region (mostly L3-resident). */
 constexpr std::uint64_t kWarmBase = 0x4'0000'0000ULL;
+/** Bytes of the warm region that chains touch. */
+constexpr std::uint64_t kWarmBytes = 2560ULL << 10;
 /** Shared cold region (DRAM-resident). */
 constexpr std::uint64_t kColdBase = 0x5'0000'0000ULL;
+/** Bytes of the cold region that chains touch. */
+constexpr std::uint64_t kColdBytes = 256ULL << 20;
 /// @}
 
 /**
@@ -84,9 +93,6 @@ struct WorkloadParams {
     std::uint32_t clusterOverlapInstr = 800;
     double pHot = 0.3;                    ///< chain targets hot region
     double pWarm = 0.2;                   ///< chain targets warm region
-    std::uint64_t hotBytes = 96ULL << 10;
-    std::uint64_t warmBytes = 2560ULL << 10;
-    std::uint64_t coldBytes = 256ULL << 20;
     /// @}
 
     /// @name Per-item allocation

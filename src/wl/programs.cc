@@ -37,15 +37,15 @@ WorkerProgram::makeCluster(os::ThreadContext &ctx)
         std::uint64_t base, span;
         if (roll < p.pHot) {
             base = kHotBase + ctx.tid * kHotStride;
-            span = p.hotBytes;
+            span = kHotBytes;
             ++hot;
         } else if (roll < p.pHot + p.pWarm) {
             base = kWarmBase;
-            span = p.warmBytes;
+            span = kWarmBytes;
             ++warm;
         } else {
             base = kColdBase;
-            span = p.coldBytes;
+            span = kColdBytes;
             ++cold;
         }
         if (ctx.liteTiming) {

@@ -67,15 +67,15 @@ referenceWorkerCluster(const wl::WorkloadParams &p, os::ThreadId tid,
         std::uint64_t base, span;
         if (roll < p.pHot) {
             base = wl::kHotBase + tid * wl::kHotStride;
-            span = p.hotBytes;
+            span = wl::kHotBytes;
             ++hot;
         } else if (roll < p.pHot + p.pWarm) {
             base = wl::kWarmBase;
-            span = p.warmBytes;
+            span = wl::kWarmBytes;
             ++warm;
         } else {
             base = wl::kColdBase;
-            span = p.coldBytes;
+            span = wl::kColdBytes;
             ++cold;
         }
         if (lite_timing)

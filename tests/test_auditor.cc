@@ -56,11 +56,11 @@ TEST(Auditor, FaultInjectedRunStaysInvariantClean)
     inst.sys->addListener(&rec);
 
     fault::FaultConfig fc;
-    fc.dramSpikeProb = 0.05;
-    fc.dramBankStallProb = 0.02;
-    fc.spuriousWakeMeanInterval = 20 * kTicksPerUs;
-    fc.preemptProb = 0.1;
-    fc.gcInflateProb = 1.0;
+    for (fault::FaultClass c :
+         {fault::FaultClass::DramLatencySpike,
+          fault::FaultClass::DramBankStall, fault::FaultClass::SpuriousWake,
+          fault::FaultClass::PreemptJitter, fault::FaultClass::GcInflation})
+        fc.classes.set(static_cast<std::size_t>(c));
     fault::FaultPlan plan(fc);
     fault::installFaults(*inst.sys, plan, inst.runtime.get());
 
@@ -145,16 +145,22 @@ TEST(AuditorDeathTest, DoubleAttachIsFatal)
 
 namespace {
 
-/** An audited run that injected nothing and found nothing. */
+/**
+ * An audited run that finished and found nothing; it injected faults
+ * exactly when @p injects.
+ */
 void
 expectCleanAudit(const std::optional<exp::AuditReport> &audit,
-                 const std::string &what)
+                 const std::string &what, bool injects = false)
 {
     ASSERT_TRUE(audit.has_value()) << what;
     EXPECT_TRUE(audit->finished) << what;
     EXPECT_FALSE(audit->aborted) << what;
     EXPECT_GT(audit->audits, 0u) << what;
-    EXPECT_EQ(audit->faultsInjected, 0u) << what;
+    if (injects)
+        EXPECT_GT(audit->faultsInjected, 0u) << what;
+    else
+        EXPECT_EQ(audit->faultsInjected, 0u) << what;
     EXPECT_TRUE(audit->violations.empty())
         << what << ": " << audit->violations.front().message;
 }
@@ -204,4 +210,36 @@ TEST(Auditor, AuditedRunsChangeNothing)
         EXPECT_EQ(a.decisions[i].chosen, p.decisions[i].chosen) << i;
     }
     EXPECT_EQ(a.transitions, p.transitions);
+}
+
+TEST(Auditor, SampledRunsUnderEveryFaultClassStayClean)
+{
+    // Sampled mode fast-forwards between detail windows and forces
+    // windows around transitions and collections; faults landing on
+    // either side of a window must leave every invariant intact.
+    wl::WorkloadParams synthetic = wl::syntheticSmall(4, 600);
+    synthetic.allocBytesPerItem = 8192; // fig8's allocation pressure
+    synthetic.allocChunkBytes = 2048;
+    const power::VfTable table = power::VfTable::haswell();
+
+    for (const wl::WorkloadParams &params :
+         {synthetic, wl::benchmarkByName("pmd.scale")}) {
+        for (std::size_t i = 0; i < fault::kNumFaultClasses; ++i) {
+            const auto cls = static_cast<fault::FaultClass>(i);
+            exp::RunOptions opts;
+            opts.mode = exp::SimMode::Sampled;
+            opts.faults = fault::FaultConfig::only(cls, 1445);
+            const std::string what =
+                params.name + " " + fault::faultClassName(cls);
+
+            // A pinned run makes no transitions to disturb.
+            const bool dvfs = cls == fault::FaultClass::DvfsDelay ||
+                              cls == fault::FaultClass::DvfsReject;
+            const auto f = exp::runFixed(params, table.highest(), opts);
+            expectCleanAudit(f.audit, "fixed " + what, !dvfs);
+            const auto m =
+                exp::runManaged(params, mgr::ManagerConfig{}, table, opts);
+            expectCleanAudit(m.audit, "managed " + what, true);
+        }
+    }
 }

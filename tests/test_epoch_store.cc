@@ -24,14 +24,9 @@
 using namespace dvfs;
 using pred::EpochStore;
 using pred::EpochThread;
+using uarch::PerfCounters;
 
 namespace {
-
-EpochStore::Words
-wordsOf(const uarch::PerfCounters &c)
-{
-    return EpochStore::wordsOf(c);
-}
 
 /** avrora at 1 GHz, seed 42, exact: recorded once per test binary. */
 const exp::FixedRunOutput &
@@ -52,7 +47,7 @@ TEST(EpochStore, WordsFollowDeclarationOrder)
     c.busyTime = 1;
     c.computeTime = 8;
     c.storeLines = 15;
-    const EpochStore::Words w = wordsOf(c);
+    const PerfCounters::Words w = c.words();
     EXPECT_EQ(w[0], 1u);
     EXPECT_EQ(w[7], 8u);
     EXPECT_EQ(w[14], 15u);
@@ -78,21 +73,21 @@ TEST(EpochStore, RowsRoundTripExactly)
     epochs.push_back({EpochThread{0, {}}});
 
     std::vector<EpochThread> dense;
-    EpochStore::Words all{}, top{};
-    for (unsigned i = 0; i < EpochStore::kFields; ++i) {
+    PerfCounters::Words all{}, top{};
+    for (unsigned i = 0; i < PerfCounters::kFields; ++i) {
         all[i] = 0x0101'0101'0101'0101ULL * (i + 1);
         top[i] = kMax;
     }
-    dense.push_back({1, std::bit_cast<uarch::PerfCounters>(all)});
-    dense.push_back({2, std::bit_cast<uarch::PerfCounters>(top)});
+    dense.push_back({1, PerfCounters::fromWords(all)});
+    dense.push_back({2, PerfCounters::fromWords(top)});
     dense.push_back({os::kNoThread - 1, {}});
     epochs.push_back(dense);
 
     std::vector<EpochThread> single;
-    for (unsigned i = 0; i < EpochStore::kFields; ++i) {
-        EpochStore::Words one{};
+    for (unsigned i = 0; i < PerfCounters::kFields; ++i) {
+        PerfCounters::Words one{};
         one[i] = i % 2 ? kMax : i + 1;
-        single.push_back({i, std::bit_cast<uarch::PerfCounters>(one)});
+        single.push_back({i, PerfCounters::fromWords(one)});
     }
     epochs.push_back(single);
     epochs.push_back({});
@@ -104,7 +99,7 @@ TEST(EpochStore, RowsRoundTripExactly)
                static_cast<os::ThreadId>(e));
         for (const EpochThread &et : epochs[e]) {
             s.addRow(et.tid, et.delta);
-            for (std::uint64_t w : wordsOf(et.delta))
+            for (std::uint64_t w : et.delta.words())
                 words += w != 0;
             ++rows;
         }
@@ -125,7 +120,7 @@ TEST(EpochStore, RowsRoundTripExactly)
         std::size_t r = 0;
         for (const EpochThread et : ep.active) {
             EXPECT_EQ(et.tid, epochs[e][r].tid);
-            EXPECT_EQ(wordsOf(et.delta), wordsOf(epochs[e][r].delta))
+            EXPECT_EQ(et.delta.words(), epochs[e][r].delta.words())
                 << "epoch " << e << " row " << r;
             ++r;
         }

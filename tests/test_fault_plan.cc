@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "fault/fault_plan.hh"
@@ -22,14 +21,7 @@ everythingOn(std::uint64_t seed)
 {
     FaultConfig cfg;
     cfg.seed = seed;
-    cfg.dramSpikeProb = 0.1;
-    cfg.dramBankStallProb = 0.05;
-    cfg.dvfsDelayProb = 0.5;
-    cfg.dvfsRejectProb = 0.3;
-    cfg.spuriousWakeMeanInterval = 5 * kTicksPerUs;
-    cfg.preemptProb = 0.2;
-    cfg.preemptMinSpacing = 0;
-    cfg.gcInflateProb = 0.8;
+    cfg.classes.set();
     return cfg;
 }
 
@@ -58,7 +50,7 @@ drive(FaultPlan &plan, int rounds)
 TEST(FaultPlan, DefaultConfigInjectsNothing)
 {
     FaultConfig cfg = FaultConfig::none();
-    EXPECT_FALSE(cfg.anyEnabled());
+    EXPECT_TRUE(cfg.classes.none());
 
     FaultPlan plan(cfg);
     for (Tick t = 0; t < 100; ++t) {
@@ -82,11 +74,7 @@ TEST(FaultPlan, SameSeedReplaysBitIdentically)
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
     EXPECT_EQ(a.totalInjected(), b.totalInjected());
     EXPECT_GT(a.totalInjected(), 0u);
-
-    std::ostringstream ta, tb;
-    a.writeTrace(ta);
-    b.writeTrace(tb);
-    EXPECT_EQ(ta.str(), tb.str());
+    EXPECT_EQ(a.trace(), b.trace());
 }
 
 TEST(FaultPlan, DifferentSeedDiverges)
@@ -101,13 +89,12 @@ TEST(FaultPlan, ClassStreamsAreIndependent)
 {
     // Enabling an extra class must not perturb another class's
     // schedule: each class draws from its own split stream.
-    FaultConfig spike_only;
-    spike_only.seed = 7;
-    spike_only.dramSpikeProb = 0.1;
+    FaultConfig spike_only =
+        FaultConfig::only(FaultClass::DramLatencySpike, 7);
 
     FaultConfig spike_and_preempt = spike_only;
-    spike_and_preempt.preemptProb = 0.5;
-    spike_and_preempt.preemptMinSpacing = 0;
+    spike_and_preempt.classes.set(
+        static_cast<std::size_t>(FaultClass::PreemptJitter));
 
     FaultPlan a(spike_only);
     FaultPlan b(spike_and_preempt);
@@ -134,42 +121,24 @@ TEST(FaultPlan, OnlyEnablesExactlyOneClass)
     };
     for (FaultClass c : classes) {
         FaultConfig cfg = FaultConfig::only(c);
-        EXPECT_TRUE(cfg.anyEnabled()) << faultClassName(c);
-
-        // Count how many class knobs are on.
-        int on = 0;
-        on += cfg.dramSpikeProb > 0.0;
-        on += cfg.dramBankStallProb > 0.0;
-        on += cfg.dvfsDelayProb > 0.0;
-        on += cfg.dvfsRejectProb > 0.0;
-        on += cfg.spuriousWakeMeanInterval > 0;
-        on += cfg.preemptProb > 0.0;
-        on += cfg.gcInflateProb > 0.0;
-        EXPECT_EQ(on, 1) << faultClassName(c);
+        EXPECT_TRUE(cfg.enabled(c)) << faultClassName(c);
+        EXPECT_EQ(cfg.classes.count(), 1u) << faultClassName(c);
     }
 }
 
 TEST(FaultPlan, PreemptSpacingIsHonoured)
 {
-    FaultConfig cfg;
-    cfg.preemptProb = 1.0;
-    cfg.preemptMinSpacing = 10 * kTicksPerUs;
-    FaultPlan plan(cfg);
-
-    EXPECT_TRUE(plan.preemptNow(kTicksPerUs));
-    // Inside the spacing window: always suppressed.
-    EXPECT_FALSE(plan.preemptNow(2 * kTicksPerUs));
-    EXPECT_FALSE(plan.preemptNow(10 * kTicksPerUs));
-    // Past the window: fires again.
-    EXPECT_TRUE(plan.preemptNow(12 * kTicksPerUs));
-}
-
-TEST(FaultPlanDeathTest, OutOfRangeProbabilityIsFatal)
-{
-    FaultConfig cfg;
-    cfg.dramSpikeProb = 1.5;
-    EXPECT_EXIT(FaultPlan{cfg}, ::testing::ExitedWithCode(1),
-                "probabilities");
+    // Query every 100 ns: at kPreemptProb the unspaced gap between
+    // fires would average 2 us, well inside kPreemptMinSpacing.
+    FaultPlan plan(FaultConfig::only(FaultClass::PreemptJitter));
+    std::vector<Tick> fired;
+    for (Tick t = 1; t <= 2000; ++t) {
+        if (plan.preemptNow(t * 100 * kTicksPerNs))
+            fired.push_back(t * 100 * kTicksPerNs);
+    }
+    ASSERT_GE(fired.size(), 2u);
+    for (std::size_t i = 1; i < fired.size(); ++i)
+        EXPECT_GE(fired[i] - fired[i - 1], FaultPlan::kPreemptMinSpacing);
 }
 
 TEST(FaultPlanDeathTest, VictimPickFromEmptySetPanics)

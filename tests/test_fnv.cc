@@ -263,11 +263,11 @@ TEST(Fnv1a, RecordFingerprintMatchesOracleOnRandomRowMasks)
         for (std::uint64_t r = 0; r < rows; ++r) {
             const unsigned mask =
                 e == 0 ? 0u
-                : e == 1 ? (1u << pred::EpochStore::kFields) - 1
+                : e == 1 ? (1u << uarch::PerfCounters::kFields) - 1
                          : static_cast<unsigned>(rng.nextBounded(
-                               1u << pred::EpochStore::kFields));
-            pred::EpochStore::Words w{};
-            for (unsigned i = 0; i < pred::EpochStore::kFields; ++i) {
+                               1u << uarch::PerfCounters::kFields));
+            uarch::PerfCounters::Words w{};
+            for (unsigned i = 0; i < uarch::PerfCounters::kFields; ++i) {
                 if (mask & (1u << i))
                     w[i] = rng.nextRange(1, ~std::uint64_t{0} - 1);
             }

@@ -87,3 +87,11 @@ TEST(PerfCounters, SnapshotDeltaIdiom)
     PerfCounters delta = live - snap;
     EXPECT_EQ(delta.busyTime, filled(1).busyTime);
 }
+
+TEST(PerfCounters, WordsRoundTripAndCompare)
+{
+    // EpochStore.WordsFollowDeclarationOrder pins the word order.
+    const PerfCounters c = filled(1);
+    EXPECT_EQ(PerfCounters::fromWords(c.words()), c);
+    EXPECT_NE(filled(2), c);
+}

@@ -167,7 +167,7 @@ TEST(WorkerProgram, ClusterAddressesRespectRegions)
             for (std::uint64_t addr : a.cluster.chain(c)) {
                 EXPECT_GE(addr, kHotBase + 3 * kHotStride);
                 EXPECT_LT(addr,
-                          kHotBase + 3 * kHotStride + params.hotBytes);
+                          kHotBase + 3 * kHotStride + kHotBytes);
                 EXPECT_EQ(addr % 64, 0u);
             }
         }

@@ -88,21 +88,7 @@ void
 expectCountersEq(const PerfCounters &a, const PerfCounters &b,
                  const std::string &where)
 {
-    EXPECT_EQ(a.busyTime, b.busyTime) << where;
-    EXPECT_EQ(a.instructions, b.instructions) << where;
-    EXPECT_EQ(a.critNonscaling, b.critNonscaling) << where;
-    EXPECT_EQ(a.leadingNonscaling, b.leadingNonscaling) << where;
-    EXPECT_EQ(a.stallNonscaling, b.stallNonscaling) << where;
-    EXPECT_EQ(a.sqFullTime, b.sqFullTime) << where;
-    EXPECT_EQ(a.trueMemTime, b.trueMemTime) << where;
-    EXPECT_EQ(a.computeTime, b.computeTime) << where;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << where;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << where;
-    EXPECT_EQ(a.l3Hits, b.l3Hits) << where;
-    EXPECT_EQ(a.dramLoads, b.dramLoads) << where;
-    EXPECT_EQ(a.missClusters, b.missClusters) << where;
-    EXPECT_EQ(a.storeBursts, b.storeBursts) << where;
-    EXPECT_EQ(a.storeLines, b.storeLines) << where;
+    EXPECT_EQ(a.words(), b.words()) << where;
 }
 
 void
