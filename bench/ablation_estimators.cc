@@ -15,10 +15,9 @@
  * (recording first when the directory is incomplete), which also
  * reads a directory fig3_accuracy recorded.
  *
- * The DEP variants are constructed through the PredictorRegistry
- * ("DEP" family over each ModelSpec); table headers keep the ModelSpec
- * spellings (STALL, STALL+BURST, ...) since the columns ablate specs,
- * not registry families.
+ * Each column is a DepPredictor (across-epoch CTP) over one ModelSpec;
+ * table headers keep the ModelSpec spellings (STALL, STALL+BURST, ...)
+ * since the columns ablate specs inside one predictor.
  *
  * Usage: ablation_estimators [--dir=up|down|both] [--only=<name>]
  *                            [--trace-dir=DIR] [--workers=N]
@@ -31,7 +30,7 @@
 #include "bench_util.hh"
 #include "exp/sweep/trace_cache.hh"
 #include "exp/table.hh"
-#include "pred/registry.hh"
+#include "pred/predictors.hh"
 
 using namespace dvfs;
 using namespace dvfs::pred;
@@ -52,7 +51,6 @@ runDirection(const char *label, Frequency base, Frequency target,
         {BaseEstimator::Oracle, false},
         {BaseEstimator::Oracle, true},
     };
-    const auto &registry = PredictorRegistry::instance();
 
     std::vector<std::string> headers = {"benchmark"};
     for (const auto &s : specs)
@@ -68,9 +66,9 @@ runDirection(const char *label, Frequency base, Frequency target,
 
         std::vector<std::string> row = {params.name};
         for (const auto &s : specs) {
-            auto p = registry.make("DEP", s);
+            const DepPredictor p(s);
             double e = Predictor::relativeError(
-                p->predict(base_table, target), actual);
+                p.predict(base_table, target), actual);
             errs[s.name()].push_back(e);
             row.push_back(exp::Table::pct(e));
         }

@@ -84,8 +84,7 @@ class FlagSet
     addWorkers()
     {
         return add("workers", "N",
-                   "sweep pool width (default: DVFS_SWEEP_WORKERS or "
-                   "hardware threads)");
+                   "sweep pool width (default: hardware threads)");
     }
 
     FlagSet &
@@ -95,21 +94,27 @@ class FlagSet
                    "simulation fidelity (default exact)");
     }
 
+    /** The sampled-mode flags except --gap-us (fig9 sweeps --gaps). */
     FlagSet &
-    addSampling()
+    addSamplingWindows()
     {
         add("startup-us", "N",
             "sampled: initial detail period (default 60)");
         add("detail-us", "N",
             "sampled: periodic detail window (default 30)");
-        add("gap-us", "N",
-            "sampled: fast-forwarded gap (default 980)");
         add("max-gap-us", "N",
             "sampled: adaptive gap stretch cap (default 0 = fixed "
             "cadence)");
         return add("drift-permille", "N",
                    "sampled: drift threshold for stretching (default "
                    "50)");
+    }
+
+    FlagSet &
+    addSampling()
+    {
+        return addSamplingWindows().add(
+            "gap-us", "N", "sampled: fast-forwarded gap (default 980)");
     }
 
     FlagSet &
@@ -396,7 +401,7 @@ class FlagSet
 
 /**
  * Sweep pool width for a harness binary: --workers=N if given, else
- * DVFS_SWEEP_WORKERS / hardware_concurrency via defaultWorkers().
+ * the hardware width (defaultWorkers()).
  */
 inline unsigned
 sweepWorkers(const FlagSet &args)
@@ -433,30 +438,44 @@ inline constexpr long kMaxSimUs = 1'000'000'000;
 /** Upper bound of a number flag with no natural cap: any finite value. */
 inline constexpr double kAnyFinite = std::numeric_limits<double>::max();
 
+/** Microsecond flag --@p key in [@p lo, kMaxSimUs], as ticks. */
+inline Tick
+usFromArgs(const FlagSet &args, const char *key, Tick def, long lo)
+{
+    return static_cast<Tick>(args.getInt(
+               key, static_cast<long>(def / kTicksPerUs), lo,
+               kMaxSimUs)) *
+           kTicksPerUs;
+}
+
 /**
- * Sampling window placement from --startup-us / --detail-us /
- * --gap-us, defaulting to the library's measured sweet spot
- * (sim::SamplingConfig). Only meaningful with --mode=sampled.
+ * Sampling window placement from the addSamplingWindows() flags,
+ * defaulting to the library's measured sweet spot
+ * (sim::SamplingConfig); the gap keeps its default. Only meaningful
+ * with --mode=sampled.
  */
 inline sim::SamplingConfig
-samplingFromArgs(const FlagSet &args)
+samplingWindowsFromArgs(const FlagSet &args)
 {
     sim::SamplingConfig cfg;
-    const auto us = [&](const char *key, Tick def, long lo) {
-        return static_cast<Tick>(args.getInt(
-                   key, static_cast<long>(def / kTicksPerUs), lo,
-                   kMaxSimUs)) *
-               kTicksPerUs;
-    };
-    cfg.startupDetail = us("startup-us", cfg.startupDetail, 0);
-    cfg.detailWindow = us("detail-us", cfg.detailWindow, 1);
-    cfg.gapWindow = us("gap-us", cfg.gapWindow, 0);
+    cfg.startupDetail =
+        usFromArgs(args, "startup-us", cfg.startupDetail, 0);
+    cfg.detailWindow = usFromArgs(args, "detail-us", cfg.detailWindow, 1);
     // Adaptive placement: --max-gap-us caps the stretched gap (0 =
     // fixed cadence), --drift-permille sets the steadiness threshold.
-    cfg.maxGapWindow = us("max-gap-us", cfg.maxGapWindow, 0);
+    cfg.maxGapWindow = usFromArgs(args, "max-gap-us", cfg.maxGapWindow, 0);
     cfg.driftThresholdPermille = static_cast<std::uint32_t>(args.getInt(
         "drift-permille", static_cast<long>(cfg.driftThresholdPermille),
         0, std::numeric_limits<std::uint32_t>::max()));
+    return cfg;
+}
+
+/** samplingWindowsFromArgs() plus the gap from --gap-us. */
+inline sim::SamplingConfig
+samplingFromArgs(const FlagSet &args)
+{
+    sim::SamplingConfig cfg = samplingWindowsFromArgs(args);
+    cfg.gapWindow = usFromArgs(args, "gap-us", cfg.gapWindow, 0);
     return cfg;
 }
 

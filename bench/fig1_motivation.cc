@@ -7,14 +7,18 @@
  * DEP+BURST, predicting from a 1 GHz base run to higher target
  * frequencies. The paper's headline: 27% vs 6% at the 4 GHz target.
  *
+ * Every (benchmark, frequency) cell is simulated once on the sweep
+ * pool at its default width.
+ *
  * Usage: fig1_motivation [--targets=2000,3000,4000]
  */
 
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hh"
-#include "exp/experiment.hh"
+#include "exp/sweep/sweep.hh"
 #include "exp/table.hh"
 #include "pred/predictors.hh"
 
@@ -41,17 +45,28 @@ main(int argc, char **argv)
     std::cout << "Figure 1: average absolute prediction error, base "
               << base.toString() << "\n\n";
 
+    exp::sweep::SweepSpec spec;
+    spec.workloads = wl::dacapoSuite();
+    spec.frequencies = {base};
+    for (Frequency f : targets) {
+        if (std::find(spec.frequencies.begin(), spec.frequencies.end(),
+                      f) == spec.frequencies.end())
+            spec.frequencies.push_back(f);
+    }
+    const auto grid =
+        exp::sweep::runSweep(spec, exp::sweep::defaultWorkers());
+
     std::vector<std::vector<double>> mcrit_err(targets.size());
     std::vector<std::vector<double>> dep_err(targets.size());
 
-    for (const auto &params : wl::dacapoSuite()) {
-        auto base_run = exp::runFixed(params, base);
+    for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
+        const auto &base_run = grid.at(w, base).record;
         for (std::size_t i = 0; i < targets.size(); ++i) {
-            Tick actual = exp::runFixed(params, targets[i]).totalTime;
+            Tick actual = grid.at(w, targets[i]).totalTime;
             mcrit_err[i].push_back(pred::Predictor::relativeError(
-                mcrit.predict(base_run.record, targets[i]), actual));
+                mcrit.predict(base_run, targets[i]), actual));
             dep_err[i].push_back(pred::Predictor::relativeError(
-                depburst.predict(base_run.record, targets[i]), actual));
+                depburst.predict(base_run, targets[i]), actual));
         }
     }
 

@@ -29,9 +29,10 @@
  *
  * --gaps is a comma-separated list of fast-forward gap lengths in
  * microseconds; each is measured with the same detail/startup windows
- * (a window/gap-ratio sweep). --repeat measures each configuration N
- * times, reports minimum walls, and fails if any repeat's digest (in
- * either mode) deviates. --fail-err-pct / --fail-speedup gate every
+ * (a window/gap-ratio sweep). It is the only gap flag: --gap-us, which
+ * the other sampled harnesses take, is unknown here. --repeat measures
+ * each configuration N times, reports minimum walls, and fails if any
+ * repeat's digest (in either mode) deviates. --fail-err-pct / --fail-speedup gate every
  * measured configuration on mean |slowdown error| / grid speedup;
  * --expect-sampled-fingerprint pins the first configuration's sampled
  * digest (CI runs a single gap, so "first" is "the default").
@@ -58,7 +59,7 @@ main(int argc, char **argv)
         .add("gaps", "CSV",
              "fast-forward gap lengths in us (default 980)")
         .addWorkers()
-        .addSampling()
+        .addSamplingWindows()
         .addRepeat()
         .add("fail-err-pct", "X",
              "fail if mean |slowdown err| exceeds X percent")
@@ -75,7 +76,7 @@ main(int argc, char **argv)
     const unsigned workers = bench::sweepWorkers(args);
     const unsigned repeat = bench::repeatFromArgs(args);
 
-    const sim::SamplingConfig base = bench::samplingFromArgs(args);
+    const sim::SamplingConfig base = bench::samplingWindowsFromArgs(args);
     const std::vector<long> gaps_us =
         args.getIntList("gaps", {980}, 0, bench::kMaxSimUs);
     const bench::Gates gates =

@@ -3,9 +3,9 @@
  * Microbenchmarks (google-benchmark) for the predictor layer: what the
  * paper's "kernel module" would pay online, per epoch and per quantum.
  *
- * Predictors are constructed through the PredictorRegistry (the same
- * path fig3/ablation/replay use), so these numbers track the code the
- * harnesses actually run.
+ * Each predictor is constructed over its ModelSpec as the harnesses
+ * construct it, and the Figure 3 walks take PredictorRegistry's
+ * figure3Set(), the set fig3 and the replay engine run.
  */
 
 #include <benchmark/benchmark.h>
@@ -35,22 +35,15 @@ sampleRecord()
     return rec;
 }
 
-/** Registry shorthand: family over spec. */
-std::unique_ptr<Predictor>
-make(const char *family, ModelSpec spec)
-{
-    return PredictorRegistry::instance().make(family, spec);
-}
-
 } // namespace
 
 static void
 BM_DepBurstPredict(benchmark::State &state)
 {
     const RunRecord &rec = sampleRecord();
-    auto p = make("DEP", {BaseEstimator::Crit, true});
+    const DepPredictor p({BaseEstimator::Crit, true});
     for (auto _ : state)
-        benchmark::DoNotOptimize(p->predict(rec, Frequency::ghz(4.0)));
+        benchmark::DoNotOptimize(p.predict(rec, Frequency::ghz(4.0)));
     state.counters["epochs"] =
         static_cast<double>(rec.epochs.size());
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -62,9 +55,9 @@ static void
 BM_DepPerEpochPredict(benchmark::State &state)
 {
     const RunRecord &rec = sampleRecord();
-    auto p = make("DEP/per-epoch", {BaseEstimator::Crit, true});
+    const DepPredictor p({BaseEstimator::Crit, true}, false);
     for (auto _ : state)
-        benchmark::DoNotOptimize(p->predict(rec, Frequency::ghz(4.0)));
+        benchmark::DoNotOptimize(p.predict(rec, Frequency::ghz(4.0)));
 }
 BENCHMARK(BM_DepPerEpochPredict);
 
@@ -72,9 +65,9 @@ static void
 BM_MCritPredict(benchmark::State &state)
 {
     const RunRecord &rec = sampleRecord();
-    auto p = make("M+CRIT", {BaseEstimator::Crit, false});
+    const MCritPredictor p({BaseEstimator::Crit, false});
     for (auto _ : state)
-        benchmark::DoNotOptimize(p->predict(rec, Frequency::ghz(4.0)));
+        benchmark::DoNotOptimize(p.predict(rec, Frequency::ghz(4.0)));
 }
 BENCHMARK(BM_MCritPredict);
 
@@ -82,9 +75,9 @@ static void
 BM_CoopPredict(benchmark::State &state)
 {
     const RunRecord &rec = sampleRecord();
-    auto p = make("COOP", {BaseEstimator::Crit, false});
+    const CoopPredictor p({BaseEstimator::Crit, false});
     for (auto _ : state)
-        benchmark::DoNotOptimize(p->predict(rec, Frequency::ghz(4.0)));
+        benchmark::DoNotOptimize(p.predict(rec, Frequency::ghz(4.0)));
 }
 BENCHMARK(BM_CoopPredict);
 

@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "exp/sweep/differential.hh"
 #include "exp/sweep/fingerprint.hh"
 #include "exp/sweep/sweep.hh"
 #include "exp/table.hh"
@@ -144,7 +143,7 @@ main(int argc, char **argv)
         .add("seeds", "N", "replicate seeds per workload (default 1)")
         .add("workers", "N",
              "also measure this pool width beside the 1,2,4,... "
-             "hardware ladder (default: DVFS_SWEEP_WORKERS)")
+             "hardware ladder (default: hardware threads)")
         .addMode()
         .addSampling()
         .addBool("managed",
@@ -196,9 +195,9 @@ main(int argc, char **argv)
     }
 
     // Worker counts to measure: serial reference first, then powers
-    // of two up to the hardware width. An explicit --workers /
-    // DVFS_SWEEP_WORKERS is measured as asked, even beyond the
-    // hardware width; the default list never oversubscribes.
+    // of two up to the hardware width. An explicit --workers is
+    // measured as asked, even beyond the hardware width; the default
+    // list never oversubscribes.
     std::vector<unsigned> counts = {1};
     for (unsigned w = 2; w <= hw; w *= 2)
         counts.push_back(w);

@@ -12,7 +12,8 @@
  *  - canonical run harnesses (exp::runFixed / exp::runManaged /
  *    exp::RunOptions) and the sweep engine with trace-backed grids
  *  - the observation surface (pred::RunView) with both backends,
- *    prediction tables, predictors and the PredictorRegistry
+ *    prediction tables, the predictors (built by constructor over a
+ *    ModelSpec) and PredictorRegistry's Figure 3 set
  *  - trace record/replay I/O (trace::writeTraceFile,
  *    trace::readTraceFile, trace::ReplayEngine)
  *  - report helpers (exp::Table) and criticality analysis
@@ -37,7 +38,8 @@
 #include "exp/sweep/trace_cache.hh"
 #include "exp/table.hh"
 
-// Prediction: observation surface, predictors, registry, analysis.
+// Prediction: observation surface, predictors, the Figure 3 set,
+// analysis.
 #include "pred/criticality.hh"
 #include "pred/predictors.hh"
 #include "pred/registry.hh"

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -17,17 +14,6 @@ namespace dvfs::exp::sweep {
 unsigned
 defaultWorkers()
 {
-    if (const char *env = std::getenv("DVFS_SWEEP_WORKERS")) {
-        // The rule FlagSet::getInt applies to --workers: the whole
-        // string is one decimal number, in range for an unsigned.
-        char *end = nullptr;
-        errno = 0;
-        const long long v = std::strtoll(env, &end, 10);
-        if (end != env && *end == '\0' && errno != ERANGE && v >= 1 &&
-            v <= static_cast<long long>(UINT_MAX))
-            return static_cast<unsigned>(v);
-        warn("ignoring invalid DVFS_SWEEP_WORKERS='%s'", env);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

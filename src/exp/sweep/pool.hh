@@ -50,9 +50,8 @@ class SweepError : public std::runtime_error
 
 /**
  * Worker count to use when the caller has no opinion:
- * DVFS_SWEEP_WORKERS from the environment if it is a whole decimal
- * number in [1, UINT_MAX], else std::thread::hardware_concurrency(),
- * else 1. Any other value is warned about and ignored.
+ * std::thread::hardware_concurrency(), or 1 if that is 0. A harness
+ * that wants another width takes --workers.
  */
 unsigned defaultWorkers();
 

@@ -196,9 +196,6 @@ class System
      */
     void setFaultPlan(fault::FaultPlan *plan);
 
-    /** The installed fault plan, or nullptr. */
-    fault::FaultPlan *faultPlan() const { return _faultPlan; }
-
     /**
      * Deliver a spurious wakeup to @p tid: the thread gets a brief
      * runnable episode and re-parks (user-space retry loop), keeping
@@ -237,7 +234,6 @@ class System
     sim::EventQueue &eventQueue() { return _eq; }
     Frequency frequency() const { return _coreDomain.frequency(); }
     const uarch::FreqDomain &coreDomain() const { return _coreDomain; }
-    const uarch::FreqDomain &uncoreDomain() const { return _uncoreDomain; }
     uarch::CacheHierarchy &memory() { return *_mem; }
     uarch::Dram &dram() { return _dram; }
     const SystemConfig &config() const { return _cfg; }
@@ -261,12 +257,6 @@ class System
     const sim::SamplingController *sampling() const
     {
         return _sampler.get();
-    }
-
-    /** Fast-path model, or nullptr when running exact. */
-    const uarch::FastPathModel *fastPath() const
-    {
-        return _fastPath.get();
     }
     /// @}
 

@@ -105,9 +105,6 @@ class EnergyMeter
     /** Accumulated energy (valid after finish()). */
     const EnergyBreakdown &energy() const { return _energy; }
 
-    /** Total joules (valid after finish()). */
-    double totalJoules() const { return _energy.total(); }
-
   private:
     /** Close the accounting segment [_segStart, now). */
     void closeSegment(Tick now);

@@ -13,8 +13,8 @@
  * The epoch stream DEP already maintains contains exactly the needed
  * information (which threads ran, for how long), so the stack comes
  * for free. It is useful as a diagnostic (which thread should a
- * per-core DVFS policy accelerate?) and is exercised by the
- * criticality example and the ablation benches.
+ * per-core DVFS policy accelerate?); the criticality example prints
+ * it.
  */
 
 #ifndef DVFS_PRED_CRITICALITY_HH

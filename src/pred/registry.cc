@@ -1,44 +1,6 @@
 #include "pred/registry.hh"
 
-#include "sim/log.hh"
-
 namespace dvfs::pred {
-
-namespace {
-
-std::unique_ptr<Predictor>
-makeMCrit(const ModelSpec &spec)
-{
-    return std::make_unique<MCritPredictor>(spec);
-}
-
-std::unique_ptr<Predictor>
-makeCoop(const ModelSpec &spec)
-{
-    return std::make_unique<CoopPredictor>(spec);
-}
-
-std::unique_ptr<Predictor>
-makeDep(const ModelSpec &spec)
-{
-    return std::make_unique<DepPredictor>(spec, true);
-}
-
-std::unique_ptr<Predictor>
-makeDepPerEpoch(const ModelSpec &spec)
-{
-    return std::make_unique<DepPredictor>(spec, false);
-}
-
-} // namespace
-
-PredictorRegistry::PredictorRegistry()
-{
-    _entries.push_back({"M+CRIT", &makeMCrit});
-    _entries.push_back({"COOP", &makeCoop});
-    _entries.push_back({"DEP", &makeDep});
-    _entries.push_back({"DEP/per-epoch", &makeDepPerEpoch});
-}
 
 const PredictorRegistry &
 PredictorRegistry::instance()
@@ -47,62 +9,18 @@ PredictorRegistry::instance()
     return reg;
 }
 
-bool
-PredictorRegistry::has(const std::string &family) const
-{
-    for (const Entry &e : _entries) {
-        if (e.name == family)
-            return true;
-    }
-    return false;
-}
-
-std::unique_ptr<Predictor>
-PredictorRegistry::make(const std::string &family,
-                        const ModelSpec &spec) const
-{
-    for (const Entry &e : _entries) {
-        if (e.name == family)
-            return e.factory(spec);
-    }
-    fatal("unknown predictor family '%s' (known: M+CRIT, COOP, DEP, "
-          "DEP/per-epoch)",
-          family.c_str());
-}
-
-std::vector<std::string>
-PredictorRegistry::families() const
-{
-    std::vector<std::string> names;
-    names.reserve(_entries.size());
-    for (const Entry &e : _entries)
-        names.push_back(e.name);
-    return names;
-}
-
 std::vector<std::unique_ptr<Predictor>>
 PredictorRegistry::figure3Set() const
 {
     const ModelSpec crit{BaseEstimator::Crit, false};
     const ModelSpec crit_burst{BaseEstimator::Crit, true};
     std::vector<std::unique_ptr<Predictor>> v;
-    for (const char *family : {"M+CRIT", "COOP", "DEP"}) {
-        v.push_back(make(family, crit));
-        v.push_back(make(family, crit_burst));
-    }
-    return v;
-}
-
-std::vector<std::unique_ptr<Predictor>>
-PredictorRegistry::estimatorLadder(const std::string &family) const
-{
-    std::vector<std::unique_ptr<Predictor>> v;
-    for (BaseEstimator base :
-         {BaseEstimator::StallTime, BaseEstimator::LeadingLoads,
-          BaseEstimator::Crit, BaseEstimator::Oracle}) {
-        v.push_back(make(family, ModelSpec{base, false}));
-        v.push_back(make(family, ModelSpec{base, true}));
-    }
+    v.push_back(std::make_unique<MCritPredictor>(crit));
+    v.push_back(std::make_unique<MCritPredictor>(crit_burst));
+    v.push_back(std::make_unique<CoopPredictor>(crit));
+    v.push_back(std::make_unique<CoopPredictor>(crit_burst));
+    v.push_back(std::make_unique<DepPredictor>(crit, true));
+    v.push_back(std::make_unique<DepPredictor>(crit_burst, true));
     return v;
 }
 

@@ -191,7 +191,6 @@ FastPathModel::observeCluster(const MissClusterSpec &spec,
         l.winObs[CfDram] += delta.dramLoads;
     }
     _points[_cur].observations += 1;
-    _observedClusters += 1;
 }
 
 void
@@ -213,7 +212,6 @@ FastPathModel::observeBurst(const StoreBurstSpec &spec,
         l.winObs[BfSqFull] += delta.sqFullTime;
     }
     _points[_cur].observations += spec.lines;
-    _observedLines += spec.lines;
 }
 
 bool

@@ -150,16 +150,6 @@ class FastPathModel
     std::uint32_t lastDriftPermille() const { return _lastDrift; }
     /// @}
 
-    /// @name Introspection (tests, diagnostics)
-    /// @{
-    std::size_t clusterShapes() const
-    {
-        return _points[_cur].clusters.size();
-    }
-    std::uint64_t observedClusters() const { return _observedClusters; }
-    std::uint64_t observedBurstLines() const { return _observedLines; }
-    /// @}
-
   private:
     /** Fitted per-cluster quantities (sums over observations). */
     enum ClusterField {
@@ -300,8 +290,6 @@ class FastPathModel
     std::vector<PointState> _points;
     std::size_t _cur = 0;
     std::uint32_t _lastDrift = kDriftUnknown;
-    std::uint64_t _observedClusters = 0;
-    std::uint64_t _observedLines = 0;
 };
 
 } // namespace dvfs::uarch

@@ -7,6 +7,10 @@
  * Each function walks the run once per call, re-reads the full
  * PerfCounters blocks, and rounds with std::llround: slow, and obviously
  * the paper's definitions.
+ *
+ * A family ("M+CRIT", "COOP", "DEP", "DEP/per-epoch") names the
+ * whole-run decomposition; make() constructs the predictor of a family
+ * over a ModelSpec, and predict() is its reference walk.
  */
 
 #ifndef DVFS_TESTS_REFERENCE_PREDICTORS_HH
@@ -14,9 +18,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "pred/predictors.hh"
 #include "pred/run_view.hh"
 #include "pred/scaling.hh"
 
@@ -181,7 +187,7 @@ dep(const pred::RunView &run, const pred::ModelSpec &spec,
                          across_epochs);
 }
 
-/** The reference walk of registry family @p family. */
+/** The reference walk of family @p family. */
 inline Tick
 predict(const std::string &family, const pred::ModelSpec &spec,
         const pred::RunView &run, Frequency target)
@@ -191,6 +197,38 @@ predict(const std::string &family, const pred::ModelSpec &spec,
     if (family == "COOP")
         return coop(run, spec, target);
     return dep(run, spec, family == "DEP", target);
+}
+
+/** Every family predict() and make() know, in table order. */
+inline const std::vector<std::string> kFamilies = {"M+CRIT", "COOP", "DEP",
+                                                   "DEP/per-epoch"};
+
+/** The predictor of family @p family over @p spec. */
+inline std::unique_ptr<pred::Predictor>
+make(const std::string &family, const pred::ModelSpec &spec)
+{
+    if (family == "M+CRIT")
+        return std::make_unique<pred::MCritPredictor>(spec);
+    if (family == "COOP")
+        return std::make_unique<pred::CoopPredictor>(spec);
+    return std::make_unique<pred::DepPredictor>(spec, family == "DEP");
+}
+
+/**
+ * Every BaseEstimator x {-BURST, +BURST}, in the ablation's column
+ * order (STALL, STALL+BURST, LL, ..., ORACLE+BURST).
+ */
+inline std::vector<pred::ModelSpec>
+estimatorLadder()
+{
+    std::vector<pred::ModelSpec> specs;
+    for (pred::BaseEstimator base :
+         {pred::BaseEstimator::StallTime, pred::BaseEstimator::LeadingLoads,
+          pred::BaseEstimator::Crit, pred::BaseEstimator::Oracle}) {
+        specs.push_back({base, false});
+        specs.push_back({base, true});
+    }
+    return specs;
 }
 
 } // namespace dvfs::test::reference

@@ -30,7 +30,7 @@ using namespace dvfs::pred;
 
 namespace {
 
-/** A registry family over one spec: what a predictor in a set is. */
+/** A family over one spec: what a predictor in a set is. */
 using Member = std::pair<std::string, ModelSpec>;
 
 struct PredictorSet {
@@ -42,24 +42,22 @@ struct PredictorSet {
 std::vector<PredictorSet>
 predictorSets()
 {
-    const auto &reg = PredictorRegistry::instance();
     std::vector<PredictorSet> sets;
 
-    PredictorSet fig3{"figure3Set", reg.figure3Set(), {}};
+    PredictorSet fig3{"figure3Set",
+                      PredictorRegistry::instance().figure3Set(), {}};
     for (const char *family : {"M+CRIT", "COOP", "DEP"}) {
         fig3.members.push_back({family, {BaseEstimator::Crit, false}});
         fig3.members.push_back({family, {BaseEstimator::Crit, true}});
     }
     sets.push_back(std::move(fig3));
 
-    for (const std::string &family : reg.families()) {
-        PredictorSet ladder{"estimatorLadder(" + family + ")",
-                            reg.estimatorLadder(family), {}};
-        for (BaseEstimator base :
-             {BaseEstimator::StallTime, BaseEstimator::LeadingLoads,
-              BaseEstimator::Crit, BaseEstimator::Oracle}) {
-            ladder.members.push_back({family, {base, false}});
-            ladder.members.push_back({family, {base, true}});
+    for (const std::string &family : test::reference::kFamilies) {
+        PredictorSet ladder{"estimatorLadder(" + family + ")", {}, {}};
+        for (const ModelSpec &spec : test::reference::estimatorLadder()) {
+            ladder.predictors.push_back(
+                test::reference::make(family, spec));
+            ladder.members.push_back({family, spec});
         }
         sets.push_back(std::move(ladder));
     }
@@ -179,8 +177,8 @@ TEST(PredictionTable, MatchesReferenceWalks)
                 // The engine's fused grid over the same set.
                 std::vector<std::unique_ptr<Predictor>> copies;
                 for (const Member &m : set.members)
-                    copies.push_back(PredictorRegistry::instance().make(
-                        m.first, m.second));
+                    copies.push_back(
+                        test::reference::make(m.first, m.second));
                 const trace::ReplayEngine engine(std::move(copies));
 
                 for (const auto &[list_name, targets] : lists) {

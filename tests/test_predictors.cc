@@ -238,11 +238,25 @@ TEST(Predictors, NamesAreDescriptive)
               "M+CRIT+BURST");
     EXPECT_EQ(CoopPredictor({BaseEstimator::Crit, false}).name(),
               "COOP(CRIT)");
+    EXPECT_EQ(CoopPredictor({BaseEstimator::Crit, true}).name(),
+              "COOP(CRIT+BURST)");
     EXPECT_EQ(DepPredictor({BaseEstimator::Crit, false}).name(), "DEP");
     EXPECT_EQ(DepPredictor({BaseEstimator::Crit, true}).name(),
               "DEP+BURST");
     EXPECT_EQ(DepPredictor({BaseEstimator::Crit, true}, false).name(),
               "DEP+BURST(per-epoch CTP)");
+    // A base estimator other than CRIT is named in brackets, as in the
+    // ablation's DEP ladder.
+    EXPECT_EQ(DepPredictor({BaseEstimator::StallTime, false}).name(),
+              "DEP[STALL]");
+    EXPECT_EQ(DepPredictor({BaseEstimator::StallTime, true}).name(),
+              "DEP+BURST[STALL]");
+    EXPECT_EQ(DepPredictor({BaseEstimator::LeadingLoads, false}).name(),
+              "DEP[LL]");
+    EXPECT_EQ(DepPredictor({BaseEstimator::Oracle, false}).name(),
+              "DEP[ORACLE]");
+    EXPECT_EQ(DepPredictor({BaseEstimator::Oracle, true}).name(),
+              "DEP+BURST[ORACLE]");
 }
 
 TEST(Predictors, Figure3ZooHasSixEntries)

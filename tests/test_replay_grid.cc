@@ -19,7 +19,6 @@
 
 #include "exp/experiment.hh"
 #include "exp/sweep/trace_cache.hh"
-#include "pred/registry.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
 

@@ -36,7 +36,6 @@
 #include "serve/service.hh"
 #include "serve/trace_store.hh"
 #include "power/vf_table.hh"
-#include "pred/registry.hh"
 #include "reference_predictors.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
@@ -306,9 +305,7 @@ TEST(ServeService, OptimalVfHonorsBoundAndTable)
     for (const char *family : {"M+CRIT", "COOP", "DEP"}) {
         for (bool burst : {false, true}) {
             const pred::ModelSpec spec{pred::BaseEstimator::Crit, burst};
-            oq.predictor =
-                pred::PredictorRegistry::instance().make(family, spec)
-                    ->name();
+            oq.predictor = test::reference::make(family, spec)->name();
             std::uint32_t prev_chosen = ~0u;
             for (std::uint32_t permille : {0u, 50u, 100u, 1000u}) {
                 for (std::uint32_t step : {0u, 1u, 250u, 5000u, ~0u}) {

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -137,28 +136,4 @@ TEST(SweepPool, PoolIsReusableAfterFailure)
 TEST(SweepPool, DefaultWorkersIsPositive)
 {
     EXPECT_GE(defaultWorkers(), 1u);
-}
-
-TEST(SweepPool, DefaultWorkersTakesOnlyAWholeUnsignedFromEnv)
-{
-    const char *saved = std::getenv("DVFS_SWEEP_WORKERS");
-    const std::string restore = saved ? saved : "";
-    unsetenv("DVFS_SWEEP_WORKERS");
-    const unsigned fallback = defaultWorkers();
-    EXPECT_GE(fallback, 1u);
-
-    // Out of range for an unsigned, trailing junk, below 1, empty:
-    // each is warned about and falls back to the hardware width.
-    for (const char *bad :
-         {"4294967296", "4294967297", "2x", "0", "-3", ""}) {
-        setenv("DVFS_SWEEP_WORKERS", bad, 1);
-        EXPECT_EQ(defaultWorkers(), fallback) << "'" << bad << "'";
-    }
-    setenv("DVFS_SWEEP_WORKERS", "3", 1);
-    EXPECT_EQ(defaultWorkers(), 3u);
-
-    if (saved)
-        setenv("DVFS_SWEEP_WORKERS", restore.c_str(), 1);
-    else
-        unsetenv("DVFS_SWEEP_WORKERS");
 }

@@ -19,6 +19,7 @@
 #include "exp/experiment.hh"
 #include "pred/registry.hh"
 #include "pred/run_view.hh"
+#include "reference_predictors.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 #include "wl/suite.hh"
@@ -115,11 +116,11 @@ TEST(TraceRoundtrip, PredictionsBitIdenticalToLiveView)
                 << p->name() << " @ " << t.toString();
         }
     }
-    for (const auto &p :
-         pred::PredictorRegistry::instance().estimatorLadder()) {
+    for (const pred::ModelSpec &spec :
+         test::reference::estimatorLadder()) {
+        const pred::DepPredictor p(spec);
         Frequency t = Frequency::ghz(4.0);
-        EXPECT_EQ(p->predict(live, t), p->predict(loaded, t))
-            << p->name();
+        EXPECT_EQ(p.predict(live, t), p.predict(loaded, t)) << p.name();
     }
 }
 
