@@ -5,7 +5,9 @@
  *
  * Each predictor is constructed over its ModelSpec as the harnesses
  * construct it, and the Figure 3 walks take PredictorRegistry's
- * figure3Set(), the set fig3 and the replay engine run.
+ * figure3Set(), the set fig3 and the replay engine run. The
+ * ServeHandle ones time dvfsd's in-process handler on a cached
+ * Figure 3 trace.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,8 +17,10 @@
 #include "mgr/energy_manager.hh"
 #include "pred/registry.hh"
 #include "pred/table.hh"
+#include "serve/service.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
+#include "wl/suite.hh"
 
 using namespace dvfs;
 using namespace dvfs::pred;
@@ -150,6 +154,54 @@ BM_ManagerQuantumSweep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ManagerQuantumSweep);
+
+/** pmd.scale's Figure 3 trace: its 1 GHz cell at fig3's seed. */
+const std::vector<std::uint8_t> &
+figure3Trace()
+{
+    static const std::vector<std::uint8_t> image = [] {
+        constexpr std::uint64_t kSeed = 42;
+        for (const auto &params : wl::dacapoSuite()) {
+            if (params.name != "pmd.scale")
+                continue;
+            exp::RunOptions opts;
+            opts.seed = kSeed;
+            const auto out = exp::runFixed(params, Frequency::ghz(1.0), opts);
+            return trace::encodeTrace(out.record, {params.name, kSeed});
+        }
+        return std::vector<std::uint8_t>{};
+    }();
+    return image;
+}
+
+/**
+ * One dvfsd request, @p req with the trace's digest, served by
+ * Service::handle after one upload: the mix's Predict at one V/f
+ * point, its 4-target what-if and its optimal-V/f scan.
+ */
+template <class Request>
+static void
+BM_ServeHandle(benchmark::State &state, Request req)
+{
+    serve::TraceStore store(256u << 20);
+    serve::Service service(store);
+    net::UploadTraceReq up;
+    up.image = figure3Trace();
+    const net::Frame uploaded =
+        service.handle(net::Frame::request(0, std::move(up)));
+    req.traceDigest =
+        std::get<net::UploadTraceResp>(uploaded.body).traceDigest;
+    const net::Frame request = net::Frame::request(1, std::move(req));
+    for (auto _ : state) {
+        net::Frame reply = service.handle(request);
+        benchmark::DoNotOptimize(reply.body);
+    }
+}
+BENCHMARK_CAPTURE(BM_ServeHandle, Predict, net::PredictReq{0, 3000});
+BENCHMARK_CAPTURE(BM_ServeHandle, WhatIf,
+                  net::WhatIfGridReq{0, {1000, 2000, 3000, 4000}});
+BENCHMARK_CAPTURE(BM_ServeHandle, OptimalVf,
+                  net::OptimalVfReq{0, 100, 0, ""});
 
 /** Trace encode cost for the sample record. */
 static void

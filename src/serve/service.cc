@@ -1,5 +1,6 @@
 #include "serve/service.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -36,15 +37,6 @@ constexpr const char *kDefaultOptimalPredictor = "DEP+BURST";
 Service::Service(TraceStore &store, const ServerCounters *counters)
     : _store(store), _counters(counters)
 {
-    for (const auto &p : _engine.predictors())
-        _byName.emplace(p->name(), p.get());
-}
-
-const pred::Predictor *
-Service::predictorByName(const std::string &name) const
-{
-    auto it = _byName.find(name);
-    return it == _byName.end() ? nullptr : it->second;
 }
 
 net::Frame
@@ -131,7 +123,7 @@ Service::handlePredict(const net::PredictReq &req)
 
     const Frequency target = Frequency::mhz(req.targetMHz);
     std::vector<Tick> predicted(_engine.predictors().size());
-    _engine.predictGrid(cached->table, {&target, 1}, predicted);
+    cached->predictGrid({&target, 1}, predicted);
 
     net::PredictResp resp;
     resp.baseTotalTime = cached->table.totalTime();
@@ -163,7 +155,7 @@ Service::handleWhatIf(const net::WhatIfGridReq &req)
     // predictGrid() is target-major, predictor-minor — exactly the
     // response's cell order.
     resp.predicted.resize(targets.size() * resp.predictors.size());
-    _engine.predictGrid(cached->table, targets, resp.predicted);
+    cached->predictGrid(targets, resp.predicted);
     return resp;
 }
 
@@ -176,22 +168,31 @@ Service::handleOptimalVf(const net::OptimalVfReq &req)
 
     const std::string name =
         req.predictor.empty() ? kDefaultOptimalPredictor : req.predictor;
-    const pred::Predictor *p = predictorByName(name);
-    if (!p) {
+    const std::vector<std::string> &names = _engine.predictorNames();
+    const auto named = std::find(names.begin(), names.end(), name);
+    if (named == names.end()) {
         return errorBody(net::ErrorCode::BadRequest, 0,
                          "unknown predictor '" + name + "'");
     }
+    const auto p = static_cast<std::size_t>(named - names.begin());
+    const pred::Predictor &predictor = *_engine.predictors()[p];
 
     const auto table = power::VfTable::haswell(
         req.stepMHz == 0 ? 125 : req.stepMHz);
+    const std::vector<Frequency> freqs = table.frequencies();
+    auto estimate = [&](Frequency f) {
+        const std::size_t g = CachedTrace::gridIndex(f);
+        return g == CachedTrace::kOffGrid
+                   ? predictor.predict(cached->table, f)
+                   : cached->atGrid(g, p);
+    };
 
     // Admissibility is predicted-vs-predicted: slowdown relative to
     // the predicted time at the table's highest point, so the whole
     // decision is a pure function of the trace (the manager's static
     // query). On the monotone V(f) curve the lowest admissible
     // frequency is the minimum-energy point.
-    const pred::PredictionTable &pt = cached->table;
-    const Tick at_highest = p->predict(pt, table.highest());
+    const Tick at_highest = estimate(table.highest());
     const double limit =
         static_cast<double>(at_highest) *
         (1.0 + static_cast<double>(req.slowdownPermille) / 1000.0);
@@ -202,14 +203,28 @@ Service::handleOptimalVf(const net::OptimalVfReq &req)
     resp.predictedAtHighest = at_highest;
 
     // Points ascend, so the first admissible one is the lowest.
-    const std::vector<Frequency> freqs = table.frequencies();
-    p->scanAscending(pt, freqs, [&](std::size_t i, Tick predicted) {
+    auto admits = [&](std::size_t i, Tick predicted) {
         if (static_cast<double>(predicted) > limit)
             return false;
         resp.chosenMHz = freqs[i].toMHz();
         resp.predictedAtChosen = predicted;
         return true;
-    });
+    };
+    // A table whose points all lie on the grid (a step of 0 or a
+    // multiple of 125 MHz, or one past 3000 MHz) scans the stored
+    // column; any other walks the table a chunk at a time.
+    const bool on_grid =
+        std::all_of(freqs.begin(), freqs.end(), [](Frequency f) {
+            return CachedTrace::gridIndex(f) != CachedTrace::kOffGrid;
+        });
+    if (on_grid) {
+        for (std::size_t i = 0; i < freqs.size(); ++i) {
+            if (admits(i, estimate(freqs[i])))
+                break;
+        }
+    } else {
+        predictor.scanAscending(cached->table, freqs, admits);
+    }
     resp.microvolts = static_cast<std::uint64_t>(
         std::llround(table.voltageAt(Frequency::mhz(resp.chosenMHz)) *
                      1e6));

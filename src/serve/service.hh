@@ -6,9 +6,10 @@
  * no sockets, no threads of its own — so the exact code path the
  * daemon serves is also the code path unit tests and
  * `dvfsd_load --verify-live` exercise directly. handle() is safe to
- * call concurrently: the store is internally locked, predictors are
- * stateless pure functions over the store's immutable prediction
- * tables (their scratch is per thread), and counters are atomic.
+ * call concurrently: the store is internally locked, its entries are
+ * immutable once inserted, queries read an entry's answer grid or
+ * walk its prediction table with stateless predictors (their scratch
+ * is per thread), and counters are atomic.
  *
  * Every reply to request id R carries id R; failures become
  * Error{code, offset, message} replies rather than dropped
@@ -19,7 +20,6 @@
 #define DVFS_SERVE_SERVICE_HH
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -70,14 +70,10 @@ class Service
     net::Body handleOptimalVf(const net::OptimalVfReq &req);
     net::Body handleStats();
 
-    /** Predictor by canonical name, or null. */
-    const pred::Predictor *predictorByName(const std::string &name) const;
-
     TraceStore &_store;
     const ServerCounters *_counters;
-    trace::ReplayEngine _engine;  ///< the registry's Figure 3 zoo
-    /** name() -> borrowed pointer into the engine's set. */
-    std::map<std::string, const pred::Predictor *> _byName;
+    /** The Figure 3 set the store's answer grids hold. */
+    const trace::ReplayEngine &_engine = CachedTrace::engine();
 
     std::atomic<std::uint64_t> _requests{0};
     std::atomic<std::uint64_t> _responses{0};

@@ -1,14 +1,85 @@
 #include "serve/trace_store.hh"
 
+#include <algorithm>
+
+#include "power/vf_table.hh"
+#include "sim/log.hh"
 #include "trace/writer.hh"
 
 namespace dvfs::serve {
+
+namespace {
+
+/** The grid's frequencies: the machine's V/f points, ascending. */
+const std::vector<Frequency> &
+gridPoints()
+{
+    static const std::vector<Frequency> points =
+        power::VfTable::haswell().frequencies();
+    return points;
+}
+
+} // namespace
+
+CachedTrace::CachedTrace(trace::LoadedTrace loaded)
+    : trace(std::move(loaded)), table(trace),
+      grid(gridPoints().size() * engine().predictors().size())
+{
+    engine().predictGrid(table, gridPoints(), grid);
+}
+
+const trace::ReplayEngine &
+CachedTrace::engine()
+{
+    static const trace::ReplayEngine figure3;
+    return figure3;
+}
+
+std::size_t
+CachedTrace::gridIndex(Frequency f)
+{
+    const std::vector<Frequency> &points = gridPoints();
+    const auto it = std::lower_bound(points.begin(), points.end(), f);
+    if (it == points.end() || *it != f)
+        return kOffGrid;
+    return static_cast<std::size_t>(it - points.begin());
+}
+
+void
+CachedTrace::predictGrid(std::span<const Frequency> targets,
+                         std::span<Tick> out) const
+{
+    // Each target of a walk is computed apart from the others in its
+    // chunk, so a stored answer equals the one a walk over any other
+    // target list would give, bit for bit.
+    const std::size_t np = engine().predictors().size();
+    DVFS_ASSERT(out.size() == targets.size() * np,
+                "one output per (target, predictor) cell");
+    std::vector<std::size_t> walkAt;
+    std::vector<Frequency> walkTargets;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+        const std::size_t g = gridIndex(targets[t]);
+        if (g == kOffGrid) {
+            walkAt.push_back(t);
+            walkTargets.push_back(targets[t]);
+            continue;
+        }
+        std::copy_n(grid.data() + g * np, np, out.data() + t * np);
+    }
+    if (walkAt.empty())
+        return;
+    std::vector<Tick> walked(walkAt.size() * np);
+    engine().predictGrid(table, walkTargets, walked);
+    for (std::size_t i = 0; i < walkAt.size(); ++i)
+        std::copy_n(walked.data() + i * np, np, out.data() + walkAt[i] * np);
+}
 
 std::size_t
 TraceStore::footprint(const CachedTrace &c)
 {
     const pred::RunRecord &rec = c.trace.record();
     std::size_t bytes = sizeof(trace::LoadedTrace) + c.table.bytes();
+    bytes += c.grid.size() * sizeof(Tick);
     bytes += rec.threads.size() * sizeof(pred::ThreadSummary);
     bytes += rec.gcMarks.size() * sizeof(pred::GcPhaseMark);
     bytes += rec.epochs.bytes();
@@ -41,7 +112,7 @@ TraceStore::put(const std::vector<std::uint8_t> &image)
         // Evicted while verifying: fall through and decode.
     }
 
-    // Strict decode and table build outside the lock: uploads of
+    // Strict decode, table and grid build outside the lock: uploads of
     // distinct traces never serialize behind each other's parsing.
     auto cached =
         std::make_shared<const CachedTrace>(trace::decodeTrace(image));

@@ -9,13 +9,14 @@
  * re-uploads idempotent — the bytes vouch for themselves, so two
  * clients uploading the same trace share one entry.
  *
- * Each entry also holds the trace's PredictionTable, built once at
- * insert, so queries walk prepared rows and never the decoded record.
+ * Each entry also holds the trace's PredictionTable and answer grid,
+ * built once at insert, so queries read stored answers or walk
+ * prepared rows, and never the decoded record.
  *
- * Capacity is bounded by decoded payload plus table bytes; inserting
- * past the bound evicts least-recently-used entries (entries currently
- * shared with in-flight queries stay alive through their shared_ptr
- * until the last query drops them). All operations are thread-safe.
+ * Capacity is bounded by decoded payload, table and grid bytes;
+ * inserting past the bound evicts least-recently-used entries (entries
+ * currently shared with in-flight queries stay alive through their
+ * shared_ptr until the last query drops them). All operations are thread-safe.
  */
 
 #ifndef DVFS_SERVE_TRACE_STORE_HH
@@ -25,23 +26,55 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "pred/table.hh"
 #include "trace/reader.hh"
+#include "trace/replay.hh"
 
 namespace dvfs::serve {
 
-/** A decoded trace and its prediction table. */
+/**
+ * A decoded trace, its prediction table and its answer grid.
+ *
+ * The grid holds the estimate of every Figure 3 predictor at every
+ * point of the machine's V/f table (power::VfTable::haswell()), built
+ * by one walk of the table at insert. A query at a grid point reads
+ * it; only targets off the grid walk the table again.
+ */
 struct CachedTrace {
-    explicit CachedTrace(trace::LoadedTrace loaded)
-        : trace(std::move(loaded)), table(trace)
+    explicit CachedTrace(trace::LoadedTrace loaded);
+
+    /** gridIndex() of a frequency that is not a grid point. */
+    static constexpr std::size_t kOffGrid = ~std::size_t{0};
+
+    /** The Figure 3 set, in the grid's predictor order. */
+    static const trace::ReplayEngine &engine();
+
+    /** Position of @p f among the grid's points, or kOffGrid. */
+    static std::size_t gridIndex(Frequency f);
+
+    /** Predictor @p p's estimate at grid point @p g. */
+    Tick
+    atGrid(std::size_t g, std::size_t p) const
     {
+        return grid[g * engine().predictors().size() + p];
     }
+
+    /**
+     * engine().predictGrid() over this trace's table, in its layout:
+     * grid points are read from the grid, and the other targets take
+     * one walk of the table.
+     */
+    void predictGrid(std::span<const Frequency> targets,
+                     std::span<Tick> out) const;
 
     trace::LoadedTrace trace;
     pred::PredictionTable table;
+    /** Target-major, predictor-minor, as ReplayEngine::predictGrid. */
+    std::vector<Tick> grid;
 };
 
 /** Cumulative cache counters (monotone; snapshot under the lock). */
@@ -65,8 +98,8 @@ class TraceStore
     }
 
     /**
-     * Decode @p image, build its table and cache both under the
-     * payload digest.
+     * Decode @p image, build its table and grid and cache them under
+     * the payload digest.
      *
      * Returns the cached (or pre-existing) entry and whether it was
      * already present. The decode is strict — any malformed image
@@ -94,7 +127,7 @@ class TraceStore
         std::shared_ptr<const CachedTrace> cached;
     };
 
-    /** Approximate footprint of a decoded trace and its table. */
+    /** Approximate footprint of a decoded trace, table and grid. */
     static std::size_t footprint(const CachedTrace &c);
 
     void evictOverBudgetLocked();

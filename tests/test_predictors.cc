@@ -259,14 +259,6 @@ TEST(Predictors, NamesAreDescriptive)
               "DEP+BURST[ORACLE]");
 }
 
-TEST(Predictors, Figure3ZooHasSixEntries)
-{
-    auto zoo = PredictorRegistry::instance().figure3Set();
-    ASSERT_EQ(zoo.size(), 6u);
-    EXPECT_EQ(zoo[0]->name(), "M+CRIT");
-    EXPECT_EQ(zoo[5]->name(), "DEP+BURST");
-}
-
 TEST(Predictors, RelativeError)
 {
     EXPECT_NEAR(Predictor::relativeError(110, 100), 0.1, 1e-12);

@@ -191,12 +191,25 @@ TEST(TraceStore, EvictsLeastRecentlyUsedFirst)
     // Scout the per-entry decoded footprints with an unbounded store.
     // They differ a little: a record's rows keep only nonzero counters.
     TraceStore scout(1u << 30);
-    scout.put(a);
+    const auto entry_a = scout.put(a).entry;
     const std::size_t bytes_a = scout.stats().bytes;
     scout.put(b);
     const std::size_t bytes_b = scout.stats().bytes - bytes_a;
     scout.put(c);
     const std::size_t bytes_c = scout.stats().bytes - bytes_a - bytes_b;
+
+    // The footprint counts every part an entry holds, the answer grid
+    // included.
+    const pred::RunRecord &rec_a = entry_a->trace.record();
+    EXPECT_EQ(entry_a->grid.size(),
+              power::VfTable::haswell().points().size() *
+                  entry_a->engine().predictors().size());
+    EXPECT_GE(bytes_a,
+              sizeof(trace::LoadedTrace) + entry_a->table.bytes() +
+                  rec_a.threads.size() * sizeof(pred::ThreadSummary) +
+                  rec_a.gcMarks.size() * sizeof(pred::GcPhaseMark) +
+                  rec_a.epochs.bytes() +
+                  entry_a->grid.size() * sizeof(Tick));
 
     // A store that holds A and either of B or C, never all three.
     // Recency order decides the victim: touching A after B's insert
@@ -277,6 +290,88 @@ TEST(ServeService, ServedPredictionsMatchDirectReplay)
         EXPECT_EQ(wr->predicted[i], grid[i].predicted);
 }
 
+/**
+ * Served answers, read from a trace's answer grid at the V/f points
+ * and walked off them, equal the reference walk of every Figure 3
+ * predictor cell for cell, on three traces.
+ */
+TEST(ServeService, GridAnswersMatchTheReferenceWalk)
+{
+    TraceStore store(64u << 20);
+    Service service(store);
+    // The Figure 3 set as (family, spec) pairs, in the served order.
+    std::vector<std::pair<std::string, pred::ModelSpec>> families;
+    for (const char *family : {"M+CRIT", "COOP", "DEP"}) {
+        for (bool burst : {false, true})
+            families.push_back({family, {pred::BaseEstimator::Crit, burst}});
+    }
+    std::uint64_t id = 1;
+
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("trace seed " + std::to_string(seed));
+        const auto image = makeImage(seed);
+        const auto loaded = trace::decodeTrace(image);
+        net::UploadTraceReq up;
+        up.image = image;
+        const Frame upReply = service.handle(Frame::request(id++, up));
+        const auto *upr = std::get_if<net::UploadTraceResp>(&upReply.body);
+        ASSERT_NE(upr, nullptr);
+
+        auto expectCells = [&](std::span<const net::PredictCell> cells,
+                               Frequency target) {
+            SCOPED_TRACE(std::to_string(target.toMHz()) + " MHz");
+            ASSERT_EQ(cells.size(), families.size());
+            for (std::size_t p = 0; p < families.size(); ++p) {
+                const auto &[family, spec] = families[p];
+                EXPECT_EQ(cells[p].predictor,
+                          test::reference::make(family, spec)->name());
+                EXPECT_EQ(cells[p].predicted,
+                          test::reference::predict(family, spec, loaded,
+                                                   target));
+            }
+        };
+
+        // Every grid point, then targets off the grid: below, between
+        // and above its points.
+        std::vector<std::uint32_t> targets;
+        for (const Frequency f : power::VfTable::haswell().frequencies())
+            targets.push_back(f.toMHz());
+        for (std::uint32_t mhz : {999u, 1001u, 1130u, 4125u})
+            targets.push_back(mhz);
+        for (std::uint32_t mhz : targets) {
+            net::PredictReq pq;
+            pq.traceDigest = upr->traceDigest;
+            pq.targetMHz = mhz;
+            const Frame reply = service.handle(Frame::request(id++, pq));
+            const auto *pr = std::get_if<net::PredictResp>(&reply.body);
+            ASSERT_NE(pr, nullptr);
+            expectCells(pr->cells, Frequency::mhz(mhz));
+        }
+
+        // One what-if over on- and off-grid targets, unordered and
+        // wider than one walk's chunk: the walked targets land at
+        // their own positions among the stored ones.
+        net::WhatIfGridReq wq;
+        wq.traceDigest = upr->traceDigest;
+        wq.targetsMHz = {4000, 1130, 1000, 2500, 4125, 999,  3875,
+                         1001, 2000, 1250, 3333, 1500, 2750};
+        ASSERT_GT(wq.targetsMHz.size(), pred::Predictor::kTargetChunk);
+        const Frame reply = service.handle(Frame::request(id++, wq));
+        const auto *wr = std::get_if<net::WhatIfGridResp>(&reply.body);
+        ASSERT_NE(wr, nullptr);
+        ASSERT_EQ(wr->predicted.size(),
+                  wq.targetsMHz.size() * families.size());
+        for (std::size_t t = 0; t < wq.targetsMHz.size(); ++t) {
+            std::vector<net::PredictCell> cells;
+            for (std::size_t p = 0; p < families.size(); ++p) {
+                cells.push_back({wr->predictors[p],
+                                 wr->predicted[t * families.size() + p]});
+            }
+            expectCells(cells, Frequency::mhz(wq.targetsMHz[t]));
+        }
+    }
+}
+
 TEST(ServeService, OptimalVfHonorsBoundAndTable)
 {
     TraceStore store(64u << 20);
@@ -301,14 +396,19 @@ TEST(ServeService, OptimalVfHonorsBoundAndTable)
     };
 
     // Every Figure 3 predictor, bound and table step against a direct
-    // per-point scan with the reference walk.
+    // per-point scan with the reference walk. Steps of 0 (125 MHz),
+    // 250, 375, 500 MHz and past 3000 MHz keep every point on the
+    // answer grid; 1 and 100 MHz leave it. A bound of 3000 permille
+    // admits the lowest point: no estimate grows past f_high/f_low = 4
+    // times the highest point's.
     for (const char *family : {"M+CRIT", "COOP", "DEP"}) {
         for (bool burst : {false, true}) {
             const pred::ModelSpec spec{pred::BaseEstimator::Crit, burst};
             oq.predictor = test::reference::make(family, spec)->name();
             std::uint32_t prev_chosen = ~0u;
-            for (std::uint32_t permille : {0u, 50u, 100u, 1000u}) {
-                for (std::uint32_t step : {0u, 1u, 250u, 5000u, ~0u}) {
+            for (std::uint32_t permille : {0u, 50u, 100u, 1000u, 3000u}) {
+                for (std::uint32_t step :
+                     {0u, 1u, 100u, 250u, 375u, 500u, 5000u, ~0u}) {
                     SCOPED_TRACE(oq.predictor + ", bound " +
                                  std::to_string(permille) +
                                  " permille, step " +
