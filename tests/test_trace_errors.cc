@@ -13,7 +13,8 @@
  * length and targeted structural corruptions are covered separately,
  * as is the one mutation that must NOT fail: an unknown or retired
  * section id with a recomputed digest (forward and backward
- * compatibility).
+ * compatibility). A resealed-mutation fuzz pins what the section
+ * decoders make of hostile bytes the digest no longer guards.
  */
 
 #include <gtest/gtest.h>
@@ -264,6 +265,20 @@ TEST(TraceErrors, UnknownSectionIsSkipped)
         EXPECT_EQ(after.meta().workload, before.meta().workload)
             << "section " << id;
     }
+}
+
+TEST(TraceErrors, ResealedMutationOutcomesArePinned)
+{
+    // Each payload byte set to b^1, 0x00 and 0xFF under a resealed
+    // digest: every outcome (error kind and offset, or the re-encoded
+    // image) folds into one pinned digest, so a decoder that reorders,
+    // drops or adds a field check fails.
+    const std::uint64_t digest = test::resealedMutationDigest<TraceError>(
+        sampleImage(), [](const std::vector<std::uint8_t> &b) {
+            const trace::LoadedTrace t = trace::decodeTrace(b);
+            return trace::encodeTrace(t.record(), t.meta());
+        });
+    EXPECT_EQ(digest, 0xfb68eb6c3874db9bULL) << "0x" << std::hex << digest;
 }
 
 TEST(TraceErrors, MissingFileIsIoError)

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "os/system.hh"
+#include "sim/fnv.hh"
 #include "uarch/work.hh"
 
 namespace dvfs::test {
@@ -122,6 +123,50 @@ addScript(os::System &sys, const std::string &name,
     return sys.addThread(name,
                          std::make_unique<ScriptProgram>(std::move(script)),
                          service);
+}
+
+/**
+ * Resealed-mutation fuzz of a digested format (.dvfstrace, DVFSRPC1):
+ * both put a 24-byte header first whose bytes 16..23 hold the FNV-1a
+ * digest of everything after it. Each payload byte of @p good is set
+ * in turn to b^1, 0x00 and 0xFF and the digest is resealed, so the
+ * decoder's field checks, not the digest, meet the hostile bytes.
+ * Each outcome of @p roundTrip (decode, then re-encode) is folded into
+ * the returned digest: the kind and offset of the Error it throws, or
+ * the bytes it returns.
+ */
+template <class Error, class RoundTrip>
+std::uint64_t
+resealedMutationDigest(const std::vector<std::uint8_t> &good,
+                       RoundTrip &&roundTrip)
+{
+    constexpr std::size_t kHeader = 24;
+    sim::Fnv1a outcomes;
+    sim::Fnv1a prefix;  // digest of the payload bytes before `off`
+    for (std::size_t off = kHeader; off < good.size(); ++off) {
+        const std::uint8_t was = good[off];
+        for (const std::uint8_t b :
+             {static_cast<std::uint8_t>(was ^ 1), std::uint8_t{0x00},
+              std::uint8_t{0xff}}) {
+            std::vector<std::uint8_t> bad = good;
+            bad[off] = b;
+            sim::Fnv1a seal = prefix;
+            seal.mixBytes(bad.data() + off, bad.size() - off);
+            for (int i = 0; i < 8; ++i)
+                bad[16 + static_cast<std::size_t>(i)] =
+                    static_cast<std::uint8_t>(seal.digest() >> (8 * i));
+            try {
+                const std::vector<std::uint8_t> back = roundTrip(bad);
+                outcomes.mix(back.size());
+                outcomes.mixBytes(back.data(), back.size());
+            } catch (const Error &e) {
+                outcomes.mix(static_cast<std::uint64_t>(e.kind()));
+                outcomes.mix(e.offset());
+            }
+        }
+        prefix.mixBytes(&was, 1);
+    }
+    return outcomes.digest();
 }
 
 } // namespace dvfs::test
