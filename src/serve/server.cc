@@ -15,21 +15,6 @@
 
 namespace dvfs::serve {
 
-namespace {
-
-net::Frame
-errorReply(std::uint64_t request_id, net::ErrorCode code,
-           std::uint64_t offset, std::string message)
-{
-    net::ErrorResp e;
-    e.code = static_cast<std::uint32_t>(code);
-    e.offset = offset;
-    e.message = std::move(message);
-    return net::Frame::response(request_id, std::move(e));
-}
-
-} // namespace
-
 Server::Server(const ServerConfig &config)
     : _unixPath(config.unixPath),
       _workers(config.workers != 0 ? config.workers
@@ -245,9 +230,9 @@ Server::extractFrames(Conn &conn)
                                              net::kFrameHeaderBytes);
         } catch (const net::ProtoError &e) {
             // The stream can no longer be framed; answer and hang up.
-            queueReply(conn,
-                       errorReply(0, net::ErrorCode::BadRequest,
-                                  e.offset(), e.what()));
+            queueReply(conn, net::Frame::response(
+                                 0, net::errorResp(net::ErrorCode::BadRequest,
+                                                   e.offset(), e.what())));
             conn.closeAfterFlush = true;
             consumed = conn.readBuf.size();
             break;
@@ -264,9 +249,9 @@ Server::extractFrames(Conn &conn)
             // so reply and resynchronize on the next frame. The
             // request id cannot be trusted out of a corrupt payload,
             // so the reply carries id 0.
-            queueReply(conn,
-                       errorReply(0, net::ErrorCode::BadRequest,
-                                  e.offset(), e.what()));
+            queueReply(conn, net::Frame::response(
+                                 0, net::errorResp(net::ErrorCode::BadRequest,
+                                                   e.offset(), e.what())));
         }
         consumed += whole;
     }
@@ -282,11 +267,11 @@ Server::enqueueRequest(Conn &conn, net::Frame frame)
         // Shed the OLDEST queued request: its client has waited the
         // longest already and is the most likely to have given up.
         const net::Frame &oldest = conn.pending.front();
-        queueReply(conn,
-                   errorReply(oldest.requestId,
-                              net::ErrorCode::Overloaded, 0,
-                              "request shed under backpressure; "
-                              "retry later"));
+        queueReply(conn, net::Frame::response(
+                             oldest.requestId,
+                             net::errorResp(net::ErrorCode::Overloaded, 0,
+                                            "request shed under "
+                                            "backpressure; retry later")));
         conn.pending.pop_front();
         _counters.shedOverload.fetch_add(1, std::memory_order_relaxed);
     }
