@@ -533,6 +533,32 @@ TEST(ServeService, EveryFailureIsAStructuredErrorReply)
 }
 
 /**
+ * A WhatIf whose reply would not fit in one frame is refused before
+ * any target is walked: its request fits, but at 4 + 8 bytes per
+ * predictor per target its reply would pass kMaxPayloadBytes, and no
+ * client could read it.
+ */
+TEST(ServeService, WhatIfWhoseReplyCannotFitAFrameIsRefused)
+{
+    TraceStore store(64u << 20);
+    Service service(store);
+    net::UploadTraceReq up;
+    up.image = makeImage(7);
+    const Frame upReply = service.handle(Frame::request(1, std::move(up)));
+    const auto *upr = std::get_if<net::UploadTraceResp>(&upReply.body);
+    ASSERT_NE(upr, nullptr);
+
+    const std::size_t per_target =
+        4 + 8 * serve::CachedTrace::engine().predictorNames().size();
+    net::WhatIfGridReq wq;
+    wq.traceDigest = upr->traceDigest;
+    wq.targetsMHz.assign(net::kMaxPayloadBytes / per_target + 1, 1000);
+    ASSERT_LT(wq.targetsMHz.size() * 4, net::kMaxPayloadBytes);
+    requireError(service.handle(Frame::request(2, wq)),
+                 net::ErrorCode::BadRequest);
+}
+
+/**
  * A corrupt re-upload of a cached trace (one payload byte flipped, or
  * the 24-byte header alone) is a BadRequest at the digest's offset,
  * not an alreadyCached acknowledgement; the cached entry still serves
