@@ -66,10 +66,7 @@ struct WiredRun {
             // A manager's decision epochs are always observed: GC
             // boundaries force detail windows (DVFS transitions force
             // them unconditionally inside System::setFrequency).
-            sim::SamplingConfig sc = opts.sampling;
-            if (mgr_cfg)
-                sc.forceDetailAtGc = true;
-            inst.sys->enableSampling(sc);
+            inst.sys->enableSampling(opts.sampling, mgr_cfg != nullptr);
         }
         inst.sys->addListener(&rec);
         meter.attach();

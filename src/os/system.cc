@@ -111,7 +111,7 @@ System::recordPhaseEvent(SyncEventKind kind)
     // Managed sampled runs observe every GC boundary in detail: the
     // collector's behaviour is what the manager's COOP signal keys on,
     // so it must never be synthesized from stale eras.
-    if (_sampler && _sampler->config().forceDetailAtGc)
+    if (_forceDetailAtGc)
         _sampler->forceDetail();
     emit(kind, kNoThread, kNoSync);
 }
@@ -148,13 +148,15 @@ System::requestStop(std::string reason)
 }
 
 void
-System::enableSampling(const sim::SamplingConfig &cfg)
+System::enableSampling(const sim::SamplingConfig &cfg,
+                       bool force_detail_at_gc)
 {
     if (_runStarted)
         fatal("enableSampling must be called before run()");
     if (_sampler)
         fatal("enableSampling called twice");
     _sampler = std::make_unique<sim::SamplingController>(_eq, cfg);
+    _forceDetailAtGc = force_detail_at_gc;
     _fastPath = std::make_unique<uarch::FastPathModel>(_cfg.cores);
     _fastPath->setOperatingPoint(_coreDomain.frequency().toMHz());
     _mem->enableWarmOverlay();

@@ -164,8 +164,13 @@ class System
      * the fast-path model to the new operating point (forking its eras
      * on first visit) and forces a detail window around the
      * transition, so energy-manager-governed runs sample soundly.
+     *
+     * @param force_detail_at_gc  also force a detail window at every
+     *        GC phase boundary: managed runs set it, fixed sampled runs
+     *        leave it off (their golden schedule predates it).
      */
-    void enableSampling(const sim::SamplingConfig &cfg);
+    void enableSampling(const sim::SamplingConfig &cfg,
+                        bool force_detail_at_gc = false);
     /// @}
 
     /// @name Services for the runtime and the energy manager
@@ -392,6 +397,7 @@ class System
     /** Sampled-mode machinery (both null when running exact). */
     std::unique_ptr<sim::SamplingController> _sampler;
     std::unique_ptr<uarch::FastPathModel> _fastPath;
+    bool _forceDetailAtGc = false;
 };
 
 } // namespace dvfs::os

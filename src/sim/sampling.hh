@@ -18,8 +18,9 @@
  *
  *  - *Forced detail*: forceDetail() cuts a fast-forward gap short (or
  *    extends the current detail window) so that DVFS transitions and —
- *    when forceDetailAtGc is set — GC boundaries are always observed
- *    by the cycle-accurate path, never synthesized from stale eras.
+ *    in managed runs (os::System::enableSampling) — GC boundaries are
+ *    always observed by the cycle-accurate path, never synthesized from
+ *    stale eras.
  *  - *Adaptive placement*: when maxGapWindow raises the cap above
  *    gapWindow, each detail -> gap flip consults the model's fitted-
  *    term drift (an integer permille, see FastPathModel::
@@ -80,14 +81,6 @@ struct SamplingConfig {
      * count as "steady" for gap stretching.
      */
     std::uint32_t driftThresholdPermille = 50;
-
-    /**
-     * Force a detail window at every GC phase boundary (GcBegin /
-     * GcEnd). Managed runs set this so the collector activity the
-     * energy manager's COOP signal keys on is always observed; fixed
-     * sampled runs leave it off (their golden schedule predates it).
-     */
-    bool forceDetailAtGc = false;
 };
 
 /** Execution fidelity of the current instant. */
