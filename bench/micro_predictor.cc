@@ -7,7 +7,8 @@
  * construct it, and the Figure 3 walks take PredictorRegistry's
  * figure3Set(), the set fig3 and the replay engine run. The
  * ServeHandle ones time dvfsd's in-process handler on a cached
- * Figure 3 trace.
+ * Figure 3 trace, and the FrameCodec ones the DVFSRPC1 encode and
+ * decode of the same requests and replies.
  */
 
 #include <benchmark/benchmark.h>
@@ -174,6 +175,20 @@ figure3Trace()
     return image;
 }
 
+/** Upload the trace to @p service; @p req, with its digest, as a frame. */
+template <class Request>
+net::Frame
+uploadedRequest(serve::Service &service, Request req)
+{
+    net::UploadTraceReq up;
+    up.image = figure3Trace();
+    const net::Frame uploaded =
+        service.handle(net::Frame::request(0, std::move(up)));
+    req.traceDigest =
+        std::get<net::UploadTraceResp>(uploaded.body).traceDigest;
+    return net::Frame::request(1, std::move(req));
+}
+
 /**
  * One dvfsd request, @p req with the trace's digest, served by
  * Service::handle after one upload: the mix's Predict at one V/f
@@ -185,13 +200,7 @@ BM_ServeHandle(benchmark::State &state, Request req)
 {
     serve::TraceStore store(256u << 20);
     serve::Service service(store);
-    net::UploadTraceReq up;
-    up.image = figure3Trace();
-    const net::Frame uploaded =
-        service.handle(net::Frame::request(0, std::move(up)));
-    req.traceDigest =
-        std::get<net::UploadTraceResp>(uploaded.body).traceDigest;
-    const net::Frame request = net::Frame::request(1, std::move(req));
+    const net::Frame request = uploadedRequest(service, std::move(req));
     for (auto _ : state) {
         net::Frame reply = service.handle(request);
         benchmark::DoNotOptimize(reply.body);
@@ -201,6 +210,32 @@ BENCHMARK_CAPTURE(BM_ServeHandle, Predict, net::PredictReq{0, 3000});
 BENCHMARK_CAPTURE(BM_ServeHandle, WhatIf,
                   net::WhatIfGridReq{0, {1000, 2000, 3000, 4000}});
 BENCHMARK_CAPTURE(BM_ServeHandle, OptimalVf,
+                  net::OptimalVfReq{0, 100, 0, ""});
+
+/**
+ * The DVFSRPC1 codec on the same exchanges: encode and decode the
+ * request frame and the reply frame Service::handle gives it, the
+ * client's and the server's codec work for one request.
+ */
+template <class Request>
+static void
+BM_FrameCodec(benchmark::State &state, Request req)
+{
+    serve::TraceStore store(256u << 20);
+    serve::Service service(store);
+    const net::Frame request = uploadedRequest(service, std::move(req));
+    const net::Frame reply = service.handle(request);
+    for (auto _ : state) {
+        net::Frame req_back = net::decodeFrame(net::encodeFrame(request));
+        net::Frame reply_back = net::decodeFrame(net::encodeFrame(reply));
+        benchmark::DoNotOptimize(req_back.body);
+        benchmark::DoNotOptimize(reply_back.body);
+    }
+}
+BENCHMARK_CAPTURE(BM_FrameCodec, Predict, net::PredictReq{0, 3000});
+BENCHMARK_CAPTURE(BM_FrameCodec, WhatIf,
+                  net::WhatIfGridReq{0, {1000, 2000, 3000, 4000}});
+BENCHMARK_CAPTURE(BM_FrameCodec, OptimalVf,
                   net::OptimalVfReq{0, 100, 0, ""});
 
 /** Trace encode cost for the sample record. */
