@@ -6,10 +6,10 @@
  * simulation rate (the "ablation" data for DESIGN.md's atomic-cluster
  * issue decision: how much wall time one simulated run costs), and
  * sweep-engine overhead at 1/2/8 workers, the FNV-1a digest over
- * zero-heavy and dense input and over one avrora run record, and the
- * workload generator's action
- * pulls (full and lite clusters). The synthetic sweep grid's
- * digest is pinned by
+ * zero-heavy and dense input and over one avrora run record, the
+ * workload generator's action pulls (full and lite clusters), and the
+ * fast-path model's observe and charge of one cluster and one burst
+ * shape. The synthetic sweep grid's digest is pinned by
  * SweepGolden.CommittedDigestsReproduceAcrossWorkerCounts.
  */
 
@@ -27,6 +27,7 @@
 #include "uarch/cache.hh"
 #include "uarch/core.hh"
 #include "uarch/dram.hh"
+#include "uarch/fastpath.hh"
 #include "wl/programs.hh"
 #include "wl/suite.hh"
 
@@ -296,6 +297,65 @@ BM_CacheHierarchyStoreBurst(benchmark::State &state)
     state.SetLabel("items = store lines");
 }
 BENCHMARK(BM_CacheHierarchyStoreBurst);
+
+/**
+ * Fast-path model cost per action, the sampled mode's fast-forward
+ * charge and its detail-window fit: each iteration observes one
+ * 5-load miss cluster and one 16-line store burst, then charges one of
+ * each as a fast-forward gap would, cycling the busy-core count over
+ * the model's 4 occupancy lanes. Every 64 iterations age() promotes
+ * the window, as a detail -> fast-forward flip does.
+ */
+static void
+BM_FastPathModel(benchmark::State &state)
+{
+    static const std::uint64_t kAddrs[] = {1, 2, 3, 4, 5};
+    static const std::uint32_t kChainEnds[] = {3, 5};
+    uarch::MissClusterSpec full;
+    full.addrs = kAddrs;
+    full.chainEnds = kChainEnds;
+    full.chains = 2;
+    full.overlapInstructions = 50;
+    uarch::MissClusterSpec lite;
+    lite.liteChains = 5;
+    lite.liteChainDepth = 1;
+    lite.overlapInstructions = 50;
+    const uarch::StoreBurstSpec burst{0x1000, 16, 2};
+
+    uarch::FastPathModel model(4);
+    uarch::PerfCounters delta;
+    delta.computeTime = 600;
+    delta.trueMemTime = 300;
+    delta.critNonscaling = 250;
+    delta.l3Hits = 2;
+    delta.dramLoads = 1;
+    delta.sqFullTime = 40;
+    for (std::uint32_t busy = 1; busy <= 4; ++busy) {
+        for (std::uint32_t i = 0; i < uarch::FastPathModel::kMinClusterObs;
+             ++i) {
+            model.observeCluster(full, busy, 1000 + busy, delta);
+            model.observeBurst(burst, busy, 900 + busy, delta);
+        }
+    }
+    model.age();
+
+    uarch::PerfCounters pc;
+    std::uint32_t n = 0;
+    for (auto _ : state) {
+        const std::uint32_t busy = 1 + (n & 3);
+        model.observeCluster(full, busy, 1000 + busy, delta);
+        model.observeBurst(burst, busy, 900 + busy, delta);
+        Tick e = 0;
+        benchmark::DoNotOptimize(model.chargeCluster(lite, busy, e, pc));
+        benchmark::DoNotOptimize(model.chargeBurst(burst, busy, e, pc));
+        if ((++n & 63) == 0)
+            model.age();
+    }
+    benchmark::DoNotOptimize(pc);
+    state.SetItemsProcessed(state.iterations() * 4);
+    state.SetLabel("items = observed + charged actions");
+}
+BENCHMARK(BM_FastPathModel);
 
 /** Simulation rate: events per wall second for a full benchmark. */
 static void

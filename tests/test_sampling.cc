@@ -13,11 +13,14 @@
  *  - gapWindow == 0 disables fast-forward entirely (exact behaviour).
  */
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hh"
 #include "exp/sweep/fingerprint.hh"
 #include "sim/event_queue.hh"
+#include "sim/fnv.hh"
 #include "sim/sampling.hh"
 #include "test_util.hh"
 #include "uarch/fastpath.hh"
@@ -356,128 +359,191 @@ TEST(FastPathModel, ColdModelRefusesToCharge)
     EXPECT_TRUE(m.chargeCluster(lite, 2, elapsed, pc));
 }
 
+namespace {
+
+/**
+ * One action kind the model fits, driven through its public calls: a
+ * 5-load miss cluster (observed full, charged as a lite descriptor of
+ * the same shape), or a 16-line store burst of 2 stores per line.
+ * Cluster lanes weigh one per observation and burst lanes one per
+ * line, so @c window observations reach either kind's minimum weight.
+ */
+struct ActionKind {
+    const char *name;
+    /** Observations that make one qualifying window. */
+    int window;
+    /** What one charge adds besides its fitted counters. */
+    uarch::PerfCounters extras;
+    /** A non-scaling counter this kind fits. */
+    std::uint64_t uarch::PerfCounters::*fitted;
+    std::function<void(uarch::FastPathModel &, std::uint32_t busy,
+                       Tick elapsed, const uarch::PerfCounters &delta)>
+        observe;
+    std::function<bool(uarch::FastPathModel &, std::uint32_t busy,
+                       Tick &elapsed, uarch::PerfCounters &pc)>
+        charge;
+};
+
+std::vector<ActionKind>
+actionKinds()
+{
+    ActionKind cluster;
+    cluster.name = "cluster";
+    cluster.window = uarch::FastPathModel::kMinClusterObs;
+    cluster.extras.instructions = 50;
+    cluster.extras.missClusters = 1;
+    cluster.fitted = &uarch::PerfCounters::l3Hits;
+    cluster.observe = [](uarch::FastPathModel &m, std::uint32_t busy,
+                         Tick elapsed, const uarch::PerfCounters &d) {
+        static const test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
+        uarch::MissClusterSpec spec = addrs.spec();
+        spec.overlapInstructions = 50;
+        m.observeCluster(spec, busy, elapsed, d);
+    };
+    cluster.charge = [](uarch::FastPathModel &m, std::uint32_t busy,
+                        Tick &elapsed, uarch::PerfCounters &pc) {
+        uarch::MissClusterSpec lite;
+        lite.liteChains = 5;
+        lite.liteChainDepth = 1;
+        lite.overlapInstructions = 50;
+        return m.chargeCluster(lite, busy, elapsed, pc);
+    };
+
+    constexpr std::uint32_t kLines = 16;
+    ActionKind burst;
+    burst.name = "burst";
+    burst.window = uarch::FastPathModel::kMinBurstLines / kLines;
+    burst.extras.instructions = 2 * kLines;
+    burst.extras.storeBursts = 1;
+    burst.extras.storeLines = kLines;
+    burst.fitted = &uarch::PerfCounters::sqFullTime;
+    burst.observe = [](uarch::FastPathModel &m, std::uint32_t busy,
+                       Tick elapsed, const uarch::PerfCounters &d) {
+        m.observeBurst(uarch::StoreBurstSpec{0x1000, kLines, 2}, busy,
+                       elapsed, d);
+    };
+    burst.charge = [](uarch::FastPathModel &m, std::uint32_t busy,
+                      Tick &elapsed, uarch::PerfCounters &pc) {
+        return m.chargeBurst(uarch::StoreBurstSpec{0x2000, kLines, 2}, busy,
+                             elapsed, pc);
+    };
+    return {cluster, burst};
+}
+
+} // namespace
+
 TEST(FastPathModel, EmissionConservesObservedMeans)
 {
-    uarch::FastPathModel m(4);
-    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
+    for (const ActionKind &kind : actionKinds()) {
+        SCOPED_TRACE(kind.name);
+        uarch::FastPathModel m(4);
 
-    // Observe a fixed shape with a deliberately awkward elapsed value
-    // so integer division must round somewhere.
-    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
-    uarch::MissClusterSpec spec = addrs.spec();
-    spec.overlapInstructions = 50;
-    const Tick obsElapsed = 1000003;
-    for (int i = 0; i < kObs; ++i) {
-        uarch::PerfCounters d;
-        d.computeTime = 333335;
-        d.l3Hits = 5;
-        m.observeCluster(spec, 2, obsElapsed, d);
+        // Observe a fixed shape with a deliberately awkward elapsed
+        // value so integer division must round somewhere.
+        const Tick obsElapsed = 1000003;
+        for (int i = 0; i < kind.window; ++i) {
+            uarch::PerfCounters d;
+            d.computeTime = 333335;
+            d.*kind.fitted = 5;
+            kind.observe(m, 2, obsElapsed, d);
+        }
+        m.age();
+
+        Tick sumElapsed = 0;
+        uarch::PerfCounters pc;
+        const int kCharges = 1000;
+        for (int i = 0; i < kCharges; ++i) {
+            Tick e = 0;
+            ASSERT_TRUE(kind.charge(m, 2, e, pc));
+            sumElapsed += e;
+            // Every charge is within one tick of the mean.
+            EXPECT_NEAR(static_cast<double>(e),
+                        static_cast<double>(obsElapsed), 1.0);
+        }
+
+        // Cumulative emission: totals equal the entitled share exactly
+        // (floor), so drift never accumulates.
+        const double meanElapsed =
+            static_cast<double>(sumElapsed) / kCharges;
+        EXPECT_NEAR(meanElapsed, static_cast<double>(obsElapsed), 0.01);
+        EXPECT_EQ(pc.busyTime, sumElapsed);
+        EXPECT_NEAR(static_cast<double>(pc.computeTime) / kCharges,
+                    333335.0, 0.01);
+        EXPECT_NEAR(static_cast<double>(pc.*kind.fitted) / kCharges, 5.0,
+                    0.01);
+        EXPECT_EQ(pc.instructions, kind.extras.instructions * kCharges);
+        EXPECT_EQ(pc.missClusters, kind.extras.missClusters * kCharges);
+        EXPECT_EQ(pc.storeBursts, kind.extras.storeBursts * kCharges);
+        EXPECT_EQ(pc.storeLines, kind.extras.storeLines * kCharges);
     }
-    m.age();
-
-    uarch::MissClusterSpec lite;
-    lite.liteChains = 2;
-    lite.liteChainDepth = 0;
-    lite.overlapInstructions = 50;
-    // loadCount must match the observed shape (5 loads).
-    lite.liteChains = 5;
-    lite.liteChainDepth = 1;
-
-    Tick sumElapsed = 0;
-    std::uint64_t sumL3 = 0;
-    uarch::PerfCounters pc;
-    const int kCharges = 1000;
-    for (int i = 0; i < kCharges; ++i) {
-        Tick e = 0;
-        ASSERT_TRUE(m.chargeCluster(lite, 2, e, pc));
-        sumElapsed += e;
-        // Every charge is within one tick of the mean.
-        EXPECT_NEAR(static_cast<double>(e),
-                    static_cast<double>(obsElapsed), 1.0);
-    }
-    sumL3 = pc.l3Hits;
-
-    // Cumulative emission: totals equal the entitled share exactly
-    // (floor), so drift never accumulates.
-    const double meanElapsed =
-        static_cast<double>(sumElapsed) / kCharges;
-    EXPECT_NEAR(meanElapsed, static_cast<double>(obsElapsed), 0.01);
-    EXPECT_NEAR(static_cast<double>(sumL3) / kCharges, 5.0, 0.01);
-    EXPECT_EQ(pc.instructions, 50u * kCharges);
-    EXPECT_EQ(pc.missClusters, static_cast<std::uint64_t>(kCharges));
 }
 
 TEST(FastPathModel, OccupancyLanesAreSeparate)
 {
-    uarch::FastPathModel m(4);
-    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
+    for (const ActionKind &kind : actionKinds()) {
+        SCOPED_TRACE(kind.name);
+        uarch::FastPathModel m(4);
 
-    test::ClusterChains addrs{{1, 2}};
-    uarch::MissClusterSpec spec = addrs.spec();
-    // Same shape, very different latency at different occupancy.
-    for (int i = 0; i < kObs; ++i) {
-        uarch::PerfCounters d;
-        m.observeCluster(spec, 1, 1000, d);
-        m.observeCluster(spec, 4, 9000, d);
+        // Same shape, very different latency at different occupancy.
+        for (int i = 0; i < kind.window; ++i) {
+            uarch::PerfCounters d;
+            kind.observe(m, 1, 1000, d);
+            kind.observe(m, 4, 9000, d);
+        }
+        m.age();
+
+        uarch::PerfCounters pc;
+        Tick e1 = 0, e4 = 0;
+        ASSERT_TRUE(kind.charge(m, 1, e1, pc));
+        ASSERT_TRUE(kind.charge(m, 4, e4, pc));
+        EXPECT_NEAR(static_cast<double>(e1), 1000.0, 1.0);
+        EXPECT_NEAR(static_cast<double>(e4), 9000.0, 1.0);
     }
-    m.age();
-
-    uarch::PerfCounters pc;
-    Tick e1 = 0, e4 = 0;
-    ASSERT_TRUE(m.chargeCluster(spec, 1, e1, pc));
-    ASSERT_TRUE(m.chargeCluster(spec, 4, e4, pc));
-    EXPECT_NEAR(static_cast<double>(e1), 1000.0, 1.0);
-    EXPECT_NEAR(static_cast<double>(e4), 9000.0, 1.0);
 }
 
 TEST(FastPathModel, OperatingPointForkRescalesOnlyTheComputeShare)
 {
-    uarch::FastPathModel m(4);
-    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
-    m.setOperatingPoint(2000);
-    EXPECT_EQ(m.operatingPoint(), 2000u);
-    EXPECT_EQ(m.operatingPoints(), 1u);
+    for (const ActionKind &kind : actionKinds()) {
+        SCOPED_TRACE(kind.name);
+        uarch::FastPathModel m(4);
+        m.setOperatingPoint(2000);
+        EXPECT_EQ(m.operatingPoint(), 2000u);
+        EXPECT_EQ(m.operatingPoints(), 1u);
 
-    // Fit one shape: elapsed 1000 of which 600 is compute (scaling)
-    // and 400 memory/sync (non-scaling).
-    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
-    uarch::MissClusterSpec spec = addrs.spec();
-    spec.overlapInstructions = 50;
-    for (int i = 0; i < kObs; ++i) {
-        uarch::PerfCounters d;
-        d.computeTime = 600;
-        m.observeCluster(spec, 2, 1000, d);
+        // Fit one shape: elapsed 1000 of which 600 is compute
+        // (scaling) and 400 memory/sync (non-scaling).
+        for (int i = 0; i < kind.window; ++i) {
+            uarch::PerfCounters d;
+            d.computeTime = 600;
+            kind.observe(m, 2, 1000, d);
+        }
+        m.age();
+
+        uarch::PerfCounters pc;
+        Tick e = 0;
+        ASSERT_TRUE(kind.charge(m, 2, e, pc));
+        EXPECT_NEAR(static_cast<double>(e), 1000.0, 1.0);
+
+        // Halving the frequency forks the era: compute doubles, the
+        // non-scaling share carries over -> 400 + 1200 = 1600.
+        m.setOperatingPoint(1000);
+        EXPECT_EQ(m.operatingPoint(), 1000u);
+        EXPECT_EQ(m.operatingPoints(), 2u);
+        uarch::PerfCounters pc1;
+        Tick e1 = 0;
+        ASSERT_TRUE(kind.charge(m, 2, e1, pc1));
+        EXPECT_NEAR(static_cast<double>(e1), 1600.0, 1.0);
+        EXPECT_NEAR(static_cast<double>(pc1.computeTime), 1200.0, 1.0);
+
+        // Revisiting the original point resumes its own era unchanged
+        // — no second fork, no accumulation of rescaling error.
+        m.setOperatingPoint(2000);
+        EXPECT_EQ(m.operatingPoints(), 2u);
+        uarch::PerfCounters pc2;
+        Tick e2 = 0;
+        ASSERT_TRUE(kind.charge(m, 2, e2, pc2));
+        EXPECT_NEAR(static_cast<double>(e2), 1000.0, 1.0);
     }
-    m.age();
-
-    uarch::MissClusterSpec lite;
-    lite.liteChains = 5;
-    lite.liteChainDepth = 1;
-    lite.overlapInstructions = 50;
-
-    uarch::PerfCounters pc;
-    Tick e = 0;
-    ASSERT_TRUE(m.chargeCluster(lite, 2, e, pc));
-    EXPECT_NEAR(static_cast<double>(e), 1000.0, 1.0);
-
-    // Halving the frequency forks the era: compute doubles, the
-    // non-scaling share carries over -> 400 + 1200 = 1600.
-    m.setOperatingPoint(1000);
-    EXPECT_EQ(m.operatingPoint(), 1000u);
-    EXPECT_EQ(m.operatingPoints(), 2u);
-    uarch::PerfCounters pc1;
-    Tick e1 = 0;
-    ASSERT_TRUE(m.chargeCluster(lite, 2, e1, pc1));
-    EXPECT_NEAR(static_cast<double>(e1), 1600.0, 1.0);
-
-    // Revisiting the original point resumes its own era unchanged —
-    // no second fork, no accumulation of rescaling error.
-    m.setOperatingPoint(2000);
-    EXPECT_EQ(m.operatingPoints(), 2u);
-    uarch::PerfCounters pc2;
-    Tick e2 = 0;
-    ASSERT_TRUE(m.chargeCluster(lite, 2, e2, pc2));
-    EXPECT_NEAR(static_cast<double>(e2), 1000.0, 1.0);
 }
 
 TEST(FastPathModel, AgeOnEmptyWindowKeepsTheEra)
@@ -487,72 +553,221 @@ TEST(FastPathModel, AgeOnEmptyWindowKeepsTheEra)
     // clear the charging era nor restart its emission bookkeeping —
     // this is what makes a transition landing exactly on a detail ->
     // gap flip tick safe against double-charging.
-    uarch::FastPathModel m(4);
-    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
+    for (const ActionKind &kind : actionKinds()) {
+        SCOPED_TRACE(kind.name);
+        uarch::FastPathModel m(4);
+        for (int i = 0; i < kind.window; ++i) {
+            uarch::PerfCounters d;
+            d.computeTime = 600;
+            kind.observe(m, 2, 1000, d);
+        }
+        m.age();
 
-    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
-    uarch::MissClusterSpec spec = addrs.spec();
-    spec.overlapInstructions = 50;
-    for (int i = 0; i < kObs; ++i) {
-        uarch::PerfCounters d;
-        d.computeTime = 600;
-        m.observeCluster(spec, 2, 1000, d);
+        uarch::PerfCounters pc;
+        Tick sum = 0;
+        for (int i = 0; i < 3; ++i) {
+            Tick e = 0;
+            ASSERT_TRUE(kind.charge(m, 2, e, pc));
+            sum += e;
+            m.age();  // empty window: must be a no-op for charging
+        }
+        // Cumulative emission across the interleaved age() calls
+        // matches the era mean exactly — no reset, no double emission.
+        EXPECT_NEAR(static_cast<double>(sum) / 3.0, 1000.0, 1.0);
     }
-    m.age();
-
-    uarch::MissClusterSpec lite;
-    lite.liteChains = 5;
-    lite.liteChainDepth = 1;
-    lite.overlapInstructions = 50;
-
-    uarch::PerfCounters pc;
-    Tick sum = 0;
-    for (int i = 0; i < 3; ++i) {
-        Tick e = 0;
-        ASSERT_TRUE(m.chargeCluster(lite, 2, e, pc));
-        sum += e;
-        m.age();  // empty window: must be a no-op for charging
-    }
-    // Cumulative emission across the interleaved age() calls matches
-    // the era mean exactly — no reset, no double emission.
-    EXPECT_NEAR(static_cast<double>(sum) / 3.0, 1000.0, 1.0);
 }
 
 TEST(FastPathModel, DriftPermilleComparesConsecutivePromotions)
 {
-    uarch::FastPathModel m(4);
-    constexpr int kObs = uarch::FastPathModel::kMinClusterObs;
+    for (const ActionKind &kind : actionKinds()) {
+        SCOPED_TRACE(kind.name);
+        uarch::FastPathModel m(4);
+        auto window = [&](Tick elapsed) {
+            for (int i = 0; i < kind.window; ++i) {
+                uarch::PerfCounters d;
+                d.computeTime = 600;
+                kind.observe(m, 2, elapsed, d);
+            }
+        };
 
-    test::ClusterChains addrs{{1, 2, 3}, {4, 5}};
-    uarch::MissClusterSpec spec = addrs.spec();
-    spec.overlapInstructions = 50;
-    auto window = [&](Tick elapsed) {
-        for (int i = 0; i < kObs; ++i) {
-            uarch::PerfCounters d;
-            d.computeTime = 600;
-            m.observeCluster(spec, 2, elapsed, d);
+        // First promotion replaces no live era: drift is unknowable
+        // and must be reported as such (callers treat it as drifting).
+        window(1000);
+        m.age();
+        EXPECT_EQ(m.lastDriftPermille(),
+                  uarch::FastPathModel::kDriftUnknown);
+
+        // Identical window: zero drift.
+        window(1000);
+        m.age();
+        EXPECT_EQ(m.lastDriftPermille(), 0u);
+
+        // 10% slower window: 100 permille against the era it replaces.
+        window(1100);
+        m.age();
+        EXPECT_EQ(m.lastDriftPermille(), 100u);
+
+        // Nothing new observed: nothing promoted, drift unknown again.
+        m.age();
+        EXPECT_EQ(m.lastDriftPermille(),
+                  uarch::FastPathModel::kDriftUnknown);
+    }
+}
+
+/**
+ * A scripted drive of both kinds through every path of the model,
+ * digested. Clusters of two shapes and bursts of two stores-per-line
+ * are observed at busy counts 1-4; some occupancy lanes stay too thin
+ * to promote, so their charges fall back to the shape aggregate. The
+ * script then ages, charges, charges a zero-line burst, is refused
+ * for cold shapes, forks to a second operating point and revisits the
+ * first. Every charge's outcome, elapsed time and counter words, and
+ * every drift reading, go into one FNV-1a digest, so a change to
+ * anything the model emits trips the pin.
+ */
+TEST(FastPathModel, ScriptedSequenceIsPinned)
+{
+    uarch::FastPathModel m(4);
+    sim::Fnv1a h;
+
+    const test::ClusterChains chainsA{{1, 2, 3}, {4, 5}};
+    const test::ClusterChains chainsB{{6, 7}};
+    uarch::MissClusterSpec fullA = chainsA.spec();
+    fullA.overlapInstructions = 50;
+    uarch::MissClusterSpec fullB = chainsB.spec();
+    fullB.overlapInstructions = 20;
+    fullB.shapeHint = 3;
+    uarch::MissClusterSpec liteA;
+    liteA.liteChains = 5;
+    liteA.liteChainDepth = 1;
+    liteA.overlapInstructions = 50;
+    uarch::MissClusterSpec liteB;
+    liteB.liteChains = 2;
+    liteB.liteChainDepth = 1;
+    liteB.overlapInstructions = 20;
+    liteB.shapeHint = 3;
+
+    // Per busy count b < 4: 8 clusters of shape A (its lane promotes),
+    // 4 of shape B (thin), 72 lines of 1 store per line (promotes) and
+    // 48 lines of 2 (thin). Busy 4 sees too little of either kind.
+    auto observeWindow = [&](Tick base) {
+        for (std::uint32_t busy = 1; busy <= 4; ++busy) {
+            const int clusters = busy == 4 ? 3 : 12;
+            for (int i = 0; i < clusters; ++i) {
+                const Tick e = base + 37 * busy + 13 * i;
+                uarch::PerfCounters d;
+                d.computeTime = e * 3 / 5;
+                d.trueMemTime = e / 4;
+                d.critNonscaling = e / 5 + i;
+                d.leadingNonscaling = e / 6;
+                d.stallNonscaling = e / 7 + busy;
+                d.l1Hits = 3 + i % 2;
+                d.l2Hits = 1;
+                d.l3Hits = busy;
+                d.dramLoads = 1 + i % 3;
+                m.observeCluster(i % 3 == 0 ? fullB : fullA, busy, e, d);
+            }
+            const std::uint32_t bursts = busy == 4 ? 2 : 5;
+            for (std::uint32_t i = 0; i < bursts; ++i) {
+                const uarch::StoreBurstSpec burst{0x1000, 8 + 8 * i,
+                                                  1 + i % 2};
+                const Tick e = base / 2 + 19 * busy * burst.lines + 7 * i;
+                uarch::PerfCounters d;
+                d.computeTime = e / 3;
+                d.trueMemTime = e / 2;
+                d.sqFullTime = e / 9 + busy;
+                m.observeBurst(burst, busy, e, d);
+            }
+        }
+        // A zero-line burst is no observation.
+        uarch::PerfCounters d;
+        d.computeTime = 99;
+        m.observeBurst(uarch::StoreBurstSpec{0x1000, 0, 2}, 2, 1000, d);
+    };
+    auto digestCharge = [&](bool ok, Tick e, const uarch::PerfCounters &pc) {
+        h.mix(ok);
+        h.mix(e);
+        for (std::uint64_t w : pc.words())
+            h.mix(w);
+    };
+    auto chargeAll = [&](int rounds) {
+        for (int r = 0; r < rounds; ++r) {
+            for (std::uint32_t busy = 1; busy <= 4; ++busy) {
+                for (const uarch::MissClusterSpec *spec : {&liteA, &liteB}) {
+                    uarch::PerfCounters pc;
+                    Tick e = 0;
+                    const bool ok = m.chargeCluster(*spec, busy, e, pc);
+                    digestCharge(ok, e, pc);
+                }
+                for (std::uint32_t i = 0; i < 4; ++i) {
+                    const uarch::StoreBurstSpec burst{
+                        0x2000, 5 + 3 * i + busy, 1 + i % 2};
+                    uarch::PerfCounters pc;
+                    Tick e = 0;
+                    const bool ok = m.chargeBurst(burst, busy, e, pc);
+                    digestCharge(ok, e, pc);
+                }
+            }
         }
     };
+    auto ageAndDigest = [&] {
+        m.age();
+        h.mix(m.lastDriftPermille());
+    };
 
-    // First promotion replaces no live era: drift is unknowable and
-    // must be reported as such (callers treat it as drifting).
-    window(1000);
-    m.age();
-    EXPECT_EQ(m.lastDriftPermille(), uarch::FastPathModel::kDriftUnknown);
+    m.setOperatingPoint(2000);
+    chargeAll(1);  // cold: every charge refused
+    observeWindow(1000);
+    chargeAll(1);  // observed but not yet promoted: still refused
+    ageAndDigest();
+    chargeAll(3);
 
-    // Identical window: zero drift.
-    window(1000);
-    m.age();
-    EXPECT_EQ(m.lastDriftPermille(), 0u);
+    // A zero-line burst charges nothing, even for an unseen shape;
+    // unseen shapes of either kind are refused.
+    for (std::uint32_t spl : {2u, 7u}) {
+        uarch::PerfCounters pc;
+        Tick e = 12345;
+        const bool ok =
+            m.chargeBurst(uarch::StoreBurstSpec{0x3000, 0, spl}, 2, e, pc);
+        EXPECT_TRUE(ok);
+        digestCharge(ok, e, pc);
+    }
+    {
+        uarch::MissClusterSpec unseen = liteA;
+        unseen.overlapInstructions = 999;
+        uarch::PerfCounters pc;
+        Tick e = 0;
+        const bool ok = m.chargeCluster(unseen, 2, e, pc);
+        EXPECT_FALSE(ok);
+        digestCharge(ok, e, pc);
+        const bool okBurst =
+            m.chargeBurst(uarch::StoreBurstSpec{0x3000, 16, 5}, 2, e, pc);
+        EXPECT_FALSE(okBurst);
+        digestCharge(okBurst, e, pc);
+    }
 
-    // 10% slower window: 100 permille against the era it replaces.
-    window(1100);
-    m.age();
-    EXPECT_EQ(m.lastDriftPermille(), 100u);
+    observeWindow(1200);  // a drifted window
+    ageAndDigest();
+    chargeAll(2);
+    ageAndDigest();  // nothing new observed
+    chargeAll(1);
 
-    // Nothing new observed: nothing promoted, drift unknown again.
-    m.age();
-    EXPECT_EQ(m.lastDriftPermille(), uarch::FastPathModel::kDriftUnknown);
+    m.setOperatingPoint(1000);  // fork the 2000 MHz eras
+    h.mix(m.operatingPoints());
+    chargeAll(2);
+    observeWindow(1500);
+    ageAndDigest();
+    chargeAll(2);
+
+    m.setOperatingPoint(2000);  // revisit: resume its own eras
+    h.mix(m.operatingPoints());
+    chargeAll(2);
+    observeWindow(900);
+    ageAndDigest();
+    chargeAll(1);
+
+    EXPECT_EQ(m.operatingPoints(), 2u);
+    EXPECT_EQ(h.digest(), 0xb45d9487b46635cdULL);
 }
 
 TEST(SampledRun, CompletesAndCoversFractionOfTime)

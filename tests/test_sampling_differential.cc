@@ -16,6 +16,8 @@
  *    count as the exact run, paired GC marks, monotone epochs.
  */
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "exp/sweep/differential.hh"
@@ -187,9 +189,10 @@ managedRecipe()
     return cfg;
 }
 
-/** Digest of the fig10 managed grid, run in @p mode. */
-std::uint64_t
-managedDigest(exp::SimMode mode, unsigned workers)
+/** The fig10 managed grid's cells, run in @p mode. */
+std::vector<exp::ManagedRunOutput>
+managedCells(exp::SimMode mode, unsigned workers,
+             std::optional<fault::FaultConfig> faults = std::nullopt)
 {
     std::vector<wl::WorkloadParams> wls;
     for (const auto &params : wl::dacapoSuite()) {
@@ -198,17 +201,24 @@ managedDigest(exp::SimMode mode, unsigned workers)
         wls.push_back(params);
     }
     const auto seeds = exp::sweep::SweepSpec::replicateSeeds(42, 1);
-    auto cells = exp::sweep::sweepMap<exp::ManagedRunOutput>(
+    return exp::sweep::sweepMap<exp::ManagedRunOutput>(
         wls.size(), workers, [&](std::size_t i) {
             mgr::ManagerConfig mc;
             exp::RunOptions ro;
             ro.mode = mode;
             ro.sampling = managedRecipe();
             ro.seed = seeds[0];
+            ro.faults = faults;
             return exp::runManaged(wls[i], mc, power::VfTable::haswell(),
                                    ro);
         });
-    return exp::sweep::gridDigest(cells);
+}
+
+/** Digest of the fig10 managed grid, run in @p mode. */
+std::uint64_t
+managedDigest(exp::SimMode mode, unsigned workers)
+{
+    return exp::sweep::gridDigest(managedCells(mode, workers));
 }
 
 } // namespace
@@ -242,6 +252,59 @@ TEST(SampledSweepGolden, ManagedExactGridFingerprintPinnedAcrossWorkers)
         EXPECT_EQ(managedDigest(exp::SimMode::Exact, workers),
                   kManagedExactGolden)
             << "workers=" << workers;
+}
+
+namespace {
+
+/** Checks @p audit of an unfaulted run: finished, audited, clean. */
+void
+expectCleanAudit(const std::optional<exp::AuditReport> &audit,
+                 std::uint64_t &audits)
+{
+    ASSERT_TRUE(audit.has_value());
+    EXPECT_TRUE(audit->finished);
+    EXPECT_FALSE(audit->aborted) << audit->abortReason;
+    EXPECT_GT(audit->audits, 0u);
+    EXPECT_TRUE(audit->violations.empty())
+        << audit->violations.size() << " violations";
+    EXPECT_EQ(audit->faultsInjected, 0u);
+    audits += audit->audits;
+}
+
+} // namespace
+
+/**
+ * The sampled fig9 grid and the fig10 managed grid under the invariant
+ * auditor with no faults injected: every cell finishes, is audited and
+ * breaks no invariant, and auditing moves no outcome. Each fixed
+ * cell's totalTime equals the unaudited run's, and the managed grid
+ * keeps its pinned digest. The fixed grid's digest is not compared:
+ * an audited cell's event count, which the digest folds in, includes
+ * the auditor's own events.
+ */
+TEST(SampledAudit, CiGridsAuditCleanWithoutFaults)
+{
+    exp::sweep::SweepSpec spec = fig3Grid();
+    spec.runOptions.mode = exp::SimMode::Sampled;
+    const auto plain = exp::sweep::runSweep(spec, 2);
+    spec.runOptions.faults = fault::FaultConfig::none();
+    const auto audited = exp::sweep::runSweep(spec, 2);
+    ASSERT_EQ(audited.cells.size(), plain.cells.size());
+    std::uint64_t audits = 0;
+    for (std::size_t i = 0; i < audited.cells.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectCleanAudit(audited.cells[i].audit, audits);
+        EXPECT_EQ(audited.cells[i].totalTime, plain.cells[i].totalTime);
+    }
+    EXPECT_GT(audits, 0u);
+
+    const auto managed = managedCells(exp::SimMode::Sampled, 2,
+                                      fault::FaultConfig::none());
+    audits = 0;
+    for (const auto &cell : managed)
+        expectCleanAudit(cell.audit, audits);
+    EXPECT_GT(audits, 0u);
+    EXPECT_EQ(exp::sweep::gridDigest(managed), 0x71702eac03704a14ULL);
 }
 
 TEST(ManagedDifferential, ErrorBoundsAreDeterministicAndObserved)
