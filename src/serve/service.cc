@@ -104,15 +104,15 @@ Service::handleUpload(const net::UploadTraceReq &req)
     // by the caller's catch — offset included, so a client can see
     // where its upload went wrong.
     TraceStore::PutResult put = _store.put(req.image);
-    const trace::LoadedTrace &t = put.entry->trace;
+    const CachedTrace &t = *put.entry;
 
     net::UploadTraceResp resp;
     resp.traceDigest = put.digest;
     resp.alreadyCached = put.alreadyCached ? 1 : 0;
-    resp.baseMHz = t.baseFreq().toMHz();
-    resp.totalTime = t.totalTime();
-    resp.epochs = t.epochs().size();
-    resp.threads = t.threads().size();
+    resp.baseMHz = t.table.baseFreq().toMHz();
+    resp.totalTime = t.table.totalTime();
+    resp.epochs = t.table.epochs().size();
+    resp.threads = t.threads;
     return resp;
 }
 

@@ -21,9 +21,10 @@ gridPoints()
 
 } // namespace
 
-CachedTrace::CachedTrace(trace::LoadedTrace loaded)
-    : trace(std::move(loaded)), table(trace),
-      grid(gridPoints().size() * engine().predictors().size())
+CachedTrace::CachedTrace(const trace::LoadedTrace &loaded)
+    : table(loaded),
+      grid(gridPoints().size() * engine().predictors().size()),
+      threads(loaded.threads().size())
 {
     engine().predictGrid(table, gridPoints(), grid);
 }
@@ -77,13 +78,7 @@ CachedTrace::predictGrid(std::span<const Frequency> targets,
 std::size_t
 TraceStore::footprint(const CachedTrace &c)
 {
-    const pred::RunRecord &rec = c.trace.record();
-    std::size_t bytes = sizeof(trace::LoadedTrace) + c.table.bytes();
-    bytes += c.grid.size() * sizeof(Tick);
-    bytes += rec.threads.size() * sizeof(pred::ThreadSummary);
-    bytes += rec.gcMarks.size() * sizeof(pred::GcPhaseMark);
-    bytes += rec.epochs.bytes();
-    return bytes;
+    return c.table.bytes() + c.grid.size() * sizeof(Tick);
 }
 
 TraceStore::PutResult

@@ -9,11 +9,11 @@
  * re-uploads idempotent — the bytes vouch for themselves, so two
  * clients uploading the same trace share one entry.
  *
- * Each entry also holds the trace's PredictionTable and answer grid,
- * built once at insert, so queries read stored answers or walk
- * prepared rows, and never the decoded record.
+ * Each entry holds the trace's PredictionTable and answer grid, built
+ * once at insert from the decoded record, which is then dropped:
+ * queries read stored answers or walk prepared rows.
  *
- * Capacity is bounded by decoded payload, table and grid bytes;
+ * Capacity is bounded by table and grid bytes;
  * inserting past the bound evicts least-recently-used entries (entries
  * currently shared with in-flight queries stay alive through their
  * shared_ptr until the last query drops them). All operations are thread-safe.
@@ -37,7 +37,7 @@
 namespace dvfs::serve {
 
 /**
- * A decoded trace, its prediction table and its answer grid.
+ * A trace's prediction table, its answer grid and its thread count.
  *
  * The grid holds the estimate of every Figure 3 predictor at every
  * point of the machine's V/f table (power::VfTable::haswell()), built
@@ -45,7 +45,9 @@ namespace dvfs::serve {
  * it; only targets off the grid walk the table again.
  */
 struct CachedTrace {
-    explicit CachedTrace(trace::LoadedTrace loaded);
+    /** Build the table and the grid of @p loaded; keep neither it
+     *  nor its record. */
+    explicit CachedTrace(const trace::LoadedTrace &loaded);
 
     /** gridIndex() of a frequency that is not a grid point. */
     static constexpr std::size_t kOffGrid = ~std::size_t{0};
@@ -71,10 +73,11 @@ struct CachedTrace {
     void predictGrid(std::span<const Frequency> targets,
                      std::span<Tick> out) const;
 
-    trace::LoadedTrace trace;
     pred::PredictionTable table;
     /** Target-major, predictor-minor, as ReplayEngine::predictGrid. */
     std::vector<Tick> grid;
+    /** Threads in the trace's record. */
+    std::size_t threads = 0;
 };
 
 /** Cumulative cache counters (monotone; snapshot under the lock). */
@@ -85,13 +88,13 @@ struct TraceStoreStats {
     std::uint64_t reuses = 0;      ///< put() found the digest cached
     std::uint64_t evictions = 0;   ///< entries dropped by the bound
     std::uint64_t entries = 0;     ///< live entries right now
-    std::uint64_t bytes = 0;       ///< decoded bytes held right now
+    std::uint64_t bytes = 0;       ///< entry bytes held right now
 };
 
 class TraceStore
 {
   public:
-    /** @param capacity_bytes decoded-trace byte budget (>= 1 entry). */
+    /** @param capacity_bytes entry byte budget (>= 1 entry). */
     explicit TraceStore(std::size_t capacity_bytes)
         : _capacity(capacity_bytes)
     {
@@ -127,7 +130,7 @@ class TraceStore
         std::shared_ptr<const CachedTrace> cached;
     };
 
-    /** Approximate footprint of a decoded trace, table and grid. */
+    /** Approximate footprint of an entry: its table and grid. */
     static std::size_t footprint(const CachedTrace &c);
 
     void evictOverBudgetLocked();

@@ -121,9 +121,12 @@ TEST(TraceStore, PutIsIdempotentByDigest)
     EXPECT_FALSE(first.alreadyCached);
     EXPECT_EQ(first.digest, trace::tracePayloadDigest(image));
     ASSERT_NE(first.entry, nullptr);
-    EXPECT_EQ(first.entry->trace.meta().seed, 7u);
-    EXPECT_EQ(first.entry->table.totalTime(),
-              first.entry->trace.totalTime());
+    // The entry keeps the table and grid built from the record, and
+    // the record's thread count, but not the record itself.
+    const trace::LoadedTrace decoded = trace::decodeTrace(image);
+    EXPECT_EQ(first.entry->table.totalTime(), decoded.totalTime());
+    EXPECT_EQ(first.entry->table.epochs().size(), decoded.epochs().size());
+    EXPECT_EQ(first.entry->threads, decoded.threads().size());
 
     auto again = store.put(image);
     EXPECT_TRUE(again.alreadyCached);
@@ -198,18 +201,13 @@ TEST(TraceStore, EvictsLeastRecentlyUsedFirst)
     scout.put(c);
     const std::size_t bytes_c = scout.stats().bytes - bytes_a - bytes_b;
 
-    // The footprint counts every part an entry holds, the answer grid
-    // included.
-    const pred::RunRecord &rec_a = entry_a->trace.record();
+    // The footprint counts what an entry holds: the table and the
+    // answer grid (the decoded record is dropped at insert).
     EXPECT_EQ(entry_a->grid.size(),
               power::VfTable::haswell().points().size() *
                   entry_a->engine().predictors().size());
-    EXPECT_GE(bytes_a,
-              sizeof(trace::LoadedTrace) + entry_a->table.bytes() +
-                  rec_a.threads.size() * sizeof(pred::ThreadSummary) +
-                  rec_a.gcMarks.size() * sizeof(pred::GcPhaseMark) +
-                  rec_a.epochs.bytes() +
-                  entry_a->grid.size() * sizeof(Tick));
+    EXPECT_EQ(bytes_a,
+              entry_a->table.bytes() + entry_a->grid.size() * sizeof(Tick));
 
     // A store that holds A and either of B or C, never all three.
     // Recency order decides the victim: touching A after B's insert
@@ -257,6 +255,8 @@ TEST(ServeService, ServedPredictionsMatchDirectReplay)
     trace::ReplayEngine engine;
     const auto loaded = trace::decodeTrace(image);
     EXPECT_EQ(upr->totalTime, loaded.totalTime());
+    EXPECT_EQ(upr->epochs, loaded.epochs().size());
+    EXPECT_EQ(upr->threads, loaded.threads().size());
 
     net::PredictReq pq;
     pq.traceDigest = upr->traceDigest;
