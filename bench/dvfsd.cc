@@ -49,7 +49,7 @@ main(int argc, char **argv)
              "listen on a Unix-domain socket instead of TCP")
         .addWorkers()
         .add("cache-mb", "N",
-             "trace cache budget in decoded MB (default 256)")
+             "trace cache budget in MB of tables and grids (default 256)")
         .add("max-in-flight", "N",
              "per-connection queued-request bound before oldest-first "
              "shedding (default 64)");

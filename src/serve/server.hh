@@ -48,7 +48,7 @@ struct ServerConfig {
     std::string unixPath;
     /** Replay pool width (0 = exp::sweep::defaultWorkers()). */
     unsigned workers = 0;
-    /** Trace cache budget in decoded bytes. */
+    /** Trace cache budget in entry bytes (table and answer grid). */
     std::size_t cacheBytes = 256u << 20;
     /** Per-connection queued-request bound (>= 1). */
     std::size_t maxInFlight = 64;
