@@ -52,10 +52,8 @@ BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
 /**
  * The simulator's event traffic: a steady window of N pending events.
- * Each fired event is re-armed 1 ns to 5 us later (femtosecond ticks),
- * and every fourth re-arm also cancels and re-arms another pending
- * timer, as a preempted timeslice does. Sampled sweeps keep four to
- * six events pending.
+ * Each fired event is re-armed 1 ns to 5 us later (femtosecond ticks).
+ * Sampled sweeps keep four to six events pending.
  */
 static void
 BM_EventQueueRearm(benchmark::State &state)
@@ -66,23 +64,17 @@ BM_EventQueueRearm(benchmark::State &state)
     std::vector<Tick> deltas(1024);
     for (Tick &d : deltas)
         d = kTicksPerNs + rng.nextBounded(5 * kTicksPerUs);
-    std::vector<sim::EventId> ids(n);
     std::size_t fired = 0;
     std::size_t armed = 0;
     auto arm = [&](std::size_t slot) {
-        ids[slot] = eq.scheduleAfter(deltas[armed++ % deltas.size()],
-                                     [&fired, slot] { fired = slot; });
+        eq.scheduleAfter(deltas[armed++ % deltas.size()],
+                         [&fired, slot] { fired = slot; });
     };
     for (std::size_t slot = 0; slot < n; ++slot)
         arm(slot);
     for (auto _ : state) {
         eq.runOne();
         arm(fired);
-        if (armed % 4 == 0) {
-            const std::size_t slot = armed % n;
-            eq.cancel(ids[slot]);
-            arm(slot);
-        }
     }
     benchmark::DoNotOptimize(fired);
     state.SetItemsProcessed(state.iterations());

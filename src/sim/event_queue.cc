@@ -24,9 +24,6 @@ EventQueue::allocEntry()
         return e;
     }
     Entry *e = new Entry();
-    e->slot = static_cast<std::uint32_t>(_entries.size());
-    e->gen = 0;
-    e->pos = kNotQueued;
     _entries.push_back(e);
     return e;
 }
@@ -35,23 +32,10 @@ void
 EventQueue::freeEntry(Entry *e)
 {
     e->cb.reset();
-    ++e->gen;  // invalidate any EventId still pointing at this entry
     if (_pool.size() < 4096)
         _pool.push_back(e);
     // Over-full pool: the entry stays parked in _entries and is
     // reclaimed by the destructor.
-}
-
-EventQueue::Entry *
-EventQueue::resolve(EventId id) const
-{
-    std::uint64_t slot_plus_one = id >> 32;
-    if (slot_plus_one == 0 || slot_plus_one > _entries.size())
-        return nullptr;
-    Entry *e = _entries[static_cast<std::size_t>(slot_plus_one) - 1];
-    if (e->pos == kNotQueued || e->gen != static_cast<std::uint32_t>(id))
-        return nullptr;
-    return e;
 }
 
 EventQueue::Entry *
@@ -78,10 +62,10 @@ EventQueue::siftUp(std::size_t i, Key k)
         const std::size_t parent = (i - 1) / 2;
         if (!before(k, _heap[parent]))
             break;
-        put(i, _heap[parent]);
+        _heap[i] = _heap[parent];
         i = parent;
     }
-    put(i, k);
+    _heap[i] = k;
 }
 
 void
@@ -96,36 +80,20 @@ EventQueue::siftDown(std::size_t i, Key k)
             ++child;
         if (!before(_heap[child], k))
             break;
-        put(i, _heap[child]);
+        _heap[i] = _heap[child];
         i = child;
     }
-    put(i, k);
+    _heap[i] = k;
 }
 
 void
-EventQueue::removeAt(std::size_t i)
+EventQueue::popFront()
 {
+    // The last key refills the root and settles below it.
     const Key last = _heap.back();
     _heap.pop_back();
-    if (i == _heap.size())
-        return;  // the removed key was the last one
-    // The last key refills the hole; it may belong above or below it.
-    if (i > 0 && before(last, _heap[(i - 1) / 2]))
-        siftUp(i, last);
-    else
-        siftDown(i, last);
-}
-
-bool
-EventQueue::cancel(EventId id)
-{
-    Entry *e = resolve(id);
-    if (!e)
-        return false;
-    removeAt(e->pos);
-    e->pos = kNotQueued;
-    freeEntry(e);
-    return true;
+    if (!_heap.empty())
+        siftDown(0, last);
 }
 
 void
@@ -134,15 +102,13 @@ EventQueue::dispatchFront()
     const Key k = _heap.front();
     DVFS_ASSERT(k.when >= _now, "event time went backwards");
     _now = k.when;
-    removeAt(0);
-    Entry *e = k.entry;
-    e->pos = kNotQueued;
+    popFront();
     ++_executed;
     // Invoke in place: the key is already off the heap, so the
-    // callback may schedule (including same-tick) or cancel freely;
-    // the entry just cannot be recycled until it returns.
-    e->cb();
-    freeEntry(e);
+    // callback may schedule freely (including same-tick); the entry
+    // just cannot be recycled until it returns.
+    k.entry->cb();
+    freeEntry(k.entry);
 }
 
 bool

@@ -7,14 +7,15 @@
  * (tick, insertion-order) order, which makes simulations bitwise
  * deterministic for a given workload and configuration.
  *
- * The implementation is an indexed binary min-heap (DESIGN.md §9) of
- * 24-byte keys {tick, insertion sequence, entry} over pooled entries
- * that hold the callbacks. The simulator keeps only four to six events
- * pending, so a sift moves a few keys; the entries never move. Each
- * entry records its key's heap index, so cancellation removes the key
- * and recycles the entry at once. The ordering contract — earliest
- * tick first, insertion order within a tick — is the (tick, sequence)
- * key order. ReferenceEventQueue (tests/) is its differential oracle.
+ * The implementation is a binary min-heap (DESIGN.md §9) of 24-byte
+ * keys {tick, insertion sequence, entry} over pooled entries that hold
+ * the callbacks. The simulator keeps only four to six events pending,
+ * so a sift moves a few keys; the entries never move. Nothing is ever
+ * cancelled: a component whose deadline moves leaves the old event to
+ * fire as a no-op (see SamplingController). The ordering contract —
+ * earliest tick first, insertion order within a tick — is the (tick,
+ * sequence) key order. ReferenceEventQueue (tests/) is its
+ * differential oracle.
  */
 
 #ifndef DVFS_SIM_EVENT_QUEUE_HH
@@ -43,14 +44,8 @@ inline constexpr std::size_t kEventCallbackBytes = 160;
 /** Callback type executed when an event fires (allocation-free). */
 using EventCallback = InlineCallback<kEventCallbackBytes>;
 
-/** Opaque handle identifying a scheduled event (for cancellation). */
-using EventId = std::uint64_t;
-
-/** Sentinel for "no event". */
-constexpr EventId kNoEvent = 0;
-
 /**
- * A deterministic discrete-event queue over an indexed binary heap.
+ * A deterministic discrete-event queue over a binary heap.
  *
  * Events scheduled for the same tick fire in insertion order. Events
  * may schedule further events, including at the current tick (they run
@@ -79,39 +74,26 @@ class EventQueue
      *
      * @param when Absolute tick, must be >= now() and != kTickNever.
      * @param cb   Callback to execute.
-     * @return Handle usable with cancel().
      */
     template <typename F>
-    EventId
+    void
     schedule(Tick when, F &&cb)
     {
-        Entry *e = acquire(when);
-        e->cb.emplace(std::forward<F>(cb));
-        return makeId(e->slot, e->gen);
+        acquire(when)->cb.emplace(std::forward<F>(cb));
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
     template <typename F>
-    EventId
+    void
     scheduleAfter(Tick delay, F &&cb)
     {
-        return schedule(_now + delay, std::forward<F>(cb));
+        schedule(_now + delay, std::forward<F>(cb));
     }
-
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * Cancelling an event that already fired (or was already cancelled)
-     * is a no-op and returns false. Cancellation is eager: the key is
-     * removed from the heap and the entry recycled immediately, so
-     * parked far-future timers never pin pool entries.
-     */
-    bool cancel(EventId id);
 
     /** True if no runnable events remain. */
     bool empty() const { return _heap.empty(); }
 
-    /** Number of pending (non-cancelled) events. */
+    /** Number of pending events. */
     std::uint64_t pending() const { return _heap.size(); }
 
     /**
@@ -148,24 +130,13 @@ class EventQueue
 
   private:
     /**
-     * Entries are pooled and identified by a permanent slot plus a
-     * per-reuse generation; an EventId packs (slot+1, generation), so
-     * cancel() is two array reads instead of a hash lookup and stale
-     * handles (fired, cancelled, or from a recycled entry) are
-     * rejected by the generation check. The callback's captures live
-     * inside the entry (EventCallback is inline storage), so a
-     * schedule/fire cycle through the pool performs zero heap
-     * allocations.
+     * A pooled callback. Its captures live inside the entry
+     * (EventCallback is inline storage), so a schedule/fire cycle
+     * through the pool performs zero heap allocations.
      */
     struct Entry {
         EventCallback cb;
-        std::uint32_t slot;  ///< permanent index into _entries
-        std::uint32_t gen;   ///< bumped on retire; stale ids mismatch
-        std::uint32_t pos;   ///< index of this entry's key in _heap
     };
-
-    /** Entry::pos of an entry that is not pending (fired or free). */
-    static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
 
     /** What the heap orders and moves; the entry stays put. */
     struct Key {
@@ -181,26 +152,11 @@ class EventQueue
         return a.when != b.when ? a.when < b.when : a.seq < b.seq;
     }
 
-    /** Pack an entry's identity into an opaque EventId (never 0). */
-    static constexpr EventId
-    makeId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (static_cast<EventId>(slot) + 1) << 32 | gen;
-    }
-
     /**
      * Validate @p when, pull an entry from the pool and push its key.
      * The caller fills in the callback.
      */
     Entry *acquire(Tick when);
-
-    /** Store @p k at heap index @p i and record the index. */
-    void
-    put(std::size_t i, const Key &k)
-    {
-        _heap[i] = k;
-        k.entry->pos = static_cast<std::uint32_t>(i);
-    }
 
     /** Settle @p k into the hole at @p i, moving parents down. */
     void siftUp(std::size_t i, Key k);
@@ -208,8 +164,8 @@ class EventQueue
     /** Settle @p k into the hole at @p i, moving children up. */
     void siftDown(std::size_t i, Key k);
 
-    /** Remove the key at heap index @p i, keeping the heap order. */
-    void removeAt(std::size_t i);
+    /** Remove the earliest key, keeping the heap order. */
+    void popFront();
 
     /** Pop the earliest key, advance time to it, and fire its entry. */
     void dispatchFront();
@@ -224,9 +180,6 @@ class EventQueue
 
     Entry *allocEntry();
     void freeEntry(Entry *e);
-
-    /** Resolve an EventId to its pending entry, or nullptr if stale. */
-    Entry *resolve(EventId id) const;
 };
 
 } // namespace dvfs::sim

@@ -29,7 +29,19 @@ SamplingController::start()
     _phaseEnd = _eq.now() + _cfg.startupDetail;
     if (_cfg.startupDetail == 0)
         _phaseEnd = _eq.now() + _cfg.detailWindow;
-    _flipEvent = _eq.schedule(_phaseEnd, [this] { flip(); });
+    armFlip();
+}
+
+void
+SamplingController::armFlip()
+{
+    // A boundary superseded by forceDetail() stays queued and fires
+    // as a no-op: only the event armed under the current generation
+    // closes the phase.
+    _eq.schedule(_phaseEnd, [this, gen = _flipGen] {
+        if (gen == _flipGen)
+            flip();
+    });
 }
 
 void
@@ -83,7 +95,7 @@ SamplingController::enterGap(Tick now)
         bucket += 1;
     _stats.gapStretch[bucket] += 1;
     _phaseEnd = now + gap;
-    _flipEvent = _eq.schedule(_phaseEnd, [this] { flip(); });
+    armFlip();
 }
 
 void
@@ -92,7 +104,7 @@ SamplingController::enterDetail(Tick now, Tick len)
     _phase = SamplePhase::Detail;
     _phaseStart = now;
     _phaseEnd = now + len;
-    _flipEvent = _eq.schedule(_phaseEnd, [this] { flip(); });
+    armFlip();
 }
 
 void
@@ -105,12 +117,12 @@ SamplingController::forceDetail()
     if (_phase == SamplePhase::FastForward) {
         // Cut the gap short: account it as a (possibly zero-length)
         // completed gap and open a full detail window here. The
-        // pending flip is cancelled eagerly, so the schedule stays a
-        // single live boundary event at all times.
+        // pending flip is retired by generation, so the schedule keeps
+        // a single live boundary event at all times.
         _stats.ffWindows += 1;
         _stats.ffTicks += now - _phaseStart;
         _stats.forcedWindows += 1;
-        _eq.cancel(_flipEvent);
+        ++_flipGen;
         enterDetail(now, _cfg.detailWindow);
         if (_onFlip)
             _onFlip(_phase);
@@ -123,9 +135,9 @@ SamplingController::forceDetail()
     if (end <= _phaseEnd)
         return;
     _stats.forcedWindows += 1;
-    _eq.cancel(_flipEvent);
+    ++_flipGen;
     _phaseEnd = end;
-    _flipEvent = _eq.schedule(_phaseEnd, [this] { flip(); });
+    armFlip();
 }
 
 SampleStats

@@ -231,6 +231,9 @@ class SamplingController
     SampleStats finalStats() const;
 
   private:
+    /** Schedule the boundary event at _phaseEnd under _flipGen. */
+    void armFlip();
+
     /** Boundary event: close the current phase, open the next. */
     void flip();
 
@@ -245,7 +248,8 @@ class SamplingController
     SamplePhase _phase = SamplePhase::Detail;
     Tick _phaseStart = 0;
     Tick _phaseEnd = kTickNever;
-    EventId _flipEvent = kNoEvent;
+    /** Bumped by forceDetail(); older boundary events are no-ops. */
+    std::uint64_t _flipGen = 0;
     std::uint64_t _stretch = 1;
     bool _started = false;
     SampleStats _stats;

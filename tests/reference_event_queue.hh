@@ -3,12 +3,11 @@
  * Reference binary-heap event queue.
  *
  * The simplest correct EventQueue: a std::priority_queue of entry
- * pointers with lazy cancellation, kept as an executable specification
- * of the dispatch-order contract: earliest tick first, insertion order
- * within a tick. The differential test
- * (tests/test_event_queue_differential.cc) drives seeded random op
- * streams through this queue and the production indexed heap and
- * requires identical firing sequences.
+ * pointers, kept as an executable specification of the dispatch-order
+ * contract: earliest tick first, insertion order within a tick. The
+ * differential test (tests/test_event_queue_differential.cc) drives
+ * seeded random op streams through this queue and the production heap
+ * and requires identical firing sequences.
  *
  * Not used on any simulation path; it lives under tests/ and only
  * the test binary builds it.
@@ -34,8 +33,8 @@ namespace dvfs::sim {
  * tick fire in insertion order, events may schedule further events
  * (including at the current tick), scheduling in the past panics.
  * Ordering within a tick is enforced by an explicit insertion sequence
- * number in the heap comparator; cancelled entries stay in the heap
- * until they surface.
+ * number in the heap comparator. Each event is its own allocation,
+ * freed after it fires.
  */
 class ReferenceEventQueue
 {
@@ -51,30 +50,25 @@ class ReferenceEventQueue
 
     /** Schedule @p cb to run at absolute time @p when. */
     template <typename F>
-    EventId
+    void
     schedule(Tick when, F &&cb)
     {
-        Entry *e = acquire(when);
-        e->cb.emplace(std::forward<F>(cb));
-        return makeId(e->slot, e->gen);
+        acquire(when)->cb.emplace(std::forward<F>(cb));
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
     template <typename F>
-    EventId
+    void
     scheduleAfter(Tick delay, F &&cb)
     {
-        return schedule(_now + delay, std::forward<F>(cb));
+        schedule(_now + delay, std::forward<F>(cb));
     }
 
-    /** Cancel a previously scheduled event (false if already gone). */
-    bool cancel(EventId id);
-
     /** True if no runnable events remain. */
-    bool empty() const { return _live == 0; }
+    bool empty() const { return _heap.empty(); }
 
-    /** Number of pending (non-cancelled) events. */
-    std::uint64_t pending() const { return _live; }
+    /** Number of pending events. */
+    std::uint64_t pending() const { return _heap.size(); }
 
     /** Run the next event, advancing time to its tick. */
     bool runOne();
@@ -92,26 +86,14 @@ class ReferenceEventQueue
     /** Total number of events executed since construction. */
     std::uint64_t executed() const { return _executed; }
 
-    /** Number of entries ever allocated (pool high-water mark). */
-    std::size_t entriesAllocated() const { return _entries.size(); }
-
   private:
     struct Entry {
         Tick when;
-        std::uint64_t seq;   ///< insertion order (same-tick FIFO)
+        std::uint64_t seq;  ///< insertion order (same-tick FIFO)
         EventCallback cb;
-        std::uint32_t slot;  ///< permanent index into _entries
-        std::uint32_t gen;   ///< bumped on retire; stale ids mismatch
-        bool cancelled;
-        bool live;           ///< scheduled and not yet fired/cancelled
     };
 
-    static constexpr EventId
-    makeId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (static_cast<EventId>(slot) + 1) << 32 | gen;
-    }
-
+    /** Validate @p when and push a fresh entry for it. */
     Entry *acquire(Tick when);
 
     /** Min-heap ordering: earliest tick first, then insertion order. */
@@ -125,20 +107,13 @@ class ReferenceEventQueue
         }
     };
 
-    Entry *pop();
+    /** Pop the earliest entry, advance time to it, fire and free it. */
+    void dispatchTop();
 
     Tick _now;
     std::uint64_t _nextSeq;
-    std::uint64_t _live;
     std::uint64_t _executed;
     std::priority_queue<Entry *, std::vector<Entry *>, Later> _heap;
-    std::vector<Entry *> _entries;  ///< every entry ever allocated
-    std::vector<Entry *> _pool;     ///< freelist of recycled entries
-
-    Entry *allocEntry();
-    void freeEntry(Entry *e);
-
-    Entry *resolve(EventId id) const;
 };
 
 } // namespace dvfs::sim

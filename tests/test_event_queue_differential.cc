@@ -1,25 +1,23 @@
 /**
  * @file
- * Differential and edge-case tests for the indexed-heap event kernel.
+ * Differential and edge-case tests for the binary-heap event kernel.
  *
  * The kernel (EventQueue) must be observationally identical to
- * ReferenceEventQueue, a plain priority queue with lazy cancellation
- * kept as an executable specification of the dispatch-order contract:
- * earliest tick first, insertion order within a tick. Seeded random op
- * streams — schedule, cancel, same-tick reschedule from inside
- * callbacks, partial runUntil — are driven through both queues and the
- * full observable trace (firing order, firing ticks, cancel results)
- * must match bit for bit. One stream is shaped like the simulator's
- * measured traffic: four to eight pending events re-armed at ns-to-us
- * deltas.
+ * ReferenceEventQueue, a plain priority queue kept as an executable
+ * specification of the dispatch-order contract: earliest tick first,
+ * insertion order within a tick. Seeded random op streams — schedule,
+ * same-tick reschedule from inside callbacks, partial runUntil — are
+ * driven through both queues and the full observable trace (firing
+ * order, firing ticks, now() after a runUntil) must match bit for bit.
+ * One stream is shaped like the simulator's measured traffic: four to
+ * eight pending events re-armed at ns-to-us deltas.
  *
  * The edge-case tests pin down what a random stream is unlikely to hit
- * deterministically: scheduling at the current tick, cancelling the
- * head, a middle and the last heap key, a callback cancelling a
- * same-tick sibling, far-future ticks, ticks at every power-of-256
- * boundary, and pool reuse under a million schedule/cancel cycles. The
- * EventQueueWheel suite keeps the name it had under the timing-wheel
- * kernel this one replaced; its cases now run against the heap.
+ * deterministically: scheduling at the current tick, far-future ticks,
+ * ticks at every power-of-256 boundary, and pool reuse under a million
+ * fire-and-re-arm cycles. The EventQueueWheel suite keeps the name it
+ * had under the timing-wheel kernel this one replaced; its cases now
+ * run against the heap.
  */
 
 #include <gtest/gtest.h>
@@ -34,16 +32,14 @@
 #include "sim/rng.hh"
 
 using namespace dvfs;
-using sim::EventId;
 
 namespace {
 
-/** One observable step: an event firing or a cancel result. */
+/** One observable step: an event firing or now() after a runUntil. */
 using TraceStep = std::pair<std::uint64_t, Tick>;
 
-/** Token space for cancel observations, disjoint from event tokens. */
-constexpr std::uint64_t kCancelHit = 0x8000000000000000ull;
-constexpr std::uint64_t kCancelMiss = 0x4000000000000000ull;
+/** Trace token marking now() after a runUntil. */
+constexpr std::uint64_t kNowMark = 0x2000000000000000ull;
 
 /**
  * Drive a seeded op stream through @p Queue and return the trace.
@@ -58,7 +54,6 @@ runScript(std::uint32_t seed, unsigned ops)
 {
     Queue q;
     std::vector<TraceStep> trace;
-    std::vector<EventId> ids;  // every id ever returned, stale or not
     std::uint64_t next_tok = 1;
     std::uint64_t child_tok = 1'000'000;
 
@@ -66,7 +61,7 @@ runScript(std::uint32_t seed, unsigned ops)
     for (unsigned i = 0; i < ops; ++i) {
         const std::uint32_t r = static_cast<std::uint32_t>(
             rng.nextBounded(100));
-        if (r < 55 || ids.empty()) {
+        if (r < 70) {
             // Schedule. A quarter of events land on an already-used
             // tick bucket (coarse quantization) to force same-tick
             // FIFO ordering; some spawn a same-tick child when they
@@ -80,7 +75,7 @@ runScript(std::uint32_t seed, unsigned ops)
             Queue *qp = &q;
             auto *tp = &trace;
             auto *ct = &child_tok;
-            ids.push_back(q.schedule(
+            q.schedule(
                 q.now() + delta,
                 [qp, tp, ct, tok, spawn_same_tick, spawn_later] {
                     tp->emplace_back(tok, qp->now());
@@ -96,14 +91,7 @@ runScript(std::uint32_t seed, unsigned ops)
                             tp->emplace_back(c, qp->now());
                         });
                     }
-                }));
-        } else if (r < 80) {
-            // Cancel a random id (possibly stale); the boolean result
-            // is part of the observable trace.
-            const EventId id =
-                ids[static_cast<std::size_t>(rng.nextBounded(ids.size()))];
-            trace.emplace_back(q.cancel(id) ? kCancelHit : kCancelMiss,
-                               q.now());
+                });
         } else {
             q.runUntil(q.now() + rng.nextBounded(500'000));
         }
@@ -112,14 +100,11 @@ runScript(std::uint32_t seed, unsigned ops)
     return trace;
 }
 
-/** Trace token marking now() after a runUntil. */
-constexpr std::uint64_t kNowMark = 0x2000000000000000ull;
-
 /**
  * The simulator's traffic: a window of 4-8 pending events re-armed at
  * ns-to-us deltas (femtosecond ticks). Fired events re-arm themselves,
- * sometimes at the same tick; pending timers are cancelled and
- * re-armed; runUntil limits fall before, at and after now().
+ * sometimes at the same tick; runUntil limits fall before, at and
+ * after now().
  */
 template <typename Queue>
 std::vector<TraceStep>
@@ -127,7 +112,6 @@ windowScript(std::uint32_t seed, unsigned ops)
 {
     Queue q;
     std::vector<TraceStep> trace;
-    std::vector<EventId> ids;  // every id ever returned, stale or not
     std::uint64_t next_tok = 1;
     sim::Rng rng(seed);
 
@@ -144,15 +128,14 @@ windowScript(std::uint32_t seed, unsigned ops)
         Queue *qp = &q;
         auto *tp = &trace;
         const std::uint64_t child = tok | 0x1000000000000000ull;
-        ids.push_back(q.schedule(
-            when, [qp, tp, tok, rearm, rearm_delta, child] {
-                tp->emplace_back(tok, qp->now());
-                if (rearm) {
-                    qp->schedule(qp->now() + rearm_delta, [qp, tp, child] {
-                        tp->emplace_back(child, qp->now());
-                    });
-                }
-            }));
+        q.schedule(when, [qp, tp, tok, rearm, rearm_delta, child] {
+            tp->emplace_back(tok, qp->now());
+            if (rearm) {
+                qp->schedule(qp->now() + rearm_delta, [qp, tp, child] {
+                    tp->emplace_back(child, qp->now());
+                });
+            }
+        });
     };
 
     for (unsigned i = 0; i < ops; ++i) {
@@ -160,15 +143,8 @@ windowScript(std::uint32_t seed, unsigned ops)
             arm(q.now() + delta());
         const std::uint32_t r =
             static_cast<std::uint32_t>(rng.nextBounded(100));
-        if (r < 50) {
+        if (r < 80) {
             q.runOne();
-        } else if (r < 75) {
-            const EventId id =
-                ids[static_cast<std::size_t>(rng.nextBounded(ids.size()))];
-            trace.emplace_back(q.cancel(id) ? kCancelHit : kCancelMiss,
-                               q.now());
-            if (q.pending() < 8)
-                arm(q.now() + delta());
         } else if (r < 90) {
             if (q.pending() < 8)
                 arm(q.now() + delta());
@@ -253,63 +229,6 @@ TEST(EventQueueDifferential, SmallPendingWindowStreamMatches)
     }
 }
 
-TEST(EventQueueHeap, CancelHeadMiddleAndLastKeys)
-{
-    // Distinct ticks inserted out of order: 10 50 20 60 70 30 40 lays
-    // the heap out as [10, 50, 20, 60, 70, 30, 40].
-    sim::EventQueue q;
-    std::vector<Tick> fired;
-    std::vector<EventId> id;
-    for (Tick t : {10, 50, 20, 60, 70, 30, 40})
-        id.push_back(q.schedule(t, [&] { fired.push_back(q.now()); }));
-    // A middle key whose replacement (the last key, 40) belongs above
-    // the hole: it must sift up past 50.
-    EXPECT_TRUE(q.cancel(id[3]));  // 60
-    // The key now in the last slot (30): no refill needed.
-    EXPECT_TRUE(q.cancel(id[5]));  // 30
-    // The head: the last key refills the root and sifts down.
-    EXPECT_TRUE(q.cancel(id[0]));  // 10
-    for (std::size_t k : {0u, 3u, 5u})
-        EXPECT_FALSE(q.cancel(id[k]));
-    EXPECT_EQ(q.pending(), 4u);
-    EXPECT_EQ(q.run(), 4u);
-    EXPECT_EQ(fired, (std::vector<Tick>{20, 40, 50, 70}));
-
-    // Same tick: the order that survives is insertion order.
-    std::vector<int> order;
-    std::vector<EventId> same;
-    for (int i = 0; i < 6; ++i)
-        same.push_back(q.schedule(100, [&order, i] { order.push_back(i); }));
-    EXPECT_TRUE(q.cancel(same[0]));  // head
-    EXPECT_TRUE(q.cancel(same[2]));  // middle
-    EXPECT_TRUE(q.cancel(same[5]));  // last
-    EXPECT_EQ(q.run(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
-}
-
-TEST(EventQueueHeap, CallbackCancelsSameTickSibling)
-{
-    sim::EventQueue q;
-    std::vector<int> order;
-    EventId self = sim::kNoEvent, sibling = sim::kNoEvent;
-    self = q.schedule(10, [&] {
-        order.push_back(0);
-        // Already off the heap while it runs: not cancellable.
-        EXPECT_FALSE(q.cancel(self));
-        // The next key in line, due at this very tick.
-        EXPECT_TRUE(q.cancel(sibling));
-    });
-    sibling = q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(10, [&] { order.push_back(2); });
-    q.schedule(11, [&] { order.push_back(3); });
-    EXPECT_EQ(q.runUntil(11), 2u);
-    EXPECT_EQ(order, (std::vector<int>{0, 2}));
-    EXPECT_EQ(q.now(), 11u);
-    EXPECT_EQ(q.run(), 1u);
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
-    EXPECT_EQ(q.executed(), 3u);
-}
-
 TEST(EventQueueWheel, ScheduleAtCurrentTickFiresInBatch)
 {
     sim::EventQueue q;
@@ -327,40 +246,6 @@ TEST(EventQueueWheel, ScheduleAtCurrentTickFiresInBatch)
     EXPECT_EQ(q.runUntil(10), 4u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
     EXPECT_EQ(q.now(), 5u);
-}
-
-TEST(EventQueueWheel, CancelOverflowAndCascadedEntries)
-{
-    sim::EventQueue q;
-    std::vector<int> fired;
-
-    // Far-future ticks (2^49 fs, about 9.4 minutes) beside a near one.
-    const Tick far = Tick{1} << 49;
-    EventId f1 = q.schedule(far, [&] { fired.push_back(1); });
-    EventId f2 = q.schedule(far + 5, [&] { fired.push_back(2); });
-    EventId f3 = q.schedule(far + 5, [&] { fired.push_back(3); });
-    q.schedule(100, [&] { fired.push_back(0); });
-    EXPECT_EQ(q.pending(), 4u);
-
-    // Cancel the earliest far entry while a nearer key heads the
-    // heap.
-    EXPECT_TRUE(q.cancel(f1));
-    EXPECT_FALSE(q.cancel(f1));  // already gone
-    EXPECT_EQ(q.pending(), 3u);
-
-    // Fire the near event, then jump to the far tick.
-    EXPECT_TRUE(q.runOne());
-    EXPECT_EQ(fired, std::vector<int>{0});
-    EXPECT_TRUE(q.runOne());
-    EXPECT_EQ(q.now(), far + 5);
-    EXPECT_EQ(fired, (std::vector<int>{0, 2}));
-    EXPECT_FALSE(q.cancel(f2));  // already fired
-
-    // runOne dispatches one event, so f3 is still pending at the
-    // current tick; it can be cancelled there.
-    EXPECT_TRUE(q.cancel(f3));
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.run(), 0u);
 }
 
 TEST(EventQueueWheel, CursorCrossesEveryLevel)
@@ -407,21 +292,20 @@ TEST(EventQueueWheel, SameTickFifoSurvivesCascade)
 TEST(EventQueueWheel, MillionScheduleCancelReusesPool)
 {
     sim::EventQueue q;
-    // A window of live timers being repeatedly re-armed (the OS
-    // timeslice pattern): entry count must stay at the window's
-    // high-water mark, not grow with the number of cycles.
+    // A window of live timers, each fired one re-armed past the rest:
+    // entry count must stay at the window's high-water mark, not grow
+    // with the number of cycles.
     constexpr unsigned kWindow = 32;
-    std::vector<EventId> window;
     std::uint64_t fired = 0;
     Tick t = 1;
     for (unsigned i = 0; i < kWindow; ++i)
-        window.push_back(q.schedule(t += 10'000, [&] { ++fired; }));
+        q.schedule(t += 10'000, [&] { ++fired; });
     for (unsigned i = 0; i < 1'000'000; ++i) {
-        const std::size_t k = i % kWindow;
-        ASSERT_TRUE(q.cancel(window[k]));
-        window[k] = q.schedule(t += 10'000, [&] { ++fired; });
+        ASSERT_TRUE(q.runOne());
+        q.schedule(t += 10'000, [&] { ++fired; });
     }
     EXPECT_LE(q.entriesAllocated(), kWindow + 1);
+    EXPECT_EQ(q.pending(), kWindow);
     EXPECT_EQ(q.run(), kWindow);
-    EXPECT_EQ(fired, kWindow);
+    EXPECT_EQ(fired, 1'000'000u + kWindow);
 }

@@ -137,8 +137,10 @@ TEST(SamplingController, ForceDetailOnFlipTickKeepsAccountingExact)
     // the flip runs first (it was scheduled when the window opened),
     // then noteTransition() cuts the zero-length gap and opens a full
     // detail window. Tick accounting must stay exact and the schedule
-    // must keep exactly one live boundary event (a stale flip would
-    // fire at the wrong tick and trip the controller's assert).
+    // must keep exactly one live boundary event: the cut gap's flip
+    // stays queued but is retired by generation, so it fires as a
+    // no-op (were it to flip, it would do so at the wrong tick and
+    // trip the controller's assert).
     sim::EventQueue eq;
     sim::SamplingConfig cfg = smallWindows();
     sim::SamplingController sc(eq, cfg);
@@ -205,8 +207,8 @@ TEST(SamplingController, ForceDetailExtendsOnlyShortRemainders)
     EXPECT_EQ(sc.phaseEnd(), late + cfg.detailWindow);
     EXPECT_FALSE(sc.fastForward());
 
-    // The cancelled original boundary must not fire: running past it
-    // flips at the extended end only.
+    // The original boundary, retired by generation, still fires but
+    // must not flip: running past it flips at the extended end only.
     while (eq.now() < late + cfg.detailWindow)
         ASSERT_TRUE(eq.runOne());
     EXPECT_TRUE(sc.fastForward());
