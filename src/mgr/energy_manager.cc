@@ -32,7 +32,6 @@ EnergyManager::attach()
     // The application always starts at the highest frequency; the
     // first interval profiles it there (Section VI-A).
     _sys.setFrequency(_table.highest());
-    _quantumStart = _sys.now();
     _prevFreq = _table.highest();
     _sinceChange = _cfg.holdOff;  // allow a decision at the first quantum
     _sys.eventQueue().schedule(_sys.now() + _cfg.quantum,
@@ -143,7 +142,6 @@ EnergyManager::onQuantum()
     _lastCounters.resize(_sys.numThreads());
     for (std::size_t i = 0; i < _sys.numThreads(); ++i)
         _lastCounters[i] = _sys.thread(static_cast<os::ThreadId>(i)).counters;
-    _quantumStart = _sys.now();
 
     _sys.eventQueue().schedule(_sys.now() + _cfg.quantum,
                                [this] { onQuantum(); });

@@ -142,7 +142,6 @@ class EnergyManager
     std::vector<uarch::PerfCounters> _lastCounters;
     /** A quantum that closed no epoch, as one zero-length epoch. */
     pred::EpochStore _wholeQuantum;
-    Tick _quantumStart = 0;
     std::uint32_t _sinceChange = 0;
     std::uint64_t _quanta = 0;
     std::uint64_t _fallbacks = 0;
