@@ -187,24 +187,17 @@ Service::handleOptimalVf(const net::OptimalVfReq &req)
                               "unknown predictor '" + name + "'");
     }
     const auto p = static_cast<std::size_t>(named - names.begin());
-    const pred::Predictor &predictor = *_engine.predictors()[p];
 
     const auto table = power::VfTable::haswell(
         req.stepMHz == 0 ? 125 : req.stepMHz);
     const std::vector<Frequency> freqs = table.frequencies();
-    auto estimate = [&](Frequency f) {
-        const std::size_t g = CachedTrace::gridIndex(f);
-        return g == CachedTrace::kOffGrid
-                   ? predictor.predict(cached->table, f)
-                   : cached->atGrid(g, p);
-    };
 
     // Admissibility is predicted-vs-predicted: slowdown relative to
     // the predicted time at the table's highest point, so the whole
     // decision is a pure function of the trace (the manager's static
     // query). On the monotone V(f) curve the lowest admissible
     // frequency is the minimum-energy point.
-    const Tick at_highest = estimate(table.highest());
+    const Tick at_highest = cached->estimate(p, table.highest());
     const double limit =
         static_cast<double>(at_highest) *
         (1.0 + static_cast<double>(req.slowdownPermille) / 1000.0);
@@ -225,18 +218,7 @@ Service::handleOptimalVf(const net::OptimalVfReq &req)
     // A table whose points all lie on the grid (a step of 0 or a
     // multiple of 125 MHz, or one past 3000 MHz) scans the stored
     // column; any other walks the table a chunk at a time.
-    const bool on_grid =
-        std::all_of(freqs.begin(), freqs.end(), [](Frequency f) {
-            return CachedTrace::gridIndex(f) != CachedTrace::kOffGrid;
-        });
-    if (on_grid) {
-        for (std::size_t i = 0; i < freqs.size(); ++i) {
-            if (admits(i, estimate(freqs[i])))
-                break;
-        }
-    } else {
-        predictor.scanAscending(cached->table, freqs, admits);
-    }
+    cached->scanAscending(p, freqs, admits);
     resp.microvolts = static_cast<std::uint64_t>(
         std::llround(table.voltageAt(Frequency::mhz(resp.chosenMHz)) *
                      1e6));

@@ -22,6 +22,7 @@
 #ifndef DVFS_SERVE_TRACE_STORE_HH
 #define DVFS_SERVE_TRACE_STORE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -42,27 +43,49 @@ namespace dvfs::serve {
  * The grid holds the estimate of every Figure 3 predictor at every
  * point of the machine's V/f table (power::VfTable::haswell()), built
  * by one walk of the table at insert. A query at a grid point reads
- * it; only targets off the grid walk the table again.
+ * it; only targets off the grid walk the table again. Which points
+ * lie on the grid stays inside this class.
  */
 struct CachedTrace {
     /** Build the table and the grid of @p loaded; keep neither it
      *  nor its record. */
     explicit CachedTrace(const trace::LoadedTrace &loaded);
 
-    /** gridIndex() of a frequency that is not a grid point. */
-    static constexpr std::size_t kOffGrid = ~std::size_t{0};
-
     /** The Figure 3 set, in the grid's predictor order. */
     static const trace::ReplayEngine &engine();
 
-    /** Position of @p f among the grid's points, or kOffGrid. */
-    static std::size_t gridIndex(Frequency f);
-
-    /** Predictor @p p's estimate at grid point @p g. */
+    /** Predictor @p p's estimate at @p f: stored, or one walk. */
     Tick
-    atGrid(std::size_t g, std::size_t p) const
+    estimate(std::size_t p, Frequency f) const
     {
-        return grid[g * engine().predictors().size() + p];
+        const std::size_t g = gridIndex(f);
+        return g == kOffGrid
+                   ? engine().predictors()[p]->predict(table, f)
+                   : atGrid(g, p);
+    }
+
+    /**
+     * Predictor @p p's Predictor::scanAscending over @p ascending:
+     * the stored column when every point lies on the grid, else walks
+     * of the table.
+     */
+    template <class Decides>
+    void
+    scanAscending(std::size_t p, std::span<const Frequency> ascending,
+                  Decides &&decides) const
+    {
+        const bool on_grid =
+            std::all_of(ascending.begin(), ascending.end(),
+                        [](Frequency f) { return gridIndex(f) != kOffGrid; });
+        if (!on_grid) {
+            engine().predictors()[p]->scanAscending(table, ascending,
+                                                    decides);
+            return;
+        }
+        for (std::size_t i = 0; i < ascending.size(); ++i) {
+            if (decides(i, atGrid(gridIndex(ascending[i]), p)))
+                return;
+        }
     }
 
     /**
@@ -78,6 +101,20 @@ struct CachedTrace {
     std::vector<Tick> grid;
     /** Threads in the trace's record. */
     std::size_t threads = 0;
+
+  private:
+    /** gridIndex() of a frequency that is not a grid point. */
+    static constexpr std::size_t kOffGrid = ~std::size_t{0};
+
+    /** Position of @p f among the grid's points, or kOffGrid. */
+    static std::size_t gridIndex(Frequency f);
+
+    /** Predictor @p p's estimate at grid point @p g. */
+    Tick
+    atGrid(std::size_t g, std::size_t p) const
+    {
+        return grid[g * engine().predictors().size() + p];
+    }
 };
 
 /** Cumulative cache counters (monotone; snapshot under the lock). */
