@@ -119,15 +119,6 @@ System::recordPhaseEvent(SyncEventKind kind)
 void
 System::addFrequencyObserver(std::function<void(Frequency, Tick)> fn)
 {
-    // Grow in explicit steps so registration from inside an observer
-    // callback (mid-notification) never reallocates out from under
-    // the iteration in setFrequency — which additionally walks by
-    // index over a size snapshot, so a mid-notification registrant
-    // starts observing with the *next* transition and misses none
-    // after it.
-    if (_freqObservers.size() == _freqObservers.capacity())
-        _freqObservers.reserve(std::max<std::size_t>(
-            8, _freqObservers.capacity() * 2));
     _freqObservers.push_back(std::move(fn));
 }
 
@@ -201,8 +192,8 @@ System::setFrequency(Frequency f)
     // dispatched work waits out the chip-wide transition stall.
     _frozenUntil = std::max(_frozenUntil, _eq.now() + stall);
     // Index loop over a size snapshot: an observer registered during
-    // notification must not invalidate this walk (and sees only
-    // subsequent transitions).
+    // notification sees only subsequent transitions, and the deque's
+    // push_back leaves the running observer where it is.
     const std::size_t n_obs = _freqObservers.size();
     for (std::size_t i = 0; i < n_obs; ++i)
         _freqObservers[i](f, _eq.now());
@@ -287,11 +278,11 @@ System::schedIn(Thread &t, std::uint32_t c)
     // Context-switch cost: kernel instructions charged to the
     // incoming thread, scaling with frequency like any other code.
     uarch::ComputeSpec cs{kCtxSwitchInstructions, 0, 0, 1.0};
-    uarch::PerfCounters tmp;
-    Tick end = _cores[c]->executeCompute(cs, frozenStart(_eq.now()), tmp);
+    Tick end = _cores[c]->executeCompute(cs, frozenStart(_eq.now()),
+                                         t.inFlight);
     Thread *tp = &t;
-    _eq.schedule(end, [this, tp, tmp] {
-        tp->counters += tmp;
+    _eq.schedule(end, [this, tp] {
+        commitInFlight(*tp);
         dispatch(*tp);
     });
 }
@@ -360,39 +351,30 @@ System::executeDetailed(Thread &t, const Action &a)
 
     switch (a.kind) {
       case ActionKind::Compute: {
-        uarch::PerfCounters tmp;
-        Tick end = core.executeCompute(a.compute, start, tmp);
+        Tick end = core.executeCompute(a.compute, start, t.inFlight);
         if (_sampler)
             _sampler->stats().detailActions += 1;
-        _eq.schedule(end, [this, tp, end, tmp] {
-            finishTimedAction(*tp, end, tmp);
-        });
+        _eq.schedule(end, [this, tp, end] { finishTimedAction(*tp, end); });
         break;
       }
       case ActionKind::MissCluster: {
-        uarch::PerfCounters tmp;
-        Tick end = core.executeCluster(a.cluster, start, tmp);
+        Tick end = core.executeCluster(a.cluster, start, t.inFlight);
         if (_fastPath) {
             _fastPath->observeCluster(a.cluster, _sched.busyCores(),
-                                      end - start, tmp);
+                                      end - start, t.inFlight);
             _sampler->stats().detailActions += 1;
         }
-        _eq.schedule(end, [this, tp, end, tmp] {
-            finishTimedAction(*tp, end, tmp);
-        });
+        _eq.schedule(end, [this, tp, end] { finishTimedAction(*tp, end); });
         break;
       }
       case ActionKind::StoreBurst: {
-        uarch::PerfCounters tmp;
-        Tick end = core.executeStoreBurst(a.burst, start, tmp);
+        Tick end = core.executeStoreBurst(a.burst, start, t.inFlight);
         if (_fastPath) {
             _fastPath->observeBurst(a.burst, _sched.busyCores(),
-                                    end - start, tmp);
+                                    end - start, t.inFlight);
             _sampler->stats().detailActions += 1;
         }
-        _eq.schedule(end, [this, tp, end, tmp] {
-            finishTimedAction(*tp, end, tmp);
-        });
+        _eq.schedule(end, [this, tp, end] { finishTimedAction(*tp, end); });
         break;
       }
       case ActionKind::MutexLock:
@@ -444,7 +426,6 @@ System::executeFastForward(Thread &t, Action a)
     sim::SampleStats &stats = _sampler->stats();
 
     Tick vt = lumpStart;
-    uarch::PerfCounters acc;
     std::optional<Action> tail;
     std::uint64_t charged = 0;
 
@@ -465,7 +446,7 @@ System::executeFastForward(Thread &t, Action a)
             // action.
         } else {
             Tick elapsed = 0;
-            if (!chargeFastForward(t, a, vt, elapsed, acc)) {
+            if (!chargeFastForward(t, a, vt, elapsed)) {
                 tail = a;
                 break;
             }
@@ -492,7 +473,6 @@ System::executeFastForward(Thread &t, Action a)
     }
 
     stats.ffCommits += 1;
-    t.ffAccum = acc;
     t.ffPending = tail;
     Thread *tp = &t;
     _eq.schedule(vt, [this, tp] { commitFastForward(*tp); });
@@ -500,18 +480,18 @@ System::executeFastForward(Thread &t, Action a)
 
 bool
 System::chargeFastForward(Thread &t, const Action &a, Tick vt,
-                          Tick &elapsed, uarch::PerfCounters &acc)
+                          Tick &elapsed)
 {
     uarch::CoreModel &core = *_cores[static_cast<std::uint32_t>(t.core)];
     switch (a.kind) {
       case ActionKind::Compute:
         // Already O(1) analytic and exact at any frequency.
-        elapsed = core.executeCompute(a.compute, vt, acc) - vt;
+        elapsed = core.executeCompute(a.compute, vt, t.inFlight) - vt;
         return true;
 
       case ActionKind::MissCluster: {
         if (_fastPath->chargeCluster(a.cluster, _sched.busyCores(),
-                                     elapsed, acc)) {
+                                     elapsed, t.inFlight)) {
             return true;
         }
         if (!a.cluster.lite())
@@ -521,8 +501,8 @@ System::chargeFastForward(Thread &t, const Action &a, Tick vt,
         // the stats as a fallback.
         uarch::ComputeSpec naive{a.cluster.overlapInstructions, 0,
                                  a.cluster.loadCount(), 1.0};
-        elapsed = core.executeCompute(naive, vt, acc) - vt;
-        acc.missClusters += 1;
+        elapsed = core.executeCompute(naive, vt, t.inFlight) - vt;
+        t.inFlight.missClusters += 1;
         _sampler->stats().ffFallbacks += 1;
         return true;
       }
@@ -536,7 +516,7 @@ System::chargeFastForward(Thread &t, const Action &a, Tick vt,
         // overlay, which answers later misses to these lines at L3
         // speed without ever having walked them.
         if (!_fastPath->chargeBurst(a.burst, _sched.busyCores(), elapsed,
-                                    acc)) {
+                                    t.inFlight)) {
             return false;  // cold shape: the detailed tail warms it
         }
         _mem->warmLines(a.burst.baseAddr, a.burst.lines);
@@ -556,8 +536,7 @@ System::commitFastForward(Thread &t)
     if (t.state != ThreadState::Running)
         panic("thread %u ('%s') committing a fast-forward lump while %s",
               t.id, t.name.c_str(), threadStateName(t.state));
-    t.counters += t.ffAccum;
-    t.ffAccum = uarch::PerfCounters{};
+    commitInFlight(t);
     if (t.ffPending) {
         Action tail = *t.ffPending;
         t.ffPending.reset();
@@ -571,10 +550,17 @@ System::commitFastForward(Thread &t)
 }
 
 void
-System::finishTimedAction(Thread &t, Tick end, const uarch::PerfCounters &d)
+System::commitInFlight(Thread &t)
+{
+    t.counters += t.inFlight;
+    t.inFlight = uarch::PerfCounters{};
+}
+
+void
+System::finishTimedAction(Thread &t, Tick end)
 {
     DVFS_ASSERT(_eq.now() == end, "timed action finishing at wrong tick");
-    t.counters += d;
+    commitInFlight(t);
     onActionDone(t);
 }
 
@@ -675,15 +661,12 @@ System::doMutexLock(Thread &t, SyncId m)
     Thread *tp = &t;
 
     const bool contended = mu.held;
-    uarch::PerfCounters tmp;
-    Tick end = core.atomicRmw(frozenStart(_eq.now()), contended, tmp);
+    Tick end = core.atomicRmw(frozenStart(_eq.now()), contended, t.inFlight);
 
     if (!contended) {
         mu.held = true;
         mu.owner = t.id;
-        _eq.schedule(end, [this, tp, end, tmp] {
-            finishTimedAction(*tp, end, tmp);
-        });
+        _eq.schedule(end, [this, tp, end] { finishTimedAction(*tp, end); });
         return;
     }
 
@@ -691,8 +674,8 @@ System::doMutexLock(Thread &t, SyncId m)
     // the sleep commit finds us), pay the failed-CAS cost, then sleep.
     _futexes.wait(mu.futex, t.id);
     MutexObj *mup = &mu;
-    _eq.schedule(end, [this, tp, mup, tmp] {
-        tp->counters += tmp;
+    _eq.schedule(end, [this, tp, mup] {
+        commitInFlight(*tp);
         parkCommit(*tp, mup->futex);
     });
 }
@@ -708,11 +691,10 @@ System::doMutexUnlock(Thread &t, SyncId m)
         panic("thread %u unlocking mutex %u it does not own", t.id, m);
 
     uarch::CoreModel &core = *_cores[static_cast<std::uint32_t>(t.core)];
-    uarch::PerfCounters tmp;
-    Tick end = core.atomicRmw(frozenStart(_eq.now()), false, tmp);
+    Tick end = core.atomicRmw(frozenStart(_eq.now()), false, t.inFlight);
     Thread *tp = &t;
     MutexObj *mup = &mu;
-    _eq.schedule(end, [this, tp, mup, end, tmp] {
+    _eq.schedule(end, [this, tp, mup, end] {
         auto &woken = _wokenScratch;
         _futexes.wake(mup->futex, 1, woken);
         if (!woken.empty()) {
@@ -727,7 +709,7 @@ System::doMutexUnlock(Thread &t, SyncId m)
             mup->held = false;
             mup->owner = kNoThread;
         }
-        finishTimedAction(*tp, end, tmp);
+        finishTimedAction(*tp, end);
     });
 }
 
@@ -741,25 +723,25 @@ System::doBarrierWait(Thread &t, SyncId b)
     uarch::CoreModel &core = *_cores[static_cast<std::uint32_t>(t.core)];
     Thread *tp = &t;
 
-    uarch::PerfCounters tmp;
-    Tick end = core.atomicRmw(frozenStart(_eq.now()), bar.parties > 1, tmp);
+    Tick end = core.atomicRmw(frozenStart(_eq.now()), bar.parties > 1,
+                              t.inFlight);
 
     bar.arrived += 1;
     if (bar.arrived == bar.parties) {
         // Last arrival releases everyone.
         bar.arrived = 0;
         BarrierObj *bp = &bar;
-        _eq.schedule(end, [this, tp, bp, end, tmp] {
+        _eq.schedule(end, [this, tp, bp, end] {
             futexWakeAll(bp->futex);
-            finishTimedAction(*tp, end, tmp);
+            finishTimedAction(*tp, end);
         });
         return;
     }
 
     _futexes.wait(bar.futex, t.id);
     BarrierObj *bp = &bar;
-    _eq.schedule(end, [this, tp, bp, tmp] {
-        tp->counters += tmp;
+    _eq.schedule(end, [this, tp, bp] {
+        commitInFlight(*tp);
         parkCommit(*tp, bp->futex);
     });
 }

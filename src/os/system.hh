@@ -15,6 +15,7 @@
 #define DVFS_OS_SYSTEM_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -317,18 +318,21 @@ class System
 
     /**
      * Charge one action from the fast-path model at virtual time
-     * @p vt. Returns false for actions that must execute exactly
-     * (sync, exit, cold-model full-spec work).
+     * @p vt into Thread::inFlight. Returns false, charging nothing,
+     * for actions that must execute exactly (sync, exit, cold-model
+     * full-spec work).
      */
     bool chargeFastForward(Thread &t, const Action &a, Tick vt,
-                           Tick &elapsed, uarch::PerfCounters &acc);
+                           Tick &elapsed);
 
     /** Commit an in-flight fast-forward lump (event callback). */
     void commitFastForward(Thread &t);
 
-    /** Commit deferred counters and continue the thread. */
-    void finishTimedAction(Thread &t, Tick end,
-                           const uarch::PerfCounters &delta);
+    /** Add @p t's in-flight counters to its counters and clear them. */
+    void commitInFlight(Thread &t);
+
+    /** Commit the in-flight counters and continue the thread. */
+    void finishTimedAction(Thread &t, Tick end);
 
     /** Action-boundary scheduling policy (timeslice round-robin). */
     void onActionDone(Thread &t);
@@ -372,7 +376,8 @@ class System
 
     ActionInterceptor *_interceptor = nullptr;
     std::vector<SyncListener *> _listeners;
-    std::vector<std::function<void(Frequency, Tick)>> _freqObservers;
+    /** A deque: registering mid-notification moves no observer. */
+    std::deque<std::function<void(Frequency, Tick)>> _freqObservers;
 
     /**
      * Reusable buffer for futex wake lists, so the wake path performs

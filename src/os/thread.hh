@@ -1,6 +1,11 @@
 /**
  * @file
  * Simulated threads and the thread-program interface.
+ *
+ * A thread has at most one action in flight, and the counters that
+ * action earns wait on the thread (Thread::inFlight) until the event
+ * at its completion tick commits them; the event itself captures only
+ * pointers and a tick.
  */
 
 #ifndef DVFS_OS_THREAD_HH
@@ -115,6 +120,14 @@ class Thread
     /** Hardware counters, virtualized per thread by the OS. */
     uarch::PerfCounters counters;
 
+    /**
+     * Counters earned by the in-flight action — a timed action, a
+     * context switch, an atomic or a fast-forward lump — charged when
+     * it is issued and added to counters by System::commitInFlight at
+     * its completion tick. Zero while nothing is in flight.
+     */
+    uarch::PerfCounters inFlight;
+
     /** Tick the thread first became ready. */
     Tick spawnTick = 0;
 
@@ -130,20 +143,11 @@ class Thread
     /** Futex other threads wait on to join this thread. */
     SyncId exitFutex = kNoSync;
 
-    /// @name Fast-forward lump state (sampled mode)
-    ///
-    /// A fast-forward batch charges many actions at construction time
-    /// and commits them with a single event; the accumulators live on
-    /// the thread so the commit callback captures only a pointer
-    /// (staying inside the event kernel's inline-callback budget).
-    /// @{
-
-    /** Counters accumulated by the in-flight lump. */
-    uarch::PerfCounters ffAccum;
-
-    /** Non-chargeable action that terminated the lump, if any. */
+    /**
+     * Non-chargeable action that terminated the in-flight fast-forward
+     * lump (sampled mode), if any; it runs when the lump commits.
+     */
     std::optional<Action> ffPending;
-    /// @}
 
     bool finished() const { return state == ThreadState::Finished; }
 };

@@ -7,39 +7,8 @@ namespace dvfs::sim {
 
 EventQueue::EventQueue() : _now(0), _nextSeq(0), _executed(0) {}
 
-EventQueue::~EventQueue()
-{
-    // A run may end (main exit, requestStop) with events still
-    // scheduled; every entry ever allocated is owned by _entries.
-    for (Entry *e : _entries)
-        delete e;
-}
-
-EventQueue::Entry *
-EventQueue::allocEntry()
-{
-    if (!_pool.empty()) {
-        Entry *e = _pool.back();
-        _pool.pop_back();
-        return e;
-    }
-    Entry *e = new Entry();
-    _entries.push_back(e);
-    return e;
-}
-
-void
-EventQueue::freeEntry(Entry *e)
-{
-    e->cb.reset();
-    if (_pool.size() < 4096)
-        _pool.push_back(e);
-    // Over-full pool: the entry stays parked in _entries and is
-    // reclaimed by the destructor.
-}
-
-EventQueue::Entry *
-EventQueue::acquire(Tick when)
+std::size_t
+EventQueue::push(Tick when)
 {
     if (when < _now) {
         panic("event scheduled in the past (when=%llu now=%llu)",
@@ -48,67 +17,58 @@ EventQueue::acquire(Tick when)
     }
     if (when == kTickNever)
         panic("event scheduled at the kTickNever sentinel");
-    Entry *e = allocEntry();
+    const std::uint64_t seq = _nextSeq++;
     // Grows only past the pending high-water mark.
     _heap.emplace_back();
-    siftUp(_heap.size() - 1, Key{when, _nextSeq++, e});
-    return e;
-}
-
-void
-EventQueue::siftUp(std::size_t i, Key k)
-{
+    // Sift the hole up, moving parents down.
+    std::size_t i = _heap.size() - 1;
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
-        if (!before(k, _heap[parent]))
+        if (!before(when, seq, _heap[parent]))
             break;
         _heap[i] = _heap[parent];
         i = parent;
     }
-    _heap[i] = k;
+    _heap[i].when = when;
+    _heap[i].seq = seq;
+    return i;
 }
 
 void
-EventQueue::siftDown(std::size_t i, Key k)
+EventQueue::popFront()
 {
-    const std::size_t n = _heap.size();
+    // The last key refills the root: sift the hole down, moving
+    // children up, within the keys before it.
+    const std::size_t n = _heap.size() - 1;
+    const Tick when = _heap[n].when;
+    const std::uint64_t seq = _heap[n].seq;
+    std::size_t i = 0;
     for (;;) {
         std::size_t child = 2 * i + 1;
         if (child >= n)
             break;
         if (child + 1 < n && before(_heap[child + 1], _heap[child]))
             ++child;
-        if (!before(_heap[child], k))
-            break;
+        if (before(when, seq, _heap[child]))
+            break;  // the last key settles here
         _heap[i] = _heap[child];
         i = child;
     }
-    _heap[i] = k;
-}
-
-void
-EventQueue::popFront()
-{
-    // The last key refills the root and settles below it.
-    const Key last = _heap.back();
+    _heap[i] = _heap[n];
     _heap.pop_back();
-    if (!_heap.empty())
-        siftDown(0, last);
 }
 
 void
 EventQueue::dispatchFront()
 {
-    const Key k = _heap.front();
-    DVFS_ASSERT(k.when >= _now, "event time went backwards");
-    _now = k.when;
+    // Fire a copy: the key is off the heap before its callback runs,
+    // so the callback may schedule freely (including same-tick).
+    EventCallback cb = _heap.front().cb;
+    DVFS_ASSERT(_heap.front().when >= _now, "event time went backwards");
+    _now = _heap.front().when;
     popFront();
     ++_executed;
-    // Invoke in place: the key is already off the heap, so the
-    // callback may schedule freely (including same-tick); the entry
-    // just cannot be recycled until it returns.
-    k.entry->cb();
-    freeEntry(k.entry);
+    cb();
 }
 
 bool

@@ -7,12 +7,13 @@
  * (tick, insertion-order) order, which makes simulations bitwise
  * deterministic for a given workload and configuration.
  *
- * The implementation is a binary min-heap (DESIGN.md §9) of 24-byte
- * keys {tick, insertion sequence, entry} over pooled entries that hold
- * the callbacks. The simulator keeps only four to six events pending,
- * so a sift moves a few keys; the entries never move. Nothing is ever
- * cancelled: a component whose deadline moves leaves the old event to
- * fire as a no-op (see SamplingController). The ordering contract —
+ * The implementation is a binary min-heap (DESIGN.md §9) of 56-byte
+ * keys {tick, insertion sequence, callback}: each key carries its
+ * callback's captures inline, so the heap is the only storage and a
+ * sift moves keys whole. The simulator keeps only four to six events
+ * pending, so a sift moves a few keys. Nothing is ever cancelled: a
+ * component whose deadline moves leaves the old event to fire as a
+ * no-op (see SamplingController). The ordering contract —
  * earliest tick first, insertion order within a tick — is the (tick,
  * sequence) key order. ReferenceEventQueue (tests/) is its
  * differential oracle.
@@ -33,13 +34,15 @@ namespace dvfs::sim {
  * Inline storage for an event callback's captures.
  *
  * Sized for the largest capture list in the tree: the mutex-unlock
- * continuation in os/system.cc captures {System*, Thread*, MutexObj*,
- * Tick, PerfCounters} = 152 bytes. A schedule site whose captures
- * outgrow this fails to compile (see InlineCallback::emplace), at
- * which point either shrink the capture or raise this constant —
- * every pooled event entry carries this many bytes.
+ * and barrier-release continuations in os/system.cc capture
+ * {System*, Thread*, MutexObj* or BarrierObj*, Tick} = 32 bytes. A
+ * thread's counter delta waits on the thread (Thread::inFlight), never
+ * in a capture. A schedule site whose captures outgrow this, or are
+ * not trivially copyable, fails to compile (see
+ * InlineCallback::emplace); shrink the capture — every heap key
+ * carries this many bytes.
  */
-inline constexpr std::size_t kEventCallbackBytes = 160;
+inline constexpr std::size_t kEventCallbackBytes = 32;
 
 /** Callback type executed when an event fires (allocation-free). */
 using EventCallback = InlineCallback<kEventCallbackBytes>;
@@ -57,7 +60,6 @@ class EventQueue
 {
   public:
     EventQueue();
-    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -68,9 +70,9 @@ class EventQueue
     /**
      * Schedule @p cb to run at absolute time @p when.
      *
-     * The callable is constructed directly into the pooled entry's
-     * inline storage; captures larger than kEventCallbackBytes are a
-     * compile-time error.
+     * The callable is constructed into the event's heap key;
+     * captures larger than kEventCallbackBytes, or not trivially
+     * copyable, are a compile-time error.
      *
      * @param when Absolute tick, must be >= now() and != kTickNever.
      * @param cb   Callback to execute.
@@ -79,7 +81,7 @@ class EventQueue
     void
     schedule(Tick when, F &&cb)
     {
-        acquire(when)->cb.emplace(std::forward<F>(cb));
+        _heap[push(when)].cb.emplace(std::forward<F>(cb));
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
@@ -121,65 +123,49 @@ class EventQueue
     /** Total number of events executed since construction. */
     std::uint64_t executed() const { return _executed; }
 
-    /**
-     * Number of entries ever allocated (pool high-water mark). Stays
-     * flat in steady state: retired entries are recycled, so this only
-     * grows with the peak number of simultaneously pending events.
-     */
-    std::size_t entriesAllocated() const { return _entries.size(); }
-
   private:
     /**
-     * A pooled callback. Its captures live inside the entry
-     * (EventCallback is inline storage), so a schedule/fire cycle
-     * through the pool performs zero heap allocations.
+     * A pending event: what the heap orders, with its callback
+     * inline, so a schedule/fire cycle allocates nothing once the
+     * heap's vector has reached the pending high-water mark.
      */
-    struct Entry {
-        EventCallback cb;
-    };
-
-    /** What the heap orders and moves; the entry stays put. */
     struct Key {
         Tick when;
         std::uint64_t seq;  ///< insertion order (same-tick FIFO)
-        Entry *entry;
+        EventCallback cb;
     };
 
     /** Heap order: earliest tick first, then insertion order. */
     static bool
+    before(Tick when, std::uint64_t seq, const Key &b)
+    {
+        return when != b.when ? when < b.when : seq < b.seq;
+    }
+
+    static bool
     before(const Key &a, const Key &b)
     {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        return before(a.when, a.seq, b);
     }
 
     /**
-     * Validate @p when, pull an entry from the pool and push its key.
-     * The caller fills in the callback.
+     * Validate @p when and push a key for it with the next sequence
+     * number. @return the key's heap index; the caller constructs its
+     * callback there.
      */
-    Entry *acquire(Tick when);
-
-    /** Settle @p k into the hole at @p i, moving parents down. */
-    void siftUp(std::size_t i, Key k);
-
-    /** Settle @p k into the hole at @p i, moving children up. */
-    void siftDown(std::size_t i, Key k);
+    std::size_t push(Tick when);
 
     /** Remove the earliest key, keeping the heap order. */
     void popFront();
 
-    /** Pop the earliest key, advance time to it, and fire its entry. */
+    /** Pop the earliest key, advance time to it, and fire it. */
     void dispatchFront();
 
     Tick _now;  ///< reported simulated time
     std::uint64_t _nextSeq;
     std::uint64_t _executed;
 
-    std::vector<Key> _heap;         ///< min-heap of pending events
-    std::vector<Entry *> _entries;  ///< every entry ever allocated
-    std::vector<Entry *> _pool;     ///< freelist of recycled entries
-
-    Entry *allocEntry();
-    void freeEntry(Entry *e);
+    std::vector<Key> _heap;  ///< min-heap of pending events
 };
 
 } // namespace dvfs::sim

@@ -6,12 +6,14 @@
  * `std::function` type-erases into heap storage as soon as a capture
  * list outgrows its small-buffer optimization (16 bytes in libstdc++),
  * which put one malloc/free pair on the path of nearly every simulated
- * event. InlineCallback trades that generality for a hard capacity:
- * the callable is constructed directly inside the object, a capture
- * list that does not fit is a *compile-time* error (so the capacity
- * contract is enforced at every schedule site, not discovered by a
- * profiler), and move transfers the capture bytes with the callable's
- * own move constructor — never the allocator.
+ * event. InlineCallback trades that generality for a hard contract:
+ * the callable is constructed directly inside the object, and a
+ * capture list that does not fit, or that is not a plain bundle of
+ * bytes (trivially copyable and trivially destructible), is a
+ * *compile-time* error at its schedule site. Because every stored
+ * callable is plain bytes, an InlineCallback is itself trivially
+ * copyable: the event heap copies callbacks with its keys, and there
+ * is no move or destroy hook to call.
  */
 
 #ifndef DVFS_SIM_INLINE_CALLBACK_HH
@@ -25,48 +27,21 @@
 namespace dvfs::sim {
 
 /**
- * A move-only `void()` callable with @p Capacity bytes of inline
- * storage and no heap fallback.
+ * A trivially copyable `void()` callable with @p Capacity bytes of
+ * inline storage and no heap fallback: an invoke pointer plus the
+ * capture bytes.
  *
  * Requirements on the stored callable F, all checked statically:
- *  - sizeof(F) <= Capacity and alignof(F) <= alignof(std::max_align_t)
- *  - nothrow move constructible (moves happen inside noexcept kernel
- *    paths)
+ *  - sizeof(F) <= Capacity and alignof(F) <= alignof(void *)
+ *  - trivially copyable and trivially destructible (captures are
+ *    pointers, ticks and other plain values)
  *
- * Invoking an empty callback is undefined (the owner checks with
- * operator bool where emptiness is a legal state).
+ * Invoking an empty callback is undefined.
  */
 template <std::size_t Capacity>
 class InlineCallback
 {
   public:
-    InlineCallback() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineCallback>>>
-    InlineCallback(F &&f)  // NOLINT: implicit from any callable, like
-    {                      // the std::function it replaces
-        emplace(std::forward<F>(f));
-    }
-
-    InlineCallback(InlineCallback &&other) noexcept { moveFrom(other); }
-
-    InlineCallback &
-    operator=(InlineCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(other);
-        }
-        return *this;
-    }
-
-    InlineCallback(const InlineCallback &) = delete;
-    InlineCallback &operator=(const InlineCallback &) = delete;
-
-    ~InlineCallback() { reset(); }
-
     /** Construct a callable in place, replacing any current one. */
     template <typename F>
     void
@@ -75,79 +50,31 @@ class InlineCallback
         using Fn = std::decay_t<F>;
         static_assert(sizeof(Fn) <= Capacity,
                       "callback captures exceed InlineCallback capacity; "
-                      "raise the owner's capacity constant "
+                      "shrink the capture list "
                       "(see sim/event_queue.hh: kEventCallbackBytes)");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "callback requires extended alignment");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "callback must be nothrow move constructible");
-        reset();
+        static_assert(alignof(Fn) <= alignof(void *),
+                      "callback requires more than pointer alignment");
+        static_assert(std::is_trivially_copyable_v<Fn> &&
+                          std::is_trivially_destructible_v<Fn>,
+                      "callback captures must be trivially copyable and "
+                      "trivially destructible (pointers and plain values)");
         ::new (static_cast<void *>(_buf)) Fn(std::forward<F>(f));
-        _ops = &OpsImpl<Fn>::ops;
+        _invoke = &invokeAs<Fn>;
     }
 
     /** Invoke. Undefined if empty. */
-    void operator()() { _ops->invoke(_buf); }
-
-    /** True if a callable is stored. */
-    explicit operator bool() const { return _ops != nullptr; }
-
-    /** Destroy the stored callable (no-op if empty). */
-    void
-    reset()
-    {
-        if (_ops) {
-            _ops->destroy(_buf);
-            _ops = nullptr;
-        }
-    }
+    void operator()() { _invoke(_buf); }
 
   private:
-    struct Ops {
-        void (*invoke)(void *);
-        /** Move-construct dst from src, then destroy src. */
-        void (*relocate)(void *src, void *dst) noexcept;
-        void (*destroy)(void *) noexcept;
-    };
-
     template <typename Fn>
-    struct OpsImpl {
-        static void
-        invoke(void *p)
-        {
-            (*static_cast<Fn *>(p))();
-        }
-
-        static void
-        relocate(void *src, void *dst) noexcept
-        {
-            Fn *s = static_cast<Fn *>(src);
-            ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-        }
-
-        static void
-        destroy(void *p) noexcept
-        {
-            static_cast<Fn *>(p)->~Fn();
-        }
-
-        static constexpr Ops ops{&invoke, &relocate, &destroy};
-    };
-
-    /** Steal @p other's callable; leaves @p other empty. */
-    void
-    moveFrom(InlineCallback &other) noexcept
+    static void
+    invokeAs(void *p)
     {
-        _ops = other._ops;
-        if (_ops) {
-            _ops->relocate(other._buf, _buf);
-            other._ops = nullptr;
-        }
+        (*static_cast<Fn *>(p))();
     }
 
-    const Ops *_ops = nullptr;
-    alignas(alignof(std::max_align_t)) std::byte _buf[Capacity];
+    void (*_invoke)(void *) = nullptr;
+    alignas(void *) std::byte _buf[Capacity];
 };
 
 } // namespace dvfs::sim

@@ -3,10 +3,10 @@
  * Heap-allocation accounting for the event kernel's steady state.
  *
  * Replaces the global operator new/delete with counting versions and
- * proves the tentpole property of the allocation-free event kernel:
- * once the entry pool is primed, scheduling and running events — with
- * captures up to the inline-callback capacity — performs zero heap
- * allocations. The same audit covers the action producers: pulling
+ * proves the property of the allocation-free event kernel: once the
+ * heap has reached its pending high-water mark, scheduling and running
+ * events — with captures up to the inline-callback capacity — performs
+ * zero heap allocations. The same audit covers the action producers: pulling
  * full miss clusters from a workload worker or a GC worker writes
  * their addresses into the program's own buffer and allocates nothing.
  *
@@ -128,54 +128,54 @@ using namespace dvfs;
 using dvfs::sim::EventQueue;
 
 /**
- * Zero heap allocations per steady-state event: prime the pool, then
- * run 10k events — some with large captures near the inline-callback
- * capacity — and require the global allocation counter not to move.
+ * Zero heap allocations per steady-state event: once the heap has
+ * reached its pending high-water mark, a million fire-and-re-arm
+ * cycles over a window of 32 pending events — mixing trivial captures
+ * with the largest capture the kernel is sized for — must not move the
+ * global allocation counter. No growth of any kernel storage can hide
+ * from this count.
  */
 TEST(EventAlloc, SteadyStateScheduleRunAllocatesNothing)
 {
     EventQueue eq;
+    constexpr int kWindow = 32;
 
-    // Prime: drive the pool to the depth the measured loop needs (a
-    // few simultaneously live events), letting the entry vector and
-    // freelist do all their growing now.
-    for (int round = 0; round < 4; ++round) {
-        for (int i = 0; i < 8; ++i)
-            eq.schedule(eq.now() + static_cast<Tick>(i + 1), [] {});
-        eq.run();
-    }
+    // Prime: drive the heap one past the window's depth, letting its
+    // vector do all its growing now.
+    for (int i = 0; i <= kWindow; ++i)
+        eq.schedule(eq.now() + static_cast<Tick>(i + 1), [] {});
+    eq.run();
 
     const std::uint64_t allocs_before = g_allocs.load();
-    const std::size_t entries_before = eq.entriesAllocated();
 
-    // Steady state: 10k events, mixing trivial captures with the
-    // largest capture the kernel is sized for (PerfCounters plus
-    // several pointers, the doMutexUnlock shape).
+    // Steady state: each cycle re-arms one event 1-5 ticks ahead and
+    // fires the earliest. Odd cycles capture {pointer, pointer,
+    // pointer, tick}, the doMutexUnlock shape and the full capacity.
     std::uint64_t sink = 0;
-    uarch::PerfCounters pc;
-    pc.instructions = 7;
-    for (int i = 0; i < 10'000; ++i) {
-        Tick when = eq.now() + static_cast<Tick>(i % 5 + 1);
+    const void *owner = &allocs_before;
+    for (int i = 0; i < kWindow; ++i)
+        eq.schedule(eq.now() + static_cast<Tick>(i + 1), [&sink] { ++sink; });
+    for (int i = 0; i < 1'000'000; ++i) {
+        const Tick when = eq.now() + static_cast<Tick>(i % 5 + 1);
         if (i % 2 == 0) {
             eq.schedule(when, [&sink] { ++sink; });
         } else {
-            void *a = &eq, *b = &sink, *c = &pc;
-            eq.schedule(when, [&sink, a, b, c, pc] {
-                sink += pc.instructions +
-                        static_cast<std::uint64_t>(a != nullptr) +
-                        static_cast<std::uint64_t>(b != nullptr) +
-                        static_cast<std::uint64_t>(c != nullptr);
-            });
+            EventQueue *q = &eq;
+            std::uint64_t *s = &sink;
+            auto largest = [q, s, owner, when] {
+                *s += (q->now() == when && owner != nullptr) ? 10 : 0;
+            };
+            static_assert(sizeof(largest) == sim::kEventCallbackBytes);
+            eq.schedule(when, largest);
         }
-        if (i % 4 == 3)
-            eq.run();
+        ASSERT_TRUE(eq.runOne());
     }
-    eq.run();
+    EXPECT_EQ(eq.pending(), static_cast<std::uint64_t>(kWindow));
+    EXPECT_EQ(eq.run(), static_cast<std::uint64_t>(kWindow));
 
     EXPECT_EQ(g_allocs.load(), allocs_before)
         << "the event kernel allocated on the steady-state path";
-    EXPECT_EQ(eq.entriesAllocated(), entries_before);
-    EXPECT_EQ(sink, 5'000u + 5'000u * 10u);
+    EXPECT_EQ(sink, kWindow + 500'000u + 500'000u * 10u);
 }
 
 /** Sanity: the counting allocator is actually installed. */

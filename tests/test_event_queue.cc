@@ -160,34 +160,6 @@ TEST(EventQueue, SameTickSelfRescheduleRunsAfterExistingEvents)
     EXPECT_EQ(eq.now(), 5u);
 }
 
-/**
- * The entry pool recycles entries: a million schedule/fire cycles, each
- * firing one event and re-arming it, must not grow the backing storage
- * past the handful of entries that are ever simultaneously live.
- */
-TEST(EventQueue, PoolReusedAcrossManyScheduleCancelCycles)
-{
-    EventQueue eq;
-    // Prime: a few live events at once, so the pool has some depth.
-    for (int i = 0; i < 4; ++i)
-        eq.schedule(1, [] {});
-    eq.run();
-    const std::size_t primed = eq.entriesAllocated();
-
-    // Keep two events pending; each cycle fires the earlier one and
-    // re-arms a successor 1-3 ticks later.
-    std::uint64_t fired = 0;
-    eq.schedule(eq.now() + 1, [&fired] { ++fired; });
-    for (int i = 0; i < 1'000'000; ++i) {
-        eq.schedule(eq.now() + static_cast<Tick>(i % 3 + 1),
-                    [&fired] { ++fired; });
-        ASSERT_TRUE(eq.runOne());
-    }
-    eq.run();
-    EXPECT_EQ(fired, 1'000'001u);
-    EXPECT_EQ(eq.entriesAllocated(), primed);
-}
-
 /** Stress: a large schedule-then-run batch is deterministic. */
 TEST(EventQueue, StressManyEventsDeterministic)
 {

@@ -285,30 +285,12 @@ TEST(System, FrequencyObserverSeesTransition)
     EXPECT_EQ(sys.coreDomain().transitions(), 1u);
 }
 
-/**
- * Registering an observer from inside another observer's notification
- * (i.e. mid-run, while the observer list is being walked) must be
- * safe, and the new observer must see every subsequent transition.
- * Guards the reallocation-during-notification hazard in
- * System::addFrequencyObserver / setFrequency.
- */
-TEST(System, ObserverRegisteredMidRunSeesLaterTransitions)
+namespace {
+
+/** Run a main thread that steps the chip through 2, 3 and 4 GHz. */
+void
+runFrequencySteps(System &sys)
 {
-    System sys(smallConfig(1));
-    std::vector<std::uint32_t> late_seen;
-    bool registered = false;
-    // Several pre-registered observers so the vector is near capacity
-    // when the mid-notification registration happens.
-    for (int i = 0; i < 3; ++i)
-        sys.addFrequencyObserver([](Frequency, Tick) {});
-    sys.addFrequencyObserver([&](Frequency, Tick) {
-        if (registered)
-            return;
-        registered = true;
-        sys.addFrequencyObserver([&](Frequency f, Tick) {
-            late_seen.push_back(f.toMHz());
-        });
-    });
     ThreadId main = sys.addThread(
         "main", std::make_unique<LambdaProgram>(
                     [&sys, step = 0](ThreadContext &) mutable -> Action {
@@ -328,9 +310,64 @@ TEST(System, ObserverRegisteredMidRunSeesLaterTransitions)
                     }));
     sys.setMainThread(main);
     EXPECT_TRUE(sys.run().finished);
+}
+
+} // namespace
+
+/**
+ * Registering an observer from inside another observer's notification
+ * (i.e. mid-run, while the observer list is being walked) must be
+ * safe, and the new observer must see every subsequent transition.
+ */
+TEST(System, ObserverRegisteredMidRunSeesLaterTransitions)
+{
+    System sys(smallConfig(1));
+    std::vector<std::uint32_t> late_seen;
+    bool registered = false;
+    for (int i = 0; i < 3; ++i)
+        sys.addFrequencyObserver([](Frequency, Tick) {});
+    sys.addFrequencyObserver([&](Frequency, Tick) {
+        if (registered)
+            return;
+        registered = true;
+        sys.addFrequencyObserver([&](Frequency f, Tick) {
+            late_seen.push_back(f.toMHz());
+        });
+    });
+    runFrequencySteps(sys);
     // Registered during the 2 GHz notification: sees every transition
     // after that one, and none twice.
     EXPECT_EQ(late_seen, (std::vector<std::uint32_t>{3000u, 4000u}));
+}
+
+/**
+ * The registering observer is the eighth of eight, so the registration
+ * grows a full list, and it reads its own capture after registering:
+ * an observer list that moved its elements on growth would free the
+ * running observer out from under setFrequency (a use-after-free under
+ * ASan).
+ */
+TEST(System, ObserverRegisteredFromFullListKeepsItsCapture)
+{
+    System sys(smallConfig(1));
+    struct Probe {
+        System *sys;
+        std::vector<std::uint32_t> lateSeen;
+        std::uint32_t notified = 0;
+    } probe{&sys, {}};
+    for (int i = 0; i < 7; ++i)
+        sys.addFrequencyObserver([](Frequency, Tick) {});
+    sys.addFrequencyObserver([p = &probe](Frequency, Tick) {
+        if (p->notified == 0) {
+            p->sys->addFrequencyObserver([p](Frequency f, Tick) {
+                p->lateSeen.push_back(f.toMHz());
+            });
+        }
+        p->notified += 1;  // reads the capture after the registration
+    });
+    runFrequencySteps(sys);
+    EXPECT_EQ(probe.notified, 3u);
+    EXPECT_EQ(probe.lateSeen, (std::vector<std::uint32_t>{3000u, 4000u}));
 }
 
 TEST(System, DeadlockedRunReturnsUnfinished)
